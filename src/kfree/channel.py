@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from .errors import RegimeError
-from .moments import CumulantSet, Expectation, Value, Word, blockwise_moment
-from .partitions import Partition, kreweras_complement
+from .moments import CumulantSet, Expectation, Value, Word, mixed_moment_free
+from .partitions import enumerate_nc, kreweras_complement
 from .permutations import (
     Permutation,
     all_permutations,
@@ -190,15 +190,7 @@ def otoc_haar_formula(
     """Leading-order 2k-OTOC: sum over NC(k) of kappa_pi(A) <B>_{pi*}."""
     a_labels = tuple(a_labels) if a_labels is not None else positional_labels(k)
     b_labels = tuple(b_labels) if b_labels is not None else positional_labels(k)
-    from .partitions import enumerate_nc
-
-    cumulants = CumulantSet(phi_a)
-    total: Value = 0
-    for pi in enumerate_nc(k):
-        total += cumulants.kappa_pi(pi, a_labels) * blockwise_moment(
-            b_labels, kreweras_complement(pi), phi_b
-        )
-    return total
+    return mixed_moment_free(phi_a, phi_b, a_labels, b_labels)
 
 
 def otoc_haar_channel(
@@ -305,8 +297,6 @@ def word_functional_from_matrices(mats: Sequence[np.ndarray]) -> Expectation:
 
 def otoc_term_structure(k: int) -> list[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]:
     """Symbolic 2k-OTOC expansion: (A-cumulant blocks, B-moment blocks) pairs."""
-    from .partitions import enumerate_nc
-
     out = []
     for pi in enumerate_nc(k):
         out.append((pi.blocks, kreweras_complement(pi).blocks))

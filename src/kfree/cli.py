@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -135,7 +134,7 @@ def _default_observable(D: int, seed: int) -> np.ndarray:
 
 
 def _cmd_nc(args) -> None:
-    from .partitions import enumerate_nc, kreweras_complement, nc_lattice, leq
+    from .partitions import enumerate_nc, kreweras_complement, leq, moebius_nc
 
     _require(args, "n")
     parts = enumerate_nc(args.n)
@@ -146,12 +145,11 @@ def _cmd_nc(args) -> None:
     if args.kreweras:
         result["kreweras"] = {str(p): str(kreweras_complement(p)) for p in parts}
     if args.moebius:
-        lat = nc_lattice(args.n)
         table = {}
         for s in parts:
             for p in parts:
                 if leq(s, p):
-                    table[f"{s} <= {p}"] = lat.moebius(s, p)
+                    table[f"{s} <= {p}"] = moebius_nc(s, p)
         result["moebius"] = table
     _emit(args, "nc", result)
 
@@ -418,7 +416,7 @@ def _cmd_eth(args) -> None:
         _emit(args, "eth timeavg", {"k": args.k, "beta": args.beta, "mode": window.mode, "value": complex(v)})
     elif action == "freetime":
         a, b = _eth_obs_pair(args, model)
-        grid = np.linspace(0.0, args.t_max or 40.0 / model.spectral_width() * model.dim**0, args.n_points)
+        grid = np.linspace(0.0, args.t_max or 40.0 / model.spectral_width(), args.n_points)
         res = free_k_time(model, state, a, b, args.k, threshold=args.threshold, t_grid=grid)
         rows_data = [[float(t), float(m), 0.0, 0.0] for t, m in zip(res.times, res.magnitudes)]
         rows = (["t", "real", "imag", "std_error"], rows_data)
@@ -479,7 +477,6 @@ def _add_common(sub) -> None:
     sub.add_argument("--output", help="write the result document to this path")
     sub.add_argument("--format", choices=["json", "csv", "text"], default="json")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=None, help="BLAS thread hint (recorded; exported to env)")
     sub.add_argument("--config", help="key = value defaults file; flags override")
 
 
@@ -636,9 +633,6 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "threads", None):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         args.func(args)
     except RegimeError as exc:

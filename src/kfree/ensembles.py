@@ -5,7 +5,7 @@ probes, design checks, and channel distance."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -208,17 +208,13 @@ class EnsembleExpectation:
         dressed = {}
         for label, m in self.operators.items():
             dressed[label] = u.conj().T @ m @ u if label in self.rotated else m
-        prod_cache: dict[tuple, np.ndarray] = {}
-
-        def product(word: tuple) -> np.ndarray:
-            if word not in prod_cache:
-                if len(word) == 1:
-                    prod_cache[word] = dressed[word[0]]
-                else:
-                    prod_cache[word] = product(word[:-1]) @ dressed[word[-1]]
-            return prod_cache[word]
-
-        return {w: complex(np.trace(product(w))) / self.dim for w in words}
+        # prefix products, each built once from the next-shorter prefix
+        prods: dict[tuple, np.ndarray] = {}
+        for w in words:
+            for n in range(1, len(w) + 1):
+                if w[:n] not in prods:
+                    prods[w[:n]] = dressed[w[0]] if n == 1 else prods[w[: n - 1]] @ dressed[w[n - 1]]
+        return {w: complex(np.trace(prods[w])) / self.dim for w in words}
 
     def functional(self, batch: int | None = None) -> Expectation:
         """Expectation over cached word averages (or one batch's averages)."""

@@ -13,9 +13,9 @@ lattice of the slots, with each merged term a single einsum contraction.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .partitions import (
     iter_set_partitions,
     kreweras_complement,
     leq,
-    nc_lattice,
     partition_lattice_moebius,
 )
 
@@ -273,13 +272,19 @@ class SlotChains:
 def chains_from_word(model: SpectralModel, state: ThermalState, word: Sequence[tuple]) -> SlotChains:
     """Single-cycle chains for a word of (observable, timed: bool) letters."""
     mats = [model.observable(obs) for obs, _ in word]
-    m = len(mats)
+    return SlotChains(cycles=[mats], weights=[state.weights], slot_coeffs=_slot_coeffs([t for _, t in word]))
+
+
+def _slot_coeffs(timed: Sequence[bool]) -> tuple[int, ...]:
+    """Phase coefficient per slot: a timed letter i adds +1 to its left slot
+    i and -1 to its right slot i + 1 (cyclically)."""
+    m = len(timed)
     coeffs = [0] * m
-    for i, (_, timed) in enumerate(word):
-        if timed:
-            coeffs[i] += 1  # left slot of letter i is slot i
+    for i, t in enumerate(timed):
+        if t:
+            coeffs[i] += 1
             coeffs[(i + 1) % m] -= 1
-    return SlotChains(cycles=[mats], weights=[state.weights], slot_coeffs=tuple(coeffs))
+    return tuple(coeffs)
 
 
 def merged_chain_sum(chains: SlotChains, merge: Partition) -> complex:
@@ -519,23 +524,13 @@ def averaged_expectation(model: SpectralModel, state: ThermalState, letters: Seq
         chains = SlotChains(
             cycles=[[m for m, _ in subword]],
             weights=[state.weights],
-            slot_coeffs=_subword_coeffs(subword),
+            slot_coeffs=_slot_coeffs([t for _, t in subword]),
         )
         if window.mode == "infinite":
             return strict_chain_average(chains)
         return _windowed_chain_sum(chains, model.energies, window.t_max)
 
     return Expectation(fn)
-
-
-def _subword_coeffs(subword: list[tuple[np.ndarray, bool]]) -> tuple[int, ...]:
-    m = len(subword)
-    coeffs = [0] * m
-    for i, (_, timed) in enumerate(subword):
-        if timed:
-            coeffs[i] += 1
-            coeffs[(i + 1) % m] -= 1
-    return tuple(coeffs)
 
 
 def averaged_free_cumulant(
@@ -626,16 +621,6 @@ def _distinct_brute_generic(chains: SlotChains, D: int) -> complex:
 # ---------------------------------------------------------------------------
 # long-time factorization, free-k times, window factorization
 # ---------------------------------------------------------------------------
-
-
-def thermal_cumulant_set(model: SpectralModel, state: ThermalState, obs) -> dict[int, complex]:
-    """Equal-time thermal free cumulants of one observable up to order 6."""
-    m = model.observable(obs)
-    out = {}
-    for n in range(1, 7):
-        word = ((m, 0.0),) * n
-        out[n] = thermal_free_cumulant(model, state, word)
-    return out
 
 
 def otoc_long_time_factorization(model: SpectralModel, state: ThermalState, A, B, k: int) -> tuple[complex, complex, float]:
@@ -731,10 +716,9 @@ def factorization_gap(model: SpectralModel, state: ThermalState, A, B, window: T
     single = ((a, True), (b, False))
     if window.mode == "infinite":
         joint = strict_chain_average(joint_chains)
-        mean = time_average(model, state, single, window)
     else:
         joint = _windowed_chain_sum(joint_chains, model.energies, window.t_max)
-        mean = time_average(model, state, single, window)
+    mean = time_average(model, state, single, window)
     product = mean * mean
     return complex(joint), complex(product), complex(joint - product)
 

@@ -12,32 +12,11 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"KFOP"
-HERMITIAN_TOL = 1e-12
-
-
-@dataclass
-class DenseOperator:
-    entries: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ValueError(f"operator must be square, got shape {self.entries.shape}")
-        if self.hermitian:
-            dev = np.max(np.abs(self.entries - self.entries.conj().T))
-            if dev > HERMITIAN_TOL:
-                raise ValueError(f"hermitian flag set but deviation {dev:.3e} > {HERMITIAN_TOL}")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def save_operator(path: str | Path, matrix: np.ndarray) -> None:

@@ -19,7 +19,7 @@ from .partitions import (
     enumerate_nc,
     iter_set_partitions,
     kreweras_complement,
-    nc_lattice,
+    nc_moebius_table,
     partition_lattice_moebius,
 )
 
@@ -94,18 +94,6 @@ class Expectation:
 
         return cls(fn, cyclic=True)
 
-    @classmethod
-    def weighted_trace(cls, operators: Mapping[Hashable, np.ndarray], weights: np.ndarray) -> "Expectation":
-        """<word> = sum_i w_i (product)_{ii} for a diagonal density weight."""
-
-        def fn(word: Word) -> complex:
-            prod = operators[word[0]]
-            for label in word[1:]:
-                prod = prod @ operators[label]
-            return complex(np.dot(weights, np.diagonal(prod)))
-
-        return cls(fn, cyclic=False)
-
 
 def blockwise_moment(word: Sequence[Hashable], sigma: Partition, phi: Callable[[Word], Value]) -> Value:
     """Product over blocks of sigma of the moment of the block sub-word."""
@@ -121,12 +109,9 @@ def blockwise_moment(word: Sequence[Hashable], sigma: Partition, phi: Callable[[
 def free_cumulant(phi: Callable[[Word], Value], word: Sequence[Hashable]) -> Value:
     """kappa_n(word) by Moebius inversion over NC(n)."""
     word = tuple(word)
-    n = len(word)
-    lattice = nc_lattice(n)
-    one = Partition.full(n)
     total: Value = 0
-    for sigma in lattice.partitions:
-        total += blockwise_moment(word, sigma, phi) * lattice.moebius(sigma, one)
+    for sigma, mu in nc_moebius_table(len(word)):
+        total += blockwise_moment(word, sigma, phi) * mu
     return total
 
 

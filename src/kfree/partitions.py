@@ -1,5 +1,10 @@
 """Set partitions, the non-crossing lattice NC(n), and Kreweras duality.
 
+The Moebius function of NC(n) is closed-form (Nica-Speicher, Lectures 9-10):
+mu(sigma, 1_n) is the product over blocks V of the Kreweras complement
+K(sigma) of (-1)^(|V|-1) Cat(|V|-1), and every interval [sigma, pi]
+factorizes over the blocks of pi into intervals of that form.
+
 Partitions are kept in a canonical block form: each block is an ascending
 tuple and blocks are ordered by their least element.  Equal partitions
 therefore compare and hash equal, so they can index dictionaries and be
@@ -183,53 +188,6 @@ def enumerate_nc(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Partiti
     return [Partition.from_blocks(n, blocks) for blocks in _nc_partitions_of(tuple(range(1, n + 1)))]
 
 
-class NCLattice:
-    """NC(n) with its refinement order and Moebius function, cached."""
-
-    def __init__(self, n: int, limit: int = DEFAULT_ENUMERATION_LIMIT):
-        self.n = n
-        self.partitions = enumerate_nc(n, limit=limit)
-        self.index = {p: i for i, p in enumerate(self.partitions)}
-        self._below: dict[Partition, list[Partition]] = {}
-        self._moebius: dict[tuple[Partition, Partition], int] = {}
-
-    def below(self, pi: Partition) -> list[Partition]:
-        """Order ideal {tau in NC(n) : tau <= pi}."""
-        if pi not in self._below:
-            self._below[pi] = [t for t in self.partitions if leq(t, pi)]
-        return self._below[pi]
-
-    def moebius(self, sigma: Partition, pi: Partition) -> int:
-        """Moebius function of the interval [sigma, pi], by interval recursion."""
-        if sigma not in self.index or pi not in self.index:
-            raise ValueError("arguments must be non-crossing partitions of the lattice")
-        if not leq(sigma, pi):
-            raise ValueError(f"{sigma} is not below {pi}")
-        key = (sigma, pi)
-        if key not in self._moebius:
-            if sigma == pi:
-                self._moebius[key] = 1
-            else:
-                total = 0
-                for tau in self.below(pi):
-                    if tau != pi and leq(sigma, tau):
-                        total += self.moebius(sigma, tau)
-                self._moebius[key] = -total
-        return self._moebius[key]
-
-
-@lru_cache(maxsize=None)
-def nc_lattice(n: int) -> NCLattice:
-    return NCLattice(n)
-
-
-def moebius_nc(sigma: Partition, pi: Partition) -> int:
-    """Moebius function on NC(n) between non-crossing sigma <= pi."""
-    if not (is_noncrossing(sigma) and is_noncrossing(pi)):
-        raise ValueError("moebius_nc requires non-crossing arguments")
-    return nc_lattice(sigma.n).moebius(sigma, pi)
-
-
 def partition_lattice_moebius(sigma: Partition, pi: Partition) -> int:
     """Moebius function of the full partition lattice (crossing allowed).
 
@@ -294,3 +252,35 @@ def inverse_kreweras(pi: Partition) -> Partition:
     if not is_noncrossing(pi):
         raise ValueError(f"inverse Kreweras requires a non-crossing partition: {pi}")
     return kreweras_complement(pi.shift(+1))
+
+
+def _moebius_to_top(sigma: Partition) -> int:
+    """mu(sigma, 1_n) as a Catalan product over the Kreweras complement."""
+    out = 1
+    for block in kreweras_complement(sigma).blocks:
+        out *= (-1) ** (len(block) - 1) * catalan(len(block) - 1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def nc_moebius_table(n: int) -> tuple[tuple[Partition, int], ...]:
+    """(sigma, mu(sigma, 1_n)) for every sigma in NC(n), in `enumerate_nc` order."""
+    return tuple((sigma, _moebius_to_top(sigma)) for sigma in enumerate_nc(n))
+
+
+def moebius_nc(sigma: Partition, pi: Partition) -> int:
+    """Moebius function on NC(n) between non-crossing sigma <= pi.
+
+    The interval [sigma, pi] is the product over blocks W of pi of the
+    intervals [sigma restricted to W, 1_|W|], each relabelled 1..|W|.
+    """
+    if not (is_noncrossing(sigma) and is_noncrossing(pi)):
+        raise ValueError("moebius_nc requires non-crossing arguments")
+    if not leq(sigma, pi):
+        raise ValueError(f"{sigma} is not below {pi}")
+    out = 1
+    for block in pi.blocks:
+        pos = {x: i for i, x in enumerate(block, start=1)}
+        inner = [[pos[x] for x in b] for b in sigma.blocks if b[0] in pos]
+        out *= _moebius_to_top(Partition.from_blocks(len(block), inner))
+    return out

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
 
 from .partitions import Partition, is_noncrossing
 
@@ -182,16 +180,6 @@ def canonicalize_by_conjugation(alpha: Permutation) -> tuple[Permutation, Permut
     alpha_c = compose(compose(inverse(rho), alpha), rho)
     assert is_nc_canonical(alpha_c)
     return rho, alpha_c
-
-
-@lru_cache(maxsize=None)
-def _geodesic_nc_pairs(k: int) -> dict[Permutation, Partition]:
-    """Geodesic set of the full cycle, mapped to NC(k) via the embedding."""
-    return {b: permutation_to_nc(b) for b in geodesic_set(full_cycle(k))}
-
-
-def geodesic_nc_image(k: int) -> dict[Permutation, Partition]:
-    return dict(_geodesic_nc_pairs(k))
 
 
 def random_permutation(k: int, rng) -> Permutation:

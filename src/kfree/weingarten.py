@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import RegimeError
 from .partitions import Partition, moebius_nc
@@ -129,11 +128,6 @@ def weingarten_table(k: int, D: int) -> WeingartenTable:
     return WeingartenTable(k, D)
 
 
-def weingarten_matrix(k: int, D: int) -> list[list[Fraction]]:
-    """Exact rational inverse of gram_matrix(k, D)."""
-    return weingarten_table(k, D).matrix()
-
-
 def weingarten_value(k: int, D: int, alpha: Permutation, beta: Permutation) -> Fraction:
     return weingarten_table(k, D).wg(alpha, beta)
 
@@ -167,7 +161,3 @@ def weingarten_asymptotic(alpha: Permutation, beta: Permutation, D: int) -> Frac
     mu = moebius_between_permutations(beta, alpha)
     rel = compose(inverse(beta), alpha)
     return Fraction(mu, D ** (2 * k - rel.num_cycles()))
-
-
-def format_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)

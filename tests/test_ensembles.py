@@ -1,6 +1,7 @@
 """Unitary ensembles: sampling, Monte Carlo channels, freeness probes,
 design checks, and channel distance."""
 
+import gc
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from kfree.channel import channel_exact, haar_word_average_exact, word_functional_from_matrices
 from kfree.ensembles import (
     DiscreteEnsemble,
+    EnsembleExpectation,
     Estimate,
     HaarEnsemble,
     HamiltonianEnsemble,
@@ -157,6 +159,22 @@ def test_k_freeness_reproducible():
     e2 = k_freeness_test(HaarEnsemble(D), A, B, 2, n_samples=200, seed=9)
     assert e1.value == e2.value
     assert e1.std_error == e2.std_error
+
+
+def test_evaluate_words_leaves_no_reference_cycles():
+    # per-sample product matrices must be freed by reference counting, not
+    # held until the cyclic collector runs
+    D = 8
+    A = normalize_observable(goe_matrix(D, np.random.default_rng(1)))
+    B = normalize_observable(goe_matrix(D, np.random.default_rng(2)))
+    ee = EnsembleExpectation(HaarEnsemble(D), {"A": A, "B": B}, {"A"}, n_samples=20, seed=4)
+    gc.collect()
+    gc.disable()
+    try:
+        ee.evaluate_words([("A", "B", "A", "B"), ("A", "A", "B"), ("A", "B")])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_design_check_pauli():

@@ -1,5 +1,7 @@
 """Moment <-> free-cumulant engine."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,13 @@ def test_semicircle_cumulants_vanish():
     assert abs(free_cumulant(phi, ("A",) * 2) - 1) < 1e-12
     for n in (1, 3, 4, 5, 6):
         assert abs(free_cumulant(phi, ("A",) * n)) < 1e-12
+    # exact rationals up to n = 9: the semicircle (m_n = Cat(n/2) for even n)
+    # has kappa_n = delta_{n,2}; free Poisson (m_n = Cat(n)) has kappa_n = 1
+    semicircle = moment_phi([Fraction(catalan(n // 2) if n % 2 == 0 else 0) for n in range(1, 10)])
+    free_poisson = moment_phi([Fraction(catalan(n)) for n in range(1, 10)])
+    for n in range(1, 10):
+        assert free_cumulant(semicircle, ("A",) * n) == (1 if n == 2 else 0)
+        assert free_cumulant(free_poisson, ("A",) * n) == 1
 
 
 def test_moments_from_semicircle_cumulants_are_catalan():

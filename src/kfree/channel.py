@@ -114,18 +114,12 @@ def channel_exact(
         raise RegimeError(f"exact channel needs D >= k (got D={D}, k={k})")
     labels = tuple(labels) if labels is not None else positional_labels(k)
     table = weingarten_table(k, D)
-    perms = all_permutations(k)
-    traces = {beta: permuted_trace(beta, phi, labels, D) for beta in perms}
+    traces = [permuted_trace(beta, phi, labels, D) for beta in table.perms]
     coeffs: dict[Permutation, Value] = {}
-    for alpha in perms:
+    for alpha, wg_row in zip(table.perms, table.matrix()):
         acc: Value = 0
-        for beta in perms:
-            wg = table.wg(alpha, beta)
-            tr = traces[beta]
-            if isinstance(tr, (int, Fraction)):
-                acc += wg * tr
-            else:
-                acc += complex(wg) * tr
+        for wg, tr in zip(wg_row, traces):
+            acc += wg * tr if isinstance(tr, (int, Fraction)) else complex(wg) * tr
         coeffs[alpha] = acc
     return ChannelCoefficients(k=k, D=D, mode="exact", coeffs=coeffs)
 
@@ -142,10 +136,14 @@ def kappa_alpha(
     permutation first.
     """
     labels = tuple(labels) if labels is not None else positional_labels(alpha.k)
+    return _kappa_alpha(alpha, CumulantSet(phi), labels)
+
+
+def _kappa_alpha(alpha: Permutation, cumulants: CumulantSet, labels: Sequence[Hashable]) -> Value:
     rho, alpha_c = canonicalize_by_conjugation(alpha)
     pi = permutation_to_nc(alpha_c)
     word = tuple(labels[rho(p) - 1] for p in range(1, alpha.k + 1))
-    return CumulantSet(phi).kappa_pi(pi, word)
+    return cumulants.kappa_pi(pi, word)
 
 
 def kappa_alpha_geodesic(
@@ -172,9 +170,10 @@ def channel_asymptotic(
 ) -> ChannelCoefficients:
     """Leading-order channel: coeff(alpha) = kappa_alpha / D^(k - #alpha)."""
     labels = tuple(labels) if labels is not None else positional_labels(k)
+    cumulants = CumulantSet(phi)
     coeffs: dict[Permutation, Value] = {}
     for alpha in all_permutations(k):
-        kap = kappa_alpha(alpha, phi, labels)
+        kap = _kappa_alpha(alpha, cumulants, labels)
         denom = D ** (k - alpha.num_cycles())
         coeffs[alpha] = Fraction(kap, denom) if isinstance(kap, int) else kap / denom
     return ChannelCoefficients(k=k, D=D, mode="asymptotic", coeffs=coeffs)

@@ -266,6 +266,8 @@ def _cmd_haar_test(args) -> None:
     from .ensembles import HaarEnsemble, k_freeness_test
 
     _require(args, "dim")
+    if args.dim < 1 or args.n_samples < 1:
+        raise ValueError("--dim and --n-samples must be positive")
     A = _load_matrix(args.a) if args.a else _default_observable(args.dim, args.seed + 101)
     B = _load_matrix(args.b) if args.b else _default_observable(args.dim, args.seed + 202)
     est = k_freeness_test(HaarEnsemble(args.dim), A, B, args.k, n_samples=args.n_samples, seed=args.seed)

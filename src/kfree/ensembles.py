@@ -21,6 +21,7 @@ from .weingarten import weingarten_table
 PROB_TOL = 1e-12
 DENSE_CHANNEL_CAP = 4096  # D^k for Monte Carlo channel matrices
 DENSE_SUPEROP_CAP = 1024  # D^k for dense superoperator comparisons
+_PAIR_BLOCK_ROWS = 256  # sample-Gram rows held at once by _pair_moment
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,8 @@ class HamiltonianEnsemble:
     def __post_init__(self):
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be positive")
 
     @property
     def dim(self) -> int:
@@ -307,11 +310,11 @@ def haar_channel_superoperator(k: int, D: int) -> np.ndarray:
     table = weingarten_table(k, D)
     dim = D**k
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for alpha in perms:
+    w_ins = [permutation_operator(beta, D).T.reshape(-1) for beta in perms]
+    for alpha, wg_row in zip(perms, table.matrix()):
         w_out = permutation_operator(inverse(alpha), D).reshape(-1)
-        for beta in perms:
-            w_in = permutation_operator(beta, D).T.reshape(-1)
-            out += float(table.wg(alpha, beta)) * np.outer(w_out, w_in)
+        for wg, w_in in zip(wg_row, w_ins):
+            out += float(wg) * np.outer(w_out, w_in)
     return out
 
 
@@ -368,8 +371,13 @@ def _pair_moment(spec: EnsembleSpec, k: int, seed: int) -> float:
         rng = np.random.default_rng(seed)
         times = rng.uniform(0.0, spec.t_max, size=spec.n_samples)
         phases = np.exp(-1j * np.outer(times, spec.model.energies))
-        gram = phases @ phases.conj().T  # [i, j] = sum_m e^{-i(t_i - t_j)E_m}
-        return float(np.mean(np.abs(gram) ** (2 * k)))
+        conj = phases.conj().T
+        total = 0.0
+        # the Gram matrix [i, j] = sum_m e^{-i(t_i - t_j)E_m}, one row block at a time
+        for start in range(0, len(phases), _PAIR_BLOCK_ROWS):
+            gram = phases[start : start + _PAIR_BLOCK_ROWS] @ conj
+            total += float(np.sum(np.abs(gram) ** (2 * k)))
+        return total / len(phases) ** 2
     raise TypeError(f"pair moment undefined for {type(spec).__name__}")
 
 

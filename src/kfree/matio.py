@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"KFOP"
+HEADER_BYTES = 12  # magic plus two uint32
 
 
 def save_operator(path: str | Path, matrix: np.ndarray) -> None:
@@ -40,19 +41,37 @@ def save_operator(path: str | Path, matrix: np.ndarray) -> None:
         raise ValueError(f"unknown operator format {path.suffix!r} (want .json or .bin)")
 
 
+def _check_square(path: Path, rows, cols) -> None:
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (rows, cols)) or rows != cols or rows < 1:
+        raise ValueError(f"{path}: operator shape ({rows}, {cols}) is not a non-empty square")
+
+
 def load_operator(path: str | Path) -> np.ndarray:
     path = Path(path)
     if path.suffix == ".json":
         doc = json.loads(path.read_text())
-        rows, cols = doc["shape"]
-        flat = np.array([complex(re, im) for re, im in doc["data"]])
+        shape = doc.get("shape") if isinstance(doc, dict) else None
+        if not isinstance(shape, list) or len(shape) != 2:
+            raise ValueError(f"{path}: operator shape {shape!r} is not 2-D")
+        rows, cols = shape
+        _check_square(path, rows, cols)
+        data = doc.get("data")
+        if not isinstance(data, list) or len(data) != rows * cols:
+            raise ValueError(f"{path}: want {rows * cols} [re, im] entries for shape ({rows}, {cols})")
+        try:
+            flat = np.array([complex(re, im) for re, im in data])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: data entries must be [re, im] number pairs") from exc
         return flat.reshape(rows, cols)
     if path.suffix == ".bin":
         raw = path.read_bytes()
         if raw[:4] != MAGIC:
             raise ValueError(f"{path}: bad magic, not a KFOP operator file")
-        rows, cols = struct.unpack("<II", raw[4:12])
-        interleaved = np.frombuffer(raw[12:], dtype="<f8")
+        if len(raw) < HEADER_BYTES:
+            raise ValueError(f"{path}: truncated header ({len(raw)} of {HEADER_BYTES} bytes)")
+        rows, cols = struct.unpack("<II", raw[4:HEADER_BYTES])
+        _check_square(path, rows, cols)
+        interleaved = np.frombuffer(raw[HEADER_BYTES:], dtype="<f8")
         if interleaved.size != rows * cols * 2:
             raise ValueError(f"{path}: truncated payload")
         return (interleaved[0::2] + 1j * interleaved[1::2]).reshape(rows, cols)

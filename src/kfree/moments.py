@@ -39,12 +39,16 @@ class Expectation:
         self._fn = fn
         self.cyclic = cyclic
         self._cache: dict[Word, Value] = {}
+        self._keys: dict[Word, Word] = {}
 
     def _key(self, word: Word) -> Word:
         if not self.cyclic or len(word) < 2:
             return word
-        rotations = [word[i:] + word[:i] for i in range(len(word))]
-        return min(rotations, key=repr)
+        key = self._keys.get(word)
+        if key is None:
+            rotations = [word[i:] + word[:i] for i in range(len(word))]
+            key = self._keys[word] = min(rotations, key=repr)
+        return key
 
     def __call__(self, word: Sequence[Hashable]) -> Value:
         word = tuple(word)

@@ -254,6 +254,7 @@ def inverse_kreweras(pi: Partition) -> Partition:
     return kreweras_complement(pi.shift(+1))
 
 
+@lru_cache(maxsize=None)
 def _moebius_to_top(sigma: Partition) -> int:
     """mu(sigma, 1_n) as a Catalan product over the Kreweras complement."""
     out = 1

@@ -3,16 +3,28 @@ plus the leading large-D asymptotics.
 
 The Gram matrix is Q[a, b] = D^(#cycles(a^-1 b)) over S_k x S_k with the
 lexicographic one-line indexing of `permutations.all_permutations`.  Its
-exact inverse (D >= k) is the Weingarten matrix.  Both are bi-invariant, so
-the inverse is computed by fraction-free elimination of the class-collapsed
-system (p(k) unknowns instead of k!) and re-expanded; the defining identity
-is re-verified over the full group at construction time.
+exact inverse (D >= k) is the Weingarten matrix.  Both depend only on the
+conjugacy class of a^-1 b (Collins-Sniady, CMP 264, 2006), so every lookup
+goes through one class table per k: row i holds, as bytes, the class index
+of perms[i]^-1 perms[j] for every j.  The table is built once per k from
+0-based index arithmetic and read by the Gram and Weingarten matrices, and
+through `WeingartenTable.matrix` by the exact channel and the Haar
+superoperator.
+
+The inverse is computed by fraction-free elimination of the class-collapsed
+system (p(k) unknowns instead of k!).  The defining identity is re-verified
+over the full group at construction time, in integers: with the class
+values put over their common denominator L as integers n(gamma), every beta
+in S_k must give sum_gamma n(gamma) D^(#(gamma^-1 beta)) = L [beta == e].
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import RegimeError
 from .partitions import Partition, moebius_nc
@@ -21,7 +33,6 @@ from .permutations import (
     all_permutations,
     canonicalize_by_conjugation,
     compose,
-    identity,
     inverse,
     on_geodesic,
     permutation_to_nc,
@@ -44,13 +55,43 @@ def _cycle_types(k: int) -> list[tuple[int, ...]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _group_table(k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[bytes, ...]]:
+    """(cycle types, rows) for S_k in `all_permutations` order.
+
+    rows[i][j] is the index into the cycle types of perms[i]^-1 perms[j].
+    The table is symmetric, since x and x^-1 share a cycle type, and row 0
+    (the identity) lists the class of each permutation.
+    """
+    types = _cycle_types(k)
+    type_index = {t: c for c, t in enumerate(types)}
+    perms = all_permutations(k)
+    classes = np.array([type_index[p.cycle_type()] for p in perms], dtype=np.uint8)
+    one_line = np.array([p.images for p in perms], dtype=np.int64) - 1
+    # base-k codes increase along the lexicographic order, so searchsorted ranks
+    radix = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    codes = one_line @ radix
+    rows = []
+    for p in one_line:
+        # (p^-1 q)(x) = p^-1(q(x)) for every q at once
+        ranks = np.searchsorted(codes, np.argsort(p)[one_line] @ radix)
+        rows.append(classes[ranks].tobytes())
+    return tuple(types), tuple(rows)
+
+
+def _class_pair_counts(rows: tuple[bytes, ...], i: int, n_types: int) -> list[list[int]]:
+    """counts[c][d] = #{j : perms[j] in class c, perms[i]^-1 perms[j] in class d}."""
+    pairs = np.frombuffer(rows[0], dtype=np.uint8).astype(np.int64) * n_types + np.frombuffer(rows[i], dtype=np.uint8)
+    return np.bincount(pairs, minlength=n_types * n_types).reshape(n_types, n_types).tolist()
+
+
 def gram_matrix(k: int, D: int) -> list[list[int]]:
     """Q[a, b] = D^(#cycles(a^-1 b)), exact integers."""
     if k < 1 or D < 1:
         raise ValueError("k and D must be positive")
-    perms = all_permutations(k)
-    inv = [inverse(p) for p in perms]
-    return [[D ** compose(inv[i], perms[j]).num_cycles() for j in range(len(perms))] for i in range(len(perms))]
+    types, rows = _group_table(k)
+    powers = [D ** len(t) for t in types]
+    return [[powers[c] for c in row] for row in rows]
 
 
 class WeingartenTable:
@@ -63,12 +104,15 @@ class WeingartenTable:
         self.D = D
         self.perms: tuple[Permutation, ...] = tuple(all_permutations(k))
         self.index = {p: i for i, p in enumerate(self.perms)}
+        self._types, self._rows = _group_table(k)
         self._by_class = _weingarten_class_function(k, D)
+        # Wg(perms[i], perms[j]) = self._values[self._rows[i][j]]
+        self._values = tuple(self._by_class[t] for t in self._types)
         self._verify_inverse()
 
     def wg(self, alpha: Permutation, beta: Permutation) -> Fraction:
         """Weingarten entry; depends only on the class of alpha^-1 beta."""
-        return self._by_class[compose(inverse(alpha), beta).cycle_type()]
+        return self._values[self._rows[self.index[alpha]][self.index[beta]]]
 
     def wg_of_class(self, cycle_type: tuple[int, ...]) -> Fraction:
         return self._by_class[cycle_type]
@@ -77,23 +121,21 @@ class WeingartenTable:
         return gram_matrix(self.k, self.D)
 
     def matrix(self) -> list[list[Fraction]]:
-        inv = [inverse(p) for p in self.perms]
-        return [
-            [self._by_class[compose(inv[i], self.perms[j]).cycle_type()] for j in range(len(self.perms))]
-            for i in range(len(self.perms))
-        ]
+        values = self._values
+        return [[values[c] for c in row] for row in self._rows]
 
     def _verify_inverse(self) -> None:
         # Wg and Q are both functions of a^-1 b, hence so is their product;
-        # checking the identity-row of the convolution over the full group
-        # proves Wg . Q = I exactly.
-        k, D = self.k, self.D
-        for beta in self.perms:
-            acc = Fraction(0)
-            for gamma in self.perms:
-                acc += self._by_class[gamma.cycle_type()] * D ** compose(inverse(gamma), beta).num_cycles()
-            expected = Fraction(int(beta == identity(k)))
-            if acc != expected:
+        # checking the identity row of the convolution for every beta over
+        # the full group proves Wg . Q = I exactly.
+        k, D, values = self.k, self.D, self._values
+        lcm = math.lcm(*(v.denominator for v in values))
+        numerators = [v.numerator * (lcm // v.denominator) for v in values]
+        powers = [D ** len(t) for t in self._types]
+        for i in range(len(self.perms)):
+            counts = _class_pair_counts(self._rows, i, len(values))
+            acc = sum(n * sum(m * p for m, p in zip(row, powers)) for n, row in zip(numerators, counts))
+            if acc != (lcm if i == 0 else 0):
                 raise AssertionError(f"Weingarten inversion failed at k={k}, D={D}")
 
 
@@ -101,18 +143,14 @@ class WeingartenTable:
 def _weingarten_class_function(k: int, D: int) -> dict[tuple[int, ...], Fraction]:
     """Solve sum_sigma w(sigma) D^(#(sigma^-1 tau)) = [tau == id] for the
     class function w, collapsing by conjugacy class."""
-    types = _cycle_types(k)
-    type_index = {t: i for i, t in enumerate(types)}
-    perms = all_permutations(k)
-    reps: dict[tuple[int, ...], Permutation] = {}
-    for p in perms:
-        reps.setdefault(p.cycle_type(), p)
-    # A[row tau-class][col sigma-class] = sum over sigma in class of D^#(sigma^-1 tau)
-    a = [[0] * len(types) for _ in types]
-    for t, rep in ((t, reps[t]) for t in types):
-        row = a[type_index[t]]
-        for sigma in perms:
-            row[type_index[sigma.cycle_type()]] += D ** compose(inverse(sigma), rep).num_cycles()
+    types, rows = _group_table(k)
+    powers = [D ** len(t) for t in types]
+    classes = rows[0]
+    # A[row tau-class][col sigma-class] = sum over sigma in class of D^#(tau^-1 sigma)
+    a = []
+    for c in range(len(types)):
+        counts = _class_pair_counts(rows, classes.index(c), len(types))
+        a.append([sum(m * p for m, p in zip(row, powers)) for row in counts])
     rhs = [[Fraction(int(t == (1,) * k)) for t in types]]
     try:
         sol = exact_solve(a, rhs)[0]
@@ -120,7 +158,7 @@ def _weingarten_class_function(k: int, D: int) -> dict[tuple[int, ...], Fraction
         raise RegimeError(
             f"Gram matrix singular at k={k}, D={D}: pseudo-inverse regime unsupported"
         ) from exc
-    return {t: sol[type_index[t]] for t in types}
+    return {t: sol[c] for c, t in enumerate(types)}
 
 
 @lru_cache(maxsize=None)

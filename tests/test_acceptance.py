@@ -19,17 +19,14 @@ import pytest
 from kfree.channel import (
     channel_asymptotic,
     channel_exact,
-    haar_word_average_exact,
     otoc_haar_formula,
     otoc_term_structure,
     word_functional_from_matrices,
 )
 from kfree.ensembles import (
-    DiscreteEnsemble,
     HaarEnsemble,
     HamiltonianEnsemble,
     channel_distance,
-    channel_monte_carlo,
     clifford_group_1q,
     design_check,
     k_freeness_test,
@@ -50,11 +47,9 @@ from kfree.eth import (
     phase_average_delta_structure,
     thermal_free_cumulant,
     thermal_state,
-    time_average,
 )
 from kfree.moments import Expectation, free_cumulant
 from kfree.partitions import (
-    Partition,
     catalan,
     enumerate_nc,
     is_noncrossing,
@@ -63,7 +58,7 @@ from kfree.partitions import (
     leq,
     moebius_nc,
 )
-from kfree.permutations import Permutation, all_permutations, full_cycle, geodesic_set, identity, permutation_to_nc
+from kfree.permutations import Permutation, full_cycle, geodesic_set, identity, permutation_to_nc
 from kfree.ratlinalg import exact_matmul
 from kfree.weingarten import weingarten_table
 

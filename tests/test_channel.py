@@ -13,15 +13,15 @@ from kfree.channel import (
     kappa_alpha,
     kappa_alpha_geodesic,
     otoc_haar,
-    otoc_haar_channel,
     otoc_term_structure,
     permutation_operator,
     permuted_trace,
+    positional_labels,
     word_functional_from_matrices,
 )
 from kfree.errors import RegimeError
 from kfree.moments import Expectation, free_cumulant
-from kfree.partitions import kreweras_complement, enumerate_nc
+from kfree.partitions import kreweras_complement
 from kfree.permutations import (
     Permutation,
     all_permutations,
@@ -32,6 +32,7 @@ from kfree.permutations import (
     inverse,
     on_geodesic,
 )
+from kfree.weingarten import weingarten_table
 
 
 def random_mats(k, D, seed=0):
@@ -127,12 +128,51 @@ def test_channel_exact_matches_clifford_enumeration(k):
     assert np.max(np.abs(oracle - rec)) < 1e-10
 
 
+def _channel_exact_double_loop(k, D, phi, labels):
+    """Reference: the Weingarten double loop over S_k x S_k through compose."""
+    table = weingarten_table(k, D)
+    perms = all_permutations(k)
+    traces = {beta: permuted_trace(beta, phi, labels, D) for beta in perms}
+    coeffs = {}
+    for alpha in perms:
+        acc = 0
+        for beta in perms:
+            wg = table.wg_of_class(compose(inverse(alpha), beta).cycle_type())
+            tr = traces[beta]
+            acc += wg * tr if isinstance(tr, (int, Fraction)) else complex(wg) * tr
+        coeffs[alpha] = acc
+    return coeffs
+
+
+@pytest.mark.parametrize("k,D", [(2, 2), (3, 3), (4, 5)])
+def test_channel_exact_bit_identical_to_double_loop(k, D):
+    labels = positional_labels(k)
+    complex_phi = word_functional_from_matrices(random_mats(k, D, seed=k + D))
+    exact_phi = Expectation(lambda w: Fraction(len(w) + 1, 3 + sum(w)), cyclic=True)
+    for phi in (complex_phi, exact_phi):
+        coeffs = channel_exact(k, D, phi).coeffs
+        ref = _channel_exact_double_loop(k, D, phi, labels)
+        assert list(coeffs) == list(ref)
+        # equal floats, not merely close: same terms summed in the same order
+        assert all(coeffs[a] == ref[a] and type(coeffs[a]) is type(ref[a]) for a in ref)
+
+
 def test_channel_asymptotic_k2_identical():
     phi = Expectation.from_moment_sequence([0.4, 1.3])
     co = channel_asymptotic(2, 10, phi, labels=("A", "A"))
     assert abs(co.coeffs[identity(2)] - 0.4**2) < 1e-12
     swap = Permutation((2, 1))
     assert abs(co.coeffs[swap] - (1.3 - 0.16) / 10) < 1e-12
+
+
+def test_channel_asymptotic_shared_cumulants_match_kappa_alpha():
+    # one CumulantSet serves every alpha; each coefficient must equal the
+    # stand-alone kappa_alpha evaluation exactly
+    k, D = 4, 7
+    phi = word_functional_from_matrices(random_mats(k, 3, seed=4))
+    co = channel_asymptotic(k, D, phi)
+    for alpha in all_permutations(k):
+        assert co.coeffs[alpha] == kappa_alpha(alpha, phi) / D ** (k - alpha.num_cycles())
 
 
 def test_channel_asymptotic_k3_cyclic_coefficient():

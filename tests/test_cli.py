@@ -1,11 +1,16 @@
 """Command-line interface: dispatch, documents, formats, exit codes."""
 
 import json
+import os
+import struct
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
-import pytest
 
+import kfree
 from kfree.cli import dispatch
 from kfree.matio import load_operator, save_operator
 
@@ -184,3 +189,55 @@ def test_text_format(capsys):
     code, out, _ = run(capsys, "nc", "--n", "3", "--count", "--format", "text")
     assert code == 0
     assert "count = 5" in out
+
+
+def run_process(*argv):
+    """Run the CLI as its own interpreter, so an escaping exception shows as a traceback."""
+    src = str(Path(kfree.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "kfree.cli", *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+def assert_validation_exit(code, err):
+    assert code == 1
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_malformed_operator_files_exit_1(tmp_path):
+    payload = np.zeros(12, dtype="<f8").tobytes()
+    files = {
+        "short.bin": b"KFOP\x02\x00\x00",
+        "magic-only.bin": b"KFOP",
+        "wide.bin": b"KFOP" + struct.pack("<II", 2, 3) + payload,
+        "empty.bin": b"KFOP" + struct.pack("<II", 0, 0),
+        "wide.json": json.dumps({"shape": [2, 3], "data": [[0.0, 0.0]] * 6}).encode(),
+        "cube.json": json.dumps({"shape": [2, 2, 2], "data": [[0.0, 0.0]] * 8}).encode(),
+        "short.json": json.dumps({"shape": [2, 2], "data": [[0.0, 0.0]] * 3}).encode(),
+        "text.json": json.dumps({"shape": [1, 1], "data": [["1", "0"]]}).encode(),
+        "list.json": json.dumps([1, 1]).encode(),
+    }
+    for name, raw in files.items():
+        path = tmp_path / name
+        path.write_bytes(raw)
+        code, err = run_process("cumulants", "--operator", str(path), "--max-order", "2")
+        assert_validation_exit(code, err)
+        assert name in err
+
+
+def test_non_positive_sizes_exit_1():
+    haar = ["haar-test", "--k", "1"]
+    hamiltonian = ["distance", "--ensemble", "hamiltonian", "--k", "1", "--dim", "4"]
+    cases = [
+        haar + ["--dim", "0"],
+        haar + ["--dim", "-3"],
+        haar + ["--dim", "8", "--n-samples", "0"],
+        haar + ["--dim", "8", "--n-samples", "-1"],
+        hamiltonian + ["--n-samples", "0"],
+        hamiltonian + ["--n-samples", "0", "--method", "gram"],
+    ]
+    for argv in cases:
+        code, err = run_process(*argv)
+        assert_validation_exit(code, err)
+        assert "must be positive" in err

@@ -25,6 +25,7 @@ from kfree.ensembles import (
     pauli_group,
     sample_haar,
     spawn_rngs,
+    _pair_moment,
 )
 from kfree.errors import RegimeError
 from kfree.eth import goe_matrix, goe_model, normalize_observable
@@ -227,6 +228,24 @@ def test_hamiltonian_distance_matches_infinite_time_limit():
     spec = HamiltonianEnsemble(model, t_max=5000.0, n_samples=3000)
     d = channel_distance(spec, 1, method="gram", seed=11)
     assert abs(d - infinite_time_distance(model, 1)) < 0.3 * infinite_time_distance(model, 1)
+
+
+def _pair_moment_full_gram(spec, k, seed):
+    """Reference: the mean over the full n x n sample Gram matrix at once."""
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(0.0, spec.t_max, size=spec.n_samples)
+    phases = np.exp(-1j * np.outer(times, spec.model.energies))
+    gram = phases @ phases.conj().T
+    return float(np.mean(np.abs(gram) ** (2 * k)))
+
+
+@pytest.mark.parametrize("n_samples", [1, 255, 256, 700])
+def test_hamiltonian_pair_moment_blocks_match_full_gram(n_samples):
+    spec = HamiltonianEnsemble(goe_model(8, seed=5), t_max=800.0, n_samples=n_samples)
+    for k in (1, 2, 3):
+        blocked = _pair_moment(spec, k, seed=13)
+        full = _pair_moment_full_gram(spec, k, seed=13)
+        assert abs(blocked - full) <= 1e-12 * abs(full)
 
 
 def test_infinite_time_distance_values():

@@ -9,15 +9,12 @@ import pytest
 from kfree.eth import (
     DeutschSpec,
     SlotChains,
-    SpectralModel,
-    ThermalState,
     TimeWindow,
     alternating_word,
     appendix_b_crossing_term,
     averaged_free_cumulant,
     bimodal_observable,
     build_model,
-    chains_from_word,
     coincidence_pattern_sum,
     deutsch_ensemble,
     distinct_index_cumulant,
@@ -28,7 +25,6 @@ from kfree.eth import (
     heisenberg,
     ising_model,
     merged_chain_sum,
-    normalize_observable,
     otoc_long_time_factorization,
     phase_average_delta_structure,
     thermal_free_cumulant,

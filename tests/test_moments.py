@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +20,7 @@ from kfree.moments import (
     mixed_moment_free,
     moments_from_cumulants,
 )
-from kfree.partitions import Partition, catalan, enumerate_nc
+from kfree.partitions import Partition, catalan
 
 
 def moment_phi(values, label="A"):

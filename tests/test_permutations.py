@@ -1,6 +1,5 @@
 """Symmetric-group algebra, Cayley geodesics, and the NC embedding."""
 
-import itertools
 from collections import deque
 
 import pytest

@@ -7,8 +7,10 @@ import pytest
 
 from kfree.errors import RegimeError
 from kfree.permutations import Permutation, all_permutations, compose, full_cycle, identity, inverse, random_permutation
-from kfree.ratlinalg import exact_inverse, exact_matmul, exact_solve
+from kfree.ratlinalg import exact_inverse, exact_matmul
 from kfree.weingarten import (
+    WeingartenTable,
+    _group_table,
     gram_matrix,
     weingarten_asymptotic,
     weingarten_table,
@@ -148,3 +150,50 @@ def test_asymptotic_relative_error_scaling(k):
     assert -2.3 <= slope <= -1.7
     for D, err in zip(dims, errs):
         assert err <= 8.0 / D**2
+
+
+# ---------------------------------------------------------------------------
+# the S_k class table against compose-based oracles
+# ---------------------------------------------------------------------------
+
+
+def _gram_oracle(k, D):
+    perms = all_permutations(k)
+    return [[D ** compose(inverse(a), b).num_cycles() for b in perms] for a in perms]
+
+
+def _matrix_oracle(table):
+    return [[table.wg_of_class(compose(inverse(a), b).cycle_type()) for b in table.perms] for a in table.perms]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_group_table_matches_compose(k):
+    types, rows = _group_table(k)
+    perms = all_permutations(k)
+    assert len(rows) == len(perms)
+    for a, row in zip(perms, rows):
+        assert len(row) == len(perms)
+        assert [types[c] for c in row] == [compose(inverse(a), b).cycle_type() for b in perms]
+
+
+@pytest.mark.parametrize("k,D", [(1, 3), (2, 2), (3, 4), (4, 4), (4, 7), (5, 5)])
+def test_gram_and_matrix_match_compose_oracles(k, D):
+    assert gram_matrix(k, D) == _gram_oracle(k, D)
+    t = weingarten_table(k, D)
+    assert t.gram() == _gram_oracle(k, D)
+    assert t.matrix() == _matrix_oracle(t)
+    for a in t.perms:
+        for b in t.perms:
+            assert t.wg(a, b) == t.wg_of_class(compose(inverse(a), b).cycle_type())
+
+
+@pytest.mark.parametrize("k,D", [(2, 3), (3, 3), (4, 6)])
+def test_inverse_check_rejects_a_perturbed_class_value(k, D):
+    t = WeingartenTable(k, D)
+    exact = t._values
+    for c in range(len(exact)):
+        t._values = exact[:c] + (exact[c] + Fraction(1, 10**12),) + exact[c + 1 :]
+        with pytest.raises(AssertionError):
+            t._verify_inverse()
+    t._values = exact
+    t._verify_inverse()

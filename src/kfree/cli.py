@@ -116,6 +116,13 @@ def _require(args, *names) -> None:
         raise ValueError("missing required option(s): " + ", ".join("--" + n.replace("_", "-") for n in missing))
 
 
+def _require_positive(args, *names) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be positive (got {value})")
+
+
 def _load_matrix(path: str) -> np.ndarray:
     from .matio import load_operator
 
@@ -219,7 +226,11 @@ def _word_functional(args, prefix: str, k: int):
     ops_arg = getattr(args, f"{prefix}_ops", None)
     mom_arg = getattr(args, f"{prefix}_moments", None)
     if ops_arg:
-        mats = [_load_matrix(p) for p in ops_arg.split(",")]
+        paths = ops_arg.split(",")
+        mats = [_load_matrix(p) for p in paths]
+        for path, m in zip(paths, mats):
+            if args.dim is not None and m.shape[0] != args.dim:
+                raise ValueError(f"--{prefix}-ops: {path} is {m.shape[0]}x{m.shape[0]}, but --dim is {args.dim}")
         if len(mats) == 1:
             mats = mats * k
         if len(mats) != k:
@@ -266,8 +277,7 @@ def _cmd_haar_test(args) -> None:
     from .ensembles import HaarEnsemble, k_freeness_test
 
     _require(args, "dim")
-    if args.dim < 1 or args.n_samples < 1:
-        raise ValueError("--dim and --n-samples must be positive")
+    _require_positive(args, "dim", "k", "n_samples")
     A = _load_matrix(args.a) if args.a else _default_observable(args.dim, args.seed + 101)
     B = _load_matrix(args.b) if args.b else _default_observable(args.dim, args.seed + 202)
     est = k_freeness_test(HaarEnsemble(args.dim), A, B, args.k, n_samples=args.n_samples, seed=args.seed)
@@ -292,10 +302,12 @@ def _build_ensemble(args):
     if name == "clifford":
         return clifford_group_1q()
     if name == "haar":
+        _require_positive(args, "dim")
         return HaarEnsemble(args.dim)
     if name == "hamiltonian":
         from .eth import goe_model
 
+        _require_positive(args, "dim")
         model = goe_model(args.dim, seed=args.seed)
         return HamiltonianEnsemble(model, t_max=args.t_max, n_samples=args.n_samples)
     if name == "files":
@@ -311,6 +323,7 @@ def _cmd_design_check(args) -> None:
     from .ensembles import design_check
 
     _require(args, "ensemble", "k")
+    _require_positive(args, "k")
     spec = _build_ensemble(args)
     report = design_check(spec, args.k, tolerance=args.tolerance, seed=args.seed)
     _emit(
@@ -331,6 +344,7 @@ def _cmd_distance(args) -> None:
     from .ensembles import channel_distance
 
     _require(args, "ensemble", "k")
+    _require_positive(args, "k")
     spec = _build_ensemble(args)
     dist = channel_distance(spec, args.k, method=args.method, seed=args.seed)
     _emit(
@@ -350,8 +364,10 @@ def _eth_model(args):
     from .eth import build_model, goe_model, ising_model
 
     if args.model == "goe":
+        _require_positive(args, "dim")
         model = goe_model(args.dim, seed=args.seed)
     elif args.model == "ising":
+        _require_positive(args, "length")
         model = ising_model(args.length)
     else:
         h = _load_matrix(args.model)
@@ -388,9 +404,13 @@ def _cmd_eth(args) -> None:
         time_average,
     )
 
+    action = args.action
+    if action in ("cumulant", "timeavg", "freetime"):
+        _require_positive(args, "k", "n_points")
+    if action == "cumulant":
+        _require(args, "t_max")
     model = _eth_model(args)
     state = thermal_state(model, args.beta)
-    action = args.action
     if action == "build":
         result = {
             "dim": model.dim,

@@ -13,12 +13,13 @@ import numpy as np
 from .channel import permutation_operator
 from .errors import RegimeError
 from .eth import SpectralModel
-from .moments import Expectation, free_cumulant
+from .moments import Expectation, _word_trace, free_cumulant
 from .partitions import enumerate_nc
 from .permutations import all_permutations, inverse
 from .weingarten import weingarten_table
 
 PROB_TOL = 1e-12
+UNITARY_TOL = 1e-10  # max |U^dagger U - I| accepted for a supplied unitary
 DENSE_CHANNEL_CAP = 4096  # D^k for Monte Carlo channel matrices
 DENSE_SUPEROP_CAP = 1024  # D^k for dense superoperator comparisons
 _PAIR_BLOCK_ROWS = 256  # sample-Gram rows held at once by _pair_moment
@@ -40,9 +41,19 @@ class DiscreteEnsemble:
 
     def __post_init__(self):
         self.unitaries = [np.asarray(u, dtype=complex) for u in self.unitaries]
+        for i, u in enumerate(self.unitaries):
+            if u.shape != self.unitaries[0].shape:
+                raise ValueError(f"unitary {i} has shape {u.shape}, unitary 0 has {self.unitaries[0].shape}")
+            if not np.all(np.isfinite(u)):
+                raise ValueError(f"unitary {i} has non-finite entries")
+            dev = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
+            if dev > UNITARY_TOL:
+                raise ValueError(f"unitary {i} is not unitary: max|U^dagger U - I| = {dev:.3e} > {UNITARY_TOL}")
         if self.probabilities is None:
             self.probabilities = np.full(len(self.unitaries), 1.0 / len(self.unitaries))
         self.probabilities = np.asarray(self.probabilities, dtype=float)
+        if len(self.probabilities) != len(self.unitaries):
+            raise ValueError(f"{len(self.probabilities)} probabilities for {len(self.unitaries)} unitaries")
         if np.any(self.probabilities < 0):
             raise ValueError("probabilities must be nonnegative")
         if abs(self.probabilities.sum() - 1.0) > PROB_TOL:
@@ -151,6 +162,11 @@ class EnsembleExpectation:
     Labels marked rotated are conjugated by the sampled unitary; others are
     left fixed.  Per-batch means are retained so nonlinear functions of the
     moments (cumulants) get batch-means error bars.
+
+    Each sample costs its draw (Ginibre plus QR), two matmuls per rotated
+    label for the dressing, and one `moments._word_trace` over the dressed
+    letters, which closes every word with an O(D^2) contraction of two
+    half-products built once per sample.
     """
 
     def __init__(
@@ -211,13 +227,8 @@ class EnsembleExpectation:
         dressed = {}
         for label, m in self.operators.items():
             dressed[label] = u.conj().T @ m @ u if label in self.rotated else m
-        # prefix products, each built once from the next-shorter prefix
-        prods: dict[tuple, np.ndarray] = {}
-        for w in words:
-            for n in range(1, len(w) + 1):
-                if w[:n] not in prods:
-                    prods[w[:n]] = dressed[w[0]] if n == 1 else prods[w[: n - 1]] @ dressed[w[n - 1]]
-        return {w: complex(np.trace(prods[w])) / self.dim for w in words}
+        trace = _word_trace(dressed)
+        return {w: trace(w) for w in words}
 
     def functional(self, batch: int | None = None) -> Expectation:
         """Expectation over cached word averages (or one batch's averages)."""

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .moments import Expectation, free_cumulant
+from .moments import Expectation, _word_trace, free_cumulant
 from .partitions import (
     Partition,
     enumerate_nc,
@@ -66,7 +66,7 @@ def normalize_observable(m: np.ndarray, weights: np.ndarray | None = None) -> np
     D = m.shape[0]
     w = weights if weights is not None else np.full(D, 1.0 / D)
     m = m - np.dot(w, np.diagonal(m)) * np.eye(D)
-    norm = np.sqrt(abs(np.dot(w, np.diagonal(m @ m))))
+    norm = np.sqrt(abs(_word_trace({"m": m}, w)(("m", "m"))))
     return m / norm
 
 
@@ -132,6 +132,8 @@ def build_model(
     h = np.asarray(hamiltonian)
     if h.shape[0] > dim_cap:
         raise ValueError(f"dimension {h.shape[0]} exceeds cap {dim_cap}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("hamiltonian has non-finite entries")
     if np.max(np.abs(h - h.conj().T)) > 1e-10:
         raise ValueError("hamiltonian must be Hermitian")
     energies, basis = np.linalg.eigh(h)
@@ -211,33 +213,19 @@ def thermal_word_moment(model: SpectralModel, state: ThermalState, word: Sequenc
 
     `word` is a sequence of (observable, time) pairs.
     """
-    prod = None
-    for obs, t in word:
-        m = heisenberg(model, obs, t)
-        prod = m if prod is None else prod @ m
-    if prod is None:
+    if not word:
         return 1.0
-    return complex(np.dot(state.weights, np.diagonal(prod)))
-
-
-def _letters_functional(model: SpectralModel, state: ThermalState, letters: list[np.ndarray]) -> Expectation:
-    """Positional functional over pre-dressed matrices (labels = indices)."""
-
-    def fn(positions):
-        prod = letters[positions[0]]
-        for p in positions[1:]:
-            prod = prod @ letters[p]
-        return complex(np.dot(state.weights, np.diagonal(prod)))
-
-    return Expectation(fn)
+    letters = {i: heisenberg(model, obs, t) for i, (obs, t) in enumerate(word)}
+    return _word_trace(letters, state.weights)(tuple(letters))
 
 
 def thermal_free_cumulant(model: SpectralModel, state: ThermalState, word: Sequence[tuple]) -> complex:
     """kappa^beta_n of a word of (observable, time) letters, by Moebius
-    inversion of thermal word moments over NC(n)."""
-    letters = [heisenberg(model, obs, t) for obs, t in word]
-    phi = _letters_functional(model, state, letters)
-    return complex(free_cumulant(phi, tuple(range(len(letters)))))
+    inversion of thermal word moments over NC(n).  The sub-words are
+    positional, so the labels are the letter indices."""
+    letters = {i: heisenberg(model, obs, t) for i, (obs, t) in enumerate(word)}
+    phi = Expectation(_word_trace(letters, state.weights))
+    return complex(free_cumulant(phi, tuple(letters)))
 
 
 def alternating_word(A, B, k: int, t: float) -> tuple:

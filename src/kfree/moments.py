@@ -1,10 +1,15 @@
 """Moment <-> free-cumulant engine over arbitrary expectation functionals.
 
 Words are tuples of opaque hashable labels (an operator name, possibly
-bundled with a time tag).  The engine never touches matrices: everything
-flows through an expectation functional mapping a word to a number, so the
-same code serves symbolic checks, Monte Carlo ensemble averages, and
-thermal exact-diagonalization functionals.
+bundled with a time tag).  The engine itself never touches matrices:
+everything flows through an expectation functional mapping a word to a
+number, so the same code serves symbolic checks, Monte Carlo ensemble
+averages, and thermal exact-diagonalization functionals.
+
+The one place matrices enter is `_word_trace`, the (weighted) normalized
+trace of a word over dense letters, which every matrix-backed functional
+(`Expectation.normalized_trace`, the ensemble averages, the thermal
+moments) evaluates its words with.
 """
 
 from __future__ import annotations
@@ -25,6 +30,45 @@ from .partitions import (
 
 Word = tuple[Hashable, ...]
 Value = complex | float | Fraction
+
+
+def _word_trace(
+    letters: Mapping[Hashable, np.ndarray], weights: np.ndarray | None = None
+) -> Callable[[Word], complex]:
+    """Trace of words over dense letters: Tr(L_w1 ... L_wn)/D, or with
+    `weights` the diagonal sum sum_i w_i (L_w1 ... L_wn)_ii.
+
+    A word of length one is a diagonal sum.  A longer word splits into
+    halves P = w[:h] and S = w[h:], and closes with the O(D^2) contraction
+    (P S)_ii = sum_j P_ij S_ji; each half-product is built once, from the
+    next-shorter product cached by the returned function.
+    """
+    dims = {m.shape[0] for m in letters.values()}
+    if len(dims) != 1:
+        raise ValueError("operators must share one dimension")
+    (dim,) = dims
+    prods: dict[Word, np.ndarray] = {}
+
+    def product(word: Word) -> np.ndarray:
+        n = len(word)
+        while n > 1 and word[:n] not in prods:
+            n -= 1
+        m = prods[word[:n]] if n > 1 else letters[word[0]]
+        for i in range(n, len(word)):
+            m = prods[word[: i + 1]] = m @ letters[word[i]]
+        return m
+
+    def trace(word: Word) -> complex:
+        if len(word) == 1:
+            diag = np.diagonal(letters[word[0]])
+        else:
+            h = len(word) // 2
+            diag = np.sum(product(word[:h]) * product(word[h:]).T, axis=1)
+        if weights is None:
+            return complex(np.sum(diag)) / dim
+        return complex(np.dot(weights, diag))
+
+    return trace
 
 
 class Expectation:
@@ -85,18 +129,7 @@ class Expectation:
     @classmethod
     def normalized_trace(cls, operators: Mapping[Hashable, np.ndarray]) -> "Expectation":
         """<word> = Tr(product)/D over a dictionary of dense matrices."""
-        dims = {m.shape[0] for m in operators.values()}
-        if len(dims) != 1:
-            raise ValueError("operators must share one dimension")
-        (dim,) = dims
-
-        def fn(word: Word) -> complex:
-            prod = operators[word[0]]
-            for label in word[1:]:
-                prod = prod @ operators[label]
-            return complex(np.trace(prod)) / dim
-
-        return cls(fn, cyclic=True)
+        return cls(_word_trace(operators), cyclic=True)
 
 
 def blockwise_moment(word: Sequence[Hashable], sigma: Partition, phi: Callable[[Word], Value]) -> Value:

@@ -226,6 +226,57 @@ def test_malformed_operator_files_exit_1(tmp_path):
         assert name in err
 
 
+def test_invalid_operator_contents_exit_1(tmp_path):
+    nan = np.eye(2, dtype=complex)
+    nan[0, 1] = np.nan
+    skew = np.eye(3, dtype=complex)
+    skew[0, 1] = 0.5
+    for name, m in {"u2.json": np.eye(2), "u3.bin": np.eye(3), "double.json": 2 * np.eye(2), "nan.bin": nan,
+                    "skew.bin": skew}.items():
+        save_operator(tmp_path / name, m)
+    files = ["design-check", "--ensemble", "files", "--k", "1", "--unitaries"]
+    cases = [
+        (files + [str(tmp_path / "double.json")], "not unitary"),
+        (files + [f"{tmp_path / 'u2.json'},{tmp_path / 'nan.bin'}"], "non-finite"),
+        (files + [f"{tmp_path / 'u2.json'},{tmp_path / 'u3.bin'}"], "shape"),
+        (["eth", "build", "--model", str(tmp_path / "nan.bin")], "non-finite"),
+        (["eth", "build", "--model", str(tmp_path / "skew.bin")], "Hermitian"),
+    ]
+    for argv, message in cases:
+        code, err = run_process(*argv)
+        assert_validation_exit(code, err)
+        assert message in err
+
+
+def test_operator_dimension_must_match_dim(tmp_path):
+    save_operator(tmp_path / "a2.json", np.diag([1.0, -1.0]))
+    save_operator(tmp_path / "a3.json", np.diag([1.0, 0.0, -1.0]))
+    cases = [
+        (["channel", "--mode", "exact", "--k", "2", "--dim", "3", "--a-ops", str(tmp_path / "a2.json")], "--a-ops"),
+        (["otoc", "--k", "2", "--dim", "3", "--a-ops", str(tmp_path / "a3.json"),
+          "--b-ops", str(tmp_path / "a2.json")], "--b-ops"),
+    ]
+    for argv, flag in cases:
+        code, err = run_process(*argv)
+        assert_validation_exit(code, err)
+        assert flag in err and "--dim" in err
+
+
+def test_boundary_errors_name_the_flag():
+    cases = [
+        (["eth", "timeavg", "--model", "goe", "--dim", "8", "--k", "0"], "--k must be positive"),
+        (["distance", "--ensemble", "hamiltonian", "--k", "2", "--dim", "0"], "--dim must be positive"),
+        (["eth", "build", "--model", "goe", "--dim", "0"], "--dim must be positive"),
+        (["eth", "cumulant", "--model", "goe", "--dim", "8"], "--t-max"),
+        (["eth", "build", "--model", "ising", "--length", "0"], "--length must be positive"),
+        (["design-check", "--ensemble", "haar", "--k", "0"], "--k must be positive"),
+    ]
+    for argv, message in cases:
+        code, err = run_process(*argv)
+        assert_validation_exit(code, err)
+        assert message in err
+
+
 def test_non_positive_sizes_exit_1():
     haar = ["haar-test", "--k", "1"]
     hamiltonian = ["distance", "--ensemble", "hamiltonian", "--k", "1", "--dim", "4"]

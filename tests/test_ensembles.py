@@ -30,6 +30,7 @@ from kfree.ensembles import (
 from kfree.errors import RegimeError
 from kfree.eth import goe_matrix, goe_model, normalize_observable
 from kfree.moments import Expectation, free_cumulant
+from kfree.partitions import enumerate_nc
 
 
 def test_sample_haar_unitarity():
@@ -121,6 +122,55 @@ def test_probabilities_validated():
         DiscreteEnsemble([np.eye(2), np.eye(2)], np.array([0.7, 0.2]))
     with pytest.raises(ValueError):
         DiscreteEnsemble([np.eye(2)], np.array([-1.0]))
+    with pytest.raises(ValueError):
+        DiscreteEnsemble([np.eye(2), np.eye(2)], np.array([1.0]))
+
+
+def _prefix_product_traces(expectation, u, words):
+    """Reference: every prefix of every word as a full matrix product."""
+    dressed = {
+        label: u.conj().T @ m @ u if label in expectation.rotated else m
+        for label, m in expectation.operators.items()
+    }
+    prods = {}
+    for w in words:
+        for n in range(1, len(w) + 1):
+            if w[:n] not in prods:
+                prods[w[:n]] = dressed[w[0]] if n == 1 else prods[w[: n - 1]] @ dressed[w[n - 1]]
+    return {w: complex(np.trace(prods[w])) / expectation.dim for w in words}
+
+
+def _assert_close(got, want):
+    assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_ensemble_expectation_matches_prefix_product_oracle(k):
+    D = 7
+    rng = np.random.default_rng(40 + k)
+    ops = {lab: rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)) for lab in "AB"}
+    word = ("A", "B") * k
+    words = {tuple(word[i - 1] for i in block) for pi in enumerate_nc(2 * k) for block in pi.blocks}
+    # exact path: a discrete ensemble, weighted by its probabilities
+    unitaries = [sample_haar(D, rng) for _ in range(3)]
+    probs = np.array([0.5, 0.3, 0.2])
+    exact = EnsembleExpectation(DiscreteEnsemble(unitaries, probs), ops, rotated={"A"})
+    exact.evaluate_words(words)
+    for w in words:
+        key = exact._canonical(w)
+        want = sum(p * _prefix_product_traces(exact, u, {key})[key] for p, u in zip(probs, unitaries))
+        _assert_close(exact._means[key], want)
+    # sampled path: same seed, same per-sample streams, same batches
+    n, n_batches = 30, 5
+    sampled = EnsembleExpectation(HaarEnsemble(D), ops, rotated={"A"}, n_samples=n, seed=8, n_batches=n_batches)
+    sampled.evaluate_words(words)
+    keys = {sampled._canonical(w) for w in words}
+    per_sample = [_prefix_product_traces(sampled, sample_haar(D, r), keys) for r in spawn_rngs(8, n)]
+    for key in keys:
+        vals = np.array([traces[key] for traces in per_sample])
+        _assert_close(sampled._means[key], complex(np.mean(vals)))
+        for got, chunk in zip(sampled._batches[key], np.array_split(vals, n_batches)):
+            _assert_close(got, complex(np.mean(chunk)))
 
 
 def test_k_freeness_haar_small_d_matches_exact_oracle():

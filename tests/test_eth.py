@@ -33,6 +33,7 @@ from kfree.eth import (
     time_average,
     word_spectral_sum,
 )
+from kfree.moments import Expectation, free_cumulant
 from kfree.partitions import Partition, iter_set_partitions
 
 
@@ -156,6 +157,32 @@ def test_thermal_cumulants_low_orders(small_model, small_state):
     k2 = thermal_free_cumulant(small_model, small_state, ((A, t), (A, 0.0)))
     expected = thermal_word_moment(small_model, small_state, ((A, t), (A, 0.0))) - k1**2
     assert abs(k2 - expected) < 1e-12
+
+
+def _chained_letters_functional(state, letters):
+    """Reference: multiply the whole positional sub-word, then weight its diagonal."""
+
+    def fn(positions):
+        prod = letters[positions[0]]
+        for p in positions[1:]:
+            prod = prod @ letters[p]
+        return complex(np.dot(state.weights, np.diagonal(prod)))
+
+    return Expectation(fn)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_thermal_cumulant_matches_chained_products(small_model, small_state, k):
+    for t in (0.0, 0.7, 3.1):
+        word = alternating_word("A", "B", k, t)
+        letters = [heisenberg(small_model, obs, s) for obs, s in word]
+        phi = _chained_letters_functional(small_state, letters)
+        positions = tuple(range(len(letters)))
+        want = complex(free_cumulant(phi, positions))
+        got = thermal_free_cumulant(small_model, small_state, word)
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+        moment = thermal_word_moment(small_model, small_state, word)
+        assert abs(moment - phi(positions)) <= 1e-12 * max(abs(phi(positions)), 1.0)
 
 
 def test_distinct_index_einsum_equals_brute(small_model):

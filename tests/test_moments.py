@@ -1,13 +1,16 @@
 """Moment <-> free-cumulant engine."""
 
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfree.moments import (
     CumulantSet,
+    _word_trace,
     Expectation,
     alternating_centered_moment,
     blockwise_moment,
@@ -208,3 +211,32 @@ def test_mixed_cumulants_of_free_families_vanish():
         if len(set(word)) < 2:
             continue
         assert abs(free_cumulant(phi_joint, word)) < 1e-10
+
+
+def _chained_trace(letters, word, weights=None):
+    """Reference: multiply the whole word, then take the (weighted) trace."""
+    prod = reduce(np.matmul, (letters[x] for x in word))
+    if weights is None:
+        return complex(np.trace(prod)) / prod.shape[0]
+    return complex(np.dot(weights, np.diagonal(prod)))
+
+
+def test_word_trace_matches_chained_products():
+    rng = np.random.default_rng(17)
+    D = 9
+    letters = {lab: rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)) for lab in "xyz"}
+    real_weights = rng.random(D)
+    complex_weights = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+    words = [tuple(rng.choice(list("xyz"), size=n)) for n in range(1, 8) for _ in range(6)]
+    words += [("x",) * n for n in range(1, 8)] + [("x", "y") * 3 + ("x",)]
+    for weights in (None, real_weights / real_weights.sum(), complex_weights):
+        shared = _word_trace(letters, weights)  # one cache across every word
+        for word in words:
+            want = _chained_trace(letters, word, weights)
+            for got in (shared(word), _word_trace(letters, weights)(word)):
+                assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+def test_word_trace_rejects_mixed_dimensions():
+    with pytest.raises(ValueError, match="share one dimension"):
+        _word_trace({"a": np.eye(2), "b": np.eye(3)})

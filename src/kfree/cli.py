@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -121,6 +122,13 @@ def _require_positive(args, *names) -> None:
         value = getattr(args, name)
         if value is not None and value < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be positive (got {value})")
+
+
+def _require_finite(args, *names) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite (got {value})")
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -387,6 +395,9 @@ def _eth_obs_pair(args, model):
     b = args.obs_b or (names[1] if len(names) > 1 else a)
     if a is None:
         raise ValueError("model has no observables; pass --obs NAME=path")
+    for flag, name in (("--obs-a", a), ("--obs-b", b)):
+        if name not in model.observables:
+            raise ValueError(f"{flag}: unknown observable {name!r} (known: {', '.join(sorted(names))})")
     return a, b
 
 
@@ -405,6 +416,7 @@ def _cmd_eth(args) -> None:
     )
 
     action = args.action
+    _require_finite(args, "beta", "t_max", "strength", "threshold")
     if action in ("cumulant", "timeavg", "freetime"):
         _require_positive(args, "k", "n_points")
     if action == "cumulant":

@@ -384,10 +384,10 @@ def _pair_moment(spec: EnsembleSpec, k: int, seed: int) -> float:
         phases = np.exp(-1j * np.outer(times, spec.model.energies))
         conj = phases.conj().T
         total = 0.0
-        # the Gram matrix [i, j] = sum_m e^{-i(t_i - t_j)E_m}, one row block at a time
+        # the Gram matrix [i, j] = sum_m e^{-i(t_i - t_j)E_m}, one row block at
+        # a time; no name holds a block, so it is freed before the next is built
         for start in range(0, len(phases), _PAIR_BLOCK_ROWS):
-            gram = phases[start : start + _PAIR_BLOCK_ROWS] @ conj
-            total += float(np.sum(np.abs(gram) ** (2 * k)))
+            total += float(np.sum(np.abs(phases[start : start + _PAIR_BLOCK_ROWS] @ conj) ** (2 * k)))
         return total / len(phases) ** 2
     raise TypeError(f"pair moment undefined for {type(spec).__name__}")
 

@@ -8,6 +8,14 @@ vector per cycle and an energy-phase coefficient per slot.  Restricting
 slots to distinct eigenstates, or keeping only resonant terms of a long
 time average, both reduce to inclusion-exclusion over the set-partition
 lattice of the slots, with each merged term a single einsum contraction.
+
+One builder, `_chain_einsum`, writes the subscripts and operands of every
+chain sum.  `merged_chain_sum` contracts them to a number for one merge
+pattern; the finite-window average keeps every slot axis open (the
+singleton pattern) and weights the amplitudes with the phase kernel.
+`_chain_time_average` is the one place that chooses between the infinite
+window and a finite one.  The brute-force and fully materialized reference
+sums that the tests compare against live in the tests, not here.
 """
 
 from __future__ import annotations
@@ -19,19 +27,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .moments import Expectation, _word_trace, free_cumulant
-from .partitions import (
-    Partition,
-    enumerate_nc,
-    iter_set_partitions,
-    kreweras_complement,
-    leq,
-    partition_lattice_moebius,
-)
+from .moments import Expectation, _word_trace, free_cumulant, mixed_moment_free
+from .partitions import Partition, iter_set_partitions, leq, partition_lattice_moebius
 
 DEFAULT_DIM_CAP = 4096
-BRUTE_FORCE_DIM_CAP = 60
 RESONANCE_EPS_FACTOR = 1e-10
+_WINDOW_CHUNK_ELEMS = 2_000_000  # amplitude-tensor entries per chunk of a windowed average
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +276,10 @@ def _slot_coeffs(timed: Sequence[bool]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def merged_chain_sum(chains: SlotChains, merge: Partition) -> complex:
-    """Unrestricted chain sum with slots identified per `merge` (one einsum)."""
-    if merge.n != chains.n_slots:
-        raise ValueError("merge partition must cover every slot")
+def _chain_einsum(chains: SlotChains, merge: Partition) -> tuple[list[str], list[np.ndarray]]:
+    """Einsum subscripts and operands of the chain sum with slots identified
+    per `merge`: slot s gets the letter of its block, each cycle contributes
+    its weight vector on its first slot and then one matrix per slot pair."""
     idx = merge.block_index()
     letters = string.ascii_lowercase
     subs = []
@@ -286,17 +287,21 @@ def merged_chain_sum(chains: SlotChains, merge: Partition) -> complex:
     slot = 1
     for cyc, w in zip(chains.cycles, chains.weights):
         p = len(cyc)
-        start = slot
-        subs.append(letters[idx[start]])
+        subs.append(letters[idx[slot]])
         operands.append(w)
         for i, m in enumerate(cyc):
-            left = start + i
-            right = start + (i + 1) % p
-            subs.append(letters[idx[left]] + letters[idx[right]])
+            subs.append(letters[idx[slot + i]] + letters[idx[slot + (i + 1) % p]])
             operands.append(m)
         slot += p
-    expr = ",".join(subs) + "->"
-    return complex(np.einsum(expr, *operands, optimize=True))
+    return subs, operands
+
+
+def merged_chain_sum(chains: SlotChains, merge: Partition) -> complex:
+    """Unrestricted chain sum with slots identified per `merge` (one einsum)."""
+    if merge.n != chains.n_slots:
+        raise ValueError("merge partition must cover every slot")
+    subs, operands = _chain_einsum(chains, merge)
+    return complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
 
 
 @lru_cache(maxsize=None)
@@ -304,24 +309,11 @@ def _slot_partitions(m: int) -> tuple[Partition, ...]:
     return tuple(iter_set_partitions(m))
 
 
-def distinct_slot_sum(chains: SlotChains) -> complex:
-    """Chain sum restricted to pairwise-distinct slot values.
-
-    Inclusion-exclusion over the slot-partition lattice: the all-distinct
-    term is sum_Q mu(0,Q) S_Q over merged unrestricted sums S_Q.
-    """
-    m = chains.n_slots
-    zero = Partition.singletons(m)
-    total = 0.0 + 0.0j
-    for q in _slot_partitions(m):
-        mu = partition_lattice_moebius(zero, q)
-        total += mu * merged_chain_sum(chains, q)
-    return total
-
-
 def coincidence_pattern_sum(chains: SlotChains, pattern: Partition) -> complex:
     """Sum over slot assignments whose coincidence pattern is exactly `pattern`
-    (equal within blocks, distinct across blocks)."""
+    (equal within blocks, distinct across blocks), by inclusion-exclusion
+    over the merged sums S_Q of the patterns Q above it:
+    sum_{Q >= pattern} mu(pattern, Q) S_Q."""
     total = 0.0 + 0.0j
     for q in _slot_partitions(chains.n_slots):
         if leq(pattern, q):
@@ -355,15 +347,7 @@ def _strict_average_coeffs(m: int, slot_coeffs: tuple[int, ...]) -> tuple[tuple[
     return tuple(out)
 
 
-def strict_chain_average(chains: SlotChains) -> complex:
-    """Infinite-time average of the chain sum, by resonance-pattern grouping."""
-    total = 0.0 + 0.0j
-    for q, c in _strict_average_coeffs(chains.n_slots, chains.slot_coeffs):
-        total += c * merged_chain_sum(chains, q)
-    return total
-
-
-def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float, chunk_elems: int = 2_000_000) -> complex:
+def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) -> complex:
     """Finite-window average with the phase kernel (e^{i T d} - 1)/(i T d).
 
     Materializes amplitude tensors chunked over the first slot; intended for
@@ -373,40 +357,23 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float, 
     D = len(energies)
     if D ** (m - 1) > 64_000_000:
         raise ValueError(f"windowed average too large: D={D}, slots={m}")
-    idx = Partition.singletons(m).block_index()
-    letters = string.ascii_lowercase
-    subs = []
-    operands = []
-    slot = 1
-    slot_axes = []
-    for cyc, w in zip(chains.cycles, chains.weights):
-        p = len(cyc)
-        start = slot
-        subs.append(letters[idx[start]])
-        operands.append(w)
-        for i, mat in enumerate(cyc):
-            left = start + i
-            right = start + (i + 1) % p
-            subs.append(letters[idx[left]] + letters[idx[right]])
-            operands.append(mat)
-        slot_axes.extend(range(start - 1, start - 1 + p))
-        slot += p
-    out_subs = "".join(letters[i] for i in range(m))
-    expr = ",".join(subs) + "->" + out_subs
+    subs, operands = _chain_einsum(chains, Partition.singletons(m))
+    first = string.ascii_lowercase[0]  # slot 1, the axis that is chunked
+    expr = ",".join(subs) + "->" + string.ascii_lowercase[:m]
 
-    chunk = max(1, chunk_elems // max(1, D ** (m - 1)))
+    chunk = max(1, _WINDOW_CHUNK_ELEMS // max(1, D ** (m - 1)))
     total = 0.0 + 0.0j
     coeffs = chains.slot_coeffs
     for lo in range(0, D, chunk):
         sel = slice(lo, lo + chunk)
         ops = []
         for s, op in zip(subs, operands):
-            if letters[0] not in s:
+            if first not in s:
                 ops.append(op)
             elif op.ndim == 1:
                 ops.append(op[sel])
             else:
-                axis = s.index(letters[0])
+                axis = s.index(first)
                 ops.append(op[sel, :] if axis == 0 else op[:, sel])
         amp = np.einsum(expr, *ops, optimize=True)
         delta = np.zeros(amp.shape)
@@ -439,64 +406,21 @@ class TimeWindow:
             raise ValueError("finite windows need t_max > 0")
 
 
-@dataclass
-class SpectralSum:
-    """Explicit amplitude/frequency representation of a time-dependent sum."""
-
-    amplitudes: np.ndarray
-    frequencies: np.ndarray
-
-    def value(self, t: float) -> complex:
-        return complex(np.sum(self.amplitudes * np.exp(1j * t * self.frequencies)))
-
-    def averaged(self, window: TimeWindow, eps_res: float = 0.0) -> "SpectralSum":
-        if window.mode == "infinite":
-            keep = np.abs(self.frequencies) <= eps_res
-            return SpectralSum(np.where(keep, self.amplitudes, 0.0), np.where(keep, self.frequencies, 0.0))
-        phase = 1j * window.t_max * self.frequencies
-        kernel = np.where(np.abs(phase) < 1e-14, 1.0, (np.exp(phase) - 1.0) / np.where(phase == 0, 1.0, phase))
-        return SpectralSum(self.amplitudes * kernel, self.frequencies)
-
-    def total(self) -> complex:
-        return complex(np.sum(self.amplitudes))
-
-
-def word_spectral_sum(model: SpectralModel, state: ThermalState, word: Sequence[tuple]) -> SpectralSum:
-    """Materialized spectral decomposition of a timed word moment (small D).
-
-    Oracle-grade: enumerates every index assignment of the cyclic chain.
-    """
-    chains = chains_from_word(model, state, word)
-    m = chains.n_slots
-    D = model.dim
-    if D**m > 20_000_000:
-        raise ValueError("word too large to materialize")
-    idx = Partition.singletons(m).block_index()
-    letters = string.ascii_lowercase
-    subs = [letters[idx[1]]]
-    operands = [chains.weights[0]]
-    for i, mat in enumerate(chains.cycles[0]):
-        subs.append(letters[idx[i + 1]] + letters[idx[(i + 1) % m + 1]])
-        operands.append(mat)
-    amp = np.einsum(",".join(subs) + "->" + "".join(letters[:m]), *operands, optimize=True)
-    freq = np.zeros(amp.shape)
-    for axis in range(m):
-        shape = [1] * m
-        shape[axis] = D
-        freq = freq + chains.slot_coeffs[axis] * model.energies.reshape(shape)
-    return SpectralSum(amp.reshape(-1), freq.reshape(-1))
+def _chain_time_average(chains: SlotChains, energies: np.ndarray, window: TimeWindow) -> complex:
+    """Time average of a chain sum.  A finite window integrates against the
+    phase kernel; the infinite window keeps only resonant terms, through the
+    merged sums of `_strict_average_coeffs`."""
+    if window.mode == "finite":
+        return _windowed_chain_sum(chains, energies, window.t_max)
+    total = 0.0 + 0.0j
+    for q, c in _strict_average_coeffs(chains.n_slots, chains.slot_coeffs):
+        total += c * merged_chain_sum(chains, q)
+    return total
 
 
 def time_average(model: SpectralModel, state: ThermalState, word: Sequence[tuple], window: TimeWindow) -> complex:
-    """Time-averaged moment of a word of (observable, timed: bool) letters.
-
-    Finite windows integrate against the phase kernel; the infinite window
-    keeps only resonant terms via resonance grouping of slot patterns.
-    """
-    chains = chains_from_word(model, state, word)
-    if window.mode == "infinite":
-        return strict_chain_average(chains)
-    return _windowed_chain_sum(chains, model.energies, window.t_max)
+    """Time-averaged moment of a word of (observable, timed: bool) letters."""
+    return _chain_time_average(chains_from_word(model, state, word), model.energies, window)
 
 
 def averaged_expectation(model: SpectralModel, state: ThermalState, letters: Sequence[tuple], window: TimeWindow) -> Expectation:
@@ -505,20 +429,7 @@ def averaged_expectation(model: SpectralModel, state: ThermalState, letters: Seq
     `letters` is the full word as (observable, timed) pairs; the functional
     is indexed by letter positions so cumulant machinery can slice it.
     """
-    resolved = [(model.observable(obs), timed) for obs, timed in letters]
-
-    def fn(positions):
-        subword = [resolved[p] for p in positions]
-        chains = SlotChains(
-            cycles=[[m for m, _ in subword]],
-            weights=[state.weights],
-            slot_coeffs=_slot_coeffs([t for _, t in subword]),
-        )
-        if window.mode == "infinite":
-            return strict_chain_average(chains)
-        return _windowed_chain_sum(chains, model.energies, window.t_max)
-
-    return Expectation(fn)
+    return Expectation(lambda positions: time_average(model, state, [letters[p] for p in positions], window))
 
 
 def averaged_free_cumulant(
@@ -538,72 +449,19 @@ def averaged_free_cumulant(
 # ---------------------------------------------------------------------------
 
 
-def distinct_index_cumulant(
-    model: SpectralModel,
-    state: ThermalState,
-    A,
-    B,
-    k: int = 2,
-    t: float = 0.0,
-    method: str = "auto",
-) -> complex:
+def distinct_index_cumulant(model: SpectralModel, state: ThermalState, A, B, k: int = 2, t: float = 0.0) -> complex:
     """Restricted spectral sum representation of kappa^beta_{2k}.
 
     Sum over pairwise distinct eigenstate indices of
     w_{i0} A(t)_{i0 i1} B_{i1 i2} A(t)_{i2 i3} B_{i3 i0} ... around the
-    2k-cycle.  `method` "einsum" uses inclusion-exclusion over coincidence
-    patterns; "brute" is the O(D^{2k}) oracle (small D).
+    2k-cycle, by inclusion-exclusion over coincidence patterns.
     """
     mats = []
     for _ in range(k):
         mats.append(heisenberg(model, A, t))
         mats.append(model.observable(B))
     chains = SlotChains(cycles=[mats], weights=[state.weights], slot_coeffs=(0,) * (2 * k))
-    if method == "auto":
-        method = "einsum"
-    if method == "einsum":
-        return distinct_slot_sum(chains)
-    if method != "brute":
-        raise ValueError(f"unknown method {method!r}")
-    if k == 2:
-        return _distinct_brute_k2(chains, model.dim)
-    return _distinct_brute_generic(chains, model.dim)
-
-
-def _distinct_brute_k2(chains: SlotChains, D: int) -> complex:
-    if D > BRUTE_FORCE_DIM_CAP:
-        raise ValueError(f"brute force capped at D <= {BRUTE_FORCE_DIM_CAP}")
-    m1, m2, m3, m4 = chains.cycles[0]
-    w = chains.weights[0]
-    b = np.arange(D)
-    base = (
-        (b[:, None, None] != b[None, :, None])
-        & (b[:, None, None] != b[None, None, :])
-        & (b[None, :, None] != b[None, None, :])
-    )
-    total = 0.0 + 0.0j
-    for x0 in range(D):
-        amp = np.einsum("b,bc,cd,d->bcd", m1[x0, :], m2, m3, m4[:, x0], optimize=True)
-        mask = base & (b[:, None, None] != x0) & (b[None, :, None] != x0) & (b[None, None, :] != x0)
-        total += w[x0] * np.sum(amp[mask])
-    return complex(total)
-
-
-def _distinct_brute_generic(chains: SlotChains, D: int) -> complex:
-    import itertools
-
-    m = chains.n_slots
-    if D**m > 10_000_000:
-        raise ValueError("generic brute force too large")
-    mats = chains.cycles[0]
-    w = chains.weights[0]
-    total = 0.0 + 0.0j
-    for combo in itertools.permutations(range(D), m):
-        term = w[combo[0]]
-        for i, mat in enumerate(mats):
-            term = term * mat[combo[i], combo[(i + 1) % m]]
-        total += term
-    return complex(total)
+    return coincidence_pattern_sum(chains, Partition.singletons(2 * k))
 
 
 # ---------------------------------------------------------------------------
@@ -620,30 +478,9 @@ def otoc_long_time_factorization(model: SpectralModel, state: ThermalState, A, B
     """
     word = tuple(x for _ in range(k) for x in ((A, True), (B, False)))
     lhs = time_average(model, state, word, TimeWindow("infinite"))
-
-    a_mat, b_mat = model.observable(A), model.observable(B)
-    kappa_cache: dict[int, complex] = {}
-
-    def kappa(n: int) -> complex:
-        if n not in kappa_cache:
-            kappa_cache[n] = thermal_free_cumulant(model, state, ((a_mat, 0.0),) * n)
-        return kappa_cache[n]
-
-    moment_cache: dict[int, complex] = {}
-
-    def b_moment(n: int) -> complex:
-        if n not in moment_cache:
-            moment_cache[n] = thermal_word_moment(model, state, ((b_mat, 0.0),) * n)
-        return moment_cache[n]
-
-    rhs = 0.0 + 0.0j
-    for pi in enumerate_nc(k):
-        term = 1.0 + 0.0j
-        for block in pi.blocks:
-            term *= kappa(len(block))
-        for block in kreweras_complement(pi).blocks:
-            term *= b_moment(len(block))
-        rhs += term
+    letters = {"a": model.observable(A), "b": model.observable(B)}
+    phi = Expectation(_word_trace(letters, state.weights))
+    rhs = mixed_moment_free(phi, phi, ("a",) * k, ("b",) * k)
     return complex(lhs), complex(rhs), abs(complex(lhs) - complex(rhs))
 
 
@@ -702,10 +539,7 @@ def factorization_gap(model: SpectralModel, state: ThermalState, A, B, window: T
         slot_coeffs=(1, -1, 1, -1),
     )
     single = ((a, True), (b, False))
-    if window.mode == "infinite":
-        joint = strict_chain_average(joint_chains)
-    else:
-        joint = _windowed_chain_sum(joint_chains, model.energies, window.t_max)
+    joint = _chain_time_average(joint_chains, model.energies, window)
     mean = time_average(model, state, single, window)
     product = mean * mean
     return complex(joint), complex(product), complex(joint - product)

@@ -169,15 +169,6 @@ def free_cumulant_recursive(phi: Callable[[Word], Value], word: Sequence[Hashabl
     return total
 
 
-def kappa_pi(pi: Partition, word: Sequence[Hashable], phi: Callable[[Word], Value]) -> Value:
-    """Product of free cumulants over the blocks of a non-crossing pi."""
-    word = tuple(word)
-    out: Value = 1
-    for block in pi.blocks:
-        out *= free_cumulant(phi, tuple(word[i - 1] for i in block))
-    return out
-
-
 def moments_from_cumulants(word: Sequence[Hashable], kappa: Callable[[Word], Value]) -> Value:
     """<word> = sum over NC(n) of the blockwise cumulant products."""
     word = tuple(word)

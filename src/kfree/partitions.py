@@ -30,16 +30,6 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def bell(n: int) -> int:
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
-
-
 @dataclass(frozen=True)
 class Partition:
     """A set partition of {1..n} in canonical block form."""
@@ -72,15 +62,6 @@ class Partition:
 
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(sorted((len(b) for b in self.blocks), reverse=True))
-
-    def block_containing(self, i: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise KeyError(i)
 
     def block_index(self) -> dict[int, int]:
         """Map each element to the position of its block in `blocks`."""

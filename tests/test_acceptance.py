@@ -62,6 +62,8 @@ from kfree.permutations import Permutation, full_cycle, geodesic_set, identity, 
 from kfree.ratlinalg import exact_matmul
 from kfree.weingarten import weingarten_table
 
+from eth_oracles import distinct_index_brute
+
 
 @contextmanager
 def criterion(number, description):
@@ -276,8 +278,8 @@ def test_criterion_9_distinct_index_identity():
         for D, t in ((48, 0.0), (60, 0.7)):
             model = goe_model(D, seed=D)
             state = thermal_state(model, 0.5)
-            v_einsum = distinct_index_cumulant(model, state, "A", "B", k=2, t=t, method="einsum")
-            v_brute = distinct_index_cumulant(model, state, "A", "B", k=2, t=t, method="brute")
+            v_einsum = distinct_index_cumulant(model, state, "A", "B", k=2, t=t)
+            v_brute = distinct_index_brute(model, state, "A", "B", k=2, t=t)
             assert abs(v_einsum - v_brute) < 1e-10
         model = goe_model(512, seed=2)
         state = thermal_state(model, 0.0)

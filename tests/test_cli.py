@@ -292,3 +292,27 @@ def test_non_positive_sizes_exit_1():
         code, err = run_process(*argv)
         assert_validation_exit(code, err)
         assert "must be positive" in err
+
+
+def test_unknown_observable_names_the_flag():
+    goe = ["eth", "timeavg", "--model", "goe", "--dim", "8"]
+    for flag in ("--obs-a", "--obs-b"):
+        code, err = run_process(*goe, flag, "Z")
+        assert_validation_exit(code, err)
+        assert f"{flag}: unknown observable 'Z'" in err
+        assert "known: A, B" in err
+
+
+def test_non_finite_floats_exit_1():
+    goe = ["--model", "goe", "--dim", "8"]
+    cases = [
+        (["eth", "timeavg", *goe, "--t-max", "nan"], "--t-max"),
+        (["eth", "appendixb", *goe, "--beta", "inf"], "--beta"),
+        (["eth", "cumulant", *goe, "--t-max", "inf", "--n-points", "2"], "--t-max"),
+        (["eth", "deutsch", *goe, "--strength=-inf"], "--strength"),
+        (["eth", "freetime", *goe, "--threshold", "nan", "--n-points", "3"], "--threshold"),
+    ]
+    for argv, flag in cases:
+        code, err = run_process(*argv)
+        assert_validation_exit(code, err)
+        assert f"{flag} must be finite" in err

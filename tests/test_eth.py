@@ -31,10 +31,17 @@ from kfree.eth import (
     thermal_state,
     thermal_word_moment,
     time_average,
-    word_spectral_sum,
 )
 from kfree.moments import Expectation, free_cumulant
 from kfree.partitions import Partition, iter_set_partitions
+
+from eth_oracles import (
+    SpectralSum,
+    distinct_index_brute,
+    joint_spectral_sum,
+    merged_chain_sum_loops,
+    word_spectral_sum,
+)
 
 
 @pytest.fixture(scope="module")
@@ -188,16 +195,16 @@ def test_thermal_cumulant_matches_chained_products(small_model, small_state, k):
 def test_distinct_index_einsum_equals_brute(small_model):
     state = thermal_state(small_model, 0.5)
     for t in (0.0, 0.8):
-        v1 = distinct_index_cumulant(small_model, state, "A", "B", k=2, t=t, method="einsum")
-        v2 = distinct_index_cumulant(small_model, state, "A", "B", k=2, t=t, method="brute")
+        v1 = distinct_index_cumulant(small_model, state, "A", "B", k=2, t=t)
+        v2 = distinct_index_brute(small_model, state, "A", "B", k=2, t=t)
         assert abs(v1 - v2) < 1e-10
 
 
 def test_distinct_index_generic_brute_k3():
     model = goe_model(8, seed=2)
     state = thermal_state(model, 0.3)
-    v1 = distinct_index_cumulant(model, state, "A", "B", k=3, t=0.2, method="einsum")
-    v2 = distinct_index_cumulant(model, state, "A", "B", k=3, t=0.2, method="brute")
+    v1 = distinct_index_cumulant(model, state, "A", "B", k=3, t=0.2)
+    v2 = distinct_index_brute(model, state, "A", "B", k=3, t=0.2)
     assert abs(v1 - v2) < 1e-10
 
 
@@ -215,6 +222,36 @@ def test_inclusion_exclusion_completeness(small_model):
     total = sum(coincidence_pattern_sum(chains, p) for p in iter_set_partitions(4))
     unrestricted = merged_chain_sum(chains, Partition.singletons(4))
     assert abs(total - unrestricted) < 1e-10
+
+
+@pytest.mark.parametrize("cycle_lengths", [(4,), (5,), (2, 2), (3, 2)])
+def test_merged_chain_sum_matches_nested_loops(cycle_lengths):
+    D = 3
+    rng = np.random.default_rng(sum(cycle_lengths) + len(cycle_lengths))
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    cycles = [[cplx(D, D) for _ in range(p)] for p in cycle_lengths]
+    weights = [rng.uniform(0.1, 1.0, D) for _ in cycle_lengths]
+    m = sum(cycle_lengths)
+    chains = SlotChains(cycles, weights, (0,) * m)
+    for merge in iter_set_partitions(m):
+        want = merged_chain_sum_loops(chains, merge, D)
+        got = merged_chain_sum(chains, merge)
+        assert abs(got - want) <= 1e-12 * abs(want), merge
+
+
+def test_factorization_gap_joint_matches_two_cycle_materialisation():
+    model = goe_model(10, seed=3)
+    state = thermal_state(model, 0.4)
+    literal = joint_spectral_sum(model, state, "A", "B")
+    eps = 1e-10 * model.spectral_width()
+    windows = (TimeWindow("finite", 10.0), TimeWindow("finite", 35.0), TimeWindow("infinite"))
+    for window in windows:
+        joint, _, _ = factorization_gap(model, state, "A", "B", window)
+        want = literal.averaged(window, eps_res=eps).total()
+        assert abs(joint - want) <= 1e-12 * abs(want), window
 
 
 def test_distinct_matches_moebius_cumulant_at_large_d():
@@ -271,8 +308,6 @@ def test_strict_average_idempotent_and_linear(small_model, small_state):
     assert abs(once.total() - twice.total()) < 1e-14
     # linearity: averaging distributes over amplitude sums
     ss2 = word_spectral_sum(small_model, small_state, (("B", True), ("A", False), ("B", True), ("A", False)))
-    from kfree.eth import SpectralSum
-
     combined = SpectralSum(
         np.concatenate([ss.amplitudes, 2.0 * ss2.amplitudes]),
         np.concatenate([ss.frequencies, ss2.frequencies]),

@@ -19,7 +19,6 @@ from kfree.moments import (
     free_cumulant_recursive,
     free_mixed_word,
     free_sum_cumulant,
-    kappa_pi,
     mixed_moment_free,
     moments_from_cumulants,
 )
@@ -136,10 +135,10 @@ def test_kappa_pi_block_factorization_hand_expanded():
     word = ("W", "X", "Y", "Z")
     pi = Partition.from_blocks(4, [[1, 4], [2, 3]])
     expected = free_cumulant(phi, ("W", "Z")) * free_cumulant(phi, ("X", "Y"))
-    assert abs(kappa_pi(pi, word, phi) - expected) < 1e-12
+    assert abs(CumulantSet(phi).kappa_pi(pi, word) - expected) < 1e-12
     pi2 = Partition.from_blocks(4, [[1, 2, 4], [3]])
     expected2 = free_cumulant(phi, ("W", "X", "Z")) * free_cumulant(phi, ("Y",))
-    assert abs(kappa_pi(pi2, word, phi) - expected2) < 1e-12
+    assert abs(CumulantSet(phi).kappa_pi(pi2, word) - expected2) < 1e-12
 
 
 def test_mixed_moment_free_abab():

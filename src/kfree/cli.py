@@ -111,6 +111,20 @@ def _parse_moments(text: str) -> list:
     return out
 
 
+def _parse_finite_floats(flag: str, text: str) -> tuple[float, ...]:
+    """Parse a comma list of finite floats; a bad entry is an error naming `flag`."""
+    out = []
+    for tok in text.split(","):
+        try:
+            x = float(tok)
+        except ValueError:
+            x = math.nan  # rejected below with the non-finite entries
+        if not math.isfinite(x):
+            raise ValueError(f"{flag}: entry {tok.strip()!r} of {text!r} is not a finite number")
+        out.append(x)
+    return tuple(out)
+
+
 def _require(args, *names) -> None:
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
@@ -369,7 +383,7 @@ def _cmd_distance(args) -> None:
 
 
 def _eth_model(args):
-    from .eth import build_model, goe_model, ising_model
+    from .eth import build_model, goe_model, ising_model, to_eigenbasis
 
     if args.model == "goe":
         _require_positive(args, "dim")
@@ -385,7 +399,7 @@ def _eth_model(args):
         if not path:
             raise ValueError(f"bad --obs {assignment!r}; want NAME=path")
         raw = _load_matrix(path)
-        model.observables[name] = model.basis.conj().T @ raw @ model.basis
+        model.observables[name] = to_eigenbasis(model.basis, raw)
     return model
 
 
@@ -421,6 +435,8 @@ def _cmd_eth(args) -> None:
         _require_positive(args, "k", "n_points")
     if action == "cumulant":
         _require(args, "t_max")
+    elif action in ("timeavg", "freetime", "appendixb") and args.t_max is not None and args.t_max <= 0:
+        raise ValueError(f"--t-max must be > 0 (got {args.t_max})")
     model = _eth_model(args)
     state = thermal_state(model, args.beta)
     if action == "build":
@@ -450,7 +466,8 @@ def _cmd_eth(args) -> None:
         _emit(args, "eth timeavg", {"k": args.k, "beta": args.beta, "mode": window.mode, "value": complex(v)})
     elif action == "freetime":
         a, b = _eth_obs_pair(args, model)
-        grid = np.linspace(0.0, args.t_max or 40.0 / model.spectral_width(), args.n_points)
+        t_max = args.t_max if args.t_max is not None else 40.0 / model.spectral_width()
+        grid = np.linspace(0.0, t_max, args.n_points)
         res = free_k_time(model, state, a, b, args.k, threshold=args.threshold, t_grid=grid)
         rows_data = [[float(t), float(m), 0.0, 0.0] for t, m in zip(res.times, res.magnitudes)]
         rows = (["t", "real", "imag", "std_error"], rows_data)
@@ -479,7 +496,7 @@ def _cmd_eth(args) -> None:
         a, _ = _eth_obs_pair(args, model)
         rng = np.random.default_rng(args.seed + 7)
         pert = goe_matrix(model.dim, rng)
-        lambdas = tuple(float(x) for x in (args.lambdas or "1,2").split(","))
+        lambdas = _parse_finite_floats("--lambdas", args.lambdas or "1,2")
         spec = DeutschSpec(
             perturbation=pert,
             strength=args.strength if args.strength is not None else model.dim**-0.5,

@@ -16,6 +16,14 @@ singleton pattern) and weights the amplitudes with the phase kernel.
 `_chain_time_average` is the one place that chooses between the infinite
 window and a finite one.  The brute-force and fully materialized reference
 sums that the tests compare against live in the tests, not here.
+
+Dtype rule: a matrix stays real unless it is complex-valued.  `build_model`
+diagonalises a Hamiltonian whose imaginary parts are all exactly 0 (a real
+array, or a complex-typed one such as an operator file) with the real
+`eigh`, and `to_eigenbasis` drops such an observable's zero imaginary part
+before rotating it, so a real model's basis, observables, merged sums and
+strict averages are float64.  Only a time phase (`heisenberg` at t != 0, the
+window kernel) or an input with a non-zero imaginary part makes them complex.
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ def bimodal_observable(D: int, rng) -> np.ndarray:
 
 def normalize_observable(m: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Make an operator traceless and unit-normalized in the second moment."""
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     D = m.shape[0]
     w = weights if weights is not None else np.full(D, 1.0 / D)
     m = m - np.dot(w, np.diagonal(m)) * np.eye(D)
@@ -76,8 +84,8 @@ class SpectralModel:
 
     def __init__(self, energies: np.ndarray, basis: np.ndarray, observables: dict[str, np.ndarray], provenance: str = "user"):
         self.energies = np.asarray(energies, dtype=float)
-        self.basis = np.asarray(basis, dtype=complex)
-        self.observables = {k: np.asarray(v, dtype=complex) for k, v in observables.items()}
+        self.basis = np.asarray(basis)
+        self.observables = {k: np.asarray(v) for k, v in observables.items()}
         self.provenance = provenance
         if not np.all(np.diff(self.energies) >= 0):
             raise ValueError("energies must be sorted ascending")
@@ -96,7 +104,7 @@ class SpectralModel:
         """Resolve a named observable; raw arrays are taken as eigenbasis matrices."""
         if isinstance(obs, str):
             return self.observables[obs]
-        return np.asarray(obs, dtype=complex)
+        return np.asarray(obs)
 
     def level_spacing_ratio(self) -> float:
         """Mean adjacent-gap ratio over the central half of the spectrum."""
@@ -137,11 +145,20 @@ def build_model(
         raise ValueError("hamiltonian has non-finite entries")
     if np.max(np.abs(h - h.conj().T)) > 1e-10:
         raise ValueError("hamiltonian must be Hermitian")
-    energies, basis = np.linalg.eigh(h)
-    obs = {}
-    for name, m in (observables or {}).items():
-        obs[name] = basis.conj().T @ np.asarray(m, dtype=complex) @ basis
+    energies, basis = np.linalg.eigh(_real_if_zero_imag(h))
+    obs = {name: to_eigenbasis(basis, m) for name, m in (observables or {}).items()}
     return SpectralModel(energies, basis, obs, provenance=provenance)
+
+
+def to_eigenbasis(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """basis^dagger m basis, in real arithmetic when neither has an imaginary part."""
+    return basis.conj().T @ _real_if_zero_imag(m) @ basis
+
+
+def _real_if_zero_imag(m) -> np.ndarray:
+    """`m` as a real array when every imaginary part is exactly 0."""
+    m = np.asarray(m)
+    return m.real if np.iscomplexobj(m) and not np.any(m.imag) else m
 
 
 def goe_model(D: int, seed: int = 0, observables: Sequence[str] = ("A", "B"), normalized: bool = True) -> SpectralModel:
@@ -149,7 +166,7 @@ def goe_model(D: int, seed: int = 0, observables: Sequence[str] = ("A", "B"), no
     rng = np.random.default_rng(seed)
     model = build_model(goe_matrix(D, rng), provenance=f"goe(D={D}, seed={seed})")
     for name in observables:
-        m = goe_matrix(D, rng).astype(complex)
+        m = goe_matrix(D, rng)
         model.observables[name] = normalize_observable(m) if normalized else m
     return model
 

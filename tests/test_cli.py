@@ -270,6 +270,13 @@ def test_boundary_errors_name_the_flag():
         (["eth", "cumulant", "--model", "goe", "--dim", "8"], "--t-max"),
         (["eth", "build", "--model", "ising", "--length", "0"], "--length must be positive"),
         (["design-check", "--ensemble", "haar", "--k", "0"], "--k must be positive"),
+        (["eth", "freetime", "--model", "goe", "--dim", "8", "--t-max", "-1", "--n-points", "3"],
+         "--t-max must be > 0 (got -1.0)"),
+        (["eth", "timeavg", "--model", "goe", "--dim", "8", "--t-max", "0"], "--t-max must be > 0 (got 0.0)"),
+        (["eth", "appendixb", "--model", "goe", "--dim", "8", "--t-max", "-2"], "--t-max must be > 0"),
+        (["eth", "deutsch", "--model", "goe", "--dim", "8", "--lambdas", "1,x"], "--lambdas"),
+        (["eth", "deutsch", "--model", "goe", "--dim", "8", "--lambdas", "1,nan"], "--lambdas"),
+        (["eth", "deutsch", "--model", "goe", "--dim", "8", "--lambdas", "1,,2"], "--lambdas"),
     ]
     for argv, message in cases:
         code, err = run_process(*argv)

@@ -9,6 +9,7 @@ import pytest
 from kfree.eth import (
     DeutschSpec,
     SlotChains,
+    SpectralModel,
     TimeWindow,
     alternating_word,
     appendix_b_crossing_term,
@@ -25,6 +26,7 @@ from kfree.eth import (
     heisenberg,
     ising_model,
     merged_chain_sum,
+    normalize_observable,
     otoc_long_time_factorization,
     phase_average_delta_structure,
     thermal_free_cumulant,
@@ -64,6 +66,61 @@ def test_build_model_diagonal_hamiltonian():
 def test_build_model_rejects_non_hermitian():
     with pytest.raises(ValueError):
         build_model(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _close(got, want):
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+def test_real_model_matches_complex_typed_oracle():
+    # a complex-typed real symmetric H and observables, as an operator file
+    # loads them, take the real path; the oracle is the same model with its
+    # basis and observables cast back to complex
+    D = 24
+    rng = np.random.default_rng(5)
+    h = goe_matrix(D, rng).astype(complex)
+    obs = {name: normalize_observable(goe_matrix(D, rng)).astype(complex) for name in ("A", "B")}
+    model = build_model(h, obs)
+    assert model.basis.dtype == np.float64
+    assert all(m.dtype == np.float64 for m in model.observables.values())
+    oracle = SpectralModel(
+        model.energies, model.basis.astype(complex), {n: m.astype(complex) for n, m in model.observables.items()}
+    )
+    assert oracle.basis.dtype == np.complex128
+    state, oracle_state = thermal_state(model, 0.3), thermal_state(oracle, 0.3)
+
+    def same(fn, *args, **kwargs):
+        got, want = fn(model, state, *args, **kwargs), fn(oracle, oracle_state, *args, **kwargs)
+        for g, w in zip(np.atleast_1d(got), np.atleast_1d(want)):
+            _close(g, w)
+
+    def timed(k):
+        return tuple(x for _ in range(k) for x in (("A", True), ("B", False)))
+
+    for k in (2, 3):
+        same(thermal_free_cumulant, alternating_word("A", "B", k, 0.7))
+        same(distinct_index_cumulant, "A", "B", k=k)
+        same(averaged_free_cumulant, timed(k), TimeWindow("infinite"))
+    same(averaged_free_cumulant, timed(2), TimeWindow("finite", 7.0))
+    for window in (TimeWindow("infinite"), TimeWindow("finite", 7.0)):
+        same(factorization_gap, "A", "B", window)
+    spec = DeutschSpec(perturbation=goe_matrix(D, rng), strength=0.25, lambdas=(1.0, 2.0), beta=0.3)
+    got, want = deutsch_ensemble(model, spec), deutsch_ensemble(oracle, spec)
+    assert got.mixed_kappa4.keys() == want.mixed_kappa4.keys()
+    for key, value in want.mixed_kappa4.items():
+        _close(got.mixed_kappa4[key], value)
+
+
+def test_complex_hermitian_model_keeps_complex_eigh():
+    D = 24
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal((D, D))
+    h = goe_matrix(D, rng) + 1e-3j * (g - g.T) / 2.0
+    model = build_model(h, {"A": np.diag(np.arange(D, dtype=float))})
+    assert model.basis.dtype == np.complex128
+    assert model.observables["A"].dtype == np.complex128
+    assert np.max(np.abs(model.energies - np.linalg.eigvalsh(h))) <= 1e-12 * model.spectral_width()
+    assert np.max(np.abs(model.basis @ np.diag(model.energies) @ model.basis.conj().T - h)) < 1e-12
 
 
 def test_goe_level_spacing_ratio():

@@ -336,7 +336,7 @@ def _build_ensemble(args):
         if not args.unitaries:
             raise ValueError("--unitaries required for --ensemble files")
         mats = [_load_matrix(p) for p in args.unitaries.split(",")]
-        probs = [float(x) for x in args.probs.split(",")] if args.probs else None
+        probs = _parse_finite_floats("--probs", args.probs) if args.probs else None
         return DiscreteEnsemble(mats, np.array(probs) if probs else None)
     raise ValueError(f"unknown ensemble {name!r}")
 

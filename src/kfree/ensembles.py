@@ -15,13 +15,12 @@ from .errors import RegimeError
 from .eth import SpectralModel
 from .moments import Expectation, _word_trace, free_cumulant
 from .partitions import enumerate_nc
-from .permutations import all_permutations, inverse
-from .weingarten import weingarten_table
+from .permutations import all_permutations
 
 PROB_TOL = 1e-12
 UNITARY_TOL = 1e-10  # max |U^dagger U - I| accepted for a supplied unitary
 DENSE_CHANNEL_CAP = 4096  # D^k for Monte Carlo channel matrices
-DENSE_SUPEROP_CAP = 1024  # D^k for dense superoperator comparisons
+DENSE_SUPEROP_CAP = 4096  # D^(2k), the side of a dense superoperator, and k!
 _PAIR_BLOCK_ROWS = 256  # sample-Gram rows held at once by _pair_moment
 
 
@@ -54,6 +53,8 @@ class DiscreteEnsemble:
         self.probabilities = np.asarray(self.probabilities, dtype=float)
         if len(self.probabilities) != len(self.unitaries):
             raise ValueError(f"{len(self.probabilities)} probabilities for {len(self.unitaries)} unitaries")
+        if not np.all(np.isfinite(self.probabilities)):
+            raise ValueError("probabilities must be finite")
         if np.any(self.probabilities < 0):
             raise ValueError("probabilities must be nonnegative")
         if abs(self.probabilities.sum() - 1.0) > PROB_TOL:
@@ -301,37 +302,39 @@ def _vec_superoperator_term(u: np.ndarray, k: int) -> np.ndarray:
     return np.kron(uk.conj().T, uk.T)
 
 
-def haar_channel_superoperator(k: int, D: int) -> np.ndarray:
-    """Dense Haar k-fold channel superoperator.
+def _check_superop_size(k: int, D: int) -> None:
+    """Refuse before allocating: the superoperators are D^(2k) x D^(2k), and
+    the Haar one is built from the k! permutation operators (what binds at
+    D = 1).  The loop stops at the first factor past the cap, so a huge k
+    costs nothing."""
+    size, perms = 1, 1
+    for j in range(1, k + 1):
+        size, perms = size * D * D, perms * j
+        if size > DENSE_SUPEROP_CAP or perms > DENSE_SUPEROP_CAP:
+            raise ValueError(
+                f"dense superoperator capped at D^(2k) <= {DENSE_SUPEROP_CAP} and k! <= {DENSE_SUPEROP_CAP}"
+                f" (got D={D}, k={k})"
+            )
 
-    For D >= k this is the Weingarten sum.  For D < k the Gram matrix is
-    singular (the W_alpha are dependent) and the channel is instead built as
-    the Hilbert-Schmidt orthogonal projector onto span{W_alpha}: the twirl
-    is a self-adjoint idempotent fixing every permutation operator, and
-    that characterizes the projector.
+
+def haar_channel_superoperator(k: int, D: int) -> np.ndarray:
+    """Dense Haar k-fold channel superoperator, as the Hilbert-Schmidt
+    orthogonal projector onto span{W_alpha}.
+
+    The twirl is a self-adjoint idempotent whose range is the commutant of
+    U^{x k}, which the permutation operators span, and that characterizes
+    the projector for every D.  For D < k the W_alpha are dependent; the SVD
+    keeps an orthonormal basis of their span either way.
     """
-    if D**k > DENSE_SUPEROP_CAP:
-        raise ValueError(f"dense superoperator capped at D^k <= {DENSE_SUPEROP_CAP}")
-    perms = all_permutations(k)
-    if D < k:
-        span = np.stack([permutation_operator(a, D).reshape(-1) for a in perms], axis=1)
-        u, s, _ = np.linalg.svd(span, full_matrices=False)
-        basis = u[:, s > 1e-9 * s[0]]
-        return basis @ basis.conj().T
-    table = weingarten_table(k, D)
-    dim = D**k
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    w_ins = [permutation_operator(beta, D).T.reshape(-1) for beta in perms]
-    for alpha, wg_row in zip(perms, table.matrix()):
-        w_out = permutation_operator(inverse(alpha), D).reshape(-1)
-        for wg, w_in in zip(wg_row, w_ins):
-            out += float(wg) * np.outer(w_out, w_in)
-    return out
+    _check_superop_size(k, D)
+    span = np.stack([permutation_operator(a, D).reshape(-1) for a in all_permutations(k)], axis=1)
+    u, s, _ = np.linalg.svd(span, full_matrices=False)
+    basis = u[:, s > 1e-9 * s[0]]
+    return basis @ basis.conj().T
 
 
 def ensemble_superoperator(spec: EnsembleSpec, k: int, n_samples: int = 1000, seed: int = 0) -> np.ndarray:
-    if spec.dim**k > DENSE_SUPEROP_CAP:
-        raise ValueError(f"dense superoperator capped at D^k <= {DENSE_SUPEROP_CAP}")
+    _check_superop_size(k, spec.dim)
     if isinstance(spec, HaarEnsemble):
         return haar_channel_superoperator(k, spec.dim)
     if isinstance(spec, DiscreteEnsemble):

@@ -4,18 +4,23 @@ indistinguishable Hamiltonian) ensembles.
 
 Spectral sums are organized around "slot chains": a product of operator
 matrix elements around one or more trace cycles, with a diagonal weight
-vector per cycle and an energy-phase coefficient per slot.  Restricting
-slots to distinct eigenstates, or keeping only resonant terms of a long
-time average, both reduce to inclusion-exclusion over the set-partition
-lattice of the slots, with each merged term a single einsum contraction.
+vector per cycle and an energy-phase coefficient per slot.
 
 One builder, `_chain_einsum`, writes the subscripts and operands of every
-chain sum.  `merged_chain_sum` contracts them to a number for one merge
-pattern; the finite-window average keeps every slot axis open (the
+chain sum.  `merged_chain_sum` contracts them to a number S_Q for one merge
+pattern Q; the finite-window average keeps every slot axis open (the
 singleton pattern) and weights the amplitudes with the phase kernel.
 `_chain_time_average` is the one place that chooses between the infinite
-window and a finite one.  The brute-force and fully materialized reference
-sums that the tests compare against live in the tests, not here.
+window and a finite one.
+
+Distinct-index sums and strict infinite-time averages are restricted sums:
+they keep the slot assignments whose every coincidence block B passes a
+test (B is one slot; B's phase coefficients sum to 0).  One block-product
+rule, `_restricted_chain_sum`, gives both as sum_Q c_Q S_Q with c_Q the
+product over B in Q of the classical cumulant of the 0/1 "B is kept"
+indicator, because [0, Q] in the set-partition lattice is the product of
+the lattices of Q's blocks (Nica-Speicher, Lecture 10; Stanley, EC1 3.10).
+Reference sums that the tests compare against live in the tests, not here.
 
 Dtype rule: a matrix stays real unless it is complex-valued.  `build_model`
 diagonalises a Hamiltonian whose imaginary parts are all exactly 0 (a real
@@ -35,8 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .moments import Expectation, _word_trace, free_cumulant, mixed_moment_free
-from .partitions import Partition, iter_set_partitions, leq, partition_lattice_moebius
+from .moments import Expectation, _word_trace, classical_cumulant, free_cumulant, mixed_moment_free
+from .partitions import Partition, iter_set_partitions
 
 DEFAULT_DIM_CAP = 4096
 RESONANCE_EPS_FACTOR = 1e-10
@@ -326,42 +331,45 @@ def _slot_partitions(m: int) -> tuple[Partition, ...]:
     return tuple(iter_set_partitions(m))
 
 
-def coincidence_pattern_sum(chains: SlotChains, pattern: Partition) -> complex:
-    """Sum over slot assignments whose coincidence pattern is exactly `pattern`
-    (equal within blocks, distinct across blocks), by inclusion-exclusion
-    over the merged sums S_Q of the patterns Q above it:
-    sum_{Q >= pattern} mu(pattern, Q) S_Q."""
+def _restricted_chain_sum(chains: SlotChains, keep) -> complex:
+    """Sum over the slot assignments whose every coincidence block (maximal
+    set of slots sharing an eigenstate) passes `keep(block coefficients)`:
+    sum_Q c_Q S_Q with c_Q = sum_{P <= Q} keep(P) mu(P, Q), which factors
+    over the blocks of Q (module docstring)."""
     total = 0.0 + 0.0j
-    for q in _slot_partitions(chains.n_slots):
-        if leq(pattern, q):
-            total += partition_lattice_moebius(pattern, q) * merged_chain_sum(chains, q)
+    for q, c in _restricted_coeffs(chains.slot_coeffs, keep):
+        total += c * merged_chain_sum(chains, q)
     return total
 
 
 @lru_cache(maxsize=None)
-def _strict_average_coeffs(m: int, slot_coeffs: tuple[int, ...]) -> tuple[tuple[Partition, int], ...]:
-    """Coefficients c_Q with E_inf[sum] = sum_Q c_Q S_Q.
-
-    A slot assignment with exact coincidence pattern P survives the infinite
-    time average iff every block of P has zero total phase coefficient
-    (generic spectra: no accidental resonances).  Expanding the survivors
-    over merged sums gives c_Q = sum_{P <= Q} zeta(P) mu(P, Q).
-    """
-    parts = _slot_partitions(m)
-
-    def zeta(p: Partition) -> bool:
-        return all(sum(slot_coeffs[i - 1] for i in b) == 0 for b in p.blocks)
-
-    zeta_flags = {p: zeta(p) for p in parts}
+def _restricted_coeffs(slot_coeffs: tuple[int, ...], keep) -> tuple[tuple[Partition, int], ...]:
+    """The non-zero (Q, c_Q) of `_restricted_chain_sum`, in `_slot_partitions` order."""
     out = []
-    for q in parts:
-        c = 0
-        for p in parts:
-            if zeta_flags[p] and leq(p, q):
-                c += partition_lattice_moebius(p, q)
+    for q in _slot_partitions(len(slot_coeffs)):
+        c = 1
+        for b in q.blocks:
+            c *= _kept_cumulant(keep, tuple(sorted(slot_coeffs[i - 1] for i in b)))
         if c != 0:
             out.append((q, c))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _kept_cumulant(keep, coeffs: tuple[int, ...]) -> int:
+    """Classical cumulant of the indicator "this block is kept" over the
+    slot coefficients of one block."""
+    return classical_cumulant(lambda block: int(keep(block)), coeffs)
+
+
+def _zero_phase(coeffs: tuple[int, ...]) -> bool:
+    """Strict average: a block survives iff its phase cancels (generic spectra)."""
+    return sum(coeffs) == 0
+
+
+def _single_slot(coeffs: tuple[int, ...]) -> bool:
+    """Distinct indices: every block is one slot, so c_Q = mu(0, Q)."""
+    return len(coeffs) == 1
 
 
 def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) -> complex:
@@ -425,14 +433,11 @@ class TimeWindow:
 
 def _chain_time_average(chains: SlotChains, energies: np.ndarray, window: TimeWindow) -> complex:
     """Time average of a chain sum.  A finite window integrates against the
-    phase kernel; the infinite window keeps only resonant terms, through the
-    merged sums of `_strict_average_coeffs`."""
+    phase kernel; the infinite window keeps the assignments whose every
+    coincidence block has zero total phase."""
     if window.mode == "finite":
         return _windowed_chain_sum(chains, energies, window.t_max)
-    total = 0.0 + 0.0j
-    for q, c in _strict_average_coeffs(chains.n_slots, chains.slot_coeffs):
-        total += c * merged_chain_sum(chains, q)
-    return total
+    return _restricted_chain_sum(chains, _zero_phase)
 
 
 def time_average(model: SpectralModel, state: ThermalState, word: Sequence[tuple], window: TimeWindow) -> complex:
@@ -471,14 +476,14 @@ def distinct_index_cumulant(model: SpectralModel, state: ThermalState, A, B, k: 
 
     Sum over pairwise distinct eigenstate indices of
     w_{i0} A(t)_{i0 i1} B_{i1 i2} A(t)_{i2 i3} B_{i3 i0} ... around the
-    2k-cycle, by inclusion-exclusion over coincidence patterns.
+    2k-cycle: a restricted sum whose every coincidence block is one slot.
     """
     mats = []
     for _ in range(k):
         mats.append(heisenberg(model, A, t))
         mats.append(model.observable(B))
     chains = SlotChains(cycles=[mats], weights=[state.weights], slot_coeffs=(0,) * (2 * k))
-    return coincidence_pattern_sum(chains, Partition.singletons(2 * k))
+    return _restricted_chain_sum(chains, _single_slot)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ moments) evaluates its words with.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
@@ -25,7 +26,6 @@ from .partitions import (
     iter_set_partitions,
     kreweras_complement,
     nc_moebius_table,
-    partition_lattice_moebius,
 )
 
 Word = tuple[Hashable, ...]
@@ -182,13 +182,13 @@ def moments_from_cumulants(word: Sequence[Hashable], kappa: Callable[[Word], Val
 
 
 def classical_cumulant(phi: Callable[[Word], Value], word: Sequence[Hashable]) -> Value:
-    """Ordinary cumulant: Moebius inversion over all set partitions."""
+    """Ordinary cumulant: Moebius inversion over all set partitions, with
+    mu(sigma, 1_n) = (-1)^(r-1) (r-1)! for sigma of r blocks."""
     word = tuple(word)
-    n = len(word)
-    one = Partition.full(n)
     total: Value = 0
-    for sigma in iter_set_partitions(n):
-        total += blockwise_moment(word, sigma, phi) * partition_lattice_moebius(sigma, one)
+    for sigma in iter_set_partitions(len(word)):
+        r = sigma.num_blocks()
+        total += blockwise_moment(word, sigma, phi) * ((-1) ** (r - 1) * factorial(r - 1))
     return total
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Iterator
 
 DEFAULT_ENUMERATION_LIMIT = 10
@@ -167,25 +167,6 @@ def enumerate_nc(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Partiti
     if n > limit:
         raise PartitionSizeError(f"n={n} exceeds enumeration limit {limit}")
     return [Partition.from_blocks(n, blocks) for blocks in _nc_partitions_of(tuple(range(1, n + 1)))]
-
-
-def partition_lattice_moebius(sigma: Partition, pi: Partition) -> int:
-    """Moebius function of the full partition lattice (crossing allowed).
-
-    The interval [sigma, pi] factorizes over the blocks of pi; each factor
-    contributes (-1)^(r-1) (r-1)! where r counts the sigma-blocks merged into
-    that block of pi.
-    """
-    if not leq(sigma, pi):
-        raise ValueError(f"{sigma} is not below {pi}")
-    idx = pi.block_index()
-    counts = [0] * pi.num_blocks()
-    for b in sigma.blocks:
-        counts[idx[b[0]]] += 1
-    out = 1
-    for r in counts:
-        out *= (-1) ** (r - 1) * factorial(r - 1)
-    return out
 
 
 def _same_arc(x: int, y: int, chord: tuple[int, ...]) -> bool:

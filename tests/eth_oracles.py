@@ -1,20 +1,35 @@
-"""Reference spectral sums for the `kfree.eth` tests.
+"""Reference spectral sums and lattice coefficients for the `kfree.eth` tests.
 
-Each oracle enumerates index assignments or materializes the full
+Each spectral oracle enumerates index assignments or materializes the full
 amplitude/frequency tensor, so it is exact but only usable at small D.
 None of them goes through `kfree.eth`'s einsum builder: they take the
 matrices of a chain and write their own loops and contractions.
+
+The lattice oracles do the inclusion-exclusion over the set-partition
+lattice pair by pair, with the general Moebius function mu(sigma, pi), where
+`kfree.eth` uses the block-product rule: `coincidence_pattern_sum` for any
+exact coincidence pattern, and `strict_average_coeffs` with its O(Bell(m)^2)
+double loop over pairs of slot partitions.
 """
 
 import itertools
 import string
 from dataclasses import dataclass
+from math import factorial
 from typing import Sequence
 
 import numpy as np
 
-from kfree.eth import SlotChains, SpectralModel, ThermalState, TimeWindow, chains_from_word, heisenberg
-from kfree.partitions import Partition
+from kfree.eth import (
+    SlotChains,
+    SpectralModel,
+    ThermalState,
+    TimeWindow,
+    chains_from_word,
+    heisenberg,
+    merged_chain_sum,
+)
+from kfree.partitions import Partition, iter_set_partitions, leq
 
 BRUTE_FORCE_DIM_CAP = 60
 
@@ -145,3 +160,59 @@ def _distinct_brute_generic(chains: SlotChains, D: int) -> complex:
             term = term * mat[combo[i], combo[(i + 1) % m]]
         total += term
     return complex(total)
+
+
+def partition_lattice_moebius(sigma: Partition, pi: Partition) -> int:
+    """Moebius function of the full partition lattice (crossing allowed).
+
+    The interval [sigma, pi] factorizes over the blocks of pi; each factor
+    contributes (-1)^(r-1) (r-1)! where r counts the sigma-blocks merged into
+    that block of pi.
+    """
+    if not leq(sigma, pi):
+        raise ValueError(f"{sigma} is not below {pi}")
+    idx = pi.block_index()
+    counts = [0] * pi.num_blocks()
+    for b in sigma.blocks:
+        counts[idx[b[0]]] += 1
+    out = 1
+    for r in counts:
+        out *= (-1) ** (r - 1) * factorial(r - 1)
+    return out
+
+
+def coincidence_pattern_sum(chains: SlotChains, pattern: Partition) -> complex:
+    """Sum over slot assignments whose coincidence pattern is exactly `pattern`
+    (equal within blocks, distinct across blocks), by inclusion-exclusion
+    over the merged sums S_Q of the patterns Q above it:
+    sum_{Q >= pattern} mu(pattern, Q) S_Q."""
+    total = 0.0 + 0.0j
+    for q in iter_set_partitions(chains.n_slots):
+        if leq(pattern, q):
+            total += partition_lattice_moebius(pattern, q) * merged_chain_sum(chains, q)
+    return total
+
+
+def strict_average_coeffs(m: int, slot_coeffs: tuple[int, ...]) -> tuple[tuple[Partition, int], ...]:
+    """Coefficients c_Q with E_inf[sum] = sum_Q c_Q S_Q, non-zero ones only.
+
+    A slot assignment with exact coincidence pattern P survives the infinite
+    time average iff every block of P has zero total phase coefficient.
+    Expanding the survivors over merged sums gives
+    c_Q = sum_{P <= Q} zeta(P) mu(P, Q), summed here pair by pair.
+    """
+    parts = tuple(iter_set_partitions(m))
+
+    def zeta(p: Partition) -> bool:
+        return all(sum(slot_coeffs[i - 1] for i in b) == 0 for b in p.blocks)
+
+    zeta_flags = {p: zeta(p) for p in parts}
+    out = []
+    for q in parts:
+        c = 0
+        for p in parts:
+            if zeta_flags[p] and leq(p, q):
+                c += partition_lattice_moebius(p, q)
+        if c != 0:
+            out.append((q, c))
+    return tuple(out)

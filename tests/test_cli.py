@@ -262,7 +262,11 @@ def test_operator_dimension_must_match_dim(tmp_path):
         assert flag in err and "--dim" in err
 
 
-def test_boundary_errors_name_the_flag():
+def test_boundary_errors_name_the_flag(tmp_path):
+    for name in ("u1.json", "u2.json"):
+        save_operator(tmp_path / name, np.eye(2))
+    files = ["design-check", "--ensemble", "files", "--k", "1", "--unitaries",
+             f"{tmp_path / 'u1.json'},{tmp_path / 'u2.json'}"]
     cases = [
         (["eth", "timeavg", "--model", "goe", "--dim", "8", "--k", "0"], "--k must be positive"),
         (["distance", "--ensemble", "hamiltonian", "--k", "2", "--dim", "0"], "--dim must be positive"),
@@ -277,6 +281,8 @@ def test_boundary_errors_name_the_flag():
         (["eth", "deutsch", "--model", "goe", "--dim", "8", "--lambdas", "1,x"], "--lambdas"),
         (["eth", "deutsch", "--model", "goe", "--dim", "8", "--lambdas", "1,nan"], "--lambdas"),
         (["eth", "deutsch", "--model", "goe", "--dim", "8", "--lambdas", "1,,2"], "--lambdas"),
+        (files + ["--probs", "1,nan"], "--probs"),
+        (files + ["--probs", "1,x"], "--probs"),
     ]
     for argv, message in cases:
         code, err = run_process(*argv)

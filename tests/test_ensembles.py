@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from kfree.channel import channel_exact, haar_word_average_exact, word_functional_from_matrices
+from kfree.channel import channel_exact, haar_word_average_exact, permutation_operator, word_functional_from_matrices
 from kfree.ensembles import (
     DiscreteEnsemble,
     EnsembleExpectation,
@@ -31,6 +31,8 @@ from kfree.errors import RegimeError
 from kfree.eth import goe_matrix, goe_model, normalize_observable
 from kfree.moments import Expectation, free_cumulant
 from kfree.partitions import enumerate_nc
+from kfree.permutations import all_permutations, inverse
+from kfree.weingarten import weingarten_table
 
 
 def test_sample_haar_unitarity():
@@ -124,6 +126,8 @@ def test_probabilities_validated():
         DiscreteEnsemble([np.eye(2)], np.array([-1.0]))
     with pytest.raises(ValueError):
         DiscreteEnsemble([np.eye(2), np.eye(2)], np.array([1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteEnsemble([np.eye(2), np.eye(2)], np.array([1.0, np.nan]))
 
 
 def _prefix_product_traces(expectation, u, words):
@@ -247,13 +251,39 @@ def test_design_check_haar_trivial():
     assert report.passed and report.max_deviation == 0.0
 
 
+def _weingarten_superoperator(k, D):
+    """Reference for D >= k: sum_{alpha, beta} Wg(alpha, beta) vec(W_alpha^-1) vec(W_beta^T)^T."""
+    perms = all_permutations(k)
+    dim = D**k
+    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    w_ins = [permutation_operator(beta, D).T.reshape(-1) for beta in perms]
+    for alpha, wg_row in zip(perms, weingarten_table(k, D).matrix()):
+        w_out = permutation_operator(inverse(alpha), D).reshape(-1)
+        for wg, w_in in zip(wg_row, w_ins):
+            out += float(wg) * np.outer(w_out, w_in)
+    return out
+
+
 def test_haar_superoperator_projector_branch_consistent():
-    # D < k branch (commutant projector) agrees with the Weingarten branch
-    # wherever both exist, and is idempotent where only it exists
+    # the commutant projector equals the Weingarten sum wherever that
+    # exists (D >= k), and is idempotent where only it exists (D < k)
+    for k, D in ((1, 2), (2, 2), (1, 4), (2, 3), (2, 4), (2, 8), (3, 3)):
+        assert np.max(np.abs(haar_channel_superoperator(k, D) - _weingarten_superoperator(k, D))) < 1e-12
     s = haar_channel_superoperator(3, 2)
     assert np.max(np.abs(s @ s - s)) < 1e-10
-    s2 = haar_channel_superoperator(2, 2)
-    assert np.max(np.abs(s2 @ s2 - s2)) < 1e-10
+
+
+def test_superoperator_cap_bounds_the_allocation():
+    # D^(2k) and k! are checked before anything is built; none of the
+    # rejected sizes is ever allocated
+    assert haar_channel_superoperator(6, 1).shape == (1, 1)
+    for k, D in ((7, 2), (3, 8), (7, 1), (12, 1)):
+        with pytest.raises(ValueError, match="capped"):
+            haar_channel_superoperator(k, D)
+    with pytest.raises(ValueError, match="capped"):
+        ensemble_superoperator(pauli_group(), 7)
+    with pytest.raises(ValueError, match="capped"):
+        design_check(pauli_group(), 7)
 
 
 def test_channel_distance_haar_zero():

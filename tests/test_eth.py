@@ -1,6 +1,7 @@
 """Exact diagonalization: thermal cumulants, distinct-index sums, time
 averages, factorizations, free-k times, perturbed-basis ensembles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from kfree.eth import (
     averaged_free_cumulant,
     bimodal_observable,
     build_model,
-    coincidence_pattern_sum,
     deutsch_ensemble,
     distinct_index_cumulant,
     factorization_gap,
@@ -33,15 +33,22 @@ from kfree.eth import (
     thermal_state,
     thermal_word_moment,
     time_average,
+    _restricted_coeffs,
+    _single_slot,
+    _slot_coeffs,
+    _zero_phase,
 )
 from kfree.moments import Expectation, free_cumulant
 from kfree.partitions import Partition, iter_set_partitions
 
 from eth_oracles import (
     SpectralSum,
+    coincidence_pattern_sum,
     distinct_index_brute,
     joint_spectral_sum,
     merged_chain_sum_loops,
+    partition_lattice_moebius,
+    strict_average_coeffs,
     word_spectral_sum,
 )
 
@@ -281,6 +288,24 @@ def test_inclusion_exclusion_completeness(small_model):
     assert abs(total - unrestricted) < 1e-10
 
 
+def test_strict_coefficients_match_pairwise_lattice_oracle():
+    # block-product coefficients against the O(Bell(m)^2) zeta-mu double
+    # loop: every {-1, 0, 1} coefficient vector up to m = 5, and every
+    # vector a word of timed/untimed letters produces at m = 6
+    vectors = [c for m in range(1, 6) for c in itertools.product((-1, 0, 1), repeat=m)]
+    vectors += sorted({_slot_coeffs(timed) for timed in itertools.product((False, True), repeat=6)})
+    assert len(vectors) == 363 + 63
+    for coeffs in vectors:
+        assert _restricted_coeffs(coeffs, _zero_phase) == strict_average_coeffs(len(coeffs), coeffs)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_distinct_index_coefficients_are_moebius_from_bottom(m):
+    zero = Partition.singletons(m)
+    expected = tuple((q, partition_lattice_moebius(zero, q)) for q in iter_set_partitions(m))
+    assert _restricted_coeffs((0,) * m, _single_slot) == expected
+
+
 @pytest.mark.parametrize("cycle_lengths", [(4,), (5,), (2, 2), (3, 2)])
 def test_merged_chain_sum_matches_nested_loops(cycle_lengths):
     D = 3
@@ -332,6 +357,17 @@ def test_strict_average_matches_literal_resonance_filter(small_model, small_stat
     eps = 1e-10 * small_model.spectral_width()
     literal = ss.averaged(TimeWindow("infinite"), eps_res=eps).total()
     via_partitions = time_average(small_model, small_state, word, TimeWindow("infinite"))
+    assert abs(literal - via_partitions) < 1e-12
+
+
+def test_strict_average_eight_slots_matches_literal_resonance_filter():
+    # D^8 ~ 1.7M amplitudes: the literal filter is affordable at D = 6 only
+    model = goe_model(6, seed=4)
+    state = thermal_state(model, 0.5)
+    word = (("A", True), ("B", False)) * 4
+    eps = 1e-10 * model.spectral_width()
+    literal = word_spectral_sum(model, state, word).averaged(TimeWindow("infinite"), eps_res=eps).total()
+    via_partitions = time_average(model, state, word, TimeWindow("infinite"))
     assert abs(literal - via_partitions) < 1e-12
 
 
@@ -498,3 +534,14 @@ def test_deutsch_band_profile_decays():
     omega, mass = report.band_profile[1.0]
     # overlap mass concentrates at small energy separation
     assert mass[0] > 10 * np.mean(mass[len(mass) // 2 :])
+
+
+def test_criterion_8_companion_strict_kappa8():
+    # k = 4 companion of criterion 8 (test_acceptance), with criterion 8's
+    # own bound |kappa| <= 10 / D_eff
+    model = goe_model(64, seed=3)
+    word = (("A", True), ("B", False)) * 4
+    for beta in (0.0, 0.3 / model.spectral_width()):
+        state = thermal_state(model, beta)
+        k8bar = averaged_free_cumulant(model, state, word, TimeWindow("infinite"))
+        assert abs(k8bar) <= 10.0 / state.effective_dim()

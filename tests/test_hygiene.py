@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "kfree").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+MODULES = [path for part in ("src/kfree", "tests", "scripts") for path in sorted((ROOT / part).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:

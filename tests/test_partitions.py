@@ -18,8 +18,9 @@ from kfree.partitions import (
     kreweras_complement,
     leq,
     moebius_nc,
-    partition_lattice_moebius,
 )
+
+from eth_oracles import partition_lattice_moebius
 
 
 def test_canonical_form_unique():

@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Time finite-window averaged free cumulants and write BENCH_eth_window.json.
+
+Two cases of kappa_4(A(t), B, A(t), B) = `averaged_free_cumulant` over
+finite windows, each on `goe_model` at beta = 0.3 / (spectral width):
+
+- D = 32, the window ladder of the eth-spectral benchmark
+  (t_max = 1e-9, 40, 640, 1e4, 1e6, 1e9);
+- D = 64, the six windows of acceptance criterion 8 (t_max = 40 ... 1280).
+
+Each window is timed `--repeats` times after one untimed warm-up call; the
+document records every repeat, the median and the value.  Only the public
+API is used, so the same script runs on any revision that has it.
+
+Example:
+    python scripts/bench_eth_window.py --repeats 5 --out BENCH_eth_window.json
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+import numpy as np
+
+from kfree.eth import TimeWindow, averaged_free_cumulant, goe_model, thermal_state
+
+CASES = (
+    {"name": "ladder-D32", "dim": 32, "seed": 11, "t_values": (1e-9, 40.0, 640.0, 1e4, 1e6, 1e9)},
+    {"name": "criterion8-D64", "dim": 64, "seed": 11, "t_values": (40.0, 80.0, 160.0, 320.0, 640.0, 1280.0)},
+)
+WORD = (("A", True), ("B", False), ("A", True), ("B", False))
+
+
+def run_case(case: dict, repeats: int) -> dict:
+    model = goe_model(case["dim"], seed=case["seed"])
+    beta = 0.3 / model.spectral_width()
+    state = thermal_state(model, beta)
+    windows = []
+    for t_max in case["t_values"]:
+        window = TimeWindow("finite", t_max)
+        value = complex(averaged_free_cumulant(model, state, WORD, window))
+        seconds = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            averaged_free_cumulant(model, state, WORD, window)
+            seconds.append(time.perf_counter() - t0)
+        windows.append(
+            {"t_max": t_max, "seconds": seconds, "median_s": statistics.median(seconds), "value": [value.real, value.imag]}
+        )
+    return {
+        "name": case["name"],
+        "dim": case["dim"],
+        "seed": case["seed"],
+        "beta": beta,
+        "windows": windows,
+        "total_median_s": sum(w["median_s"] for w in windows),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--out", default="BENCH_eth_window.json")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be positive")
+
+    doc = {
+        "benchmark": "eth-window",
+        "word": [[name, timed] for name, timed in WORD],
+        "repeats": args.repeats,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+        },
+        "cases": [run_case(case, args.repeats) for case in CASES],
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    for case in doc["cases"]:
+        sys.stdout.write(f"{case['name']}: {case['total_median_s']:.3f} s over {len(case['windows'])} windows\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

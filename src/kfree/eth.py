@@ -8,8 +8,11 @@ vector per cycle and an energy-phase coefficient per slot.
 
 One builder, `_chain_einsum`, writes the subscripts and operands of every
 chain sum.  `merged_chain_sum` contracts them to a number S_Q for one merge
-pattern Q; the finite-window average keeps every slot axis open (the
-singleton pattern) and weights the amplitudes with the phase kernel.
+pattern Q.  The finite-window average keeps every slot axis open (the
+singleton pattern): amplitudes whose phase d has |d| < 1e-14 keep weight 1,
+and the others, divided by d, are contracted slot by slot against per-slot
+phase vectors e^{iT c_s E}, with the window kernel's e^{iTd} - 1 telescoped
+over the slots, so no transcendental is evaluated per amplitude.
 `_chain_time_average` is the one place that chooses between the infinite
 window and a finite one.
 
@@ -28,7 +31,8 @@ array, or a complex-typed one such as an operator file) with the real
 `eigh`, and `to_eigenbasis` drops such an observable's zero imaginary part
 before rotating it, so a real model's basis, observables, merged sums and
 strict averages are float64.  Only a time phase (`heisenberg` at t != 0, the
-window kernel) or an input with a non-zero imaginary part makes them complex.
+finite window's phase vectors) or an input with a non-zero imaginary part
+makes them complex.
 """
 
 from __future__ import annotations
@@ -373,10 +377,22 @@ def _single_slot(coeffs: tuple[int, ...]) -> bool:
 
 
 def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) -> complex:
-    """Finite-window average with the phase kernel (e^{i T d} - 1)/(i T d).
+    """Finite-window average (1/T) int_0^T dt of the chain sum: the amplitude
+    of each slot assignment is weighted with (e^{iTd} - 1)/(iTd), where
+    d = sum_s c_s E_{i_s} is its phase.
 
-    Materializes amplitude tensors chunked over the first slot; intended for
-    modest dimensions (the slot count is small by construction).
+    Assignments with |d| < 1e-14 keep weight 1.  The others give
+    (-i/T) sum g (prod_s u_s - 1) with g = amp/d and u_s = e^{iT c_s E} one
+    D-vector per slot.  Telescoping prod_s u_s - 1 = sum_s (u_s - 1)
+    prod_{r<s} u_r makes that one sweep over the slot axes: at slot s, add
+    (u_s - 1) contracted with h summed over the later axes, then contract u_s
+    into h (h starts as g).  u_s - 1 = 2i sin(theta/2) e^{i theta/2} stays
+    accurate at small T, and no D^m-sized array meets a transcendental.  The
+    coefficients of a chain sum to 0, so E is centred first: d is unchanged
+    and the phases are smaller.
+
+    Amplitudes are materialized chunked over the first slot; later slots are
+    contracted once, after every chunk has been folded into h.
     """
     m = chains.n_slots
     D = len(energies)
@@ -386,9 +402,18 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
     first = string.ascii_lowercase[0]  # slot 1, the axis that is chunked
     expr = ",".join(subs) + "->" + string.ascii_lowercase[:m]
 
-    chunk = max(1, _WINDOW_CHUNK_ELEMS // max(1, D ** (m - 1)))
-    total = 0.0 + 0.0j
     coeffs = chains.slot_coeffs
+    e = energies - np.mean(energies)
+    # rows[s] = [u_s - 1; u_s] over the eigenstates of slot s
+    rows = []
+    for c in coeffs:
+        theta = t_max * c * e
+        rows.append(np.stack([2j * np.sin(theta / 2) * np.exp(0.5j * theta), np.exp(1j * theta)]))
+
+    chunk = max(1, _WINDOW_CHUNK_ELEMS // max(1, D ** (m - 1)))
+    kept = 0.0
+    telescoped = 0.0 + 0.0j
+    h = np.zeros(D ** (m - 1), dtype=complex)
     for lo in range(0, D, chunk):
         sel = slice(lo, lo + chunk)
         ops = []
@@ -400,18 +425,30 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
             else:
                 axis = s.index(first)
                 ops.append(op[sel, :] if axis == 0 else op[:, sel])
-        amp = np.einsum(expr, *ops, optimize=True)
-        delta = np.zeros(amp.shape)
-        for axis in range(m):
-            e = energies[sel] if axis == 0 else energies
-            shape = [1] * m
-            shape[axis] = len(e)
-            delta = delta + coeffs[axis] * e.reshape(shape)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            phase = 1j * t_max * delta
-            kernel = np.where(np.abs(delta) < 1e-14, 1.0, (np.exp(phase) - 1.0) / np.where(phase == 0, 1.0, phase))
-        total += complex(np.sum(amp * kernel))
-    return total
+        g = np.einsum(expr, *ops, optimize=True)
+        delta = coeffs[0] * e[sel]
+        for c in coeffs[1:]:
+            delta = np.add.outer(delta, c * e)
+        small = np.abs(delta) < 1e-14
+        kept += g[small].sum()
+        delta[small] = np.inf
+        g /= delta
+        r = _contract_rows(rows[0][:, sel], g.reshape(len(g), -1))
+        telescoped += r[0].sum()
+        h += r[1]
+    for s in range(1, m):
+        r = rows[s] @ h.reshape(D, -1)
+        telescoped += r[0].sum()
+        h = r[1]
+    return complex(kept - 1j * telescoped / t_max)
+
+
+def _contract_rows(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """rows @ h for complex rows, without a complex copy of a real h."""
+    if np.iscomplexobj(h):
+        return rows @ h
+    out = np.concatenate([rows.real, rows.imag]) @ h
+    return out[: len(rows)] + 1j * out[len(rows) :]
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +469,9 @@ class TimeWindow:
 
 
 def _chain_time_average(chains: SlotChains, energies: np.ndarray, window: TimeWindow) -> complex:
-    """Time average of a chain sum.  A finite window integrates against the
-    phase kernel; the infinite window keeps the assignments whose every
-    coincidence block has zero total phase."""
+    """Time average of a chain sum.  A finite window averages each phase
+    over [0, T] (`_windowed_chain_sum`); the infinite window keeps the
+    assignments whose every coincidence block has zero total phase."""
     if window.mode == "finite":
         return _windowed_chain_sum(chains, energies, window.t_max)
     return _restricted_chain_sum(chains, _zero_phase)

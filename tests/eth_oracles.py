@@ -56,6 +56,18 @@ class SpectralSum:
         return complex(np.sum(self.amplitudes))
 
 
+def window_average_total(ss: SpectralSum, t_max: float) -> complex:
+    """(1/T) int_0^T of a materialized sum, with the window kernel
+    (e^{ix} - 1)/(ix), x = T d, written as sin(x)/x + i 2 sin^2(x/2)/x so
+    that no digits cancel at small x.  Frequencies |d| < 1e-14 keep weight 1,
+    the rule `kfree.eth` applies."""
+    d = ss.frequencies
+    small = np.abs(d) < 1e-14
+    x = t_max * np.where(small, 1.0, d)
+    kernel = np.where(small, 1.0, np.sin(x) / x + 2j * np.sin(x / 2) ** 2 / x)
+    return complex(np.sum(ss.amplitudes * kernel))
+
+
 def word_spectral_sum(model: SpectralModel, state: ThermalState, word: Sequence[tuple]) -> SpectralSum:
     """Materialized spectral decomposition of a timed word moment (small D).
 

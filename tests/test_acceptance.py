@@ -258,8 +258,10 @@ def test_criterion_8_eth_long_time_freeness():
             assert abs(k4bar) <= 10.0 / state.effective_dim()
         # finite window converges to the strict value at least as fast as
         # 1/t_max -- the kernel envelope is 1/(t_max Delta); smooth spectral
-        # densities can beat it.  Exercised at D=64 where the dense phase
-        # kernel is tractable; the bound above is the D=512 statement.
+        # densities can beat it.  Exercised at D=64, where the window's
+        # D^4 amplitudes (weight 1 at |delta| < 1e-14, the rest contracted
+        # against telescoped per-slot phase vectors) are cheap to
+        # materialize; the bound above is the D=512 statement.
         small = goe_model(64, seed=11)
         s0 = thermal_state(small, 0.3 / small.spectral_width())
         strict = averaged_free_cumulant(small, s0, word, TimeWindow("infinite"))

@@ -19,6 +19,7 @@ from kfree.ensembles import (
     clifford_group_1q,
     design_check,
     ensemble_superoperator,
+    ensemble_unitaries,
     haar_channel_superoperator,
     infinite_time_distance,
     k_freeness_test,
@@ -343,6 +344,31 @@ def test_ensemble_superoperator_discrete_matches_channel():
     via_s = (s @ O.reshape(-1)).reshape(2, 2)
     direct = channel_monte_carlo(ens, 1, O)
     assert np.allclose(via_s, direct)
+
+
+def test_ensemble_superoperator_is_bit_identical_to_kron_sum():
+    # the superoperator is accumulated in place, one row slab at a time; the
+    # sum it replaces is sum p kron((U^{x k})^dagger, (U^{x k})^T), and every
+    # entry is still p (a_ik b_jl) added in the same order
+    def term(u, k):
+        uk = np.array([[1.0 + 0.0j]])
+        for _ in range(k):
+            uk = np.kron(uk, u)
+        return np.kron(uk.conj().T, uk.T)
+
+    rng = np.random.default_rng(17)
+    unitaries = [sample_haar(3, rng) for _ in range(4)]
+    discrete = DiscreteEnsemble(unitaries, np.array([0.1, 0.2, 0.3, 0.4]))
+    hamiltonian = HamiltonianEnsemble(goe_model(3, seed=2), t_max=7.0, n_samples=5)
+    for k in (1, 2):
+        want = np.zeros((9**k, 9**k), dtype=complex)
+        for p, u in zip(discrete.probabilities, unitaries):
+            want += p * term(u, k)
+        assert np.array_equal(ensemble_superoperator(discrete, k), want)
+        want = np.zeros((9**k, 9**k), dtype=complex)
+        for u in ensemble_unitaries(hamiltonian, 5, 3):
+            want += term(u, k)
+        assert np.array_equal(ensemble_superoperator(hamiltonian, k, seed=3), want / 5)
 
 
 def test_clifford_group_has_24_elements():

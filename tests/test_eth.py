@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from kfree import eth
 from kfree.eth import (
     DeutschSpec,
     SlotChains,
@@ -49,6 +50,7 @@ from eth_oracles import (
     merged_chain_sum_loops,
     partition_lattice_moebius,
     strict_average_coeffs,
+    window_average_total,
     word_spectral_sum,
 )
 
@@ -378,6 +380,56 @@ def test_windowed_average_matches_literal_kernel(small_model, small_state):
         literal = ss.averaged(TimeWindow("finite", t_max)).total()
         chunked = time_average(small_model, small_state, word, TimeWindow("finite", t_max))
         assert abs(literal - chunked) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def window_models():
+    D = 10
+    rng = np.random.default_rng(21)
+
+    def hermitian():
+        g = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        return (g + g.conj().T) / 2.0
+
+    complex_model = build_model(hermitian(), {name: normalize_observable(hermitian()) for name in ("A", "B")})
+    assert complex_model.basis.dtype == np.complex128
+    return {"real": goe_model(D, seed=21), "complex": complex_model}
+
+
+WINDOW_WORDS = (
+    (("A", True), ("B", False)),  # slot coefficients (1, -1)
+    (("A", True), ("B", False), ("A", False)),  # (1, -1, 0): a zero-coefficient slot
+    (("A", False), ("B", False), ("A", False)),  # all untimed
+    (("A", True), ("B", False), ("A", True), ("B", False)),  # (1, -1, 1, -1)
+    (("A", True), ("A", True), ("B", False), ("B", False)),  # (1, 0, -1, 0)
+)
+
+
+@pytest.mark.parametrize("chunk_elems", [None, 1, 3 * 10**3], ids=["whole", "chunk1", "chunk3"])
+@pytest.mark.parametrize("name", ["complex", "real"])
+def test_windowed_average_matches_accurate_kernel_oracle(window_models, name, chunk_elems, monkeypatch):
+    # chunk1 chunks every word one first-slot index at a time; chunk3 splits
+    # the 4-slot words at D = 10 into first-slot chunks 3, 3, 3, 1
+    if chunk_elems is not None:
+        monkeypatch.setattr(eth, "_WINDOW_CHUNK_ELEMS", chunk_elems)
+    model = window_models[name]
+    state = thermal_state(model, 0.3)
+    sums = {word: word_spectral_sum(model, state, word) for word in WINDOW_WORDS}
+    joint_sum = joint_spectral_sum(model, state, "A", "B")
+    for t_max, tol in [(t, 1e-12) for t in (1e-9, 0.5, 7.0, 40.0, 640.0, 1e4)] + [(1e9, 1e-6)]:
+        window = TimeWindow("finite", t_max)
+        for word, ss in sums.items():
+            want = window_average_total(ss, t_max)
+            got = time_average(model, state, word, window)
+            assert abs(got - want) <= tol * abs(want), (t_max, word, got, want)
+        joint, product, gap = factorization_gap(model, state, "A", "B", window)
+        want_joint = window_average_total(joint_sum, t_max)
+        want_product = window_average_total(sums[WINDOW_WORDS[0]], t_max) ** 2
+        assert abs(joint - want_joint) <= tol * abs(want_joint), (t_max, joint, want_joint)
+        assert abs(product - want_product) <= tol * abs(want_product), (t_max, product, want_product)
+        # the gap is a difference of the two, so its rounding scales with theirs
+        scale = abs(want_joint) + abs(want_product)
+        assert abs(gap - (want_joint - want_product)) <= tol * scale, (t_max, gap)
 
 
 def test_windowed_average_converges_to_strict_one_over_t(small_model, small_state):

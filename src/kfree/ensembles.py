@@ -296,7 +296,7 @@ def k_freeness_test(
 # ---------------------------------------------------------------------------
 
 
-def _add_superoperator_term(out: np.ndarray, u: np.ndarray, k: int, p: float | None = None) -> None:
+def _add_superoperator_term(out: np.ndarray, u: np.ndarray, k: int, p: float) -> None:
     """Add p times the row-major-vec superoperator of O -> U^{dagger x k} O
     U^{x k}, kron(a, b) with a = (U^{x k})^dagger and b = (U^{x k})^T, to
     `out` in place: out[i, j, r, s] += p (a_ir b_js) with out viewed as
@@ -307,8 +307,7 @@ def _add_superoperator_term(out: np.ndarray, u: np.ndarray, k: int, p: float | N
     slab = np.empty(out4.shape[1:], dtype=complex)
     for i in range(len(a)):
         np.multiply(a[i][None, :, None], b[:, None, :], out=slab)
-        if p is not None:
-            slab *= p
+        slab *= p
         out4[i] += slab
 
 
@@ -358,7 +357,7 @@ def ensemble_superoperator(spec: EnsembleSpec, k: int, n_samples: int = 1000, se
     n = spec.n_samples if isinstance(spec, HamiltonianEnsemble) else n_samples
     count = 0
     for u in ensemble_unitaries(spec, n, seed):
-        _add_superoperator_term(out, u, k)
+        _add_superoperator_term(out, u, k, 1.0)
         count += 1
     out /= count
     return out

@@ -9,10 +9,10 @@ vector per cycle and an energy-phase coefficient per slot.
 One builder, `_chain_einsum`, writes the subscripts and operands of every
 chain sum.  `merged_chain_sum` contracts them to a number S_Q for one merge
 pattern Q.  The finite-window average keeps every slot axis open (the
-singleton pattern): amplitudes whose phase d has |d| < 1e-14 keep weight 1,
-and the others, divided by d, are contracted slot by slot against per-slot
-phase vectors e^{iT c_s E}, with the window kernel's e^{iTd} - 1 telescoped
-over the slots, so no transcendental is evaluated per amplitude.
+singleton pattern): amplitudes far from resonance, divided by their phase d,
+are contracted slot by slot against per-slot phase vectors e^{iT c_s E},
+with the window kernel's e^{iTd} - 1 telescoped over the slots; the few
+near resonance take the kernel directly, and |d| < 1e-14 keeps weight 1.
 `_chain_time_average` is the one place that chooses between the infinite
 window and a finite one.
 
@@ -381,15 +381,22 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
     of each slot assignment is weighted with (e^{iTd} - 1)/(iTd), where
     d = sum_s c_s E_{i_s} is its phase.
 
-    Assignments with |d| < 1e-14 keep weight 1.  The others give
-    (-i/T) sum g (prod_s u_s - 1) with g = amp/d and u_s = e^{iT c_s E} one
-    D-vector per slot.  Telescoping prod_s u_s - 1 = sum_s (u_s - 1)
-    prod_{r<s} u_r makes that one sweep over the slot axes: at slot s, add
-    (u_s - 1) contracted with h summed over the later axes, then contract u_s
-    into h (h starts as g).  u_s - 1 = 2i sin(theta/2) e^{i theta/2} stays
-    accurate at small T, and no D^m-sized array meets a transcendental.  The
-    coefficients of a chain sum to 0, so E is centred first: d is unchanged
-    and the phases are smaller.
+    Far from resonance, |d| >= 1e-3 M with M = sum_s |c_s| max|E - mean E|
+    the bound on |d|, the amplitudes give (-i/T) sum g (prod_s u_s - 1) with
+    g = amp/d and u_s = e^{iT c_s E} one D-vector per slot.  Telescoping
+    prod_s u_s - 1 = sum_s (u_s - 1) prod_{r<s} u_r makes that one sweep over
+    the slot axes: at slot s, add (u_s - 1) contracted with h summed over the
+    later axes, then contract u_s into h (h starts as g).
+    u_s - 1 = 2i sin(theta/2) e^{i theta/2} stays accurate at small T, and no
+    D^m-sized array meets a transcendental.  The coefficients of a chain sum
+    to 0, so E is centred first: d is unchanged and the phases are smaller.
+
+    The telescoped weight of one amplitude is off by about eps M/|d|, since
+    d and the product of phase vectors carry eps M of rounding, so it is kept
+    to |d| >= 1e-3 M (error <= ~1e3 eps).  The few amplitudes nearer
+    resonance (structural resonances with a rounding residual, near-degenerate
+    levels) take the kernel itself, sin(x)/x + 2i sin^2(x/2)/x at x = Td,
+    and those with |d| < 1e-14 keep weight 1.
 
     Amplitudes are materialized chunked over the first slot; later slots are
     contracted once, after every chunk has been folded into h.
@@ -404,6 +411,7 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
 
     coeffs = chains.slot_coeffs
     e = energies - np.mean(energies)
+    near = max(1e-14, 1e-3 * sum(abs(c) for c in coeffs) * float(np.max(np.abs(e))))
     # rows[s] = [u_s - 1; u_s] over the eigenstates of slot s
     rows = []
     for c in coeffs:
@@ -411,7 +419,7 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
         rows.append(np.stack([2j * np.sin(theta / 2) * np.exp(0.5j * theta), np.exp(1j * theta)]))
 
     chunk = max(1, _WINDOW_CHUNK_ELEMS // max(1, D ** (m - 1)))
-    kept = 0.0
+    direct = 0.0 + 0.0j
     telescoped = 0.0 + 0.0j
     h = np.zeros(D ** (m - 1), dtype=complex)
     for lo in range(0, D, chunk):
@@ -429,9 +437,9 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
         delta = coeffs[0] * e[sel]
         for c in coeffs[1:]:
             delta = np.add.outer(delta, c * e)
-        small = np.abs(delta) < 1e-14
-        kept += g[small].sum()
-        delta[small] = np.inf
+        close = np.abs(delta) < near
+        direct += _window_kernel_sum(g[close], delta[close], t_max)
+        delta[close] = np.inf
         g /= delta
         r = _contract_rows(rows[0][:, sel], g.reshape(len(g), -1))
         telescoped += r[0].sum()
@@ -440,7 +448,15 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
         r = rows[s] @ h.reshape(D, -1)
         telescoped += r[0].sum()
         h = r[1]
-    return complex(kept - 1j * telescoped / t_max)
+    return complex(direct - 1j * telescoped / t_max)
+
+
+def _window_kernel_sum(amp: np.ndarray, d: np.ndarray, t_max: float) -> complex:
+    """sum amp (e^{ix} - 1)/(ix) at x = T d, written sin(x)/x + 2i sin^2(x/2)/x
+    so that no digits cancel at small x; |d| < 1e-14 keeps weight 1."""
+    small = np.abs(d) < 1e-14
+    x = t_max * d[~small]
+    return complex(amp[small].sum() + np.sum(amp[~small] * (np.sin(x) / x + 2j * np.sin(x / 2) ** 2 / x)))
 
 
 def _contract_rows(rows: np.ndarray, h: np.ndarray) -> np.ndarray:

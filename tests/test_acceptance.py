@@ -259,8 +259,8 @@ def test_criterion_8_eth_long_time_freeness():
         # finite window converges to the strict value at least as fast as
         # 1/t_max -- the kernel envelope is 1/(t_max Delta); smooth spectral
         # densities can beat it.  Exercised at D=64, where the window's
-        # D^4 amplitudes (weight 1 at |delta| < 1e-14, the rest contracted
-        # against telescoped per-slot phase vectors) are cheap to
+        # D^4 amplitudes (contracted against telescoped per-slot phase
+        # vectors, the few near resonance weighted directly) are cheap to
         # materialize; the bound above is the D=512 statement.
         small = goe_model(64, seed=11)
         s0 = thermal_state(small, 0.3 / small.spectral_width())

@@ -167,7 +167,9 @@ class EnsembleExpectation:
     Each sample costs its draw (Ginibre plus QR), two matmuls per rotated
     label for the dressing, and one `moments._word_trace` over the dressed
     letters, which closes every word with an O(D^2) contraction of two
-    half-products built once per sample.
+    cached half-products.  Words are traced longest first, so shorter words
+    find their halves built: at k = 2 one word matmul (A B) serves every
+    word of a sample.
     """
 
     def __init__(
@@ -229,7 +231,7 @@ class EnsembleExpectation:
         for label, m in self.operators.items():
             dressed[label] = u.conj().T @ m @ u if label in self.rotated else m
         trace = _word_trace(dressed)
-        return {w: trace(w) for w in words}
+        return {w: trace(w) for w in sorted(words, key=lambda w: (-len(w), repr(w)))}
 
     def functional(self, batch: int | None = None) -> Expectation:
         """Expectation over cached word averages (or one batch's averages)."""

@@ -242,17 +242,33 @@ def thermal_word_moment(model: SpectralModel, state: ThermalState, word: Sequenc
     """
     if not word:
         return 1.0
-    letters = {i: heisenberg(model, obs, t) for i, (obs, t) in enumerate(word)}
-    return _word_trace(letters, state.weights)(tuple(letters))
+    letters, labels = _thermal_letters(model, word)
+    return _word_trace(letters, state.weights)(labels)
 
 
 def thermal_free_cumulant(model: SpectralModel, state: ThermalState, word: Sequence[tuple]) -> complex:
     """kappa^beta_n of a word of (observable, time) letters, by Moebius
-    inversion of thermal word moments over NC(n).  The sub-words are
-    positional, so the labels are the letter indices."""
-    letters = {i: heisenberg(model, obs, t) for i, (obs, t) in enumerate(word)}
+    inversion of thermal word moments over NC(n).  Equal letters share a
+    label (`_value_labels`), so equal sub-words are evaluated once."""
+    if not word:
+        raise ValueError("thermal_free_cumulant needs a nonempty word (got the empty word)")
+    letters, labels = _thermal_letters(model, word)
     phi = Expectation(_word_trace(letters, state.weights))
-    return complex(free_cumulant(phi, tuple(letters)))
+    return complex(free_cumulant(phi, labels))
+
+
+def _thermal_letters(model: SpectralModel, word: Sequence[tuple]) -> tuple[dict[int, np.ndarray], tuple[int, ...]]:
+    """The word's value labels and one Heisenberg matrix per distinct label."""
+    labels = _value_labels(word)
+    return {i: heisenberg(model, *word[i]) for i in dict.fromkeys(labels)}, labels
+
+
+def _value_labels(word: Sequence[tuple]) -> tuple[int, ...]:
+    """Label of each (observable, time) letter: the position of the first
+    letter equal to it, i.e. with the same observable name or object (an
+    array matches only itself) and an equal time or timed flag."""
+    first: dict[tuple, int] = {}
+    return tuple(first.setdefault((obs if isinstance(obs, str) else id(obs), t), i) for i, (obs, t) in enumerate(word))
 
 
 def alternating_word(A, B, k: int, t: float) -> tuple:
@@ -494,15 +510,20 @@ def _chain_time_average(chains: SlotChains, energies: np.ndarray, window: TimeWi
 
 
 def time_average(model: SpectralModel, state: ThermalState, word: Sequence[tuple], window: TimeWindow) -> complex:
-    """Time-averaged moment of a word of (observable, timed: bool) letters."""
+    """Time-averaged moment of a word of (observable, timed: bool) letters;
+    the empty word averages to 1."""
+    if not word:
+        return 1.0
     return _chain_time_average(chains_from_word(model, state, word), model.energies, window)
 
 
 def averaged_expectation(model: SpectralModel, state: ThermalState, letters: Sequence[tuple], window: TimeWindow) -> Expectation:
     """Functional whose word moments are individually time-averaged.
 
-    `letters` is the full word as (observable, timed) pairs; the functional
-    is indexed by letter positions so cumulant machinery can slice it.
+    `letters` is the full word as (observable, timed) pairs, and the
+    functional's words are tuples of positions into it.
+    `averaged_free_cumulant` labels each letter with the position of the
+    first equal letter (`_value_labels`), so equal sub-words share one entry.
     """
     return Expectation(lambda positions: time_average(model, state, [letters[p] for p in positions], window))
 
@@ -515,8 +536,10 @@ def averaged_free_cumulant(
     The average sits inside each moment (ensemble-inclusive expectation);
     Moebius inversion happens after averaging.
     """
+    if not word:
+        raise ValueError("averaged_free_cumulant needs a nonempty word (got the empty word)")
     phi = averaged_expectation(model, state, word, window)
-    return complex(free_cumulant(phi, tuple(range(len(word)))))
+    return complex(free_cumulant(phi, _value_labels(word)))
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +554,8 @@ def distinct_index_cumulant(model: SpectralModel, state: ThermalState, A, B, k: 
     w_{i0} A(t)_{i0 i1} B_{i1 i2} A(t)_{i2 i3} B_{i3 i0} ... around the
     2k-cycle: a restricted sum whose every coincidence block is one slot.
     """
+    if k < 1:
+        raise ValueError(f"distinct_index_cumulant needs k >= 1 (got k={k})")
     mats = []
     for _ in range(k):
         mats.append(heisenberg(model, A, t))

@@ -40,8 +40,10 @@ def _word_trace(
 
     A word of length one is a diagonal sum.  A longer word splits into
     halves P = w[:h] and S = w[h:], and closes with the O(D^2) contraction
-    (P S)_ii = sum_j P_ij S_ji; each half-product is built once, from the
-    next-shorter product cached by the returned function.
+    (P S)_ii = sum_j P_ij S_ji.  Every product is cached by the returned
+    function and extends its longest cached prefix, so the split h is the
+    one that needs the fewest new matmuls given what earlier words built
+    (h = n // 2 on a tie); any split gives the same sum.
     """
     dims = {m.shape[0] for m in letters.values()}
     if len(dims) != 1:
@@ -49,20 +51,30 @@ def _word_trace(
     (dim,) = dims
     prods: dict[Word, np.ndarray] = {}
 
-    def product(word: Word) -> np.ndarray:
+    def cached(word: Word) -> int:
+        """Length of the longest prefix of `word` with a product at hand."""
         n = len(word)
         while n > 1 and word[:n] not in prods:
             n -= 1
+        return n
+
+    def product(word: Word) -> np.ndarray:
+        n = cached(word)
         m = prods[word[:n]] if n > 1 else letters[word[0]]
         for i in range(n, len(word)):
             m = prods[word[: i + 1]] = m @ letters[word[i]]
         return m
 
+    def split(word: Word) -> int:
+        """The cut with the fewest new matmuls; `min` keeps n // 2 on a tie."""
+        n = len(word)
+        return min((n // 2, *range(1, n)), key=lambda h: h - cached(word[:h]) + n - h - cached(word[h:]))
+
     def trace(word: Word) -> complex:
         if len(word) == 1:
             diag = np.diagonal(letters[word[0]])
         else:
-            h = len(word) // 2
+            h = split(word)
             diag = np.sum(product(word[:h]) * product(word[h:]).T, axis=1)
         if weights is None:
             return complex(np.sum(diag)) / dim

@@ -28,7 +28,9 @@ from kfree.eth import (
     chains_from_word,
     heisenberg,
     merged_chain_sum,
+    time_average,
 )
+from kfree.moments import Expectation, _word_trace, free_cumulant
 from kfree.partitions import Partition, iter_set_partitions, leq
 
 BRUTE_FORCE_DIM_CAP = 60
@@ -228,3 +230,21 @@ def strict_average_coeffs(m: int, slot_coeffs: tuple[int, ...]) -> tuple[tuple[P
         if c != 0:
             out.append((q, c))
     return tuple(out)
+
+
+def positional_thermal_free_cumulant(model: SpectralModel, state: ThermalState, word: Sequence[tuple]) -> complex:
+    """`kfree.eth.thermal_free_cumulant` with each letter labelled by its
+    position: equal letters are separate labels, so every sub-word is traced
+    on its own and A(t) is rotated once per slot."""
+    letters = {i: heisenberg(model, obs, t) for i, (obs, t) in enumerate(word)}
+    phi = Expectation(_word_trace(letters, state.weights))
+    return complex(free_cumulant(phi, tuple(letters)))
+
+
+def positional_averaged_free_cumulant(
+    model: SpectralModel, state: ThermalState, word: Sequence[tuple], window: TimeWindow
+) -> complex:
+    """`kfree.eth.averaged_free_cumulant` with each letter labelled by its
+    position, so every positional sub-word is time-averaged on its own."""
+    phi = Expectation(lambda positions: time_average(model, state, [word[p] for p in positions], window))
+    return complex(free_cumulant(phi, tuple(range(len(word)))))

@@ -49,6 +49,8 @@ from eth_oracles import (
     joint_spectral_sum,
     merged_chain_sum_loops,
     partition_lattice_moebius,
+    positional_averaged_free_cumulant,
+    positional_thermal_free_cumulant,
     strict_average_coeffs,
     window_average_total,
     word_spectral_sum,
@@ -256,6 +258,79 @@ def test_thermal_cumulant_matches_chained_products(small_model, small_state, k):
         assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
         moment = thermal_word_moment(small_model, small_state, word)
         assert abs(moment - phi(positions)) <= 1e-12 * max(abs(phi(positions)), 1.0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_thermal_cumulant_value_labels_match_positional_oracle(small_model, small_state, k):
+    for t in (0.0, 0.7, 3.1):
+        word = alternating_word("A", "B", k, t)
+        want = positional_thermal_free_cumulant(small_model, small_state, word)
+        got = thermal_free_cumulant(small_model, small_state, word)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("window", [TimeWindow("infinite"), TimeWindow("finite", 7.0)], ids=["infinite", "finite"])
+def test_averaged_cumulant_averages_each_distinct_subword_once(monkeypatch, window):
+    """A(t) B A(t) B has 11 distinct sub-words in NC(4) blocks (15 positional
+    ones), and the value is the positional one bit for bit: equal sub-words
+    are the same time average."""
+    model = goe_model(12, seed=4)
+    state = thermal_state(model, 0.3 / model.spectral_width())
+    word = (("A", True), ("B", False), ("A", True), ("B", False))
+    want = positional_averaged_free_cumulant(model, state, word, window)
+    calls = []
+
+    def counting_time_average(*args):
+        calls.append(args[2])
+        return time_average(*args)
+
+    monkeypatch.setattr(eth, "time_average", counting_time_average)
+    got = averaged_free_cumulant(model, state, word, window)
+    assert len(calls) == 11
+    assert got == want
+
+
+def test_value_labels_match_arrays_by_identity():
+    a = np.eye(3)
+    assert eth._value_labels(((a, 0.0), ("B", 0.0), (a, 0.0), ("B", 0.0))) == (0, 1, 0, 1)
+    assert eth._value_labels(((a, 0.0), (a.copy(), 0.0), (a, 0.5), ("B", 0.0), ("B", 0.5))) == (0, 1, 2, 3, 4)
+    assert eth._value_labels((("A", True), ("A", False), ("A", True))) == (0, 1, 0)
+
+
+def test_deutsch_same_lambda_letters_share_one_label(monkeypatch):
+    """At lambda_1 = lambda_2 the four letters are one rotated array, so one
+    Heisenberg matrix serves them; lambda_1 != lambda_2 needs two."""
+    D = 24
+    model = goe_model(D, seed=8)
+    rng = np.random.default_rng(3)
+    spec = DeutschSpec(perturbation=goe_matrix(D, rng), strength=4.0 / math.sqrt(D), lambdas=(1.0, 2.0))
+    calls = []
+
+    def counting_heisenberg(*args):
+        calls.append(args[2])
+        return heisenberg(*args)
+
+    monkeypatch.setattr(eth, "heisenberg", counting_heisenberg)
+    report = deutsch_ensemble(model, spec)
+    assert len(calls) == 1 + 2 + 1
+    state = thermal_state(model, 0.0)
+    for (l1, l2), got in report.mixed_kappa4.items():
+        a1, a2 = report.rotated[l1], report.rotated[l2]
+        want = positional_thermal_free_cumulant(model, state, ((a1, 0.0), (a2, 0.0), (a1, 0.0), (a2, 0.0)))
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_empty_words_and_k0():
+    model = goe_model(6, seed=1)
+    state = thermal_state(model, 0.2)
+    for window in (TimeWindow("infinite"), TimeWindow("finite", 3.0)):
+        assert time_average(model, state, (), window) == 1
+        with pytest.raises(ValueError, match="empty word"):
+            averaged_free_cumulant(model, state, (), window)
+    with pytest.raises(ValueError, match="empty word"):
+        thermal_free_cumulant(model, state, ())
+    with pytest.raises(ValueError, match=r"k >= 1"):
+        distinct_index_cumulant(model, state, "A", "B", k=0)
 
 
 def test_distinct_index_einsum_equals_brute(small_model):

@@ -1,5 +1,6 @@
 """Moment <-> free-cumulant engine."""
 
+import itertools
 from fractions import Fraction
 from functools import reduce
 
@@ -22,6 +23,7 @@ from kfree.moments import (
     mixed_moment_free,
     moments_from_cumulants,
 )
+from kfree import ensembles, eth
 from kfree.partitions import Partition, catalan
 
 
@@ -234,6 +236,72 @@ def test_word_trace_matches_chained_products():
             want = _chained_trace(letters, word, weights)
             for got in (shared(word), _word_trace(letters, weights)(word)):
                 assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed", "longest-first"])
+def test_word_trace_any_split_matches_chained_products(order):
+    """Every word of length <= 6 over three non-commuting letters, through one
+    shared cache, so the split each word takes depends on what the words
+    before it built."""
+    rng = np.random.default_rng(23)
+    D = 5
+    letters = {lab: rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)) for lab in "xyz"}
+    real_weights = rng.random(D)
+    complex_weights = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+    words = [w for n in range(1, 7) for w in itertools.product("xyz", repeat=n)]
+    if order == "reversed":
+        words.reverse()
+    elif order == "longest-first":
+        words.sort(key=lambda w: (-len(w), w))
+    for weights in (None, real_weights / real_weights.sum(), complex_weights):
+        trace = _word_trace(letters, weights)
+        for word in words:
+            want = _chained_trace(letters, word, weights)
+            assert abs(trace(word) - want) <= 1e-12 * max(abs(want), 1.0), word
+
+
+class _CountingMatrix(np.ndarray):
+    """A matrix that counts the products it is the left factor of."""
+
+    matmuls = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.matmuls += 1
+        return super().__matmul__(other)
+
+
+def _count_word_matmuls(monkeypatch, module) -> None:
+    """Make `module`'s word traces run over counting letters, from a count of 0."""
+
+    def counting_word_trace(letters, weights=None):
+        return _word_trace({k: np.asarray(v).view(_CountingMatrix) for k, v in letters.items()}, weights)
+
+    monkeypatch.setattr(module, "_word_trace", counting_word_trace)
+    _CountingMatrix.matmuls = 0
+
+
+@pytest.mark.parametrize("k, matmuls", [(2, 1), (3, 6)])
+def test_thermal_cumulant_time_point_matmul_count(monkeypatch, k, matmuls):
+    """One time point of kappa^beta_2k(A(t), B, ...): equal letters share a
+    label and every split reuses the products already built (4 and 18 word
+    matmuls with positional labels and middle splits)."""
+    model = eth.goe_model(16, seed=5)
+    state = eth.thermal_state(model, 0.2)
+    _count_word_matmuls(monkeypatch, eth)
+    eth.thermal_free_cumulant(model, state, eth.alternating_word("A", "B", k, 0.7))
+    assert _CountingMatrix.matmuls == matmuls
+
+
+def test_haar_k2_sample_takes_one_word_matmul(monkeypatch):
+    """A k = 2 Haar sample builds A B once, longest word first, and every
+    shorter word splits around it (B B was a second product)."""
+    model = eth.goe_model(16, seed=5)
+    _count_word_matmuls(monkeypatch, ensembles)
+    n_samples = 4
+    ensembles.k_freeness_test(
+        ensembles.HaarEnsemble(16), model.observables["A"], model.observables["B"], 2, n_samples=n_samples, n_batches=2
+    )
+    assert _CountingMatrix.matmuls == n_samples
 
 
 def test_word_trace_rejects_mixed_dimensions():

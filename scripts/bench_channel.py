@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Time k-fold Haar channels and OTOCs through the CLI; write BENCH_channel.json.
+
+Five cases, each one `kfree.cli.dispatch` call on rational moment sequences
+(every replica holds the same operator):
+
+- `channel --mode asymptotic --k 6` and `--k 7` at `--dim 64`;
+- `channel --mode exact --k 5 --dim 6` and `--k 6 --dim 7`;
+- `otoc --k 5 --dim 16`.
+
+Every `functools.lru_cache` in `kfree` is cleared before each call, so each
+repeat starts as cold as a fresh `kfree` process (import excluded).  The
+document records every repeat, the median and the SHA-256 of the result
+document, which must agree between revisions that write the same document.
+Only `kfree.cli.dispatch` is used, so the same script runs on any revision
+that has it.
+
+Example:
+    python scripts/bench_channel.py --repeats 5 --out BENCH_channel.json
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+import numpy as np
+
+import kfree
+from kfree.cli import dispatch
+
+A_MOMENTS = "--a-moments=1/3,7/5,-2/9,11/4,3/7,5/2,1/11"
+B_MOMENTS = "--b-moments=2/7,4/3,1/5,-5/6,7/9,3/2,2/3"
+CASES = (
+    ("asymptotic-k6-D64", ["channel", "--mode", "asymptotic", "--k", "6", "--dim", "64", A_MOMENTS]),
+    ("asymptotic-k7-D64", ["channel", "--mode", "asymptotic", "--k", "7", "--dim", "64", A_MOMENTS]),
+    ("exact-k5-D6", ["channel", "--mode", "exact", "--k", "5", "--dim", "6", A_MOMENTS]),
+    ("exact-k6-D7", ["channel", "--mode", "exact", "--k", "6", "--dim", "7", A_MOMENTS]),
+    ("otoc-k5-D16", ["otoc", "--k", "5", "--dim", "16", A_MOMENTS, B_MOMENTS]),
+)
+
+
+def clear_caches() -> None:
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kfree"):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def run_case(name: str, argv: list[str], repeats: int) -> dict:
+    seconds, digests = [], set()
+    for _ in range(repeats):
+        clear_caches()
+        out = io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = dispatch(argv)
+        seconds.append(time.perf_counter() - t0)
+        if code != 0:
+            raise SystemExit(f"{name}: kfree exited {code}")
+        digests.add(hashlib.sha256(out.getvalue().encode()).hexdigest())
+    if len(digests) != 1:
+        raise SystemExit(f"{name}: repeats wrote different documents")
+    return {"name": name, "argv": argv, "seconds": seconds, "median_s": statistics.median(seconds), "sha256": digests.pop()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--out", default="BENCH_channel.json")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be positive")
+
+    doc = {
+        "benchmark": "channel",
+        "kfree": kfree.__version__,
+        "repeats": args.repeats,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+        },
+        "cases": [run_case(name, case_argv, args.repeats) for name, case_argv in CASES],
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    for case in doc["cases"]:
+        sys.stdout.write(f"{case['name']}: {case['median_s']:.3f} s  {case['sha256'][:12]}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,7 +3,10 @@
 The channel output lives in the span of the replica permutation operators
 W_alpha (Schur-Weyl), so it is represented as a coefficient map over S_k.
 Exact coefficients come from the Weingarten matrix at finite D; asymptotic
-coefficients are cumulant-weighted, kappa_alpha / D^(k - #alpha).
+coefficients are cumulant-weighted, kappa_alpha / D^(k - #alpha), where
+kappa_alpha is the product of the free cumulants of alpha's cycle words.
+Replica labels name operators (default: one per replica); equal labels
+share cumulants and exact row sums, which needs a tracial phi.
 
 Index convention, pinned by a dense unit test before anything builds on it:
 W_alpha |j_1 ... j_k> = |j_alpha(1), ..., j_alpha(k)>, which makes
@@ -22,17 +25,8 @@ import numpy as np
 from .errors import RegimeError
 from .moments import CumulantSet, Expectation, Value, Word, mixed_moment_free
 from .partitions import enumerate_nc, kreweras_complement
-from .permutations import (
-    Permutation,
-    all_permutations,
-    canonicalize_by_conjugation,
-    compose,
-    full_cycle,
-    geodesic_set,
-    inverse,
-    permutation_to_nc,
-)
-from .weingarten import moebius_between_permutations, weingarten_table
+from .permutations import Permutation, all_permutations, compose, full_cycle, inverse
+from .weingarten import weingarten_table
 
 DENSE_VALIDATION_CAP = 4096
 
@@ -82,9 +76,6 @@ class ChannelCoefficients:
     mode: str  # "exact" | "asymptotic"
     coeffs: dict[Permutation, Value] = field(default_factory=dict)
 
-    def coefficient(self, alpha: Permutation) -> Value:
-        return self.coeffs[alpha]
-
     def reconstruct_dense(self) -> np.ndarray:
         out = np.zeros((self.D**self.k, self.D**self.k), dtype=complex)
         for alpha, c in self.coeffs.items():
@@ -99,6 +90,20 @@ class ChannelCoefficients:
         return total
 
 
+def _label_pattern(alpha: Permutation, ids: Sequence[int]) -> tuple[Word, ...]:
+    """alpha's sorted cycle words, each at its least rotation: shared exactly
+    when a label-preserving permutation conjugates one alpha into the other."""
+    return tuple(sorted(min(w[i:] + w[:i] for i in range(len(w))) for w in cycle_words(alpha, ids)))
+
+
+def _row_sum(wg_row: Sequence[Fraction], traces: Sequence[Value]) -> Value:
+    """sum_beta Wg(alpha, beta) Tr(W_beta A_1 x ... x A_k) over one Weingarten row."""
+    acc: Value = 0
+    for wg, tr in zip(wg_row, traces):
+        acc += wg * tr if isinstance(tr, (int, Fraction)) else complex(wg) * tr
+    return acc
+
+
 def channel_exact(
     k: int,
     D: int,
@@ -107,20 +112,24 @@ def channel_exact(
 ) -> ChannelCoefficients:
     """Exact Haar channel coefficients via the Weingarten matrix.
 
-    coeff(alpha) = sum_beta Wg(alpha, beta) D^(#beta) prod_cycles <cycle word>.
-    Stays in exact rationals whenever phi returns exact values.
+    coeff(alpha) = sum_beta Wg(alpha, beta) D^(#beta) prod_cycles <cycle word>,
+    exact in rationals whenever phi is.  phi must be tracial: then Wg being
+    a class function makes coeff constant on a label pattern, and one row
+    sum serves each (for one operator, one per cycle type: 7 at k = 5).
     """
     if D < k:
         raise RegimeError(f"exact channel needs D >= k (got D={D}, k={k})")
     labels = tuple(labels) if labels is not None else positional_labels(k)
+    ids = tuple(labels.index(x) for x in labels)
     table = weingarten_table(k, D)
     traces = [permuted_trace(beta, phi, labels, D) for beta in table.perms]
+    by_pattern: dict[tuple[Word, ...], Value] = {}
     coeffs: dict[Permutation, Value] = {}
-    for alpha, wg_row in zip(table.perms, table.matrix()):
-        acc: Value = 0
-        for wg, tr in zip(wg_row, traces):
-            acc += wg * tr if isinstance(tr, (int, Fraction)) else complex(wg) * tr
-        coeffs[alpha] = acc
+    for i, alpha in enumerate(table.perms):
+        pattern = _label_pattern(alpha, ids)
+        if pattern not in by_pattern:
+            by_pattern[pattern] = _row_sum(table.row(i), traces)
+        coeffs[alpha] = by_pattern[pattern]
     return ChannelCoefficients(k=k, D=D, mode="exact", coeffs=coeffs)
 
 
@@ -129,37 +138,17 @@ def kappa_alpha(
     phi: Callable[[Word], Value],
     labels: Sequence[Hashable] | None = None,
 ) -> Value:
-    """Cumulant coefficient of W_{alpha^-1} in the large-D channel.
-
-    Canonical alphas evaluate as the blockwise free cumulant of the orbit
-    partition; otherwise the word is reordered by the conjugating
-    permutation first.
-    """
+    """Cumulant coefficient of W_{alpha^-1} in the large-D channel: the
+    product over the cycles of alpha of the free cumulant of each cycle word."""
     labels = tuple(labels) if labels is not None else positional_labels(alpha.k)
     return _kappa_alpha(alpha, CumulantSet(phi), labels)
 
 
 def _kappa_alpha(alpha: Permutation, cumulants: CumulantSet, labels: Sequence[Hashable]) -> Value:
-    rho, alpha_c = canonicalize_by_conjugation(alpha)
-    pi = permutation_to_nc(alpha_c)
-    word = tuple(labels[rho(p) - 1] for p in range(1, alpha.k + 1))
-    return cumulants.kappa_pi(pi, word)
-
-
-def kappa_alpha_geodesic(
-    alpha: Permutation,
-    phi: Callable[[Word], Value],
-    labels: Sequence[Hashable] | None = None,
-) -> Value:
-    """Independent route: Moebius-weighted moment sum over the geodesic."""
-    labels = tuple(labels) if labels is not None else positional_labels(alpha.k)
-    total: Value = 0
-    for beta in geodesic_set(alpha):
-        term: Value = moebius_between_permutations(beta, alpha)
-        for word in cycle_words(beta, labels):
-            term *= phi(word)
-        total += term
-    return total
+    out: Value = 1
+    for word in cycle_words(alpha, labels):
+        out *= cumulants.kappa(word)
+    return out
 
 
 def channel_asymptotic(
@@ -168,7 +157,10 @@ def channel_asymptotic(
     phi: Callable[[Word], Value],
     labels: Sequence[Hashable] | None = None,
 ) -> ChannelCoefficients:
-    """Leading-order channel: coeff(alpha) = kappa_alpha / D^(k - #alpha)."""
+    """Leading-order channel: coeff(alpha) = kappa_alpha / D^(k - #alpha).
+
+    One free cumulant per distinct cycle word: k for one operator.
+    """
     labels = tuple(labels) if labels is not None else positional_labels(k)
     cumulants = CumulantSet(phi)
     coeffs: dict[Permutation, Value] = {}
@@ -248,7 +240,6 @@ def haar_word_average_exact(
             runs_after.append([])
         else:
             runs_after[-1].append(w)
-    a_labels = tuple(range(1, m + 1))
     b_labels = tuple(tuple(("B",) * len(r)) for r in runs_after)
 
     def phi_composite(comp_word: Word) -> Value:
@@ -257,7 +248,7 @@ def haar_word_average_exact(
             return 1
         return phi_b(flat)
 
-    coeffs = channel_exact(m, D, Expectation(lambda w: phi_a(("A",) * len(w)), cyclic=True), a_labels)
+    coeffs = channel_exact(m, D, phi_a, ("A",) * m)
     return otoc_haar_channel(coeffs, phi_composite, b_labels)
 
 

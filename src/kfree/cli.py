@@ -225,6 +225,7 @@ def _cmd_wg(args) -> None:
 def _cmd_cumulants(args) -> None:
     from .moments import CumulantSet, Expectation
 
+    _require_positive(args, "max_order")
     if args.moments:
         moments = _parse_moments(args.moments)
         phi = Expectation.from_moment_sequence(moments)
@@ -241,26 +242,29 @@ def _cmd_cumulants(args) -> None:
 
 
 def _word_functional(args, prefix: str, k: int):
-    """Build the positional-label functional for channel/otoc inputs."""
-    from .channel import word_functional_from_matrices
+    """(phi, labels) for channel/otoc inputs.  Labels name operators: "A" for
+    every replica of a moment sequence, and for replica i of an operator list
+    the position of the first equal path, so each file is loaded once."""
     from .moments import Expectation
 
     ops_arg = getattr(args, f"{prefix}_ops", None)
     mom_arg = getattr(args, f"{prefix}_moments", None)
     if ops_arg:
         paths = ops_arg.split(",")
-        mats = [_load_matrix(p) for p in paths]
-        for path, m in zip(paths, mats):
-            if args.dim is not None and m.shape[0] != args.dim:
-                raise ValueError(f"--{prefix}-ops: {path} is {m.shape[0]}x{m.shape[0]}, but --dim is {args.dim}")
-        if len(mats) == 1:
-            mats = mats * k
-        if len(mats) != k:
+        if len(paths) == 1:
+            paths *= k
+        if len(paths) != k:
             raise ValueError(f"need 1 or {k} operators for --{prefix}-ops")
-        return word_functional_from_matrices(mats)
+        labels = tuple(paths.index(path) + 1 for path in paths)
+        ops = {}
+        for label, path in zip(labels, paths):
+            if label not in ops:
+                m = ops[label] = _load_matrix(path)
+                if args.dim is not None and m.shape[0] != args.dim:
+                    raise ValueError(f"--{prefix}-ops: {path} is {m.shape[0]}x{m.shape[0]}, but --dim is {args.dim}")
+        return Expectation.normalized_trace(ops), labels
     if mom_arg:
-        base = Expectation.from_moment_sequence(_parse_moments(mom_arg))
-        return Expectation(lambda word: base(("A",) * len(word)), cyclic=True)
+        return Expectation.from_moment_sequence(_parse_moments(mom_arg)), ("A",) * k
     raise ValueError(f"need --{prefix}-ops or --{prefix}-moments")
 
 
@@ -268,11 +272,12 @@ def _cmd_channel(args) -> None:
     from .channel import channel_asymptotic, channel_exact
 
     _require(args, "k", "dim")
-    phi = _word_functional(args, "a", args.k)
+    _require_positive(args, "k", "dim")
+    phi, labels = _word_functional(args, "a", args.k)
     if args.mode == "exact":
-        coeffs = channel_exact(args.k, args.dim, phi)
+        coeffs = channel_exact(args.k, args.dim, phi, labels)
     elif args.mode == "asymptotic":
-        coeffs = channel_asymptotic(args.k, args.dim, phi)
+        coeffs = channel_asymptotic(args.k, args.dim, phi, labels)
     else:
         raise ValueError(f"unknown mode {args.mode!r}")
     out = {}
@@ -285,9 +290,10 @@ def _cmd_otoc(args) -> None:
     from .channel import otoc_haar
 
     _require(args, "k")
-    phi_a = _word_functional(args, "a", args.k)
-    phi_b = _word_functional(args, "b", args.k)
-    res = otoc_haar(phi_a, phi_b, args.k, D=args.dim)
+    _require_positive(args, "k", "dim")
+    phi_a, a_labels = _word_functional(args, "a", args.k)
+    phi_b, b_labels = _word_functional(args, "b", args.k)
+    res = otoc_haar(phi_a, phi_b, args.k, D=args.dim, a_labels=a_labels, b_labels=b_labels)
     result = {"k": args.k, "formula": complex(res.formula)}
     if res.channel is not None:
         result["dim"] = args.dim

@@ -8,8 +8,7 @@ conjugacy class of a^-1 b (Collins-Sniady, CMP 264, 2006), so every lookup
 goes through one class table per k: row i holds, as bytes, the class index
 of perms[i]^-1 perms[j] for every j.  The table is built once per k from
 0-based index arithmetic and read by the Gram and Weingarten matrices, and
-through `WeingartenTable.matrix` by the exact channel and the Haar
-superoperator.
+row by row (`WeingartenTable.row`) by the exact channel.
 
 The inverse is computed by fraction-free elimination of the class-collapsed
 system (p(k) unknowns instead of k!).  The defining identity is re-verified
@@ -120,9 +119,13 @@ class WeingartenTable:
     def gram(self) -> list[list[int]]:
         return gram_matrix(self.k, self.D)
 
-    def matrix(self) -> list[list[Fraction]]:
+    def row(self, i: int) -> list[Fraction]:
+        """Wg(perms[i], beta) for every beta, in `perms` order."""
         values = self._values
-        return [[values[c] for c in row] for row in self._rows]
+        return [values[c] for c in self._rows[i]]
+
+    def matrix(self) -> list[list[Fraction]]:
+        return [self.row(i) for i in range(len(self.perms))]
 
     def _verify_inverse(self) -> None:
         # Wg and Q are both functions of a^-1 b, hence so is their product;

@@ -1,0 +1,69 @@
+"""Reference channel coefficients for the `kfree.channel` tests.
+
+`kfree.channel` evaluates kappa_alpha as a product over the cycles of alpha
+and sums one Weingarten row per label pattern.  The oracles here take the
+older or slower routes:
+
+- `kappa_alpha_conjugation` conjugates alpha to a non-crossing canonical
+  form and evaluates the blockwise free cumulant of its orbit partition;
+- `kappa_alpha_geodesic` is the Moebius-weighted moment sum over the
+  geodesic from the identity to alpha;
+- `channel_exact_rows` sums every Weingarten row, with no sharing.
+"""
+
+from fractions import Fraction
+from typing import Callable, Hashable, Sequence
+
+from kfree.channel import ChannelCoefficients, cycle_words, permuted_trace, positional_labels
+from kfree.moments import CumulantSet, Value, Word
+from kfree.permutations import Permutation, canonicalize_by_conjugation, geodesic_set, permutation_to_nc
+from kfree.weingarten import moebius_between_permutations, weingarten_table
+
+
+def kappa_alpha_conjugation(
+    alpha: Permutation,
+    phi: Callable[[Word], Value],
+    labels: Sequence[Hashable] | None = None,
+) -> Value:
+    """Reorder the word by the conjugating permutation, then kappa_pi of the
+    orbit partition of the canonical form."""
+    labels = tuple(labels) if labels is not None else positional_labels(alpha.k)
+    rho, alpha_c = canonicalize_by_conjugation(alpha)
+    pi = permutation_to_nc(alpha_c)
+    word = tuple(labels[rho(p) - 1] for p in range(1, alpha.k + 1))
+    return CumulantSet(phi).kappa_pi(pi, word)
+
+
+def kappa_alpha_geodesic(
+    alpha: Permutation,
+    phi: Callable[[Word], Value],
+    labels: Sequence[Hashable] | None = None,
+) -> Value:
+    """Moebius-weighted moment sum over the geodesic from the identity to alpha."""
+    labels = tuple(labels) if labels is not None else positional_labels(alpha.k)
+    total: Value = 0
+    for beta in geodesic_set(alpha):
+        term: Value = moebius_between_permutations(beta, alpha)
+        for word in cycle_words(beta, labels):
+            term *= phi(word)
+        total += term
+    return total
+
+
+def channel_exact_rows(
+    k: int,
+    D: int,
+    phi: Callable[[Word], Value],
+    labels: Sequence[Hashable] | None = None,
+) -> ChannelCoefficients:
+    """Exact channel with one Weingarten row sum for every alpha in S_k."""
+    labels = tuple(labels) if labels is not None else positional_labels(k)
+    table = weingarten_table(k, D)
+    traces = [permuted_trace(beta, phi, labels, D) for beta in table.perms]
+    coeffs = {}
+    for alpha, wg_row in zip(table.perms, table.matrix()):
+        acc: Value = 0
+        for wg, tr in zip(wg_row, traces):
+            acc += wg * tr if isinstance(tr, (int, Fraction)) else complex(wg) * tr
+        coeffs[alpha] = acc
+    return ChannelCoefficients(k=k, D=D, mode="exact", coeffs=coeffs)

@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from channel_oracles import channel_exact_rows, kappa_alpha_conjugation, kappa_alpha_geodesic
 
+import kfree.channel
+import kfree.moments
 from kfree.channel import (
     channel_asymptotic,
     channel_exact,
     haar_word_average_exact,
     kappa_alpha,
-    kappa_alpha_geodesic,
     otoc_haar,
     otoc_term_structure,
     permutation_operator,
@@ -20,7 +22,7 @@ from kfree.channel import (
     word_functional_from_matrices,
 )
 from kfree.errors import RegimeError
-from kfree.moments import Expectation, free_cumulant
+from kfree.moments import CumulantSet, Expectation, free_cumulant
 from kfree.partitions import kreweras_complement
 from kfree.permutations import (
     Permutation,
@@ -225,6 +227,88 @@ def test_kappa_alpha_conjugation_vs_geodesic_sum():
         v1 = kappa_alpha(alpha, phi)
         v2 = kappa_alpha_geodesic(alpha, phi)
         assert abs(v1 - v2) < 1e-12 * max(1.0, abs(v1))
+
+
+def test_kappa_alpha_cycle_product_bit_identical_to_conjugation_route():
+    # the product over cycle words multiplies the same cumulants in the same
+    # order as the canonical conjugate's blockwise kappa_pi, for all of S_k
+    for k in range(1, 7):
+        phi = word_functional_from_matrices(random_mats(k, 3, seed=20 + k))
+        for alpha in all_permutations(k):
+            got, ref = kappa_alpha(alpha, phi), kappa_alpha_conjugation(alpha, phi)
+            assert got == ref and type(got) is type(ref)
+
+
+def test_kappa_alpha_cycle_product_matches_geodesic_oracle():
+    for k in range(1, 6):
+        phi = word_functional_from_matrices(random_mats(k, 3, seed=30 + k))
+        cumulants = CumulantSet(phi)
+        for alpha in all_permutations(k):
+            got = kfree.channel._kappa_alpha(alpha, cumulants, positional_labels(k))
+            ref = kappa_alpha_geodesic(alpha, phi)
+            assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+CHANNEL_LABELS = [
+    *(("A",) * k for k in range(1, 6)),
+    (1, 1, 2, 2),
+    (1, 2, 1, 2),
+    (1, 1, 1, 2),
+    *(positional_labels(k) for k in range(1, 6)),
+]
+
+
+@pytest.mark.parametrize("labels", CHANNEL_LABELS, ids=str)
+def test_channel_exact_pattern_sharing_matches_every_row_oracle(labels):
+    k = len(labels)
+    distinct = list(dict.fromkeys(labels))
+    mats = dict(zip(distinct, random_mats(len(distinct), k + 1, seed=k)))
+    code = {x: i + 2 for i, x in enumerate(distinct)}
+    # tracial by construction: the Expectation hands fn the canonical rotation
+    exact_phi = Expectation(lambda w: Fraction(1 + sum(i * code[x] for i, x in enumerate(w, 1)), 2 + len(w)), cyclic=True)
+    for D in (k, k + 1):
+        complex_phi = Expectation.normalized_trace({x: m[:D, :D] for x, m in mats.items()})
+        got, ref = channel_exact(k, D, exact_phi, labels).coeffs, channel_exact_rows(k, D, exact_phi, labels).coeffs
+        assert got == ref
+        got, ref = channel_exact(k, D, complex_phi, labels).coeffs, channel_exact_rows(k, D, complex_phi, labels).coeffs
+        assert list(got) == list(ref)
+        scale = max(abs(v) for v in ref.values())
+        assert all(abs(got[a] - ref[a]) <= 1e-12 * scale for a in ref)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_channel_asymptotic_one_label_takes_k_cumulants(monkeypatch):
+    moments = [Fraction(n, n + 2) for n in range(1, 7)]
+    base = Expectation.from_moment_sequence(moments)
+    calls = _count_calls(monkeypatch, kfree.moments, "free_cumulant")
+    one_label = channel_asymptotic(6, 64, base, ("A",) * 6)
+    assert len(calls) == 6
+    calls.clear()
+    positional = channel_asymptotic(6, 64, Expectation(lambda w: base(("A",) * len(w)), cyclic=True))
+    assert len(calls) == 415
+    assert one_label.coeffs == positional.coeffs
+
+
+def test_channel_exact_one_label_sums_one_row_per_cycle_type(monkeypatch):
+    base = Expectation.from_moment_sequence([Fraction(n, n + 2) for n in range(1, 6)])
+    calls = _count_calls(monkeypatch, kfree.channel, "_row_sum")
+    one_label = channel_exact(5, 6, base, ("A",) * 5)
+    assert len(calls) == 7
+    calls.clear()
+    positional = channel_exact(5, 6, Expectation(lambda w: base(("A",) * len(w)), cyclic=True))
+    assert len(calls) == 120
+    assert one_label.coeffs == positional.coeffs
 
 
 def test_otoc_k2_matches_mixed_moment_formula():

@@ -78,6 +78,85 @@ def test_channel_exact_values(capsys):
     assert parse_fraction(coeffs["(2,1)"]) == Fraction(2, 3)
 
 
+A_MOMENTS = "1/3,7/5,-2/9,11/4,3/7,5/2"
+B_MOMENTS = "2/7,4/3,1/5,-5/6,7/9,3/2"
+
+
+def _cli_coefficients(coeffs):
+    """Coefficients as `kfree channel` writes them."""
+    out = {}
+    for a, c in coeffs.coeffs.items():
+        out[str(a)] = f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else [complex(c).real, complex(c).imag]
+    return out
+
+
+def _positional(moments):
+    """The moment functional on positional labels, as the library defaults it."""
+    from kfree.moments import Expectation
+
+    base = Expectation.from_moment_sequence([Fraction(x) for x in moments.split(",")])
+    return Expectation(lambda word: base(("A",) * len(word)), cyclic=True)
+
+
+def test_channel_and_otoc_moment_documents_equal_positional_library(capsys):
+    from kfree.channel import channel_asymptotic, channel_exact, otoc_haar
+
+    phi = _positional(A_MOMENTS)
+    for mode, k, D, channel in (("exact", 4, 5, channel_exact), ("asymptotic", 5, 64, channel_asymptotic)):
+        code, out, _ = run(capsys, "channel", "--mode", mode, "--k", str(k), "--dim", str(D), "--a-moments=" + A_MOMENTS)
+        assert code == 0
+        assert json.loads(out)["result"]["coefficients"] == _cli_coefficients(channel(k, D, phi))
+    code, out, _ = run(capsys, "otoc", "--k", "4", "--dim", "16", "--a-moments=" + A_MOMENTS, "--b-moments=" + B_MOMENTS)
+    assert code == 0
+    res = otoc_haar(phi, _positional(B_MOMENTS), 4, D=16)
+    doc = json.loads(out)["result"]
+    assert complex(*doc["formula"]) == complex(res.formula)
+    assert complex(*doc["channel"]) == complex(res.channel)
+
+
+def test_channel_cli_moments_take_k_cumulants(monkeypatch, capsys):
+    import kfree.moments
+
+    calls = []
+    original = kfree.moments.free_cumulant
+    monkeypatch.setattr(kfree.moments, "free_cumulant", lambda *a: calls.append(a) or original(*a))
+    code, _, _ = run(capsys, "channel", "--mode", "asymptotic", "--k", "6", "--dim", "64", "--a-moments=" + A_MOMENTS)
+    assert code == 0
+    assert len(calls) == 6
+
+
+def test_channel_ops_labels_follow_the_file_paths(tmp_path, capsys):
+    from kfree.channel import channel_asymptotic, channel_exact, otoc_haar, word_functional_from_matrices
+
+    rng = np.random.default_rng(9)
+    mats = [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) for _ in range(3)]
+    x, y, z = (str(tmp_path / name) for name in ("x.bin", "y.bin", "z.json"))
+    for path, m in zip((x, y, z), mats):
+        save_operator(path, m)
+    for mode in ("exact", "asymptotic"):
+        argv = ["channel", "--mode", mode, "--k", "4", "--dim", "5"]
+        _, one, _ = run(capsys, *argv, "--a-ops", x)
+        _, four, _ = run(capsys, *argv, "--a-ops", ",".join([x] * 4))
+        assert json.loads(one)["result"] == json.loads(four)["result"]
+
+    def close(doc, ref):
+        scale = max(abs(complex(*v)) for v in ref.values())
+        assert doc.keys() == ref.keys()
+        assert all(abs(complex(*doc[a]) - complex(*ref[a])) <= 1e-12 * scale for a in ref)
+
+    phi = word_functional_from_matrices([mats[0], mats[1], mats[0], mats[1]])
+    for mode, channel in (("exact", channel_exact), ("asymptotic", channel_asymptotic)):
+        code, out, _ = run(capsys, "channel", "--mode", mode, "--k", "4", "--dim", "5", "--a-ops", ",".join([x, y, x, y]))
+        assert code == 0
+        close(json.loads(out)["result"]["coefficients"], _cli_coefficients(channel(4, 5, phi)))
+    code, out, _ = run(capsys, "otoc", "--k", "3", "--dim", "5", "--a-ops", ",".join([x, y, x]), "--b-ops", z)
+    assert code == 0
+    doc = json.loads(out)["result"]
+    res = otoc_haar(word_functional_from_matrices([mats[0], mats[1], mats[0]]), word_functional_from_matrices([mats[2]] * 3), 3, D=5)
+    close({"formula": doc["formula"], "channel": doc["channel"]},
+          {"formula": [res.formula.real, res.formula.imag], "channel": [res.channel.real, res.channel.imag]})
+
+
 def test_cumulants_from_moments(capsys):
     code, out, _ = run(capsys, "cumulants", "--moments", "0,1,0,2")
     doc = json.loads(out)
@@ -161,6 +240,8 @@ def test_eth_timeavg_cli(capsys):
 
 def test_exit_codes():
     assert dispatch(["wg", "--k", "3", "--dim", "2"]) == 2
+    assert dispatch(["channel", "--mode", "exact", "--k", "3", "--dim", "2", "--a-moments", "1,2,3"]) == 2
+    assert dispatch(["otoc", "--k", "3", "--dim", "2", "--a-moments", "1,2,3", "--b-moments", "1,2,3"]) == 2
     assert dispatch(["nc", "--n", "99"]) == 1
     assert dispatch(["nonexistent-command"]) == 1
     assert dispatch(["wg", "--k", "2"]) == 1  # missing required --dim
@@ -283,6 +364,15 @@ def test_boundary_errors_name_the_flag(tmp_path):
         (["eth", "deutsch", "--model", "goe", "--dim", "8", "--lambdas", "1,,2"], "--lambdas"),
         (files + ["--probs", "1,nan"], "--probs"),
         (files + ["--probs", "1,x"], "--probs"),
+        (["channel", "--mode", "asymptotic", "--k", "-2", "--dim", "4", "--a-moments", "1,2"], "--k must be positive"),
+        (["channel", "--mode", "asymptotic", "--k", "2", "--dim", "0", "--a-moments", "1,2"], "--dim must be positive"),
+        (["channel", "--mode", "asymptotic", "--k", "2", "--dim", "-2", "--a-moments", "1,2"], "--dim must be positive"),
+        (["channel", "--mode", "exact", "--k", "2", "--dim", "0", "--a-moments", "1,2"], "--dim must be positive"),
+        (["otoc", "--k", "2", "--dim", "0", "--a-moments", "1,2", "--b-moments", "1,2"], "--dim must be positive"),
+        (["otoc", "--k", "2", "--dim", "-1", "--a-moments", "1,2", "--b-moments", "1,2"], "--dim must be positive"),
+        (["otoc", "--k", "0", "--a-moments", "1,2", "--b-moments", "1,2"], "--k must be positive"),
+        (["cumulants", "--moments", "1,2", "--max-order", "-1"], "--max-order must be positive"),
+        (["cumulants", "--moments", "1,2", "--max-order", "0"], "--max-order must be positive"),
     ]
     for argv, message in cases:
         code, err = run_process(*argv)

@@ -125,7 +125,11 @@ def _kron_power(u: np.ndarray, k: int) -> np.ndarray:
 
 
 def channel_monte_carlo(spec: EnsembleSpec, k: int, O: np.ndarray, n_samples: int = 1000, seed: int = 0) -> np.ndarray:
-    """Empirical mean of U^{dagger x k} O U^{x k} (dense; small D^k only)."""
+    """Empirical mean of U^{dagger x k} O U^{x k} (dense; small D^k only).
+
+    Haar takes `n_samples` draws, a Hamiltonian ensemble its own
+    `spec.n_samples`, and a discrete ensemble is summed exactly.
+    """
     O = np.asarray(O, dtype=complex)
     D = round(O.shape[0] ** (1.0 / k))
     if D**k != O.shape[0]:
@@ -138,13 +142,15 @@ def channel_monte_carlo(spec: EnsembleSpec, k: int, O: np.ndarray, n_samples: in
             uk = _kron_power(u, k)
             acc += p * (uk.conj().T @ O @ uk)
         return acc
+    if isinstance(spec, HamiltonianEnsemble):
+        n_samples = spec.n_samples
+    elif n_samples < 1:
+        raise ValueError("n_samples must be positive")
     acc = np.zeros_like(O)
-    count = 0
     for u in ensemble_unitaries(spec, n_samples, seed):
         uk = _kron_power(u, k)
         acc += uk.conj().T @ O @ uk
-        count += 1
-    return acc / count
+    return acc / n_samples
 
 
 @dataclass
@@ -344,7 +350,10 @@ def haar_channel_superoperator(k: int, D: int) -> np.ndarray:
     return basis @ basis.conj().T
 
 
-def ensemble_superoperator(spec: EnsembleSpec, k: int, n_samples: int = 1000, seed: int = 0) -> np.ndarray:
+def ensemble_superoperator(spec: EnsembleSpec, k: int, seed: int = 0) -> np.ndarray:
+    """Dense k-fold channel superoperator of an ensemble: the Haar projector,
+    the exact weighted sum over a discrete ensemble, or the mean over the
+    `spec.n_samples` sampled times of a Hamiltonian ensemble."""
     _check_superop_size(k, spec.dim)
     if isinstance(spec, HaarEnsemble):
         return haar_channel_superoperator(k, spec.dim)
@@ -356,12 +365,9 @@ def ensemble_superoperator(spec: EnsembleSpec, k: int, n_samples: int = 1000, se
         return out
     dim = spec.dim**k
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    n = spec.n_samples if isinstance(spec, HamiltonianEnsemble) else n_samples
-    count = 0
-    for u in ensemble_unitaries(spec, n, seed):
+    for u in ensemble_unitaries(spec, spec.n_samples, seed):
         _add_superoperator_term(out, u, k, 1.0)
-        count += 1
-    out /= count
+    out /= spec.n_samples
     return out
 
 

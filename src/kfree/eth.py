@@ -235,17 +235,6 @@ def heisenberg(model: SpectralModel, obs, t: float) -> np.ndarray:
     return (phases[:, None] * m) * phases.conj()[None, :]
 
 
-def thermal_word_moment(model: SpectralModel, state: ThermalState, word: Sequence[tuple]) -> complex:
-    """<A_1(t_1) ... A_n(t_n)> under the canonical weight of `state`.
-
-    `word` is a sequence of (observable, time) pairs.
-    """
-    if not word:
-        return 1.0
-    letters, labels = _thermal_letters(model, word)
-    return _word_trace(letters, state.weights)(labels)
-
-
 def thermal_free_cumulant(model: SpectralModel, state: ThermalState, word: Sequence[tuple]) -> complex:
     """kappa^beta_n of a word of (observable, time) letters, by Moebius
     inversion of thermal word moments over NC(n).  Equal letters share a

@@ -1,9 +1,13 @@
 """Set partitions, the non-crossing lattice NC(n), and Kreweras duality.
 
-The Moebius function of NC(n) is closed-form (Nica-Speicher, Lectures 9-10):
-mu(sigma, 1_n) is the product over blocks V of the Kreweras complement
-K(sigma) of (-1)^(|V|-1) Cat(|V|-1), and every interval [sigma, pi]
-factorizes over the blocks of pi into intervals of that form.
+Both lattice functions come from one permutation (Nica-Speicher, *Lectures
+on the Combinatorics of Free Probability*, Lecture 18; Biane, Discrete
+Math. 175 (1997)).  Let P_p send each element to the next one in its block
+of p, cyclically.  For non-crossing sigma <= pi, the orbits of
+P_sigma^-1 P_pi form the relative Kreweras complement K_pi(sigma); with
+pi = 1_n they form K(sigma).  The Moebius function is closed-form over
+those orbits: mu(sigma, pi) is the product over them of
+(-1)^(|V|-1) Cat(|V|-1).
 
 Partitions are kept in a canonical block form: each block is an ascending
 tuple and blocks are ordered by their least element.  Equal partitions
@@ -169,81 +173,72 @@ def enumerate_nc(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Partiti
     return [Partition.from_blocks(n, blocks) for blocks in _nc_partitions_of(tuple(range(1, n + 1)))]
 
 
-def _same_arc(x: int, y: int, chord: tuple[int, ...]) -> bool:
-    """Whether circle positions x < y avoid separation by the polygon `chord`."""
-    inside = sum(1 for s in chord if x < s < y)
-    return inside == 0 or inside == len(chord)
+def _relative_orbits(sigma: Partition, pi: Partition) -> Partition:
+    """Orbit partition of P_sigma^-1 P_pi, where P_p sends each element to
+    the next one in its block, cyclically.
+
+    For non-crossing sigma <= pi this is the relative Kreweras complement
+    K_pi(sigma); with pi = 1_n, P_pi is the full cycle and the orbits are
+    K(sigma).
+    """
+    n = pi.n
+    image = [0] * (n + 1)
+    for b in pi.blocks:
+        for x, y in zip(b, b[1:] + b[:1]):
+            image[x] = y
+    preimage = [0] * (n + 1)
+    for b in sigma.blocks:
+        for x, y in zip(b, b[1:] + b[:1]):
+            preimage[y] = x
+    seen = [False] * (n + 1)
+    orbits = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        orbit = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            orbit.append(x)
+            x = preimage[image[x]]
+        orbits.append(orbit)
+    return Partition.from_blocks(n, orbits)
+
+
+def _moebius(sigma: Partition, pi: Partition) -> int:
+    """mu(sigma, pi) for non-crossing sigma <= pi: the signed Catalan product
+    over the blocks V of K_pi(sigma) of (-1)^(|V|-1) Cat(|V|-1)."""
+    out = 1
+    for block in _relative_orbits(sigma, pi).blocks:
+        out *= (-1) ** (len(block) - 1) * catalan(len(block) - 1)
+    return out
 
 
 def kreweras_complement(pi: Partition) -> Partition:
     """Kreweras complement on the interleaved circle A1 B1 A2 B2 ... An Bn.
 
     Element i of the input sits at circle position 2i-1, its dual point at
-    position 2i.  Dual points are joined exactly when no block polygon of
-    the input separates them, i.e. the complement blocks are the maximal
-    dual polygons that do not cross the input ones.
+    position 2i.  The complement blocks are the maximal dual polygons that do
+    not cross the input ones: the orbits of P_pi^-1 gamma, with gamma the
+    full cycle 1 -> 2 -> ... -> n -> 1.
     """
     if not is_noncrossing(pi):
         raise ValueError(f"Kreweras complement requires a non-crossing partition: {pi}")
-    n = pi.n
-    chords = [tuple(2 * a - 1 for a in b) for b in pi.blocks]
-    parent = list(range(n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        if all(_same_arc(2 * i, 2 * j, ch) for ch in chords):
-            parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        groups.setdefault(find(i), []).append(i)
-    return Partition.from_blocks(n, groups.values())
-
-
-def inverse_kreweras(pi: Partition) -> Partition:
-    """Inverse of the Kreweras complement.
-
-    Applying the complement twice shifts every label down by one on the
-    circle, so the inverse is the complement of the up-shifted partition.
-    """
-    if not is_noncrossing(pi):
-        raise ValueError(f"inverse Kreweras requires a non-crossing partition: {pi}")
-    return kreweras_complement(pi.shift(+1))
-
-
-@lru_cache(maxsize=None)
-def _moebius_to_top(sigma: Partition) -> int:
-    """mu(sigma, 1_n) as a Catalan product over the Kreweras complement."""
-    out = 1
-    for block in kreweras_complement(sigma).blocks:
-        out *= (-1) ** (len(block) - 1) * catalan(len(block) - 1)
-    return out
+    return _relative_orbits(pi, Partition.full(pi.n))
 
 
 @lru_cache(maxsize=None)
 def nc_moebius_table(n: int) -> tuple[tuple[Partition, int], ...]:
     """(sigma, mu(sigma, 1_n)) for every sigma in NC(n), in `enumerate_nc` order."""
-    return tuple((sigma, _moebius_to_top(sigma)) for sigma in enumerate_nc(n))
+    parts = enumerate_nc(n)
+    top = Partition.full(n)
+    return tuple((sigma, _moebius(sigma, top)) for sigma in parts)
 
 
 def moebius_nc(sigma: Partition, pi: Partition) -> int:
-    """Moebius function on NC(n) between non-crossing sigma <= pi.
-
-    The interval [sigma, pi] is the product over blocks W of pi of the
-    intervals [sigma restricted to W, 1_|W|], each relabelled 1..|W|.
-    """
+    """Moebius function on NC(n) between non-crossing sigma <= pi."""
     if not (is_noncrossing(sigma) and is_noncrossing(pi)):
         raise ValueError("moebius_nc requires non-crossing arguments")
     if not leq(sigma, pi):
         raise ValueError(f"{sigma} is not below {pi}")
-    out = 1
-    for block in pi.blocks:
-        pos = {x: i for i, x in enumerate(block, start=1)}
-        inner = [[pos[x] for x in b] for b in sigma.blocks if b[0] in pos]
-        out *= _moebius_to_top(Partition.from_blocks(len(block), inner))
-    return out
+    return _moebius(sigma, pi)

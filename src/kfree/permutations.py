@@ -144,45 +144,3 @@ def permutation_to_nc(alpha: Permutation) -> Partition:
     if not is_noncrossing(part):
         raise NCEmbeddingError(alpha, "crossing")
     return part
-
-
-def is_nc_canonical(alpha: Permutation) -> bool:
-    try:
-        permutation_to_nc(alpha)
-        return True
-    except NCEmbeddingError:
-        return False
-
-
-def nc_to_permutation(p: Partition) -> Permutation:
-    """Inverse embedding: each block becomes a counterclockwise cycle."""
-    if not is_noncrossing(p):
-        raise ValueError(f"partition must be non-crossing: {p}")
-    images = [0] * p.n
-    for b in p.blocks:
-        for i, x in enumerate(b):
-            images[x - 1] = b[(i + 1) % len(b)]
-    return Permutation(tuple(images))
-
-
-def canonicalize_by_conjugation(alpha: Permutation) -> tuple[Permutation, Permutation]:
-    """Find (rho, alpha') with alpha' = rho^-1 alpha rho satisfying the
-    embedding conditions (always possible: cycle type is preserved).
-
-    rho is the identity when alpha is already canonical; otherwise it lays
-    the cycles out as consecutive intervals, ordered by least element and
-    each traversed counterclockwise from its least element.
-    """
-    if is_nc_canonical(alpha):
-        return identity(alpha.k), alpha
-    layout = tuple(x for cyc in alpha.cycles() for x in cyc)
-    rho = Permutation(layout)
-    alpha_c = compose(compose(inverse(rho), alpha), rho)
-    assert is_nc_canonical(alpha_c)
-    return rho, alpha_c
-
-
-def random_permutation(k: int, rng) -> Permutation:
-    vals = list(range(1, k + 1))
-    rng.shuffle(vals)
-    return Permutation(tuple(vals))

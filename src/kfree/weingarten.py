@@ -1,5 +1,4 @@
-"""Exact Gram and Weingarten matrices over the rationals at fixed integer D,
-plus the leading large-D asymptotics.
+"""Exact Gram and Weingarten matrices over the rationals at fixed integer D.
 
 The Gram matrix is Q[a, b] = D^(#cycles(a^-1 b)) over S_k x S_k with the
 lexicographic one-line indexing of `permutations.all_permutations`.  Its
@@ -26,16 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import RegimeError
-from .partitions import Partition, moebius_nc
-from .permutations import (
-    Permutation,
-    all_permutations,
-    canonicalize_by_conjugation,
-    compose,
-    inverse,
-    on_geodesic,
-    permutation_to_nc,
-)
+from .permutations import Permutation, all_permutations
 from .ratlinalg import exact_solve
 
 
@@ -167,38 +157,3 @@ def _weingarten_class_function(k: int, D: int) -> dict[tuple[int, ...], Fraction
 @lru_cache(maxsize=None)
 def weingarten_table(k: int, D: int) -> WeingartenTable:
     return WeingartenTable(k, D)
-
-
-def weingarten_value(k: int, D: int, alpha: Permutation, beta: Permutation) -> Fraction:
-    return weingarten_table(k, D).wg(alpha, beta)
-
-
-def moebius_between_permutations(beta: Permutation, alpha: Permutation) -> int:
-    """NC-lattice Moebius value between geodesic beta and alpha.
-
-    The pair is conjugated so alpha becomes canonical, both are mapped to
-    their orbit partitions, and the lattice Moebius function is applied.
-    """
-    if not on_geodesic(beta, alpha):
-        raise ValueError(f"{beta} is not on the geodesic to {alpha}")
-    rho, alpha_c = canonicalize_by_conjugation(alpha)
-    beta_c = compose(compose(inverse(rho), beta), rho)
-    sigma: Partition = permutation_to_nc(beta_c)
-    pi: Partition = permutation_to_nc(alpha_c)
-    return moebius_nc(sigma, pi)
-
-
-def weingarten_asymptotic(alpha: Permutation, beta: Permutation, D: int) -> Fraction:
-    """Leading large-D Weingarten entry.
-
-    mu(beta, alpha) / D^(2k - #(beta^-1 alpha)) when beta lies on the
-    geodesic from the identity to alpha, zero otherwise (higher order).
-    """
-    if alpha.k != beta.k:
-        raise ValueError("sizes differ")
-    k = alpha.k
-    if not on_geodesic(beta, alpha):
-        return Fraction(0)
-    mu = moebius_between_permutations(beta, alpha)
-    rel = compose(inverse(beta), alpha)
-    return Fraction(mu, D ** (2 * k - rel.num_cycles()))

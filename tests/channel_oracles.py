@@ -16,8 +16,10 @@ from typing import Callable, Hashable, Sequence
 
 from kfree.channel import ChannelCoefficients, cycle_words, permuted_trace, positional_labels
 from kfree.moments import CumulantSet, Value, Word
-from kfree.permutations import Permutation, canonicalize_by_conjugation, geodesic_set, permutation_to_nc
-from kfree.weingarten import moebius_between_permutations, weingarten_table
+from kfree.permutations import Permutation, geodesic_set, permutation_to_nc
+from kfree.weingarten import weingarten_table
+
+from nc_oracles import canonicalize_by_conjugation, moebius_between_permutations
 
 
 def kappa_alpha_conjugation(

@@ -10,6 +10,9 @@ lattice pair by pair, with the general Moebius function mu(sigma, pi), where
 `kfree.eth` uses the block-product rule: `coincidence_pattern_sum` for any
 exact coincidence pattern, and `strict_average_coeffs` with its O(Bell(m)^2)
 double loop over pairs of slot partitions.
+
+`thermal_word_moment` is the plain weighted trace of one word, the moment
+that `kfree.eth.thermal_free_cumulant` inverts.
 """
 
 import itertools
@@ -25,6 +28,7 @@ from kfree.eth import (
     SpectralModel,
     ThermalState,
     TimeWindow,
+    _thermal_letters,
     chains_from_word,
     heisenberg,
     merged_chain_sum,
@@ -248,3 +252,14 @@ def positional_averaged_free_cumulant(
     position, so every positional sub-word is time-averaged on its own."""
     phi = Expectation(lambda positions: time_average(model, state, [word[p] for p in positions], window))
     return complex(free_cumulant(phi, tuple(range(len(word)))))
+
+
+def thermal_word_moment(model: SpectralModel, state: ThermalState, word: Sequence[tuple]) -> complex:
+    """<A_1(t_1) ... A_n(t_n)> under the canonical weight of `state`.
+
+    `word` is a sequence of (observable, time) pairs.
+    """
+    if not word:
+        return 1.0
+    letters, labels = _thermal_letters(model, word)
+    return _word_trace(letters, state.weights)(labels)

@@ -59,10 +59,10 @@ from kfree.partitions import (
     moebius_nc,
 )
 from kfree.permutations import Permutation, full_cycle, geodesic_set, identity, permutation_to_nc
-from kfree.ratlinalg import exact_matmul
 from kfree.weingarten import weingarten_table
 
 from eth_oracles import distinct_index_brute
+from ratlinalg_oracles import exact_matmul
 
 
 @contextmanager

@@ -108,6 +108,23 @@ def test_channel_monte_carlo_single_element_exact():
     assert np.allclose(channel_monte_carlo(ens, 2, O), uk.conj().T @ O @ uk)
 
 
+def test_channel_monte_carlo_hamiltonian_reads_spec_n_samples():
+    # a Hamiltonian ensemble carries its own sample count; the n_samples
+    # argument is the Haar draw count and does not apply
+    spec = HamiltonianEnsemble(goe_model(3, seed=2), t_max=7.0, n_samples=5)
+    rng = np.random.default_rng(6)
+    O = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    want = sum(u.conj().T @ O @ u for u in ensemble_unitaries(spec, 5, 3)) / 5
+    assert np.array_equal(channel_monte_carlo(spec, 1, O, seed=3), want)
+    assert np.array_equal(channel_monte_carlo(spec, 1, O, n_samples=40, seed=3), want)
+
+
+def test_channel_monte_carlo_rejects_no_samples():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            channel_monte_carlo(HaarEnsemble(2), 1, np.eye(2), n_samples=n)
+
+
 def test_channel_monte_carlo_hamiltonian_dephases():
     model = goe_model(8, seed=3)
     spec = HamiltonianEnsemble(model, t_max=50000.0, n_samples=4000)

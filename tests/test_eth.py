@@ -32,7 +32,6 @@ from kfree.eth import (
     phase_average_delta_structure,
     thermal_free_cumulant,
     thermal_state,
-    thermal_word_moment,
     time_average,
     _restricted_coeffs,
     _single_slot,
@@ -52,6 +51,7 @@ from eth_oracles import (
     positional_averaged_free_cumulant,
     positional_thermal_free_cumulant,
     strict_average_coeffs,
+    thermal_word_moment,
     window_average_total,
     word_spectral_sum,
 )

@@ -1,12 +1,36 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, every top-level
+definition in `src/` has a caller there unless it is listed library API,
+and the benchmark's child process imports only modules that exist."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [path for part in ("src/kfree", "tests", "scripts") for path in sorted((ROOT / part).glob("*.py"))]
+SRC_MODULES = sorted((ROOT / "src" / "kfree").glob("*.py"))
+
+# Public API that nothing in src/ calls; each entry says why it stays.
+LIBRARY_API = {
+    "channel.haar_word_average_exact": "exact finite-D Haar word average, the reference for Monte Carlo probes",
+    "channel.kappa_alpha": "kappa_alpha for one permutation; the channel itself shares one CumulantSet",
+    "channel.otoc_term_structure": "the symbolic 2k-OTOC expansion over NC(k) and the Kreweras complement",
+    "channel.word_functional_from_matrices": "builds the positional functional the channel functions take",
+    "ensembles.channel_monte_carlo": "the sampled k-fold channel, the Monte Carlo side of channel_exact",
+    "ensembles.infinite_time_distance": "t_max -> infinity channel distance; scripts/distance_scaling.py uses it",
+    "eth.appendix_b_crossing_term": "the off-diagonal crossing term of the paper's Appendix B",
+    "eth.averaged_free_cumulant": "time-averaged free cumulant; the benchmark's library steps call it",
+    "eth.bimodal_observable": "the +-1 observable of scripts/freeness_decay_scan.py",
+    "eth.distinct_index_cumulant": "kappa_2k as a restricted spectral sum; the benchmark's library steps call it",
+    "eth.otoc_long_time_factorization": "averaged 2k-OTOC against its cumulant factorization, a paper claim",
+    "eth.phase_average_delta_structure": "checks the delta structure that strict phase averages rely on",
+    "matio.save_operator": "writes the operator files that the CLI reads",
+    "moments.free_mixed_word": "moments of words in free families, the definition of freeness",
+    "moments.moments_from_cumulants": "the inverse of free_cumulant: moments from cumulants over NC(n)",
+    "permutations.identity": "the unit of S_k, beside full_cycle",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,3 +72,76 @@ def test_unused_import_detector():
         "    return np.zeros(1)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 4: c"]
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each top-level definition that nothing else reads.
+
+    A definition is a top-level function, class or assigned name (dunders
+    excepted).  A read is a `Name` node, or the attribute of an `Attribute`
+    node, anywhere in `sources` outside the definition itself: recursion and
+    a class's own methods do not count, a CLI call or `module.name` does.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads: dict[str, list[tuple[str, ast.AST]]] = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads.setdefault(node.id, []).append((module, node))
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((module, node))
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+            else:
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            for name in names:
+                if all(m == module and id(n) in inside for m, n in reads.get(name, [])):
+                    out.append(f"{module}.{name}")
+    return sorted(out)
+
+
+def test_every_src_definition_has_a_src_caller():
+    unreferenced = unreferenced_definitions({path.stem: path.read_text() for path in SRC_MODULES})
+    assert [name for name in unreferenced if name not in LIBRARY_API] == []
+
+
+def test_library_api_entries_exist_and_lack_a_src_caller():
+    # an entry that gained a caller, or lost its definition, leaves the list
+    unreferenced = unreferenced_definitions({path.stem: path.read_text() for path in SRC_MODULES})
+    assert sorted(set(LIBRARY_API) - set(unreferenced)) == []
+    assert all(reason.strip() for reason in LIBRARY_API.values())
+
+
+def test_unreferenced_definition_detector():
+    sources = {
+        "a": (
+            "LIMIT = 3\n"
+            "__all__ = []\n"
+            "def used():\n"
+            "    return LIMIT\n"
+            "def dead(n):\n"
+            "    return dead(n - 1)\n"
+            "class Box:\n"
+            "    def method(self):\n"
+            "        return Box\n"
+        ),
+        "b": "from . import a\nfrom .a import used\nused()\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.Box", "a.dead"]
+    sources["b"] += "a.Box().method()\n"
+    assert unreferenced_definitions(sources) == ["a.dead"]
+
+
+def test_benchmark_child_imports_resolve():
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    kfree_modules = [name for name in names if name.split(".")[0] == "kfree"]
+    assert kfree_modules
+    assert [name for name in kfree_modules if importlib.util.find_spec(name) is None] == []

@@ -13,18 +13,17 @@ from kfree.moments import (
     CumulantSet,
     _word_trace,
     Expectation,
-    alternating_centered_moment,
     blockwise_moment,
     classical_cumulant,
     free_cumulant,
-    free_cumulant_recursive,
     free_mixed_word,
-    free_sum_cumulant,
     mixed_moment_free,
     moments_from_cumulants,
 )
 from kfree import ensembles, eth
 from kfree.partitions import Partition, catalan
+
+from moment_oracles import alternating_centered_moment, free_cumulant_recursive
 
 
 def moment_phi(values, label="A"):
@@ -89,7 +88,8 @@ def test_moments_from_semicircle_cumulants_are_catalan():
 
 def test_free_sum_of_semicircles():
     two = lambda word: 2.0 if len(word) == 2 else 0.0
-    assert free_sum_cumulant(1.0, 1.0) == 2.0
+    # kappa_2(A + B) = kappa_2(A) + kappa_2(B) for free A, B
+    assert free_cumulant(lambda word: moments_from_cumulants(word, two), ("A", "A")) == 1.0 + 1.0
     # moments of the sum: Catalan numbers scaled by 2^(n/2)
     assert moments_from_cumulants(("A",) * 4, two) == 8.0  # 2 * 2^2
     assert moments_from_cumulants(("A",) * 2, two) == 2.0

@@ -1,26 +1,29 @@
 """Canonical partitions, the non-crossing lattice, Moebius, Kreweras."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfree import partitions
 from kfree.partitions import (
     DEFAULT_ENUMERATION_LIMIT,
     Partition,
     PartitionSizeError,
     catalan,
     enumerate_nc,
-    inverse_kreweras,
     is_noncrossing,
     iter_set_partitions,
     kreweras_complement,
     leq,
     moebius_nc,
 )
+from kfree.permutations import compose, inverse
 
 from eth_oracles import partition_lattice_moebius
+from nc_oracles import inverse_kreweras, kreweras_by_chords, moebius_by_relabelling, nc_to_permutation
 
 
 def test_canonical_form_unique():
@@ -161,6 +164,49 @@ def test_inverse_kreweras_roundtrip(n):
 def test_double_kreweras_is_cyclic_shift(n):
     for p in enumerate_nc(n):
         assert kreweras_complement(kreweras_complement(p)) == p.shift(-1)
+
+
+def _kreweras_mismatches(n_max):
+    return [p for n in range(1, n_max + 1) for p in enumerate_nc(n) if kreweras_complement(p) != kreweras_by_chords(p)]
+
+
+def _moebius_mismatches(n_max):
+    out = []
+    for n in range(1, n_max + 1):
+        parts = enumerate_nc(n)
+        for sigma, pi in itertools.product(parts, parts):
+            if leq(sigma, pi) and moebius_nc(sigma, pi) != moebius_by_relabelling(sigma, pi):
+                out.append((sigma, pi))
+    return out
+
+
+def test_kreweras_matches_chord_oracle():
+    assert _kreweras_mismatches(8) == []
+
+
+def test_moebius_matches_relabelling_oracle():
+    assert _moebius_mismatches(6) == []
+
+
+def test_differential_checks_catch_a_reversed_orbit_or_a_dropped_sign(monkeypatch):
+    orbits = partitions._relative_orbits
+
+    # P_p sending each element to the previous one in its block turns
+    # P_sigma^-1 P_pi into P_sigma P_pi^-1: the complement comes out rotated.
+    # The Moebius value survives that mutant, since the two products are
+    # conjugate and the signed Catalan product reads only the orbit sizes.
+    def reversed_orbits(sigma, pi):
+        return compose(nc_to_permutation(sigma), inverse(nc_to_permutation(pi))).orbit_partition()
+
+    def unsigned_moebius(sigma, pi):
+        return math.prod(catalan(len(b) - 1) for b in orbits(sigma, pi).blocks)
+
+    monkeypatch.setattr(partitions, "_relative_orbits", reversed_orbits)
+    assert _kreweras_mismatches(4) != []
+    assert _moebius_mismatches(4) == []
+    monkeypatch.setattr(partitions, "_relative_orbits", orbits)
+    monkeypatch.setattr(partitions, "_moebius", unsigned_moebius)
+    assert _moebius_mismatches(4) != []
 
 
 def test_partition_lattice_moebius_blocks():

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Time k-fold Haar channels and OTOCs through the CLI; write BENCH_channel.json.
+"""Time k-fold Haar channels, OTOCs, Weingarten tables and NC(n) Moebius tables
+through the CLI; write BENCH_channel.json.
 
-Five cases, each one `kfree.cli.dispatch` call on rational moment sequences
-(every replica holds the same operator):
+Eight cases, each one `kfree.cli.dispatch` call; the channels and the OTOC
+take rational moment sequences (every replica holds the same operator):
 
 - `channel --mode asymptotic --k 6` and `--k 7` at `--dim 64`;
 - `channel --mode exact --k 5 --dim 6` and `--k 6 --dim 7`;
-- `otoc --k 5 --dim 16`.
+- `otoc --k 5 --dim 16`;
+- `wg --k 5 --dim 6` and `--k 6 --dim 7`;
+- `nc --n 7 --moebius --kreweras`.
 
 Every `functools.lru_cache` in `kfree` is cleared before each call, so each
 repeat starts as cold as a fresh `kfree` process (import excluded).  The
@@ -43,6 +46,9 @@ CASES = (
     ("exact-k5-D6", ["channel", "--mode", "exact", "--k", "5", "--dim", "6", A_MOMENTS]),
     ("exact-k6-D7", ["channel", "--mode", "exact", "--k", "6", "--dim", "7", A_MOMENTS]),
     ("otoc-k5-D16", ["otoc", "--k", "5", "--dim", "16", A_MOMENTS, B_MOMENTS]),
+    ("wg-k5-D6", ["wg", "--k", "5", "--dim", "6"]),
+    ("wg-k6-D7", ["wg", "--k", "6", "--dim", "7"]),
+    ("nc-n7-moebius-kreweras", ["nc", "--n", "7", "--moebius", "--kreweras"]),
 )
 
 

@@ -163,7 +163,7 @@ def _default_observable(D: int, seed: int) -> np.ndarray:
 
 
 def _cmd_nc(args) -> None:
-    from .partitions import enumerate_nc, kreweras_complement, leq, moebius_nc
+    from .partitions import _moebius, enumerate_nc, kreweras_complement, leq
 
     _require(args, "n")
     parts = enumerate_nc(args.n)
@@ -177,8 +177,8 @@ def _cmd_nc(args) -> None:
         table = {}
         for s in parts:
             for p in parts:
-                if leq(s, p):
-                    table[f"{s} <= {p}"] = moebius_nc(s, p)
+                if leq(s, p):  # both come from enumerate_nc: moebius_nc's checks hold
+                    table[f"{s} <= {p}"] = _moebius(s, p)
         result["moebius"] = table
     _emit(args, "nc", result)
 
@@ -208,6 +208,8 @@ def _cmd_wg(args) -> None:
     from .weingarten import weingarten_table
 
     _require(args, "k", "dim")
+    if args.k > 7:  # the k! x k! lists below would take about 13 GB each at k = 8
+        raise ValueError(f"--k must be at most 7 (got {args.k})")
     table = weingarten_table(args.k, args.dim)
     gram = table.gram()
     wg = table.matrix()

@@ -13,7 +13,7 @@ import numpy as np
 from .channel import permutation_operator
 from .errors import RegimeError
 from .eth import SpectralModel
-from .moments import Expectation, _word_trace, free_cumulant
+from .moments import Expectation, _cyclic_key, _word_trace, free_cumulant
 from .partitions import enumerate_nc
 from .permutations import all_permutations
 
@@ -201,13 +201,9 @@ class EnsembleExpectation:
             raise ValueError("operators must share one dimension")
         (self.dim,) = dims
 
-    def _canonical(self, word: tuple) -> tuple:
-        rotations = [word[i:] + word[:i] for i in range(len(word))]
-        return min(rotations, key=repr)
-
     def evaluate_words(self, words: Sequence[tuple]) -> None:
         """Accumulate the ensemble averages of every requested word at once."""
-        needed = {self._canonical(tuple(w)) for w in words if tuple(w)}
+        needed = {_cyclic_key(tuple(w)) for w in words if tuple(w)}
         needed -= set(self._means)
         if not needed:
             return
@@ -242,8 +238,8 @@ class EnsembleExpectation:
     def functional(self, batch: int | None = None) -> Expectation:
         """Expectation over cached word averages (or one batch's averages)."""
 
-        def fn(word: tuple) -> complex:
-            key = self._canonical(word)
+        def fn(key: tuple) -> complex:
+            # the cyclic Expectation hands over each word at its _cyclic_key
             if key not in self._means:
                 self.evaluate_words([key])
             if batch is None:

@@ -4,6 +4,7 @@
 class RegimeError(Exception):
     """A computation was requested outside its supported numerical regime.
 
-    Typical case: Weingarten inversion at D < k, where the Gram matrix is
-    singular and only a pseudo-inverse would exist.
+    Typical case: Weingarten calculus at D < k, where s_lambda(1^D) = 0 for
+    some lambda, the Gram matrix is singular and only a pseudo-inverse would
+    exist; `WeingartenTable` raises before it builds any table.
     """

@@ -83,6 +83,11 @@ def _word_trace(
     return trace
 
 
+def _cyclic_key(word: Word) -> Word:
+    """The least rotation of a nonempty word by `repr`, shared by all its rotations."""
+    return min((word[i:] + word[:i] for i in range(len(word))), key=repr)
+
+
 class Expectation:
     """A cached expectation functional on words of operator labels.
 
@@ -102,8 +107,7 @@ class Expectation:
             return word
         key = self._keys.get(word)
         if key is None:
-            rotations = [word[i:] + word[:i] for i in range(len(word))]
-            key = self._keys[word] = min(rotations, key=repr)
+            key = self._keys[word] = _cyclic_key(word)
         return key
 
     def __call__(self, word: Sequence[Hashable]) -> Value:

@@ -9,11 +9,16 @@ of perms[i]^-1 perms[j] for every j.  The table is built once per k from
 0-based index arithmetic and read by the Gram and Weingarten matrices, and
 row by row (`WeingartenTable.row`) by the exact channel.
 
-The inverse is computed by fraction-free elimination of the class-collapsed
-system (p(k) unknowns instead of k!).  The defining identity is re-verified
-over the full group at construction time, in integers: with the class
-values put over their common denominator L as integers n(gamma), every beta
-in S_k must give sum_gamma n(gamma) D^(#(gamma^-1 beta)) = L [beta == e].
+The class values are the character expansion (Collins, IMRN 2003;
+Collins-Sniady, CMP 264, 2006) Wg(mu) = (1/k!^2) sum_{lam |- k}
+chi^lam(e)^2 chi^lam(mu) / s_lam(1^D): Murnaghan-Nakayama on beta-sets for
+chi^lam(mu), the hook-content formula for s_lam(1^D) and k!/prod hooks for
+chi^lam(e).  At D < k some s_lam(1^D) vanishes and Q is singular, so
+`WeingartenTable` refuses that regime before building anything.  The
+defining identity is re-verified over the full group at construction time,
+in integers: with the class values put over their common denominator L as
+integers n(gamma), every beta in S_k must give
+sum_gamma n(gamma) D^(#(gamma^-1 beta)) = L [beta == e].
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import numpy as np
 
 from .errors import RegimeError
 from .permutations import Permutation, all_permutations
-from .ratlinalg import exact_solve
 
 
 def _cycle_types(k: int) -> list[tuple[int, ...]]:
@@ -89,6 +93,8 @@ class WeingartenTable:
     def __init__(self, k: int, D: int):
         if k < 1 or D < 1:
             raise ValueError("k and D must be positive")
+        if D < k:
+            raise RegimeError(f"Gram matrix singular at k={k}, D={D}: pseudo-inverse regime unsupported")
         self.k = k
         self.D = D
         self.perms: tuple[Permutation, ...] = tuple(all_permutations(k))
@@ -133,25 +139,38 @@ class WeingartenTable:
 
 
 @lru_cache(maxsize=None)
+def _character(beads: frozenset[int], mu: tuple[int, ...]) -> int:
+    """chi^lam(mu) by the Murnaghan-Nakayama rule, lam given by its beta-set
+    {lam_i + len(lam) - i}: removing a border strip of length r moves a bead b
+    to the free position b - r, with sign (-1)^(beads strictly between)."""
+    if not mu:
+        return 1
+    r = mu[0]
+    return sum(
+        (-1) ** sum(b - r < c < b for c in beads) * _character(beads - {b} | {b - r}, mu[1:])
+        for b in beads
+        if b >= r and b - r not in beads
+    )
+
+
+def _hooks_and_schur(lam: tuple[int, ...], D: int) -> tuple[int, Fraction]:
+    """(product of the hook lengths, s_lam(1^D) = prod_cells (D + content)/hook)."""
+    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+    hooks = math.prod(lam[i] - j + sum(below > j for below in lam[i + 1 :]) for i, j in cells)
+    return hooks, Fraction(math.prod(D + j - i for i, j in cells), hooks)
+
+
+@lru_cache(maxsize=None)
 def _weingarten_class_function(k: int, D: int) -> dict[tuple[int, ...], Fraction]:
-    """Solve sum_sigma w(sigma) D^(#(sigma^-1 tau)) = [tau == id] for the
-    class function w, collapsing by conjugacy class."""
-    types, rows = _group_table(k)
-    powers = [D ** len(t) for t in types]
-    classes = rows[0]
-    # A[row tau-class][col sigma-class] = sum over sigma in class of D^#(tau^-1 sigma)
-    a = []
-    for c in range(len(types)):
-        counts = _class_pair_counts(rows, classes.index(c), len(types))
-        a.append([sum(m * p for m, p in zip(row, powers)) for row in counts])
-    rhs = [[Fraction(int(t == (1,) * k)) for t in types]]
-    try:
-        sol = exact_solve(a, rhs)[0]
-    except ValueError as exc:
-        raise RegimeError(
-            f"Gram matrix singular at k={k}, D={D}: pseudo-inverse regime unsupported"
-        ) from exc
-    return {t: sol[c] for c, t in enumerate(types)}
+    """Wg on each cycle type, summed over the irreducible characters of S_k."""
+    types = _cycle_types(k)
+    n = math.factorial(k)
+    irreps = []  # (chi^lam(e)^2 / (k!^2 s_lam(1^D)), beta-set of lam)
+    for lam in types:
+        hooks, schur = _hooks_and_schur(lam, D)  # chi^lam(e) = k!/hooks
+        beads = frozenset(part + len(lam) - 1 - i for i, part in enumerate(lam))
+        irreps.append((Fraction((n // hooks) ** 2, n * n) / schur, beads))
+    return {mu: sum(w * _character(beads, mu) for w, beads in irreps) for mu in types}
 
 
 @lru_cache(maxsize=None)

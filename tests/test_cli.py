@@ -373,6 +373,7 @@ def test_boundary_errors_name_the_flag(tmp_path):
         (["otoc", "--k", "0", "--a-moments", "1,2", "--b-moments", "1,2"], "--k must be positive"),
         (["cumulants", "--moments", "1,2", "--max-order", "-1"], "--max-order must be positive"),
         (["cumulants", "--moments", "1,2", "--max-order", "0"], "--max-order must be positive"),
+        (["wg", "--k", "8", "--dim", "8"], "--k must be at most 7"),
     ]
     for argv, message in cases:
         code, err = run_process(*argv)

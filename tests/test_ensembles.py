@@ -30,7 +30,7 @@ from kfree.ensembles import (
 )
 from kfree.errors import RegimeError
 from kfree.eth import goe_matrix, goe_model, normalize_observable
-from kfree.moments import Expectation, free_cumulant
+from kfree.moments import Expectation, _cyclic_key, free_cumulant
 from kfree.partitions import enumerate_nc
 from kfree.permutations import all_permutations, inverse
 from kfree.weingarten import weingarten_table
@@ -179,14 +179,14 @@ def test_ensemble_expectation_matches_prefix_product_oracle(k):
     exact = EnsembleExpectation(DiscreteEnsemble(unitaries, probs), ops, rotated={"A"})
     exact.evaluate_words(words)
     for w in words:
-        key = exact._canonical(w)
+        key = _cyclic_key(w)
         want = sum(p * _prefix_product_traces(exact, u, {key})[key] for p, u in zip(probs, unitaries))
         _assert_close(exact._means[key], want)
     # sampled path: same seed, same per-sample streams, same batches
     n, n_batches = 30, 5
     sampled = EnsembleExpectation(HaarEnsemble(D), ops, rotated={"A"}, n_samples=n, seed=8, n_batches=n_batches)
     sampled.evaluate_words(words)
-    keys = {sampled._canonical(w) for w in words}
+    keys = {_cyclic_key(w) for w in words}
     per_sample = [_prefix_product_traces(sampled, sample_haar(D, r), keys) for r in spawn_rngs(8, n)]
     for key in keys:
         vals = np.array([traces[key] for traces in per_sample])

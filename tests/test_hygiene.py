@@ -29,6 +29,7 @@ LIBRARY_API = {
     "matio.save_operator": "writes the operator files that the CLI reads",
     "moments.free_mixed_word": "moments of words in free families, the definition of freeness",
     "moments.moments_from_cumulants": "the inverse of free_cumulant: moments from cumulants over NC(n)",
+    "partitions.moebius_nc": "mu(sigma, pi) with its input checks; the CLI's enumerated pairs skip them",
     "permutations.identity": "the unit of S_k, beside full_cycle",
 }
 

@@ -1,5 +1,6 @@
 """Exact Gram/Weingarten tables and their large-D asymptotics."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,13 +10,17 @@ from kfree.errors import RegimeError
 from kfree.permutations import Permutation, all_permutations, compose, full_cycle, identity, inverse
 from kfree.weingarten import (
     WeingartenTable,
+    _character,
+    _cycle_types,
     _group_table,
+    _hooks_and_schur,
+    _weingarten_class_function,
     gram_matrix,
     weingarten_table,
 )
 
 from nc_oracles import weingarten_asymptotic
-from ratlinalg_oracles import exact_inverse, exact_matmul
+from ratlinalg_oracles import exact_inverse, exact_matmul, weingarten_class_function_by_solve
 
 
 def test_exact_solve_roundtrip():
@@ -106,6 +111,42 @@ def test_singular_regime_rejected():
         weingarten_table(3, 2)
     with pytest.raises(RegimeError):
         weingarten_table(4, 2)
+    # refused before the k!^2 class table is built
+    _group_table.cache_clear()
+    with pytest.raises(RegimeError, match=r"^Gram matrix singular at k=7, D=2: pseudo-inverse regime unsupported$"):
+        weingarten_table(7, 2)
+    assert _group_table.cache_info().currsize == 0
+
+
+def _centralizer_order(mu):
+    """z_mu = k!/|C_mu| = prod_i i^(m_i) m_i!."""
+    return math.prod(i ** mu.count(i) * math.factorial(mu.count(i)) for i in set(mu))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_character_table_identities(k):
+    types = _cycle_types(k)
+    beads = {lam: frozenset(part + len(lam) - 1 - i for i, part in enumerate(lam)) for lam in types}
+    chi = {(lam, mu): _character(beads[lam], mu) for lam in types for mu in types}
+    for lam in types:
+        hooks, _ = _hooks_and_schur(lam, k)
+        assert chi[lam, (1,) * k] == math.factorial(k) // hooks
+    # column orthogonality: sum_lam chi(mu) chi(nu) = delta_{mu nu} k!/|C_mu|
+    for mu in types:
+        for nu in types:
+            total = sum(chi[lam, mu] * chi[lam, nu] for lam in types)
+            assert total == (_centralizer_order(mu) if mu == nu else 0)
+    # Frobenius: D^(#cycles) = sum_lam chi^lam(mu) s_lam(1^D), s_lam(1^D) by hook-content
+    for D in range(1, k + 3):
+        schur = {lam: _hooks_and_schur(lam, D)[1] for lam in types}
+        for mu in types:
+            assert sum(chi[lam, mu] * schur[lam] for lam in types) == D ** len(mu)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_character_route_matches_solve_oracle(k):
+    for D in range(k, k + 5):
+        assert _weingarten_class_function(k, D) == weingarten_class_function_by_solve(k, D)
 
 
 def test_class_function_property():

@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Time the Monte Carlo freeness probe per sample stage and end to end;
+write BENCH_haar_mc.json.
+
+Per-sample stages, at D = 128 and 256, each timed on its own over `--samples`
+draws (median in ms):
+
+- `ginibre`: the complex Gaussian draw;
+- `qr`: `np.linalg.qr` plus the phase fix of the diagonal of R;
+- `dressing`: U^dagger A U;
+- `traces`: every word kappa_4(A^U, B, A^U, B) needs, through one
+  `moments._word_trace` (the kernel `EnsembleExpectation` uses).
+
+The stages run once with the BLAS thread count in effect and, where kfree
+can pin OpenBLAS (`ensembles._one_blas_thread`), once on one thread, as the
+sample loop runs them.
+
+End to end, the two `haar-test` steps of the haar-mc benchmark workload
+(k = 2 at D = 256 and k = 3 at D = 128, 60 samples each, default
+observables), each one `kfree.cli.dispatch` call repeated `--repeats` times:
+every repeat, the median and the SHA-256 of the document, which must agree
+between revisions that write the same document.  The end-to-end part uses
+only `dispatch`, so it runs on any revision that has it.
+
+Example:
+    python scripts/bench_haar_mc.py --repeats 5 --out BENCH_haar_mc.json
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+
+import numpy as np
+
+import kfree
+from kfree import ensembles
+from kfree.cli import dispatch
+from kfree.eth import goe_matrix, normalize_observable
+from kfree.moments import _cyclic_key, _word_trace
+
+STAGE_DIMS = (128, 256)
+# the words kappa_4 needs, each at its cyclic key, longest first as the sample loop traces them
+WORDS = sorted(
+    {_cyclic_key(w) for w in ensembles._needed_block_words(("A", "B") * 2)}, key=lambda w: (-len(w), repr(w))
+)
+CASES = (
+    ("haar-test-k2", ["haar-test", "--dim", "256", "--k", "2", "--n-samples", "60", "--seed", "1"]),
+    ("haar-test-k3", ["haar-test", "--dim", "128", "--k", "3", "--n-samples", "60", "--seed", "1"]),
+)
+
+
+def stage_times(D: int, samples: int) -> dict:
+    rng = np.random.default_rng(D)
+    A = normalize_observable(goe_matrix(D, rng)).astype(complex)
+    B = normalize_observable(goe_matrix(D, rng)).astype(complex)
+    times = {"ginibre": [], "qr": [], "dressing": [], "traces": []}
+    clock = time.perf_counter
+    for r in ensembles.spawn_rngs(D, samples):
+        t0 = clock()
+        z = (r.standard_normal((D, D)) + 1j * r.standard_normal((D, D))) / math.sqrt(2.0)
+        t1 = clock()
+        q, rr = np.linalg.qr(z)
+        d = np.diagonal(rr)
+        u = q * (d / np.abs(d))
+        t2 = clock()
+        a_u = u.conj().T @ A @ u
+        t3 = clock()
+        trace = _word_trace({"A": a_u, "B": B})
+        for w in WORDS:
+            trace(w)
+        t4 = clock()
+        for name, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            times[name].append(dt)
+    return {name: 1e3 * statistics.median(ts) for name, ts in times.items()}
+
+
+def stage_table(samples: int) -> dict:
+    table = {"blas_default": {str(D): stage_times(D, samples) for D in STAGE_DIMS}}
+    one_thread = getattr(ensembles, "_one_blas_thread", None)
+    if one_thread is not None:
+        with one_thread() as pinned:
+            if pinned:
+                table["blas_one"] = {str(D): stage_times(D, samples) for D in STAGE_DIMS}
+    return table
+
+
+def run_case(name: str, argv: list[str], repeats: int) -> dict:
+    seconds, digests = [], set()
+    for _ in range(repeats):
+        out = io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = dispatch(argv)
+        seconds.append(time.perf_counter() - t0)
+        if code != 0:
+            raise SystemExit(f"{name}: kfree exited {code}")
+        digests.add(hashlib.sha256(out.getvalue().encode()).hexdigest())
+    if len(digests) != 1:
+        raise SystemExit(f"{name}: repeats wrote different documents")
+    return {"name": name, "argv": argv, "seconds": seconds, "median_s": statistics.median(seconds), "sha256": digests.pop()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--samples", type=int, default=20, help="draws per stage timing")
+    ap.add_argument("--out", default="BENCH_haar_mc.json")
+    args = ap.parse_args(argv)
+    if args.repeats < 1 or args.samples < 1:
+        ap.error("--repeats and --samples must be positive")
+
+    doc = {
+        "benchmark": "haar_mc",
+        "kfree": kfree.__version__,
+        "repeats": args.repeats,
+        "samples": args.samples,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        },
+        "stages_ms": stage_table(args.samples),
+        "cases": [run_case(name, case_argv, args.repeats) for name, case_argv in CASES],
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    for setting, dims in doc["stages_ms"].items():
+        for D, stages in dims.items():
+            cells = "  ".join(f"{name} {ms:.2f}" for name, ms in stages.items())
+            sys.stdout.write(f"{setting} D={D}: {cells} ms\n")
+    for case in doc["cases"]:
+        sys.stdout.write(f"{case['name']}: {case['median_s']:.3f} s  {case['sha256'][:12]}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

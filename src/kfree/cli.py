@@ -208,8 +208,8 @@ def _cmd_wg(args) -> None:
     from .weingarten import weingarten_table
 
     _require(args, "k", "dim")
-    if args.k > 7:  # the k! x k! lists below would take about 13 GB each at k = 8
-        raise ValueError(f"--k must be at most 7 (got {args.k})")
+    if args.k > 6:  # k = 6 peaks at 219 MB; k = 7's 5040^2 entry pairs would need about 9 GB
+        raise ValueError(f"--k must be at most 6 (got {args.k})")
     table = weingarten_table(args.k, args.dim)
     gram = table.gram()
     wg = table.matrix()

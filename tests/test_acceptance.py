@@ -24,6 +24,7 @@ from kfree.channel import (
     word_functional_from_matrices,
 )
 from kfree.ensembles import (
+    EnsembleExpectation,
     HaarEnsemble,
     HamiltonianEnsemble,
     channel_distance,
@@ -177,15 +178,13 @@ def test_criterion_4_otoc_factorization_haar():
         formula = complex(
             otoc_haar_formula(pa, pb, 2, a_labels=("A", "A"), b_labels=("B", "B"))
         )
-        vals = np.empty(n, dtype=complex)
-        for i, r in enumerate(spawn_rngs(2718, n)):
-            u = sample_haar(D, r)
-            m = u.conj().T @ A @ u
-            p = m @ B
-            vals[i] = np.einsum("ij,ji->", p, p) / D
-        batch_means = np.array([chunk.mean() for chunk in np.array_split(vals, batches)])
+        word = ("A", "B", "A", "B")
+        mc = EnsembleExpectation(HaarEnsemble(D), {"A": A, "B": B}, {"A"}, n_samples=n, seed=2718, n_batches=batches)
+        mc.evaluate_words([word])
+        mean = complex(mc.functional()(word))
+        batch_means = np.array([complex(mc.functional(batch=b)(word)) for b in range(batches)])
         se = abs(np.std(batch_means.real, ddof=1) + 1j * np.std(batch_means.imag, ddof=1)) / math.sqrt(batches)
-        assert abs(vals.mean() - formula) <= 3 * se
+        assert abs(mean - formula) <= 3 * se
 
         # symbolic 8-OTOC term set over NC(4) with the dual multiplicities
         terms = otoc_term_structure(4)

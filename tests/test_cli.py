@@ -373,12 +373,26 @@ def test_boundary_errors_name_the_flag(tmp_path):
         (["otoc", "--k", "0", "--a-moments", "1,2", "--b-moments", "1,2"], "--k must be positive"),
         (["cumulants", "--moments", "1,2", "--max-order", "-1"], "--max-order must be positive"),
         (["cumulants", "--moments", "1,2", "--max-order", "0"], "--max-order must be positive"),
-        (["wg", "--k", "8", "--dim", "8"], "--k must be at most 7"),
+        (["wg", "--k", "8", "--dim", "8"], "--k must be at most 6"),
+        (["wg", "--k", "7", "--dim", "7"], "--k must be at most 6 (got 7)"),
     ]
     for argv, message in cases:
         code, err = run_process(*argv)
         assert_validation_exit(code, err)
         assert message in err
+
+
+def test_wg_k7_refused_before_any_table(capsys):
+    # k = 7's 5040 x 5040 lists would need about 9 GB; nothing may be built first
+    from kfree.weingarten import _group_table, weingarten_table
+
+    _group_table.cache_clear()
+    weingarten_table.cache_clear()
+    code, out, err = run(capsys, "wg", "--k", "7", "--dim", "7")
+    assert code == 1
+    assert err.strip().endswith("--k must be at most 6 (got 7)")
+    assert _group_table.cache_info().currsize == 0
+    assert weingarten_table.cache_info().currsize == 0
 
 
 def test_non_positive_sizes_exit_1():

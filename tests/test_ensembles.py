@@ -3,10 +3,16 @@ design checks, and channel distance."""
 
 import gc
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kfree
+from kfree import ensembles
 from kfree.channel import channel_exact, haar_word_average_exact, permutation_operator, word_functional_from_matrices
 from kfree.ensembles import (
     DiscreteEnsemble,
@@ -123,6 +129,16 @@ def test_channel_monte_carlo_rejects_no_samples():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n_samples must be positive"):
             channel_monte_carlo(HaarEnsemble(2), 1, np.eye(2), n_samples=n)
+
+
+def test_ensemble_expectation_rejects_no_samples():
+    # zero samples used to give NaN moments; the sample pool needs at least one worker
+    ops = {"A": np.eye(2), "B": np.eye(2)}
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            EnsembleExpectation(HaarEnsemble(2), ops, {"A"}, n_samples=n)
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            k_freeness_test(HaarEnsemble(2), ops["A"], ops["B"], 1, n_samples=n)
 
 
 def test_channel_monte_carlo_hamiltonian_dephases():
@@ -248,6 +264,81 @@ def test_evaluate_words_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _pool_expectation(spec, seed=5):
+    D = spec.dim
+    A = normalize_observable(goe_matrix(D, np.random.default_rng(1)))
+    B = normalize_observable(goe_matrix(D, np.random.default_rng(2)))
+    ee = EnsembleExpectation(spec, {"A": A, "B": B}, {"A"}, n_samples=24, seed=seed, n_batches=6)
+    ee.evaluate_words([("A", "B", "A", "B"), ("A", "A", "B"), ("A", "B"), ("A",), ("B",)])
+    return ee
+
+
+@pytest.mark.parametrize("D", [32, 128])
+@pytest.mark.parametrize("kind", ["haar", "hamiltonian"])
+def test_evaluate_words_independent_of_worker_count(monkeypatch, D, kind):
+    # each sample runs on one BLAS thread from its own substream, so neither
+    # the worker count nor the order samples finish in can move a bit
+    spec = HaarEnsemble(D) if kind == "haar" else HamiltonianEnsemble(goe_model(D, seed=3), t_max=50.0, n_samples=24)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a lost update would show
+    try:
+        for workers in (1, 4):
+            monkeypatch.setattr(ensembles, "_worker_count", lambda: workers)
+            runs.append(_pool_expectation(spec))
+    finally:
+        sys.setswitchinterval(interval)
+    one, four = runs
+    assert set(one._batches) == set(four._batches)
+    for key in one._batches:
+        assert np.array_equal(one._batches[key], four._batches[key])
+        assert one._means[key] == four._means[key]
+
+
+def _openblas_control():
+    control = ensembles._openblas_thread_control()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this process (numpy uses another BLAS)")
+    return control
+
+
+def test_evaluate_words_restores_blas_threads():
+    get, set_ = _openblas_control()
+    original = get()
+    try:
+        set_(2)
+        before = get()  # 2 unless OpenBLAS caps the count on this machine
+        _pool_expectation(HaarEnsemble(16))
+        assert get() == before
+        # a sample that raises: the operators do not match the ensemble's dimension
+        ops = {"A": np.eye(4), "B": np.eye(4)}
+        bad = EnsembleExpectation(HaarEnsemble(8), ops, {"A"}, n_samples=10, seed=1)
+        with pytest.raises(ValueError):
+            bad.evaluate_words([("A", "B")])
+        assert get() == before
+    finally:
+        set_(original)
+
+
+def test_haar_test_document_independent_of_blas_threads(tmp_path):
+    # OpenBLAS's QR rounding depends on its thread count at D >= 128
+    _openblas_control()
+    src = str(Path(kfree.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        argv = ["haar-test", "--dim", "128", "--k", "2", "--n-samples", "20", "--output", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "kfree.cli", *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(out.read_bytes())
+    assert digests[0] == digests[1]
 
 
 def test_design_check_pauli():

@@ -10,7 +10,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -107,21 +107,34 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _draw(spec: HaarEnsemble | HamiltonianEnsemble, rng) -> np.ndarray:
-    """One sampled unitary of a stochastic ensemble, from its own substream."""
-    if isinstance(spec, HaarEnsemble):
-        return sample_haar(spec.dim, rng)
-    basis = spec.model.basis
-    t = rng.uniform(0.0, spec.t_max)
-    return (basis * np.exp(-1j * spec.model.energies * t)) @ basis.conj().T
+def _members(spec: EnsembleSpec, n_samples: int, seed: int):
+    """(weights, total, member) of an ensemble: its average of f is
+    sum_i weights[i] f(member(i)) / total.
+
+    A discrete ensemble lists its unitaries with their probabilities, total
+    1.  Haar draws `n_samples` unitaries, unitary i from substream i of
+    `spawn_rngs(seed, n_samples)`, and a Hamiltonian ensemble evolves for
+    its own `spec.n_samples` times, taken in one uniform draw from
+    `default_rng(seed)`; sampled members weigh 1 each and total their
+    count.  A Haar member consumes its substream, so call this again for a
+    second pass over the same draws.
+    """
+    if isinstance(spec, DiscreteEnsemble):
+        return spec.probabilities, 1.0, spec.unitaries.__getitem__
+    if isinstance(spec, HamiltonianEnsemble):
+        basis, energies = spec.model.basis, spec.model.energies
+        times = _window_times(spec, seed)
+        return np.ones(len(times)), len(times), lambda i: (basis * np.exp(-1j * energies * times[i])) @ basis.conj().T
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    rngs = spawn_rngs(seed, n_samples)
+    # through the module global, so a rebinding of sample_haar sees every draw
+    return np.ones(n_samples), n_samples, lambda i: sample_haar(spec.dim, rngs[i])
 
 
-def ensemble_unitaries(spec: EnsembleSpec, n_samples: int, seed: int) -> Iterable[np.ndarray]:
-    """Sampled unitaries for stochastic ensembles (Haar / time windows)."""
-    if not isinstance(spec, (HaarEnsemble, HamiltonianEnsemble)):
-        raise TypeError("discrete ensembles are enumerated exactly, not sampled")
-    for rng in spawn_rngs(seed, n_samples):
-        yield _draw(spec, rng)
+def _window_times(spec: HamiltonianEnsemble, seed: int) -> np.ndarray:
+    """The `spec.n_samples` evolution times of a Hamiltonian ensemble."""
+    return np.random.default_rng(seed).uniform(0.0, spec.t_max, spec.n_samples)
 
 
 @functools.cache
@@ -184,7 +197,7 @@ def channel_monte_carlo(spec: EnsembleSpec, k: int, O: np.ndarray, n_samples: in
     """Empirical mean of U^{dagger x k} O U^{x k} (dense; small D^k only).
 
     Haar takes `n_samples` draws, a Hamiltonian ensemble its own
-    `spec.n_samples`, and a discrete ensemble is summed exactly.
+    `spec.n_samples`, and a discrete ensemble is summed exactly (`_members`).
     """
     O = np.asarray(O, dtype=complex)
     D = round(O.shape[0] ** (1.0 / k))
@@ -192,21 +205,12 @@ def channel_monte_carlo(spec: EnsembleSpec, k: int, O: np.ndarray, n_samples: in
         raise ValueError("operator dimension is not a k-th power")
     if D**k > DENSE_CHANNEL_CAP:
         raise ValueError(f"dense channel capped at D^k <= {DENSE_CHANNEL_CAP}")
-    if isinstance(spec, DiscreteEnsemble):
-        acc = np.zeros_like(O)
-        for p, u in zip(spec.probabilities, spec.unitaries):
-            uk = _kron_power(u, k)
-            acc += p * (uk.conj().T @ O @ uk)
-        return acc
-    if isinstance(spec, HamiltonianEnsemble):
-        n_samples = spec.n_samples
-    elif n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    weights, total, member = _members(spec, n_samples, seed)
     acc = np.zeros_like(O)
-    for u in ensemble_unitaries(spec, n_samples, seed):
-        uk = _kron_power(u, k)
-        acc += uk.conj().T @ O @ uk
-    return acc / n_samples
+    for i, w in enumerate(weights):
+        uk = _kron_power(member(i), k)
+        acc += w * (uk.conj().T @ O @ uk)
+    return acc / total
 
 
 @dataclass
@@ -215,7 +219,6 @@ class Estimate:
     std_error: float
     n_samples: int
     seed: int | None = None
-    batch_values: np.ndarray | None = None
 
 
 class EnsembleExpectation:
@@ -246,15 +249,14 @@ class EnsembleExpectation:
         seed: int = 0,
         n_batches: int = 20,
     ):
-        self.spec = spec
         self.operators = {k: np.asarray(v, dtype=complex) for k, v in operators.items()}
         self.rotated = set(rotated)
-        self.n_samples = n_samples
-        self.seed = seed
         self.n_batches = n_batches
         self.exact = isinstance(spec, DiscreteEnsemble)
-        if not self.exact and n_samples < 1:
-            raise ValueError("n_samples must be positive")
+        # drawn afresh for each pass; the members' count is the Haar draw
+        # count, a Hamiltonian ensemble's own spec.n_samples or a discrete size
+        self._members = functools.partial(_members, spec, n_samples, seed)
+        self.n_samples = len(self._members()[0])
         self._means: dict[tuple, complex] = {}
         self._batches: dict[tuple, np.ndarray] = {}
         dims = {m.shape[0] for m in self.operators.values()}
@@ -268,29 +270,21 @@ class EnsembleExpectation:
         needed -= set(self._means)
         if not needed:
             return
-        if self.exact:
-            sums = {w: 0.0 + 0.0j for w in needed}
-            for p, u in zip(self.spec.probabilities, self.spec.unitaries):
-                traces = self._sample_traces(u, needed)
-                for w in needed:
-                    sums[w] += p * traces[w]
-            for w in needed:
-                self._means[w] = sums[w]
-            return
         # imported here, not at the top: its ~10 ms import would add to every kfree start-up
         from concurrent.futures import ThreadPoolExecutor
 
+        weights, total, member = self._members()
         per_sample = {w: np.empty(self.n_samples, dtype=complex) for w in needed}
-        rngs = spawn_rngs(self.seed, self.n_samples)
 
         def run(i: int) -> None:
-            traces = self._sample_traces(_draw(self.spec, rngs[i]), needed)
+            traces = self._sample_traces(member(i), needed)
             for w in needed:
                 per_sample[w][i] = traces[w]
 
-        # samples are independent (one substream each) and each runs on one
-        # BLAS thread, so its bits depend on neither the BLAS thread count
-        # nor the number of workers; without OpenBLAS control, one worker
+        # members are independent (a sample has its own substream) and each
+        # runs on one BLAS thread, so its bits depend on neither the BLAS
+        # thread count nor the number of workers; without OpenBLAS control,
+        # one worker
         with _one_blas_thread() as pinned:
             workers = min(_worker_count(), self.n_samples) if pinned else 1
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -298,10 +292,9 @@ class EnsembleExpectation:
                     pass
         for w in needed:
             vals = per_sample[w]
-            self._means[w] = complex(np.mean(vals))
-            self._batches[w] = np.array(
-                [np.mean(chunk) for chunk in np.array_split(vals, self.n_batches)]
-            )
+            self._means[w] = complex(np.sum(weights * vals) / total)
+            if not self.exact:  # sampled members weigh 1: batch means are plain means
+                self._batches[w] = np.array([np.mean(chunk) for chunk in np.array_split(vals, self.n_batches)])
 
     def _sample_traces(self, u: np.ndarray, words: set[tuple]) -> dict[tuple, complex]:
         dressed = {}
@@ -320,7 +313,7 @@ class EnsembleExpectation:
             if batch is None:
                 return self._means[key]
             if key not in self._batches:
-                return self._means[key]  # exact path has no batches
+                return self._means[key]  # a discrete ensemble has no batches
             return complex(self._batches[key][batch])
 
         return Expectation(fn, cyclic=True)
@@ -361,13 +354,13 @@ def k_freeness_test(
     expectation.evaluate_words(_needed_block_words(word))
     value = complex(free_cumulant(expectation.functional(), word))
     if expectation.exact:
-        return Estimate(value=value, std_error=0.0, n_samples=len(spec.unitaries), seed=seed)
+        return Estimate(value=value, std_error=0.0, n_samples=expectation.n_samples, seed=seed)
     batch_vals = np.array(
         [complex(free_cumulant(expectation.functional(batch=b), word)) for b in range(n_batches)]
     )
     spread = np.std(batch_vals.real, ddof=1) + 1j * np.std(batch_vals.imag, ddof=1)
     std_error = abs(spread) / math.sqrt(n_batches)
-    return Estimate(value=value, std_error=std_error, n_samples=n_samples, seed=seed, batch_values=batch_vals)
+    return Estimate(value=value, std_error=std_error, n_samples=expectation.n_samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +416,17 @@ def haar_channel_superoperator(k: int, D: int) -> np.ndarray:
 
 def ensemble_superoperator(spec: EnsembleSpec, k: int, seed: int = 0) -> np.ndarray:
     """Dense k-fold channel superoperator of an ensemble: the Haar projector,
-    the exact weighted sum over a discrete ensemble, or the mean over the
-    `spec.n_samples` sampled times of a Hamiltonian ensemble."""
+    or the weighted mean over the members of a discrete or Hamiltonian
+    ensemble (`_members`)."""
     _check_superop_size(k, spec.dim)
     if isinstance(spec, HaarEnsemble):
         return haar_channel_superoperator(k, spec.dim)
-    if isinstance(spec, DiscreteEnsemble):
-        dim = spec.dim**k
-        out = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for p, u in zip(spec.probabilities, spec.unitaries):
-            _add_superoperator_term(out, u, k, p)
-        return out
+    weights, total, member = _members(spec, 0, seed)  # no Haar draws: handled above
     dim = spec.dim**k
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for u in ensemble_unitaries(spec, spec.n_samples, seed):
-        _add_superoperator_term(out, u, k, 1.0)
-    out /= spec.n_samples
+    for i, w in enumerate(weights):
+        _add_superoperator_term(out, member(i), k, w)
+    out /= total
     return out
 
 
@@ -455,41 +443,44 @@ def design_check(spec: EnsembleSpec, k: int, tolerance: float = 1e-10, seed: int
     set of inputs (dense superoperators); reports the max entry deviation."""
     if isinstance(spec, HaarEnsemble):
         return DesignReport(True, 0.0, k, tolerance)
-    s_e = ensemble_superoperator(spec, k, seed=seed)
-    s_e -= haar_channel_superoperator(k, spec.dim)
-    dev = float(np.max(np.abs(s_e)))
+    dev = float(np.max(np.abs(_superoperator_gap(spec, k, seed))))
     return DesignReport(dev <= tolerance, dev, k, tolerance)
 
 
-def _pair_moment(spec: EnsembleSpec, k: int, seed: int) -> float:
-    """E |Tr(U V^dagger)|^{2k} over independent ensemble pairs."""
+def _superoperator_gap(spec: DiscreteEnsemble | HamiltonianEnsemble, k: int, seed: int) -> np.ndarray:
+    """S_ensemble - S_Haar, subtracted in place in the ensemble's matrix."""
+    gap = ensemble_superoperator(spec, k, seed=seed)
+    gap -= haar_channel_superoperator(k, spec.dim)
+    return gap
+
+
+def _pair_moment(spec: DiscreteEnsemble | HamiltonianEnsemble, k: int, seed: int) -> float:
+    """E |Tr(U V^dagger)|^{2k} over independent pairs of members.
+
+    Tr(U_i U_j^dagger) is the inner product of two rows: vec(U) for a
+    discrete ensemble, and for a Hamiltonian one the phases e^{-itE} of the
+    members' times, since every member shares the model's eigenbasis.
+    """
+    weights, total, member = _members(spec, 0, seed)
     if isinstance(spec, DiscreteEnsemble):
-        p = spec.probabilities
-        total = 0.0
-        for i, u in enumerate(spec.unitaries):
-            for j, v in enumerate(spec.unitaries):
-                total += p[i] * p[j] * abs(np.trace(u @ v.conj().T)) ** (2 * k)
-        return total
-    if isinstance(spec, HamiltonianEnsemble):
-        rng = np.random.default_rng(seed)
-        times = rng.uniform(0.0, spec.t_max, size=spec.n_samples)
-        phases = np.exp(-1j * np.outer(times, spec.model.energies))
-        conj = phases.conj().T
-        n = len(phases)
-        total = 0.0
-        # |Gram[i, j]| with Gram[i, j] = sum_m e^{-i(t_i - t_j)E_m}, one row block
-        # at a time in one reused float buffer, filled a few rows per matmul so
-        # no block-sized complex temporary exists
-        buf = np.empty((min(_PAIR_BLOCK_ROWS, n), n))
-        for start in range(0, n, _PAIR_BLOCK_ROWS):
-            block = buf[: min(_PAIR_BLOCK_ROWS, n - start)]
-            for s in range(0, len(block), _PAIR_SUB_ROWS):
-                rows = phases[start + s : start + s + _PAIR_SUB_ROWS]
-                np.abs(rows @ conj, out=block[s : s + _PAIR_SUB_ROWS])
-            block **= 2 * k
-            total += float(np.sum(block))
-        return total / n**2
-    raise TypeError(f"pair moment undefined for {type(spec).__name__}")
+        rows = np.stack([member(i).reshape(-1) for i in range(len(weights))])
+    else:
+        rows = np.exp(-1j * np.outer(_window_times(spec, seed), spec.model.energies))
+    conj = rows.conj().T
+    n = len(rows)
+    acc = 0.0
+    # sum_ij w_i w_j |Gram[i, j]|^{2k}, one row block at a time in one reused
+    # float buffer, filled a few rows per matmul so no block-sized complex
+    # temporary exists
+    buf = np.empty((min(_PAIR_BLOCK_ROWS, n), n))
+    for start in range(0, n, _PAIR_BLOCK_ROWS):
+        block = buf[: min(_PAIR_BLOCK_ROWS, n - start)]
+        for s in range(0, len(block), _PAIR_SUB_ROWS):
+            sub = rows[start + s : start + s + _PAIR_SUB_ROWS]
+            np.abs(sub @ conj, out=block[s : s + _PAIR_SUB_ROWS])
+        block **= 2 * k
+        acc += float(weights[start : start + len(block)] @ (block @ weights))
+    return acc / total**2
 
 
 def channel_distance(spec: EnsembleSpec, k: int, method: str = "auto", seed: int = 0) -> float:
@@ -505,11 +496,9 @@ def channel_distance(spec: EnsembleSpec, k: int, method: str = "auto", seed: int
     if D < k:
         raise RegimeError(f"channel distance needs D >= k (got D={D}, k={k})")
     if method == "auto":
-        method = "dense" if (D**k) ** 2 <= 4096 else "gram"
+        method = "dense" if (D**k) ** 2 <= DENSE_SUPEROP_CAP else "gram"
     if method == "dense":
-        s_e = ensemble_superoperator(spec, k, seed=seed)
-        s_h = haar_channel_superoperator(k, D)
-        return float(np.linalg.norm(s_e - s_h))
+        return float(np.linalg.norm(_superoperator_gap(spec, k, seed)))
     if method != "gram":
         raise ValueError(f"unknown method {method!r}")
     f_e = _pair_moment(spec, k, seed)
@@ -519,17 +508,12 @@ def channel_distance(spec: EnsembleSpec, k: int, method: str = "auto", seed: int
 def infinite_time_distance(model: SpectralModel, k: int) -> float:
     """Strict t_max -> infinity limit of the time-window channel distance,
     by resonance counting on the actual spectrum (k <= 2)."""
-    e = model.energies
-    D = len(e)
-    if k == 1:
-        _, counts = np.unique(np.round(e, 9), return_counts=True)
-        f = float(np.sum(counts.astype(float) ** 2))
-    elif k == 2:
-        sums = np.round((e[:, None] + e[None, :]).reshape(-1), 9)
-        _, counts = np.unique(sums, return_counts=True)
-        f = float(np.sum(counts.astype(float) ** 2))
-    else:
+    if k not in (1, 2):
         raise ValueError("analytic limit implemented for k <= 2")
+    # one entry per ordered k-tuple of levels: its energy sum
+    sums = functools.reduce(np.add.outer, [model.energies] * k).reshape(-1)
+    _, counts = np.unique(np.round(sums, 9), return_counts=True)
+    f = float(np.sum(counts.astype(float) ** 2))
     return math.sqrt(max(f - math.factorial(k), 0.0))
 
 

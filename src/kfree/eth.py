@@ -180,26 +180,30 @@ def goe_model(D: int, seed: int = 0, observables: Sequence[str] = ("A", "B"), no
     return model
 
 
-def _pauli_site(op: np.ndarray, site: int, L: int) -> np.ndarray:
-    out = np.array([[1.0]])
-    for i in range(L):
-        out = np.kron(out, op if i == site else np.eye(2))
-    return out
-
-
 def ising_model(L: int, J: float = 1.0, hx: float = -1.05, hz: float = 0.5) -> SpectralModel:
     """Mixed-field Ising chain (open boundary) at a standard chaotic point,
-    with mid-chain sigma-z / sigma-x observables."""
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    with mid-chain sigma-z / sigma-x observables.
+
+    Site i is bit L-1-i of a basis index (site 0 is the leftmost Kronecker
+    factor): sigma-z is diagonal with entries 1 - 2 bit, and sigma-x flips
+    the bit.  The diagonal sums its zz terms, then its z terms, in site order.
+    """
     D = 2**L
-    h = np.zeros((D, D))
+    idx = np.arange(D)
+    bits = [1 << (L - 1 - i) for i in range(L)]
+    z = [1.0 - 2.0 * ((idx & b) != 0) for b in bits]
+    diag = np.zeros(D)
     for i in range(L - 1):
-        h += J * _pauli_site(sz, i, L) @ _pauli_site(sz, i + 1, L)
+        diag += J * (z[i] * z[i + 1])
+    h = np.zeros((D, D))
     for i in range(L):
-        h += hx * _pauli_site(sx, i, L) + hz * _pauli_site(sz, i, L)
+        diag += hz * z[i]
+        h[idx, idx ^ bits[i]] += hx
+    h[idx, idx] = diag
     mid = L // 2
-    obs = {"sz_mid": _pauli_site(sz, mid, L), "sx_mid": _pauli_site(sx, mid, L)}
+    sx_mid = np.zeros((D, D))
+    sx_mid[idx, idx ^ bits[mid]] = 1.0
+    obs = {"sz_mid": np.diag(z[mid]), "sx_mid": sx_mid}
     return build_model(h, obs, provenance=f"ising(L={L}, J={J}, hx={hx}, hz={hz})")
 
 
@@ -669,13 +673,11 @@ class DeutschSpec:
     """Family of weak perturbations H + c*lambda*H' of a base Hamiltonian.
 
     `perturbation` is given in the eigenbasis of the base model; `strength`
-    is the constant c (thought of as N^{-exponent} in a scaling family, the
-    exponent is carried as configuration metadata only)."""
+    is the constant c."""
 
     perturbation: np.ndarray
     strength: float
     lambdas: tuple[float, ...]
-    exponent: float | None = None
     beta: float = 0.0
 
 

@@ -13,6 +13,10 @@ double loop over pairs of slot partitions.
 
 `thermal_word_moment` is the plain weighted trace of one word, the moment
 that `kfree.eth.thermal_free_cumulant` inverts.
+
+`ising_kronecker` assembles the mixed-field Ising chain from dense
+Kronecker products of single-site Paulis, where `kfree.eth.ising_model`
+fills the same entries by index arithmetic.
 """
 
 import itertools
@@ -263,3 +267,24 @@ def thermal_word_moment(model: SpectralModel, state: ThermalState, word: Sequenc
         return 1.0
     letters, labels = _thermal_letters(model, word)
     return _word_trace(letters, state.weights)(labels)
+
+
+def _pauli_site(op: np.ndarray, site: int, L: int) -> np.ndarray:
+    out = np.array([[1.0]])
+    for i in range(L):
+        out = np.kron(out, op if i == site else np.eye(2))
+    return out
+
+
+def ising_kronecker(L: int, J: float = 1.0, hx: float = -1.05, hz: float = 0.5) -> tuple[np.ndarray, dict]:
+    """(H, {"sz_mid", "sx_mid"}) of `kfree.eth.ising_model`, before diagonalization."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    D = 2**L
+    h = np.zeros((D, D))
+    for i in range(L - 1):
+        h += J * _pauli_site(sz, i, L) @ _pauli_site(sz, i + 1, L)
+    for i in range(L):
+        h += hx * _pauli_site(sx, i, L) + hz * _pauli_site(sz, i, L)
+    mid = L // 2
+    return h, {"sz_mid": _pauli_site(sz, mid, L), "sx_mid": _pauli_site(sx, mid, L)}

@@ -25,7 +25,6 @@ from kfree.ensembles import (
     clifford_group_1q,
     design_check,
     ensemble_superoperator,
-    ensemble_unitaries,
     haar_channel_superoperator,
     infinite_time_distance,
     k_freeness_test,
@@ -35,7 +34,7 @@ from kfree.ensembles import (
     _pair_moment,
 )
 from kfree.errors import RegimeError
-from kfree.eth import goe_matrix, goe_model, normalize_observable
+from kfree.eth import SpectralModel, goe_matrix, goe_model, normalize_observable
 from kfree.moments import Expectation, _cyclic_key, free_cumulant
 from kfree.partitions import enumerate_nc
 from kfree.permutations import all_permutations, inverse
@@ -114,13 +113,21 @@ def test_channel_monte_carlo_single_element_exact():
     assert np.allclose(channel_monte_carlo(ens, 2, O), uk.conj().T @ O @ uk)
 
 
+def _evolutions(spec, seed):
+    """Reference members of a Hamiltonian ensemble: e^{-iHt} at times from
+    one uniform draw of the seeded generator."""
+    times = np.random.default_rng(seed).uniform(0.0, spec.t_max, spec.n_samples)
+    basis = spec.model.basis
+    return [(basis * np.exp(-1j * spec.model.energies * t)) @ basis.conj().T for t in times]
+
+
 def test_channel_monte_carlo_hamiltonian_reads_spec_n_samples():
     # a Hamiltonian ensemble carries its own sample count; the n_samples
     # argument is the Haar draw count and does not apply
     spec = HamiltonianEnsemble(goe_model(3, seed=2), t_max=7.0, n_samples=5)
     rng = np.random.default_rng(6)
     O = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    want = sum(u.conj().T @ O @ u for u in ensemble_unitaries(spec, 5, 3)) / 5
+    want = sum(u.conj().T @ O @ u for u in _evolutions(spec, seed=3)) / 5
     assert np.array_equal(channel_monte_carlo(spec, 1, O, seed=3), want)
     assert np.array_equal(channel_monte_carlo(spec, 1, O, n_samples=40, seed=3), want)
 
@@ -240,6 +247,19 @@ def test_k_freeness_trivial_ensemble_nonzero():
     assert abs(est.value) > 0.05
 
 
+def test_k_freeness_hamiltonian_uses_spec_n_samples():
+    # a Hamiltonian ensemble brings its own sample count, as in every other
+    # consumer; its members are an equal-weight discrete ensemble
+    model = goe_model(6, seed=4)
+    A, B = model.basis @ model.observables["A"] @ model.basis.conj().T, np.diag(np.arange(6.0))
+    spec = HamiltonianEnsemble(model, t_max=30.0, n_samples=7)
+    est = k_freeness_test(spec, A, B, 2, n_samples=40, seed=5, n_batches=7)
+    assert est.n_samples == 7
+    assert est.value == k_freeness_test(spec, A, B, 2, n_samples=3, seed=5, n_batches=7).value
+    members = k_freeness_test(DiscreteEnsemble(_evolutions(spec, seed=5)), A, B, 2)
+    assert abs(est.value - members.value) <= 1e-12 * abs(members.value)
+
+
 def test_k_freeness_reproducible():
     D = 16
     A = normalize_observable(goe_matrix(D, np.random.default_rng(1)))
@@ -276,11 +296,17 @@ def _pool_expectation(spec, seed=5):
 
 
 @pytest.mark.parametrize("D", [32, 128])
-@pytest.mark.parametrize("kind", ["haar", "hamiltonian"])
+@pytest.mark.parametrize("kind", ["haar", "hamiltonian", "discrete"])
 def test_evaluate_words_independent_of_worker_count(monkeypatch, D, kind):
-    # each sample runs on one BLAS thread from its own substream, so neither
-    # the worker count nor the order samples finish in can move a bit
-    spec = HaarEnsemble(D) if kind == "haar" else HamiltonianEnsemble(goe_model(D, seed=3), t_max=50.0, n_samples=24)
+    # each member runs on one BLAS thread (a sample from its own substream),
+    # so neither the worker count nor the order members finish in can move a bit
+    if kind == "haar":
+        spec = HaarEnsemble(D)
+    elif kind == "hamiltonian":
+        spec = HamiltonianEnsemble(goe_model(D, seed=3), t_max=50.0, n_samples=24)
+    else:
+        rng = np.random.default_rng(D)
+        spec = DiscreteEnsemble([sample_haar(D, rng) for _ in range(6)], np.arange(1.0, 7.0) / 21.0)
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so a lost update would show
@@ -292,8 +318,9 @@ def test_evaluate_words_independent_of_worker_count(monkeypatch, D, kind):
         sys.setswitchinterval(interval)
     one, four = runs
     assert set(one._batches) == set(four._batches)
-    for key in one._batches:
-        assert np.array_equal(one._batches[key], four._batches[key])
+    assert set(one._means) == set(four._means)
+    for key in one._means:
+        assert np.array_equal(one._batches.get(key, []), four._batches.get(key, []))
         assert one._means[key] == four._means[key]
 
 
@@ -407,6 +434,34 @@ def test_channel_distance_dense_equals_gram():
     assert abs(channel_distance(ens2, 2, method="dense") - channel_distance(ens2, 2, method="gram")) < 1e-9
 
 
+def test_hamiltonian_channel_distance_dense_equals_gram():
+    # both routes average over the same sampled times
+    spec = HamiltonianEnsemble(goe_model(4, seed=0), t_max=50.0, n_samples=200)
+    for k in (1, 2):
+        dense = channel_distance(spec, k, method="dense", seed=7)
+        gram = channel_distance(spec, k, method="gram", seed=7)
+        assert abs(dense - gram) <= 1e-9 * gram
+
+
+def _pair_moment_pair_loop(spec, k):
+    """Reference: sum_ij p_i p_j |Tr(U_i U_j^dagger)|^{2k}, one pair at a time."""
+    p = spec.probabilities
+    total = 0.0
+    for i, u in enumerate(spec.unitaries):
+        for j, v in enumerate(spec.unitaries):
+            total += p[i] * p[j] * abs(np.trace(u @ v.conj().T)) ** (2 * k)
+    return total
+
+
+def test_discrete_pair_moment_matches_pair_loop():
+    rng = np.random.default_rng(23)
+    weighted = DiscreteEnsemble([sample_haar(3, rng) for _ in range(5)], np.array([0.1, 0.3, 0.05, 0.35, 0.2]))
+    for spec in (pauli_group(), clifford_group_1q(), weighted):
+        for k in (1, 2, 3):
+            want = _pair_moment_pair_loop(spec, k)
+            assert abs(_pair_moment(spec, k, seed=0) - want) <= 1e-12 * want
+
+
 def test_channel_distance_requires_d_ge_k():
     with pytest.raises(RegimeError):
         channel_distance(DiscreteEnsemble([np.eye(2)]), 3)
@@ -435,6 +490,19 @@ def test_hamiltonian_pair_moment_blocks_match_full_gram(n_samples):
         blocked = _pair_moment(spec, k, seed=13)
         full = _pair_moment_full_gram(spec, k, seed=13)
         assert abs(blocked - full) <= 1e-12 * abs(full)
+
+
+def test_infinite_time_distance_counts_resonances():
+    # an evenly spaced spectrum is maximally resonant; the reference counts
+    # the level (k = 1) and pair-sum (k = 2) coincidences one by one
+    D = 6
+    model = SpectralModel(np.arange(D, dtype=float), np.eye(D), {})
+    pair_sums = [min(s + 1, 2 * D - 1 - s) for s in range(2 * D - 1)]
+    assert infinite_time_distance(model, 1) == math.sqrt(D - 1)
+    assert infinite_time_distance(model, 2) == math.sqrt(sum(c * c for c in pair_sums) - 2)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="k <= 2"):
+            infinite_time_distance(model, k)
 
 
 def test_infinite_time_distance_values():
@@ -474,7 +542,7 @@ def test_ensemble_superoperator_is_bit_identical_to_kron_sum():
             want += p * term(u, k)
         assert np.array_equal(ensemble_superoperator(discrete, k), want)
         want = np.zeros((9**k, 9**k), dtype=complex)
-        for u in ensemble_unitaries(hamiltonian, 5, 3):
+        for u in _evolutions(hamiltonian, seed=3):
             want += term(u, k)
         assert np.array_equal(ensemble_superoperator(hamiltonian, k, seed=3), want / 5)
 

@@ -45,6 +45,7 @@ from eth_oracles import (
     SpectralSum,
     coincidence_pattern_sum,
     distinct_index_brute,
+    ising_kronecker,
     joint_spectral_sum,
     merged_chain_sum_loops,
     partition_lattice_moebius,
@@ -137,6 +138,20 @@ def test_complex_hermitian_model_keeps_complex_eigh():
 def test_goe_level_spacing_ratio():
     model = goe_model(512, seed=0)
     assert abs(model.level_spacing_ratio() - 0.5307) < 0.03
+
+
+@pytest.mark.parametrize("L", range(2, 9))
+def test_ising_model_matches_kronecker_oracle(monkeypatch, L):
+    # index arithmetic fills the entries the Kronecker products would, with
+    # each diagonal entry summed in the same term order: bit for bit
+    built = {}
+    monkeypatch.setattr(eth, "build_model", lambda h, obs, provenance: built.update(h=h, obs=obs))
+    ising_model(L)
+    h, obs = ising_kronecker(L)
+    assert built["h"].dtype == h.dtype and np.array_equal(built["h"], h)
+    assert set(built["obs"]) == set(obs)
+    for name, m in obs.items():
+        assert built["obs"][name].dtype == m.dtype and np.array_equal(built["obs"][name], m)
 
 
 def test_ising_model_builds():

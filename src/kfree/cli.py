@@ -349,6 +349,21 @@ def _build_ensemble(args):
     raise ValueError(f"unknown ensemble {name!r}")
 
 
+def _ensemble_size(spec) -> dict:
+    """The `n_samples` and `dim` a design-check or distance result reports:
+    the members actually averaged (none for Haar, whose channel is exact)
+    and the ensemble's dimension, not flags that a discrete ensemble ignores."""
+    from .ensembles import DiscreteEnsemble, HamiltonianEnsemble
+
+    if isinstance(spec, DiscreteEnsemble):
+        n_samples = len(spec.unitaries)
+    elif isinstance(spec, HamiltonianEnsemble):
+        n_samples = spec.n_samples
+    else:
+        n_samples = None
+    return {"n_samples": n_samples, "dim": spec.dim}
+
+
 def _cmd_design_check(args) -> None:
     from .ensembles import design_check
 
@@ -366,6 +381,7 @@ def _cmd_design_check(args) -> None:
             "max_deviation": report.max_deviation,
             "tolerance": report.tolerance,
             "seed": args.seed,
+            **_ensemble_size(spec),
         },
     )
 
@@ -384,8 +400,8 @@ def _cmd_distance(args) -> None:
             "ensemble": args.ensemble,
             "k": args.k,
             "distance": dist,
-            "n_samples": args.n_samples,
             "seed": args.seed,
+            **_ensemble_size(spec),
         },
     )
 
@@ -402,13 +418,61 @@ def _eth_model(args):
     else:
         h = _load_matrix(args.model)
         model = build_model(h, provenance=f"file({args.model})")
+    for name, raw in _eth_obs_files(args, model.dim):
+        model.observables[name] = to_eigenbasis(model.basis, raw)
+    return model
+
+
+def _eth_obs_files(args, dim: int):
+    """(name, matrix) for each --obs NAME=path, each checked to be dim x dim."""
     for assignment in args.obs or []:
         name, _, path = assignment.partition("=")
         if not path:
             raise ValueError(f"bad --obs {assignment!r}; want NAME=path")
         raw = _load_matrix(path)
-        model.observables[name] = to_eigenbasis(model.basis, raw)
-    return model
+        if raw.shape[0] != dim:
+            raise ValueError(f"--obs {name}: {path} is {raw.shape[0]}x{raw.shape[0]}, but the Hamiltonian is {dim}x{dim}")
+        yield name, raw
+
+
+def _eth_build(args) -> dict:
+    """The `eth build` document: spectral statistics of the sorted energies
+    from `eigvalsh`, so no eigenvectors and no model are built."""
+    from .eth import (
+        GOE_OBSERVABLES,
+        ISING_OBSERVABLES,
+        _goe_provenance,
+        _ising_provenance,
+        goe_matrix,
+        hamiltonian_energies,
+        ising_hamiltonian,
+        level_spacing_ratio,
+        resonance_report,
+        spectral_width,
+    )
+
+    if args.model == "goe":
+        _require_positive(args, "dim")
+        h = goe_matrix(args.dim, np.random.default_rng(args.seed))
+        provenance, names = _goe_provenance(args.dim, args.seed), set(GOE_OBSERVABLES)
+    elif args.model == "ising":
+        _require_positive(args, "length")
+        h = ising_hamiltonian(args.length)
+        provenance, names = _ising_provenance(args.length), set(ISING_OBSERVABLES)
+    else:
+        h = _load_matrix(args.model)
+        provenance, names = f"file({args.model})", set()
+    energies = hamiltonian_energies(h)
+    del h  # freed before any --obs file loads
+    names.update(name for name, _ in _eth_obs_files(args, len(energies)))
+    return {
+        "dim": len(energies),
+        "provenance": provenance,
+        "spectral_width": spectral_width(energies),
+        "level_spacing_ratio": level_spacing_ratio(energies),
+        "observables": sorted(names),
+        "resonances": resonance_report(energies, seed=args.seed),
+    }
 
 
 def _eth_obs_pair(args, model):
@@ -445,19 +509,12 @@ def _cmd_eth(args) -> None:
         _require(args, "t_max")
     elif action in ("timeavg", "freetime", "appendixb") and args.t_max is not None and args.t_max <= 0:
         raise ValueError(f"--t-max must be > 0 (got {args.t_max})")
+    if action == "build":
+        _emit(args, "eth build", _eth_build(args))
+        return
     model = _eth_model(args)
     state = thermal_state(model, args.beta)
-    if action == "build":
-        result = {
-            "dim": model.dim,
-            "provenance": model.provenance,
-            "spectral_width": model.spectral_width(),
-            "level_spacing_ratio": model.level_spacing_ratio(),
-            "observables": sorted(model.observables),
-            "resonances": model.resonance_report(seed=args.seed),
-        }
-        _emit(args, "eth build", result)
-    elif action == "cumulant":
+    if action == "cumulant":
         a, b = _eth_obs_pair(args, model)
         times = np.linspace(0.0, args.t_max, args.n_points)
         rows_data = []

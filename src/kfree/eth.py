@@ -6,13 +6,23 @@ Spectral sums are organized around "slot chains": a product of operator
 matrix elements around one or more trace cycles, with a diagonal weight
 vector per cycle and an energy-phase coefficient per slot.
 
+`build_model` diagonalises with `eigh` and keeps the eigenvectors, which
+every spectral sum needs; `hamiltonian_energies` runs the same checks and
+returns only the `eigvalsh` energies, which is all the spectral statistics
+(`spectral_width`, `level_spacing_ratio`, `resonance_report`, functions of
+the sorted energies) read.  Both test Hermiticity one row panel at a time,
+on the real part when every imaginary part is exactly 0, so the check adds
+no full-size copy of H.
+
 One builder, `_chain_einsum`, writes the subscripts and operands of every
 chain sum.  `merged_chain_sum` contracts them to a number S_Q for one merge
 pattern Q.  The finite-window average keeps every slot axis open (the
-singleton pattern): amplitudes far from resonance, divided by their phase d,
-are contracted slot by slot against per-slot phase vectors e^{iT c_s E},
-with the window kernel's e^{iTd} - 1 telescoped over the slots; the few
-near resonance take the kernel directly, and |d| < 1e-14 keeps weight 1.
+singleton pattern) and builds the amplitude tensor by broadcast multiplies
+into one reused buffer (`_slot_amplitudes`).  Amplitudes far from
+resonance, divided by their phase d, are contracted slot by slot against
+per-slot phase vectors e^{iT c_s E}, with the window kernel's e^{iTd} - 1
+telescoped over the slots; the few near resonance take the kernel
+directly, and |d| < 1e-14 keeps weight 1.
 `_chain_time_average` is the one place that chooses between the infinite
 window and a finite one.
 
@@ -50,6 +60,9 @@ from .partitions import Partition, iter_set_partitions
 DEFAULT_DIM_CAP = 4096
 RESONANCE_EPS_FACTOR = 1e-10
 _WINDOW_CHUNK_ELEMS = 2_000_000  # amplitude-tensor entries per chunk of a windowed average
+GOE_OBSERVABLES = ("A", "B")  # the observables goe_model draws by default
+ISING_OBSERVABLES = ("sz_mid", "sx_mid")  # the observables of ising_model
+_PANEL_ELEMS = 65_536  # entries per row panel of the Hermiticity check
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +120,7 @@ class SpectralModel:
         return len(self.energies)
 
     def spectral_width(self) -> float:
-        return float(self.energies[-1] - self.energies[0])
+        return spectral_width(self.energies)
 
     def observable(self, obs) -> np.ndarray:
         """Resolve a named observable; raw arrays are taken as eigenbasis matrices."""
@@ -115,29 +128,47 @@ class SpectralModel:
             return self.observables[obs]
         return np.asarray(obs)
 
-    def level_spacing_ratio(self) -> float:
-        """Mean adjacent-gap ratio over the central half of the spectrum."""
-        e = self.energies
-        gaps = np.diff(e)
-        lo, hi = len(gaps) // 4, 3 * len(gaps) // 4
-        s1, s2 = gaps[lo:hi], gaps[lo + 1 : hi + 1]
-        r = np.minimum(s1, s2) / np.maximum(s1, s2)
-        return float(np.mean(r))
 
-    def resonance_report(self, eps: float | None = None, n_samples: int = 20000, seed: int = 0) -> dict:
-        """Count near-resonances |E_i + E_j - E_k - E_l| < eps among sampled
-        quadruples, excluding the trivial ones where {i,j} == {k,l}."""
-        if eps is None:
-            eps = RESONANCE_EPS_FACTOR * self.spectral_width()
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, self.dim, size=(n_samples, 4))
-        e = self.energies
-        delta = np.abs(e[idx[:, 0]] + e[idx[:, 1]] - e[idx[:, 2]] - e[idx[:, 3]])
-        trivial = ((idx[:, 0] == idx[:, 2]) & (idx[:, 1] == idx[:, 3])) | (
-            (idx[:, 0] == idx[:, 3]) & (idx[:, 1] == idx[:, 2])
-        )
-        hits = int(np.sum((delta < eps) & ~trivial))
-        return {"eps": eps, "n_samples": n_samples, "near_resonances": hits}
+# ---------------------------------------------------------------------------
+# spectral statistics of sorted energies
+# ---------------------------------------------------------------------------
+
+
+def spectral_width(energies: np.ndarray) -> float:
+    return float(energies[-1] - energies[0])
+
+
+def level_spacing_ratio(energies: np.ndarray) -> float | None:
+    """Mean adjacent-gap ratio over the central half of the spectrum; None
+    below 3 levels, where no two adjacent gaps exist."""
+    if len(energies) < 3:
+        return None
+    gaps = np.diff(energies)
+    lo, hi = len(gaps) // 4, 3 * len(gaps) // 4
+    s1, s2 = gaps[lo:hi], gaps[lo + 1 : hi + 1]
+    r = np.minimum(s1, s2) / np.maximum(s1, s2)
+    return float(np.mean(r))
+
+
+def resonance_report(energies: np.ndarray, eps: float | None = None, n_samples: int = 20000, seed: int = 0) -> dict:
+    """Count near-resonances |E_i + E_j - E_k - E_l| < eps among sampled
+    quadruples, excluding the trivial ones where {i,j} == {k,l}."""
+    if eps is None:
+        eps = RESONANCE_EPS_FACTOR * spectral_width(energies)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(energies), size=(n_samples, 4))
+    e = energies
+    delta = np.abs(e[idx[:, 0]] + e[idx[:, 1]] - e[idx[:, 2]] - e[idx[:, 3]])
+    trivial = ((idx[:, 0] == idx[:, 2]) & (idx[:, 1] == idx[:, 3])) | (
+        (idx[:, 0] == idx[:, 3]) & (idx[:, 1] == idx[:, 2])
+    )
+    hits = int(np.sum((delta < eps) & ~trivial))
+    return {"eps": eps, "n_samples": n_samples, "near_resonances": hits}
+
+
+# ---------------------------------------------------------------------------
+# diagonalization
+# ---------------------------------------------------------------------------
 
 
 def build_model(
@@ -147,16 +178,40 @@ def build_model(
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> SpectralModel:
     """Dense diagonalization; observables are rotated into the eigenbasis."""
+    energies, basis = np.linalg.eigh(_checked_hamiltonian(hamiltonian, dim_cap))
+    obs = {name: to_eigenbasis(basis, m) for name, m in (observables or {}).items()}
+    return SpectralModel(energies, basis, obs, provenance=provenance)
+
+
+def hamiltonian_energies(hamiltonian: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of a Hamiltonian (`eigvalsh`, no eigenvectors),
+    after the same checks as `build_model` with its default cap."""
+    return np.linalg.eigvalsh(_checked_hamiltonian(hamiltonian, DEFAULT_DIM_CAP))
+
+
+def _checked_hamiltonian(hamiltonian, dim_cap: int) -> np.ndarray:
+    """H after the dimension cap, finiteness and Hermiticity checks, real
+    when every imaginary part is exactly 0."""
     h = np.asarray(hamiltonian)
     if h.shape[0] > dim_cap:
         raise ValueError(f"dimension {h.shape[0]} exceeds cap {dim_cap}")
     if not np.all(np.isfinite(h)):
         raise ValueError("hamiltonian has non-finite entries")
-    if np.max(np.abs(h - h.conj().T)) > 1e-10:
+    h = _real_if_zero_imag(h)
+    if _hermitian_deviation(h) > 1e-10:
         raise ValueError("hamiltonian must be Hermitian")
-    energies, basis = np.linalg.eigh(_real_if_zero_imag(h))
-    obs = {name: to_eigenbasis(basis, m) for name, m in (observables or {}).items()}
-    return SpectralModel(energies, basis, obs, provenance=provenance)
+    return h
+
+
+def _hermitian_deviation(h: np.ndarray) -> float:
+    """max |H - H^dagger|, one row panel at a time, so no temporary is
+    larger than a panel."""
+    rows = max(1, _PANEL_ELEMS // max(1, h.shape[1]))
+    dev = 0.0
+    for lo in range(0, h.shape[0], rows):
+        panel = h[lo : lo + rows] - h[:, lo : lo + rows].conj().T
+        dev = max(dev, float(np.max(np.abs(panel))))
+    return dev
 
 
 def to_eigenbasis(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -170,19 +225,22 @@ def _real_if_zero_imag(m) -> np.ndarray:
     return m.real if np.iscomplexobj(m) and not np.any(m.imag) else m
 
 
-def goe_model(D: int, seed: int = 0, observables: Sequence[str] = ("A", "B"), normalized: bool = True) -> SpectralModel:
+def goe_model(D: int, seed: int = 0, observables: Sequence[str] = GOE_OBSERVABLES, normalized: bool = True) -> SpectralModel:
     """GOE Hamiltonian with independent GOE observables named in `observables`."""
     rng = np.random.default_rng(seed)
-    model = build_model(goe_matrix(D, rng), provenance=f"goe(D={D}, seed={seed})")
+    model = build_model(goe_matrix(D, rng), provenance=_goe_provenance(D, seed))
     for name in observables:
         m = goe_matrix(D, rng)
         model.observables[name] = normalize_observable(m) if normalized else m
     return model
 
 
-def ising_model(L: int, J: float = 1.0, hx: float = -1.05, hz: float = 0.5) -> SpectralModel:
-    """Mixed-field Ising chain (open boundary) at a standard chaotic point,
-    with mid-chain sigma-z / sigma-x observables.
+def _goe_provenance(D: int, seed: int) -> str:
+    return f"goe(D={D}, seed={seed})"
+
+
+def ising_hamiltonian(L: int, J: float = 1.0, hx: float = -1.05, hz: float = 0.5) -> np.ndarray:
+    """Mixed-field Ising chain (open boundary) at a standard chaotic point.
 
     Site i is bit L-1-i of a basis index (site 0 is the leftmost Kronecker
     factor): sigma-z is diagonal with entries 1 - 2 bit, and sigma-x flips
@@ -200,11 +258,22 @@ def ising_model(L: int, J: float = 1.0, hx: float = -1.05, hz: float = 0.5) -> S
         diag += hz * z[i]
         h[idx, idx ^ bits[i]] += hx
     h[idx, idx] = diag
-    mid = L // 2
+    return h
+
+
+def ising_model(L: int, J: float = 1.0, hx: float = -1.05, hz: float = 0.5) -> SpectralModel:
+    """`ising_hamiltonian` with mid-chain sigma-z / sigma-x observables."""
+    D = 2**L
+    idx = np.arange(D)
+    bit = 1 << (L - 1 - L // 2)
     sx_mid = np.zeros((D, D))
-    sx_mid[idx, idx ^ bits[mid]] = 1.0
-    obs = {"sz_mid": np.diag(z[mid]), "sx_mid": sx_mid}
-    return build_model(h, obs, provenance=f"ising(L={L}, J={J}, hx={hx}, hz={hz})")
+    sx_mid[idx, idx ^ bit] = 1.0
+    obs = dict(zip(ISING_OBSERVABLES, (np.diag(1.0 - 2.0 * ((idx & bit) != 0)), sx_mid)))
+    return build_model(ising_hamiltonian(L, J, hx, hz), obs, provenance=_ising_provenance(L, J, hx, hz))
+
+
+def _ising_provenance(L: int, J: float = 1.0, hx: float = -1.05, hz: float = 0.5) -> str:
+    return f"ising(L={L}, J={J}, hx={hx}, hz={hz})"
 
 
 @dataclass
@@ -407,16 +476,15 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
     levels) take the kernel itself, sin(x)/x + 2i sin^2(x/2)/x at x = Td,
     and those with |d| < 1e-14 keep weight 1.
 
-    Amplitudes are materialized chunked over the first slot; later slots are
-    contracted once, after every chunk has been folded into h.
+    Amplitudes are materialized chunked over the first slot, each chunk in
+    one reused buffer (`_slot_amplitudes`); later slots are contracted once,
+    after every chunk has been folded into h.
     """
     m = chains.n_slots
     D = len(energies)
     if D ** (m - 1) > 64_000_000:
         raise ValueError(f"windowed average too large: D={D}, slots={m}")
     subs, operands = _chain_einsum(chains, Partition.singletons(m))
-    first = string.ascii_lowercase[0]  # slot 1, the axis that is chunked
-    expr = ",".join(subs) + "->" + string.ascii_lowercase[:m]
 
     coeffs = chains.slot_coeffs
     e = energies - np.mean(energies)
@@ -427,26 +495,20 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
         theta = t_max * c * e
         rows.append(np.stack([2j * np.sin(theta / 2) * np.exp(0.5j * theta), np.exp(1j * theta)]))
 
-    chunk = max(1, _WINDOW_CHUNK_ELEMS // max(1, D ** (m - 1)))
+    chunk = min(D, max(1, _WINDOW_CHUNK_ELEMS // max(1, D ** (m - 1))))
+    amplitudes = np.empty((chunk,) + (D,) * (m - 1), dtype=np.result_type(*operands))
     direct = 0.0 + 0.0j
     telescoped = 0.0 + 0.0j
     h = np.zeros(D ** (m - 1), dtype=complex)
     for lo in range(0, D, chunk):
         sel = slice(lo, lo + chunk)
-        ops = []
-        for s, op in zip(subs, operands):
-            if first not in s:
-                ops.append(op)
-            elif op.ndim == 1:
-                ops.append(op[sel])
-            else:
-                axis = s.index(first)
-                ops.append(op[sel, :] if axis == 0 else op[:, sel])
-        g = np.einsum(expr, *ops, optimize=True)
+        g = amplitudes[: min(chunk, D - lo)]
+        _slot_amplitudes(g, subs, operands, sel)
         delta = coeffs[0] * e[sel]
         for c in coeffs[1:]:
             delta = np.add.outer(delta, c * e)
-        close = np.abs(delta) < near
+        close = delta < near
+        close &= delta > -near
         direct += _window_kernel_sum(g[close], delta[close], t_max)
         delta[close] = np.inf
         g /= delta
@@ -458,6 +520,34 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
         telescoped += r[0].sum()
         h = r[1]
     return complex(direct - 1j * telescoped / t_max)
+
+
+def _slot_amplitudes(out: np.ndarray, subs: list[str], operands: list[np.ndarray], sel: slice) -> None:
+    """Fill `out` with the chain's amplitude tensor over the slot axes (slot
+    letter a is axis 0, restricted to `sel`; b is axis 1; ...): the einsum
+    `",".join(subs) -> "ab..."`, which sums no index, done as broadcast
+    multiplies, each operand viewed on the axes its subscript names.  A
+    repeated subscript (the one slot of a one-letter cycle) is a diagonal."""
+    letters = string.ascii_lowercase
+    product = None
+    for s, op in zip(subs, operands):
+        if len(s) == 2 and s[0] == s[1]:
+            s, op = s[0], np.diagonal(op)
+        if len(s) == 2 and s[0] > s[1]:
+            s, op = s[::-1], op.T
+        if s[0] == letters[0]:
+            op = op[sel]
+        shape = [1] * out.ndim
+        for letter, n in zip(s, op.shape):
+            shape[letters.index(letter)] = n
+        view = op.reshape(shape)
+        if product is None:
+            product = view
+            continue
+        # small partial products stay temporaries; the first full-size one
+        # is written into `out` and every later factor multiplies it in place
+        full = np.broadcast_shapes(product.shape, view.shape) == out.shape
+        product = np.multiply(product, view, out=out if full else None)
 
 
 def _window_kernel_sum(amp: np.ndarray, d: np.ndarray, t_max: float) -> complex:

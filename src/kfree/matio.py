@@ -5,12 +5,14 @@ Two interchangeable formats, selected by file suffix:
 * ``.json`` -- object with "shape": [rows, cols] and "data": a row-major
   list of [re, im] pairs.
 * ``.bin``  -- magic ``KFOP``, two little-endian uint32 (rows, cols), then
-  row-major float64 little-endian (re, im) pairs.
+  row-major little-endian complex128 entries, i.e. float64 (re, im) pairs.
+  The payload is read in one pass into the returned array.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import numpy as np
 
 MAGIC = b"KFOP"
 HEADER_BYTES = 12  # magic plus two uint32
+ENTRY = np.dtype("<c16")  # one payload entry: little-endian float64 (re, im)
 
 
 def save_operator(path: str | Path, matrix: np.ndarray) -> None:
@@ -33,10 +36,7 @@ def save_operator(path: str | Path, matrix: np.ndarray) -> None:
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<II", m.shape[0], m.shape[1]))
-            interleaved = np.empty(m.size * 2, dtype="<f8")
-            interleaved[0::2] = m.real.reshape(-1)
-            interleaved[1::2] = m.imag.reshape(-1)
-            fh.write(interleaved.tobytes())
+            np.ascontiguousarray(m, dtype=ENTRY).tofile(fh)
     else:
         raise ValueError(f"unknown operator format {path.suffix!r} (want .json or .bin)")
 
@@ -59,20 +59,30 @@ def load_operator(path: str | Path) -> np.ndarray:
         if not isinstance(data, list) or len(data) != rows * cols:
             raise ValueError(f"{path}: want {rows * cols} [re, im] entries for shape ({rows}, {cols})")
         try:
-            flat = np.array([complex(re, im) for re, im in data])
-        except (TypeError, ValueError) as exc:
+            # complex() rejects strings and nulls and raises OverflowError for
+            # an int no float can hold, but takes booleans as 1 and 0: a pair
+            # with a boolean is dropped here and caught by the count below
+            entries = [complex(re, im) for re, im in data if type(re) is not bool and type(im) is not bool]
+            if len(entries) != len(data):
+                raise TypeError("booleans are not numbers")
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: data entries must be [re, im] number pairs") from exc
-        return flat.reshape(rows, cols)
+        return np.array(entries, dtype=complex).reshape(rows, cols)
     if path.suffix == ".bin":
-        raw = path.read_bytes()
-        if raw[:4] != MAGIC:
-            raise ValueError(f"{path}: bad magic, not a KFOP operator file")
-        if len(raw) < HEADER_BYTES:
-            raise ValueError(f"{path}: truncated header ({len(raw)} of {HEADER_BYTES} bytes)")
-        rows, cols = struct.unpack("<II", raw[4:HEADER_BYTES])
-        _check_square(path, rows, cols)
-        interleaved = np.frombuffer(raw[HEADER_BYTES:], dtype="<f8")
-        if interleaved.size != rows * cols * 2:
-            raise ValueError(f"{path}: truncated payload")
-        return (interleaved[0::2] + 1j * interleaved[1::2]).reshape(rows, cols)
+        with open(path, "rb") as fh:
+            head = fh.read(HEADER_BYTES)
+            if head[:4] != MAGIC:
+                raise ValueError(f"{path}: bad magic, not a KFOP operator file")
+            if len(head) < HEADER_BYTES:
+                raise ValueError(f"{path}: truncated header ({len(head)} of {HEADER_BYTES} bytes)")
+            rows, cols = struct.unpack("<II", head[4:])
+            _check_square(path, rows, cols)
+            want = rows * cols * ENTRY.itemsize
+            got = os.fstat(fh.fileno()).st_size - HEADER_BYTES
+            if got < want:
+                raise ValueError(f"{path}: truncated payload ({got} of {want} bytes)")
+            if got > want:
+                raise ValueError(f"{path}: payload of {got} bytes, want {want} for shape ({rows}, {cols})")
+            flat = np.fromfile(fh, dtype=ENTRY, count=rows * cols)
+        return flat.astype(complex, copy=False).reshape(rows, cols)
     raise ValueError(f"unknown operator format {path.suffix!r} (want .json or .bin)")

@@ -11,6 +11,10 @@ lattice pair by pair, with the general Moebius function mu(sigma, pi), where
 exact coincidence pattern, and `strict_average_coeffs` with its O(Bell(m)^2)
 double loop over pairs of slot partitions.
 
+`chain_amplitudes_einsum` is the amplitude tensor of a chain written as one
+einsum that sums no index, the formula `kfree.eth._slot_amplitudes` builds
+with broadcast multiplies.
+
 `thermal_word_moment` is the plain weighted trace of one word, the moment
 that `kfree.eth.thermal_free_cumulant` inverts.
 
@@ -115,6 +119,24 @@ def joint_spectral_sum(model: SpectralModel, state: ThermalState, A, B) -> Spect
     omega = e[:, None] - e[None, :]
     freq = omega[:, :, None, None] + omega[None, None, :, :]
     return SpectralSum(amp.reshape(-1), freq.reshape(-1))
+
+
+def chain_amplitudes_einsum(chains: SlotChains) -> np.ndarray:
+    """Amplitude of every slot assignment, one axis per slot: each cycle's
+    weight vector on its first slot times one matrix per pair of cyclically
+    adjacent slots of the cycle (a one-slot cycle takes the diagonal)."""
+    letters = string.ascii_lowercase
+    subs, operands = [], []
+    start = 0
+    for cycle, w in zip(chains.cycles, chains.weights):
+        p = len(cycle)
+        subs.append(letters[start])
+        operands.append(w)
+        for i, mat in enumerate(cycle):
+            subs.append(letters[start + i] + letters[start + (i + 1) % p])
+            operands.append(mat)
+        start += p
+    return np.einsum(",".join(subs) + "->" + letters[:start], *operands, optimize=True)
 
 
 def merged_chain_sum_loops(chains: SlotChains, merge: Partition, D: int) -> complex:

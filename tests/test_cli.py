@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -184,6 +185,34 @@ def test_operator_roundtrip_binary(tmp_path):
     assert np.allclose(load_operator(path), m)
 
 
+def test_operator_roundtrip_is_byte_exact_with_signed_zeros(tmp_path):
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    m[0, :4] = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(1.5, -0.0)]
+    for name in ("op.bin", "op.json"):
+        save_operator(tmp_path / name, m)
+        back = load_operator(tmp_path / name)
+        assert back.dtype == np.complex128 and back.shape == m.shape
+        assert back.tobytes() == m.tobytes()
+    # the payload is the matrix's complex128 bytes, after a 12-byte header
+    assert (tmp_path / "op.bin").read_bytes()[12:] == m.astype("<c16").tobytes()
+
+
+def test_binary_operator_loads_in_one_payload_sized_array(tmp_path):
+    D = 512
+    path = tmp_path / "big.bin"
+    save_operator(path, np.random.default_rng(2).standard_normal((D, D)) + 0j)
+    payload = D * D * 16
+    tracemalloc.start()
+    try:
+        m = load_operator(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (D, D)
+    assert peak <= 1.25 * payload, (peak, payload)
+
+
 def test_design_check_cli(capsys):
     code, out, _ = run(capsys, "design-check", "--ensemble", "clifford", "--k", "3")
     doc = json.loads(out)
@@ -228,6 +257,69 @@ def test_eth_build_and_cumulant(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "t,real,imag,std_error"
     assert len(lines) == 6
+
+
+def test_eth_build_takes_eigenvalues_only(tmp_path, monkeypatch, capsys):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eth build must not compute eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    rng = np.random.default_rng(9)
+    h = rng.standard_normal((16, 16))
+    save_operator(tmp_path / "h.bin", h + h.T)
+    save_operator(tmp_path / "o.bin", np.diag(np.arange(16.0)))
+    models = {
+        "goe": (["--model", "goe", "--dim", "16"], ["A", "B"]),
+        "ising": (["--model", "ising", "--length", "4"], ["sx_mid", "sz_mid"]),
+        "file": (["--model", str(tmp_path / "h.bin")], []),
+    }
+    for argv, names in models.values():
+        for obs in ([], ["--obs", f"X={tmp_path / 'o.bin'}", "--obs", f"A={tmp_path / 'o.bin'}"]):
+            code, out, err = run(capsys, "eth", "build", *argv, *obs)
+            assert code == 0, err
+            doc = json.loads(out)["result"]
+            assert doc["dim"] == 16
+            assert doc["observables"] == sorted(set(names) | ({"A", "X"} if obs else set()))
+
+
+def test_eth_build_matches_models_built_with_eigh(capsys):
+    from kfree.eth import goe_model, ising_model, level_spacing_ratio, resonance_report
+
+    for argv, model in ((["--model", "goe", "--dim", "48", "--seed", "3"], goe_model(48, seed=3)),
+                        (["--model", "ising", "--length", "5"], ising_model(5))):
+        code, out, _ = run(capsys, "eth", "build", *argv, "--seed", "3")
+        doc = json.loads(out)["result"]
+        width = model.spectral_width()
+        assert doc["provenance"] == model.provenance
+        assert doc["observables"] == sorted(model.observables)
+        assert abs(doc["spectral_width"] - width) <= 1e-12 * width
+        assert abs(doc["level_spacing_ratio"] - level_spacing_ratio(model.energies)) <= 1e-10
+        assert doc["resonances"]["near_resonances"] == resonance_report(model.energies, seed=3)["near_resonances"]
+
+
+def test_eth_build_writes_valid_json_below_three_levels(tmp_path, capsys):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    for D in (1, 2, 3):
+        path = tmp_path / f"h{D}.json"
+        save_operator(path, np.diag([1.0, 2.0, 4.0][:D]))
+        code, out, _ = run(capsys, "eth", "build", "--model", str(path))
+        assert code == 0
+        ratio = json.loads(out, parse_constant=reject)["result"]["level_spacing_ratio"]
+        assert ratio == (None if D < 3 else 0.5)
+
+
+def test_discrete_ensembles_report_their_own_size(capsys):
+    for command in ("distance", "design-check"):
+        code, out, _ = run(capsys, command, "--ensemble", "clifford", "--k", "2")
+        result = json.loads(out)["result"]
+        assert code == 0
+        assert (result["n_samples"], result["dim"]) == (24, 2)
+    code, out, _ = run(capsys, "distance", "--ensemble", "hamiltonian", "--k", "1", "--dim", "6",
+                       "--n-samples", "40", "--t-max", "50")
+    result = json.loads(out)["result"]
+    assert (result["n_samples"], result["dim"]) == (40, 6)
 
 
 def test_eth_timeavg_cli(capsys):
@@ -298,13 +390,22 @@ def test_malformed_operator_files_exit_1(tmp_path):
         "short.json": json.dumps({"shape": [2, 2], "data": [[0.0, 0.0]] * 3}).encode(),
         "text.json": json.dumps({"shape": [1, 1], "data": [["1", "0"]]}).encode(),
         "list.json": json.dumps([1, 1]).encode(),
+        "truncated.bin": b"KFOP" + struct.pack("<II", 2, 2) + payload[:56],
+        "oversized.bin": b"KFOP" + struct.pack("<II", 2, 2) + payload[:64] + b"\0",
+        # an integer no float can hold, and booleans, are not numbers
+        "huge.json": b'{"shape": [1, 1], "data": [[1' + b"0" * 400 + b', 0]]}',
+        "bool.json": json.dumps({"shape": [1, 1], "data": [[True, False]]}).encode(),
     }
+    pair_message = "data entries must be [re, im] number pairs"
     for name, raw in files.items():
         path = tmp_path / name
         path.write_bytes(raw)
-        code, err = run_process("cumulants", "--operator", str(path), "--max-order", "2")
-        assert_validation_exit(code, err)
-        assert name in err
+        for argv in (["cumulants", "--operator", str(path), "--max-order", "2"], ["eth", "build", "--model", str(path)]):
+            code, err = run_process(*argv)
+            assert_validation_exit(code, err)
+            assert name in err
+            if name in ("huge.json", "bool.json"):
+                assert pair_message in err
 
 
 def test_invalid_operator_contents_exit_1(tmp_path):
@@ -327,6 +428,16 @@ def test_invalid_operator_contents_exit_1(tmp_path):
         code, err = run_process(*argv)
         assert_validation_exit(code, err)
         assert message in err
+
+
+def test_eth_obs_shape_mismatch_exits_1(tmp_path):
+    save_operator(tmp_path / "h.json", np.diag([1.0, 2.0, 4.0]))
+    save_operator(tmp_path / "o.json", np.eye(2))
+    for action in ("build", "cumulant"):
+        argv = ["eth", action, "--model", str(tmp_path / "h.json"), "--obs", f"X={tmp_path / 'o.json'}", "--t-max", "1"]
+        code, err = run_process(*argv)
+        assert_validation_exit(code, err)
+        assert "--obs X" in err and "3x3" in err
 
 
 def test_operator_dimension_must_match_dim(tmp_path):

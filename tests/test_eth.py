@@ -18,23 +18,31 @@ from kfree.eth import (
     averaged_free_cumulant,
     bimodal_observable,
     build_model,
+    chains_from_word,
     deutsch_ensemble,
     distinct_index_cumulant,
     factorization_gap,
     free_k_time,
     goe_matrix,
     goe_model,
+    hamiltonian_energies,
     heisenberg,
+    ising_hamiltonian,
     ising_model,
+    level_spacing_ratio,
     merged_chain_sum,
     normalize_observable,
     otoc_long_time_factorization,
     phase_average_delta_structure,
+    resonance_report,
     thermal_free_cumulant,
     thermal_state,
     time_average,
+    _chain_einsum,
+    _hermitian_deviation,
     _restricted_coeffs,
     _single_slot,
+    _slot_amplitudes,
     _slot_coeffs,
     _zero_phase,
 )
@@ -43,6 +51,7 @@ from kfree.partitions import Partition, iter_set_partitions
 
 from eth_oracles import (
     SpectralSum,
+    chain_amplitudes_einsum,
     coincidence_pattern_sum,
     distinct_index_brute,
     ising_kronecker,
@@ -135,9 +144,42 @@ def test_complex_hermitian_model_keeps_complex_eigh():
     assert np.max(np.abs(model.basis @ np.diag(model.energies) @ model.basis.conj().T - h)) < 1e-12
 
 
+@pytest.mark.parametrize("panel_elems", [None, 1, 40])
+def test_hermitian_deviation_matches_full_difference(monkeypatch, panel_elems):
+    # row panels of 1 row and of 40 // 12 = 3 rows (the last one shorter)
+    # give the full max|H - H^dagger| exactly, for real and complex input
+    if panel_elems is not None:
+        monkeypatch.setattr(eth, "_PANEL_ELEMS", panel_elems)
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((13, 13)) + 1j * rng.standard_normal((13, 13))
+    for h in (g.real, g, g + g.conj().T, (g + g.conj().T).real + 0j):
+        h = h[:12, :12]
+        assert _hermitian_deviation(eth._real_if_zero_imag(h)) == float(np.max(np.abs(h - h.conj().T)))
+
+
+def test_hamiltonian_energies_match_eigh_and_keep_the_checks():
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((40, 40))
+    complex_h = goe_matrix(40, rng) + 0.3j * (g - g.T)
+    for h in (goe_matrix(40, rng), complex_h, complex_h.real + 0j, ising_hamiltonian(6)):
+        want = np.linalg.eigh(h)[0]
+        got = hamiltonian_energies(h)
+        assert np.max(np.abs(got - want)) <= 1e-12 * (want[-1] - want[0])
+    skew = np.eye(3)
+    skew[0, 1] = 1e-9
+    nan = np.eye(3)
+    nan[1, 1] = np.nan
+    # the cap is tested on the row count first, so a 4097 x 1 array reaches it
+    for h, message in ((skew, "Hermitian"), (nan, "non-finite"), (np.zeros((4097, 1)), "exceeds cap")):
+        with pytest.raises(ValueError, match=message):
+            hamiltonian_energies(h)
+        with pytest.raises(ValueError, match=message):
+            build_model(h)
+
+
 def test_goe_level_spacing_ratio():
     model = goe_model(512, seed=0)
-    assert abs(model.level_spacing_ratio() - 0.5307) < 0.03
+    assert abs(level_spacing_ratio(model.energies) - 0.5307) < 0.03
 
 
 @pytest.mark.parametrize("L", range(2, 9))
@@ -186,7 +228,7 @@ def test_ising_model_builds():
 
 
 def test_resonance_report(small_model):
-    rep = small_model.resonance_report(seed=1)
+    rep = resonance_report(small_model.energies, seed=1)
     assert rep["near_resonances"] == 0
 
 
@@ -530,6 +572,35 @@ def test_windowed_average_matches_accurate_kernel_oracle(window_models, name, ch
         # the gap is a difference of the two, so its rounding scales with theirs
         scale = abs(want_joint) + abs(want_product)
         assert abs(gap - (want_joint - want_product)) <= tol * scale, (t_max, gap)
+
+
+AMPLITUDE_WORDS = (
+    (("A", True),),  # k = 1: the one slot's "aa" subscript is a diagonal
+    (("A", True), ("B", False)),
+    (("A", False), ("B", False)),
+    (("A", True), ("B", False), ("A", False)),
+    (("A", True), ("B", True), ("A", True)),
+)
+
+
+@pytest.mark.parametrize("name", ["complex", "real"])
+def test_slot_amplitudes_match_einsum_oracle(window_models, name):
+    model, _ = window_models[name]
+    state = thermal_state(model, 0.3)
+    a, b = model.observable("A"), model.observable("B")
+    joint = SlotChains(cycles=[[a, b], [a, b]], weights=[state.weights] * 2, slot_coeffs=(1, -1, 1, -1))
+    chains = [chains_from_word(model, state, word) for word in AMPLITUDE_WORDS] + [joint]
+    for chain in chains:
+        want = chain_amplitudes_einsum(chain)
+        subs, operands = _chain_einsum(chain, Partition.singletons(chain.n_slots))
+        # the whole first axis, and first-slot chunks of 3, 3, 3, 1
+        for step in (model.dim, 3):
+            for lo in range(0, model.dim, step):
+                sel = slice(lo, lo + step)
+                got = np.empty_like(want[sel])
+                _slot_amplitudes(got, subs, operands, sel)
+                assert got.dtype == want.dtype
+                assert np.max(np.abs(got - want[sel])) <= 1e-13 * np.max(np.abs(want)), (chain.slot_coeffs, sel)
 
 
 def test_windowed_average_converges_to_strict_one_over_t(small_model, small_state):

@@ -2,11 +2,11 @@
 """Time k-fold Haar channels, OTOCs, Weingarten tables and NC(n) Moebius tables
 through the CLI; write BENCH_channel.json.
 
-Eight cases, each one `kfree.cli.dispatch` call; the channels and the OTOC
+Nine cases, each one `kfree.cli.dispatch` call; the channels and the OTOC
 take rational moment sequences (every replica holds the same operator):
 
 - `channel --mode asymptotic --k 6` and `--k 7` at `--dim 64`;
-- `channel --mode exact --k 5 --dim 6` and `--k 6 --dim 7`;
+- `channel --mode exact --k 5 --dim 6`, `--k 6 --dim 7` and `--k 7 --dim 7`;
 - `otoc --k 5 --dim 16`;
 - `wg --k 5 --dim 6` and `--k 6 --dim 7`;
 - `nc --n 7 --moebius --kreweras`.
@@ -45,6 +45,7 @@ CASES = (
     ("asymptotic-k7-D64", ["channel", "--mode", "asymptotic", "--k", "7", "--dim", "64", A_MOMENTS]),
     ("exact-k5-D6", ["channel", "--mode", "exact", "--k", "5", "--dim", "6", A_MOMENTS]),
     ("exact-k6-D7", ["channel", "--mode", "exact", "--k", "6", "--dim", "7", A_MOMENTS]),
+    ("exact-k7-D7", ["channel", "--mode", "exact", "--k", "7", "--dim", "7", A_MOMENTS]),
     ("otoc-k5-D16", ["otoc", "--k", "5", "--dim", "16", A_MOMENTS, B_MOMENTS]),
     ("wg-k5-D6", ["wg", "--k", "5", "--dim", "6"]),
     ("wg-k6-D7", ["wg", "--k", "6", "--dim", "7"]),

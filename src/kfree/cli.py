@@ -57,7 +57,7 @@ def _emit(args, command: str, result, rows=None) -> None:
     }
     fmt = getattr(args, "format", "json") or "json"
     if fmt == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     elif fmt == "csv":
         if rows is None:
             raise ValueError("csv format is only available for tabular results")
@@ -211,16 +211,10 @@ def _cmd_wg(args) -> None:
     if args.k > 6:  # k = 6 peaks at 219 MB; k = 7's 5040^2 entry pairs would need about 9 GB
         raise ValueError(f"--k must be at most 6 (got {args.k})")
     table = weingarten_table(args.k, args.dim)
-    gram = table.gram()
-    wg = table.matrix()
-    perms = [str(p) for p in table.perms]
-    result = {
-        "k": args.k,
-        "dim": args.dim,
-        "permutations": perms,
-        "gram": [[str(x) for x in row] for row in gram],
-        "weingarten": [[f"{x.numerator}/{x.denominator}" for x in row] for row in wg],
-    }
+    result = {"k": args.k, "dim": args.dim, "permutations": [str(p) for p in table.perms], "gram": [], "weingarten": []}
+    for gram_row, wg_row in table.rows():
+        result["gram"].append([str(x) for x in gram_row])
+        result["weingarten"].append([f"{x.numerator}/{x.denominator}" for x in wg_row])
     _emit(args, "wg", result)
 
 
@@ -349,23 +343,8 @@ def _build_ensemble(args):
     raise ValueError(f"unknown ensemble {name!r}")
 
 
-def _ensemble_size(spec) -> dict:
-    """The `n_samples` and `dim` a design-check or distance result reports:
-    the members actually averaged (none for Haar, whose channel is exact)
-    and the ensemble's dimension, not flags that a discrete ensemble ignores."""
-    from .ensembles import DiscreteEnsemble, HamiltonianEnsemble
-
-    if isinstance(spec, DiscreteEnsemble):
-        n_samples = len(spec.unitaries)
-    elif isinstance(spec, HamiltonianEnsemble):
-        n_samples = spec.n_samples
-    else:
-        n_samples = None
-    return {"n_samples": n_samples, "dim": spec.dim}
-
-
 def _cmd_design_check(args) -> None:
-    from .ensembles import design_check
+    from .ensembles import design_check, member_count
 
     _require(args, "ensemble", "k")
     _require_positive(args, "k")
@@ -381,13 +360,14 @@ def _cmd_design_check(args) -> None:
             "max_deviation": report.max_deviation,
             "tolerance": report.tolerance,
             "seed": args.seed,
-            **_ensemble_size(spec),
+            "n_samples": member_count(spec, None),  # the members averaged: none for Haar, whose channel is exact
+            "dim": spec.dim,
         },
     )
 
 
 def _cmd_distance(args) -> None:
-    from .ensembles import channel_distance
+    from .ensembles import channel_distance, member_count
 
     _require(args, "ensemble", "k")
     _require_positive(args, "k")
@@ -401,7 +381,8 @@ def _cmd_distance(args) -> None:
             "k": args.k,
             "distance": dist,
             "seed": args.seed,
-            **_ensemble_size(spec),
+            "n_samples": member_count(spec, None),  # the members averaged: none for Haar, whose channel is exact
+            "dim": spec.dim,
         },
     )
 

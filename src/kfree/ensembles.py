@@ -132,6 +132,14 @@ def _members(spec: EnsembleSpec, n_samples: int, seed: int):
     return np.ones(n_samples), n_samples, lambda i: sample_haar(spec.dim, rngs[i])
 
 
+def member_count(spec: EnsembleSpec, n_samples: int | None) -> int | None:
+    """How many members `_members` lists, without drawing them: a discrete
+    size, a Hamiltonian ensemble's own `spec.n_samples`, else `n_samples`."""
+    if isinstance(spec, DiscreteEnsemble):
+        return len(spec.unitaries)
+    return spec.n_samples if isinstance(spec, HamiltonianEnsemble) else n_samples
+
+
 def _window_times(spec: HamiltonianEnsemble, seed: int) -> np.ndarray:
     """The `spec.n_samples` evolution times of a Hamiltonian ensemble."""
     return np.random.default_rng(seed).uniform(0.0, spec.t_max, spec.n_samples)
@@ -253,10 +261,10 @@ class EnsembleExpectation:
         self.rotated = set(rotated)
         self.n_batches = n_batches
         self.exact = isinstance(spec, DiscreteEnsemble)
-        # drawn afresh for each pass; the members' count is the Haar draw
-        # count, a Hamiltonian ensemble's own spec.n_samples or a discrete size
-        self._members = functools.partial(_members, spec, n_samples, seed)
-        self.n_samples = len(self._members()[0])
+        self._members = functools.partial(_members, spec, n_samples, seed)  # drawn afresh for each pass
+        self.n_samples = member_count(spec, n_samples)
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be positive")
         self._means: dict[tuple, complex] = {}
         self._batches: dict[tuple, np.ndarray] = {}
         dims = {m.shape[0] for m in self.operators.values()}

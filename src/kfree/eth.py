@@ -139,15 +139,15 @@ def spectral_width(energies: np.ndarray) -> float:
 
 
 def level_spacing_ratio(energies: np.ndarray) -> float | None:
-    """Mean adjacent-gap ratio over the central half of the spectrum; None
-    below 3 levels, where no two adjacent gaps exist."""
-    if len(energies) < 3:
-        return None
+    """Mean adjacent-gap ratio over the central half of the spectrum, leaving
+    out pairs of zero gaps (a degenerate triple has no ratio); None where no
+    pair remains, as below 3 levels."""
     gaps = np.diff(energies)
     lo, hi = len(gaps) // 4, 3 * len(gaps) // 4
     s1, s2 = gaps[lo:hi], gaps[lo + 1 : hi + 1]
-    r = np.minimum(s1, s2) / np.maximum(s1, s2)
-    return float(np.mean(r))
+    larger = np.maximum(s1, s2)
+    kept = larger > 0
+    return float(np.mean(np.minimum(s1, s2)[kept] / larger[kept])) if kept.any() else None
 
 
 def resonance_report(energies: np.ndarray, eps: float | None = None, n_samples: int = 20000, seed: int = 0) -> dict:

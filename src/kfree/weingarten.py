@@ -1,24 +1,31 @@
 """Exact Gram and Weingarten matrices over the rationals at fixed integer D.
 
-The Gram matrix is Q[a, b] = D^(#cycles(a^-1 b)) over S_k x S_k with the
-lexicographic one-line indexing of `permutations.all_permutations`.  Its
-exact inverse (D >= k) is the Weingarten matrix.  Both depend only on the
-conjugacy class of a^-1 b (Collins-Sniady, CMP 264, 2006), so every lookup
-goes through one class table per k: row i holds, as bytes, the class index
-of perms[i]^-1 perms[j] for every j.  The table is built once per k from
-0-based index arithmetic and read by the Gram and Weingarten matrices, and
-row by row (`WeingartenTable.row`) by the exact channel.
+Q[a, b] = D^(#cycles(a^-1 b)) over S_k x S_k, indexed as in
+`permutations.all_permutations`, and its exact inverse (D >= k), the
+Weingarten matrix, depend only on the class of a^-1 b (Collins-Sniady, CMP
+264, 2006).  Row i of either maps `_class_row(k, i)`, the classes of
+perms[i]^-1 perms[j], computed on demand, through one value per class.
 
-The class values are the character expansion (Collins, IMRN 2003;
-Collins-Sniady, CMP 264, 2006) Wg(mu) = (1/k!^2) sum_{lam |- k}
-chi^lam(e)^2 chi^lam(mu) / s_lam(1^D): Murnaghan-Nakayama on beta-sets for
-chi^lam(mu), the hook-content formula for s_lam(1^D) and k!/prod hooks for
-chi^lam(e).  At D < k some s_lam(1^D) vanishes and Q is singular, so
-`WeingartenTable` refuses that regime before building anything.  The
-defining identity is re-verified over the full group at construction time,
-in integers: with the class values put over their common denominator L as
-integers n(gamma), every beta in S_k must give
-sum_gamma n(gamma) D^(#(gamma^-1 beta)) = L [beta == e].
+The values are Wg(mu) = (1/k!^2) sum_{lam |- k} chi^lam(e)^2 chi^lam(mu) /
+s_lam(1^D) (Collins, IMRN 2003): Murnaghan-Nakayama on beta-sets for
+chi^lam(mu), hook-content for s_lam(1^D).  At D < k some s_lam(1^D) = 0 and
+Q is singular, so `WeingartenTable` refuses D < k before building anything.
+
+Every table proves Wg . Q = I in the class algebra, by exact checks on the
+p(k) cycle types that read the character table the values are summed from:
+  (1) chi^lam(e) > 0 and sum_mu |C_mu| chi^lam(mu) chi^nu(mu) = k! [lam == nu];
+  (2) Frobenius, D^(#mu) = sum_lam chi^lam(mu) s_lam(1^D);
+  (3) sum_lam (k!/chi^lam(e)) W_lam s_lam(1^D) chi^lam(mu) = [mu == e], with
+      W_lam = (1/k!) sum_mu |C_mu| Wg(mu) chi^lam(mu).
+Murnaghan-Nakayama gives chi^lam(mu) as the coefficient of the alternant
+a_{lam+delta} in p_mu a_delta (Macdonald, Symmetric Functions, I.7), so each
+row is a virtual character (an integer combination of irreducible ones), a
+premise not re-checked.  An orthonormal virtual character of positive degree
+is irreducible, so by (1) the rows are the p(k) irreducible characters, a
+basis of the class functions: Wg = sum_lam W_lam chi^lam and, by (2),
+Q = sum_lam s_lam(1^D) chi^lam.  As chi^lam * chi^nu = [lam == nu]
+(k!/chi^lam(e)) chi^lam, the left side of (3) is (Wg * Q)(mu), so
+Wg * Q = delta_e, and (Wg . Q)[a, b] = (Wg * Q)(a^-1 b) makes Wg . Q = I.
 """
 
 from __future__ import annotations
@@ -26,65 +33,50 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from .errors import RegimeError
-from .permutations import Permutation, all_permutations
+from .permutations import Permutation, all_permutations, compose, inverse
 
 
-def _cycle_types(k: int) -> list[tuple[int, ...]]:
-    """Integer partitions of k, sorted descending within, listed deterministically."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, maxpart: int, acc: tuple[int, ...]):
-        if remaining == 0:
-            out.append(acc)
-            return
-        for part in range(min(remaining, maxpart), 0, -1):
-            rec(remaining - part, part, acc + (part,))
-
-    rec(k, k, ())
-    return out
+def _cycle_types(k: int, largest: int | None = None) -> list[tuple[int, ...]]:
+    """Integer partitions of k (parts at most `largest`), each descending,
+    listed in reverse lexicographic order: (k,) first, (1, ..., 1) last."""
+    if k == 0:
+        return [()]
+    return [(part,) + rest for part in range(min(k, largest or k), 0, -1) for rest in _cycle_types(k - part, part)]
 
 
 @lru_cache(maxsize=None)
-def _group_table(k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[bytes, ...]]:
-    """(cycle types, rows) for S_k in `all_permutations` order.
-
-    rows[i][j] is the index into the cycle types of perms[i]^-1 perms[j].
-    The table is symmetric, since x and x^-1 share a cycle type, and row 0
-    (the identity) lists the class of each permutation.
-    """
-    types = _cycle_types(k)
-    type_index = {t: c for c, t in enumerate(types)}
+def _group_index(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(class of each permutation, 0-based one-line images, radix, base-k
+    codes) for S_k in `all_permutations` order: O(k k!) entries."""
+    type_index = {t: c for c, t in enumerate(_cycle_types(k))}
     perms = all_permutations(k)
     classes = np.array([type_index[p.cycle_type()] for p in perms], dtype=np.uint8)
     one_line = np.array([p.images for p in perms], dtype=np.int64) - 1
-    # base-k codes increase along the lexicographic order, so searchsorted ranks
     radix = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    codes = one_line @ radix
-    rows = []
-    for p in one_line:
-        # (p^-1 q)(x) = p^-1(q(x)) for every q at once
-        ranks = np.searchsorted(codes, np.argsort(p)[one_line] @ radix)
-        rows.append(classes[ranks].tobytes())
-    return tuple(types), tuple(rows)
+    return classes, one_line, radix, one_line @ radix
 
 
-def _class_pair_counts(rows: tuple[bytes, ...], i: int, n_types: int) -> list[list[int]]:
-    """counts[c][d] = #{j : perms[j] in class c, perms[i]^-1 perms[j] in class d}."""
-    pairs = np.frombuffer(rows[0], dtype=np.uint8).astype(np.int64) * n_types + np.frombuffer(rows[i], dtype=np.uint8)
-    return np.bincount(pairs, minlength=n_types * n_types).reshape(n_types, n_types).tolist()
+def _class_row(k: int, i: int) -> bytes:
+    """The index into `_cycle_types(k)` of the class of perms[i]^-1 perms[j],
+    for every j.  Symmetric in i and j, since x and x^-1 share a cycle type."""
+    classes, one_line, radix, codes = _group_index(k)
+    # (p^-1 q)(x) = p^-1(q(x)) for every q at once; base-k codes increase
+    # along the lexicographic order, so searchsorted ranks them
+    ranks = np.searchsorted(codes, np.argsort(one_line[i])[one_line] @ radix)
+    return classes[ranks].tobytes()
 
 
 def gram_matrix(k: int, D: int) -> list[list[int]]:
     """Q[a, b] = D^(#cycles(a^-1 b)), exact integers."""
     if k < 1 or D < 1:
         raise ValueError("k and D must be positive")
-    types, rows = _group_table(k)
-    powers = [D ** len(t) for t in types]
-    return [[powers[c] for c in row] for row in rows]
+    powers = [D ** len(t) for t in _cycle_types(k)]
+    return [[powers[c] for c in _class_row(k, i)] for i in range(math.factorial(k))]
 
 
 class WeingartenTable:
@@ -95,19 +87,17 @@ class WeingartenTable:
             raise ValueError("k and D must be positive")
         if D < k:
             raise RegimeError(f"Gram matrix singular at k={k}, D={D}: pseudo-inverse regime unsupported")
-        self.k = k
-        self.D = D
+        self.k, self.D = k, D
         self.perms: tuple[Permutation, ...] = tuple(all_permutations(k))
-        self.index = {p: i for i, p in enumerate(self.perms)}
-        self._types, self._rows = _group_table(k)
+        self._types = _cycle_types(k)
         self._by_class = _weingarten_class_function(k, D)
-        # Wg(perms[i], perms[j]) = self._values[self._rows[i][j]]
+        # Wg(perms[i], perms[j]) = self._values[_class_row(k, i)[j]]
         self._values = tuple(self._by_class[t] for t in self._types)
-        self._verify_inverse()
+        self._verify_class_algebra()
 
     def wg(self, alpha: Permutation, beta: Permutation) -> Fraction:
         """Weingarten entry; depends only on the class of alpha^-1 beta."""
-        return self._values[self._rows[self.index[alpha]][self.index[beta]]]
+        return self._by_class[compose(inverse(alpha), beta).cycle_type()]
 
     def wg_of_class(self, cycle_type: tuple[int, ...]) -> Fraction:
         return self._by_class[cycle_type]
@@ -117,25 +107,42 @@ class WeingartenTable:
 
     def row(self, i: int) -> list[Fraction]:
         """Wg(perms[i], beta) for every beta, in `perms` order."""
-        values = self._values
-        return [values[c] for c in self._rows[i]]
+        return [self._values[c] for c in _class_row(self.k, i)]
 
     def matrix(self) -> list[list[Fraction]]:
         return [self.row(i) for i in range(len(self.perms))]
 
-    def _verify_inverse(self) -> None:
-        # Wg and Q are both functions of a^-1 b, hence so is their product;
-        # checking the identity row of the convolution for every beta over
-        # the full group proves Wg . Q = I exactly.
-        k, D, values = self.k, self.D, self._values
-        lcm = math.lcm(*(v.denominator for v in values))
-        numerators = [v.numerator * (lcm // v.denominator) for v in values]
-        powers = [D ** len(t) for t in self._types]
+    def rows(self) -> Iterator[tuple[list[int], list[Fraction]]]:
+        """(Gram row, Weingarten row) of each perms[i], both from one class row."""
+        powers, values = [self.D ** len(t) for t in self._types], self._values
         for i in range(len(self.perms)):
-            counts = _class_pair_counts(self._rows, i, len(values))
-            acc = sum(n * sum(m * p for m, p in zip(row, powers)) for n, row in zip(numerators, counts))
-            if acc != (lcm if i == 0 else 0):
-                raise AssertionError(f"Weingarten inversion failed at k={k}, D={D}")
+            row = _class_row(self.k, i)
+            yield [powers[c] for c in row], [values[c] for c in row]
+
+    def _verify_class_algebra(self) -> None:
+        """Checks (1)-(3) of the module docstring, exactly, on every class."""
+        k, D, types, values = self.k, self.D, self._types, self._values
+        chi, n, e = _character_table(k), math.factorial(k), len(types) - 1  # e: the identity's class
+        sizes = [n // math.prod(i ** mu.count(i) * math.factorial(mu.count(i)) for i in set(mu)) for mu in types]
+        schur = [_hooks_and_schur(lam, D)[1] for lam in types]
+
+        def inner(f, g):  # k! <f, g> = sum_mu |C_mu| f(mu) g(mu)
+            return sum(map(math.prod, zip(sizes, f, g)))
+
+        def on_classes(coefficients):  # sum_lam coefficients[lam] chi^lam, on every class
+            return [sum(w * row[c] for w, row in zip(coefficients, chi)) for c in range(e + 1)]
+
+        # (k!/chi^lam(e)) W_lam s_lam(1^D), the coefficient of chi^lam in Wg * Q
+        coeffs = [Fraction(inner(values, row), row[e]) * s for row, s in zip(chi, schur)]
+        checks = {
+            "row orthogonality": all(a[e] > 0 for a in chi)
+            and all([inner(a, b) for b in chi] == [n * (a is b) for b in chi] for a in chi),
+            "Frobenius": on_classes(schur) == [D ** len(mu) for mu in types],
+            "Wg * Q = delta_e": on_classes(coeffs) == [0] * e + [1],
+        }
+        failed = [name for name, holds in checks.items() if not holds]
+        if failed:
+            raise AssertionError(f"Weingarten inversion failed at k={k}, D={D}: {', '.join(failed)}")
 
 
 @lru_cache(maxsize=None)
@@ -153,6 +160,14 @@ def _character(beads: frozenset[int], mu: tuple[int, ...]) -> int:
     )
 
 
+@lru_cache(maxsize=None)
+def _character_table(k: int) -> tuple[tuple[int, ...], ...]:
+    """chi[l][c] = chi^lam(mu) for lam, mu the l-th and c-th of `_cycle_types(k)`."""
+    types = _cycle_types(k)
+    beta_sets = [frozenset(part + len(lam) - 1 - i for i, part in enumerate(lam)) for lam in types]
+    return tuple(tuple(_character(beads, mu) for mu in types) for beads in beta_sets)
+
+
 def _hooks_and_schur(lam: tuple[int, ...], D: int) -> tuple[int, Fraction]:
     """(product of the hook lengths, s_lam(1^D) = prod_cells (D + content)/hook)."""
     cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
@@ -163,14 +178,10 @@ def _hooks_and_schur(lam: tuple[int, ...], D: int) -> tuple[int, Fraction]:
 @lru_cache(maxsize=None)
 def _weingarten_class_function(k: int, D: int) -> dict[tuple[int, ...], Fraction]:
     """Wg on each cycle type, summed over the irreducible characters of S_k."""
-    types = _cycle_types(k)
-    n = math.factorial(k)
-    irreps = []  # (chi^lam(e)^2 / (k!^2 s_lam(1^D)), beta-set of lam)
-    for lam in types:
-        hooks, schur = _hooks_and_schur(lam, D)  # chi^lam(e) = k!/hooks
-        beads = frozenset(part + len(lam) - 1 - i for i, part in enumerate(lam))
-        irreps.append((Fraction((n // hooks) ** 2, n * n) / schur, beads))
-    return {mu: sum(w * _character(beads, mu) for w, beads in irreps) for mu in types}
+    types, chi, n = _cycle_types(k), _character_table(k), math.factorial(k)
+    # chi^lam(e)^2 / (k!^2 s_lam(1^D)), chi^lam(e) in the identity's (last) column
+    weights = [Fraction(row[-1] ** 2, n * n) / _hooks_and_schur(lam, D)[1] for lam, row in zip(types, chi)]
+    return {mu: sum(w * row[c] for w, row in zip(weights, chi)) for c, mu in enumerate(types)}
 
 
 @lru_cache(maxsize=None)

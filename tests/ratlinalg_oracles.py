@@ -12,7 +12,7 @@ the character formula.
 from fractions import Fraction
 from math import lcm
 
-from kfree.weingarten import _class_pair_counts, _group_table
+from kfree.permutations import all_permutations, compose, inverse
 
 
 def _integerize(matrix: list[list]) -> tuple[list[list[int]], list[int]]:
@@ -92,14 +92,22 @@ def weingarten_class_function_by_solve(k: int, D: int) -> dict[tuple[int, ...], 
     """Solve sum_sigma w(sigma) D^(#(sigma^-1 tau)) = [tau == id] for the
     class function w, collapsing by conjugacy class (p(k) unknowns).  Raises
     ValueError when the system is singular (D < k)."""
-    types, rows = _group_table(k)
-    powers = [D ** len(t) for t in types]
-    classes = rows[0]
-    # A[row tau-class][col sigma-class] = sum over sigma in class of D^#(tau^-1 sigma)
+    perms = all_permutations(k)
+    reps = {}
+    for p in perms:
+        reps.setdefault(p.cycle_type(), p)
+    types = list(reps)
+    column = {t: c for c, t in enumerate(types)}
+    sigma_classes = [column[p.cycle_type()] for p in perms]
+    # A[tau-class][sigma-class] = sum over sigma in the class of D^#(tau^-1 sigma),
+    # tau one representative of its class, every product by `compose`
     a = []
-    for c in range(len(types)):
-        counts = _class_pair_counts(rows, classes.index(c), len(types))
-        a.append([sum(m * p for m, p in zip(row, powers)) for row in counts])
+    for t in types:
+        tau_inv = inverse(reps[t])
+        row = [0] * len(types)
+        for c, sigma in zip(sigma_classes, perms):
+            row[c] += D ** compose(tau_inv, sigma).num_cycles()
+        a.append(row)
     rhs = [[Fraction(int(t == (1,) * k)) for t in types]]
     sol = exact_solve(a, rhs)[0]
     return {t: sol[c] for c, t in enumerate(types)}

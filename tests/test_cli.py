@@ -310,6 +310,30 @@ def test_eth_build_writes_valid_json_below_three_levels(tmp_path, capsys):
         assert ratio == (None if D < 3 else 0.5)
 
 
+def test_eth_build_degenerate_spectrum_writes_null_ratio(tmp_path):
+    # every central gap of a 4 x 4 identity is 0: no ratio, and no 0/0 warning
+    path, out = tmp_path / "eye4.json", tmp_path / "eye4-doc.json"
+    save_operator(path, np.eye(4))
+    code, err = run_process("eth", "build", "--model", str(path), "--output", str(out))
+    assert (code, err) == (0, "")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    assert json.loads(out.read_text(), parse_constant=reject)["result"]["level_spacing_ratio"] is None
+
+
+def test_non_finite_json_document_exits_1_without_output(tmp_path, capsys, monkeypatch):
+    import kfree.eth
+
+    path, out = tmp_path / "h3.json", tmp_path / "doc.json"
+    save_operator(path, np.diag([1.0, 2.0, 4.0]))
+    monkeypatch.setattr(kfree.eth, "level_spacing_ratio", lambda energies: float("nan"))
+    code, _, err = run(capsys, "eth", "build", "--model", str(path), "--output", str(out))
+    assert_validation_exit(code, err)
+    assert not out.exists()
+
+
 def test_discrete_ensembles_report_their_own_size(capsys):
     for command in ("distance", "design-check"):
         code, out, _ = run(capsys, command, "--ensemble", "clifford", "--k", "2")
@@ -495,14 +519,14 @@ def test_boundary_errors_name_the_flag(tmp_path):
 
 def test_wg_k7_refused_before_any_table(capsys):
     # k = 7's 5040 x 5040 lists would need about 9 GB; nothing may be built first
-    from kfree.weingarten import _group_table, weingarten_table
+    from kfree.weingarten import _group_index, weingarten_table
 
-    _group_table.cache_clear()
+    _group_index.cache_clear()
     weingarten_table.cache_clear()
     code, out, err = run(capsys, "wg", "--k", "7", "--dim", "7")
     assert code == 1
     assert err.strip().endswith("--k must be at most 6 (got 7)")
-    assert _group_table.cache_info().currsize == 0
+    assert _group_index.cache_info().currsize == 0
     assert weingarten_table.cache_info().currsize == 0
 
 

@@ -148,6 +148,20 @@ def test_ensemble_expectation_rejects_no_samples():
             k_freeness_test(HaarEnsemble(2), ops["A"], ops["B"], 1, n_samples=n)
 
 
+def test_ensemble_expectation_counts_members_without_drawing_them(monkeypatch):
+    draws = []
+    spawn = ensembles.spawn_rngs
+    monkeypatch.setattr(ensembles, "spawn_rngs", lambda seed, n: draws.append(n) or spawn(seed, n))
+    ops = {"A": np.diag([1.0, -1.0]), "B": np.diag([1.0, 2.0])}
+    ee = EnsembleExpectation(HaarEnsemble(2), ops, {"A"}, n_samples=6, seed=1, n_batches=2)
+    assert (ee.n_samples, draws) == (6, [])
+    ee.evaluate_words([("A", "B")])
+    assert draws == [6]
+    spec = DiscreteEnsemble([np.eye(2), np.diag([1.0, -1.0]), np.diag([1.0, 1j])])
+    assert EnsembleExpectation(spec, ops, {"A"}, n_samples=50).n_samples == 3
+    assert draws == [6]
+
+
 def test_channel_monte_carlo_hamiltonian_dephases():
     model = goe_model(8, seed=3)
     spec = HamiltonianEnsemble(model, t_max=50000.0, n_samples=4000)

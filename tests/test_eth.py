@@ -182,6 +182,14 @@ def test_goe_level_spacing_ratio():
     assert abs(level_spacing_ratio(model.energies) - 0.5307) < 0.03
 
 
+def test_level_spacing_ratio_leaves_out_pairs_of_zero_gaps():
+    # central gap pairs (1, 0), (0, 0), (0, 1), (1, 1): the (0, 0) pair has no ratio
+    assert level_spacing_ratio(np.array([0.0, 1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 5.0])) == pytest.approx(1 / 3, rel=1e-15)
+    assert level_spacing_ratio(np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 3.0, 3.0])) == 0.5
+    assert level_spacing_ratio(np.zeros(6)) is None
+    assert level_spacing_ratio(np.array([1.0, 2.0])) is None
+
+
 @pytest.mark.parametrize("L", range(2, 9))
 def test_ising_model_matches_kronecker_oracle(monkeypatch, L):
     # index arithmetic fills the entries the Kronecker products would, with

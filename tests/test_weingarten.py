@@ -6,13 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kfree import weingarten
+from kfree.channel import channel_exact
 from kfree.errors import RegimeError
+from kfree.moments import Expectation
 from kfree.permutations import Permutation, all_permutations, compose, full_cycle, identity, inverse
 from kfree.weingarten import (
     WeingartenTable,
     _character,
+    _character_table,
+    _class_row,
     _cycle_types,
-    _group_table,
+    _group_index,
     _hooks_and_schur,
     _weingarten_class_function,
     gram_matrix,
@@ -111,11 +116,13 @@ def test_singular_regime_rejected():
         weingarten_table(3, 2)
     with pytest.raises(RegimeError):
         weingarten_table(4, 2)
-    # refused before the k!^2 class table is built
-    _group_table.cache_clear()
+    # refused before the S_k index or the character table is built
+    _group_index.cache_clear()
+    _character_table.cache_clear()
     with pytest.raises(RegimeError, match=r"^Gram matrix singular at k=7, D=2: pseudo-inverse regime unsupported$"):
         weingarten_table(7, 2)
-    assert _group_table.cache_info().currsize == 0
+    assert _group_index.cache_info().currsize == 0
+    assert _character_table.cache_info().currsize == 0
 
 
 def _centralizer_order(mu):
@@ -192,7 +199,7 @@ def test_asymptotic_relative_error_scaling(k):
 
 
 # ---------------------------------------------------------------------------
-# the S_k class table against compose-based oracles
+# the on-demand class rows against compose-based oracles
 # ---------------------------------------------------------------------------
 
 
@@ -207,10 +214,10 @@ def _matrix_oracle(table):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_group_table_matches_compose(k):
-    types, rows = _group_table(k)
+    types = _cycle_types(k)
     perms = all_permutations(k)
-    assert len(rows) == len(perms)
-    for a, row in zip(perms, rows):
+    for i, a in enumerate(perms):
+        row = _class_row(k, i)
         assert len(row) == len(perms)
         assert [types[c] for c in row] == [compose(inverse(a), b).cycle_type() for b in perms]
 
@@ -221,18 +228,83 @@ def test_gram_and_matrix_match_compose_oracles(k, D):
     t = weingarten_table(k, D)
     assert t.gram() == _gram_oracle(k, D)
     assert t.matrix() == _matrix_oracle(t)
+    assert [list(m) for m in zip(*t.rows())] == [t.gram(), t.matrix()]
     for a in t.perms:
         for b in t.perms:
             assert t.wg(a, b) == t.wg_of_class(compose(inverse(a), b).cycle_type())
 
 
-@pytest.mark.parametrize("k,D", [(2, 3), (3, 3), (4, 6)])
+def test_one_operator_exact_channel_reads_one_row_per_cycle_type(monkeypatch):
+    rows = []
+
+    def counted(k, i, original=_class_row):
+        rows.append(i)
+        return original(k, i)
+
+    monkeypatch.setattr(weingarten, "_class_row", counted)
+    phi = Expectation.from_moment_sequence([Fraction(n + 1, n + 2) for n in range(7)])
+    channel_exact(7, 7, phi, ("A",) * 7)
+    assert len(rows) == len(set(rows)) == len(_cycle_types(7)) == 15
+
+
+# ---------------------------------------------------------------------------
+# the class-algebra proof of Wg . Q = I rejects a wrong value or input
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k,D", [(2, 3), (3, 3), (4, 6), (7, 9)])
 def test_inverse_check_rejects_a_perturbed_class_value(k, D):
     t = WeingartenTable(k, D)
     exact = t._values
     for c in range(len(exact)):
         t._values = exact[:c] + (exact[c] + Fraction(1, 10**12),) + exact[c + 1 :]
-        with pytest.raises(AssertionError):
-            t._verify_inverse()
+        with pytest.raises(AssertionError, match=r": Wg \* Q = delta_e$"):
+            t._verify_class_algebra()
     t._values = exact
-    t._verify_inverse()
+    t._verify_class_algebra()
+
+
+def _clear_table_caches():
+    for cached in (_character_table, _weingarten_class_function, weingarten_table):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty the caches of character tables, class values and tables before
+    and after, so a monkeypatched input reaches fresh tables only."""
+    _clear_table_caches()
+    yield
+    _clear_table_caches()
+
+
+@pytest.mark.parametrize("k,D", [(3, 4), (5, 5)])
+def test_inverse_check_rejects_a_perturbed_schur_value(k, D, monkeypatch, cold_tables):
+    # a consistently wrong s_lam(1^D) enters Wg too, and then Wg * Q = delta_e
+    # still holds; only the Frobenius check sees it
+    for target in _cycle_types(k):
+
+        def perturbed(lam, dim, target=target, original=_hooks_and_schur):
+            hooks, schur = original(lam, dim)
+            return hooks, schur + Fraction(int(lam == target), 10**12)
+
+        monkeypatch.setattr(weingarten, "_hooks_and_schur", perturbed)
+        _clear_table_caches()
+        with pytest.raises(AssertionError, match=r": Frobenius$"):
+            weingarten_table(k, D)
+
+
+@pytest.mark.parametrize("k,D", [(3, 3), (5, 6)])
+def test_inverse_check_rejects_a_perturbed_character_value(k, D, monkeypatch, cold_tables):
+    types = _cycle_types(k)
+    for lam in types:
+        for mu in types:
+            target = (frozenset(part + len(lam) - 1 - i for i, part in enumerate(lam)), mu)
+
+            def perturbed(beads, nu, target=target, original=_character):
+                return original(beads, nu) + ((beads, nu) == target)
+
+            monkeypatch.setattr(weingarten, "_character", perturbed)
+            _clear_table_caches()
+            with pytest.raises(AssertionError, match=r": row orthogonality"):
+                weingarten_table(k, D)

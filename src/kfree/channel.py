@@ -23,7 +23,7 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from .errors import RegimeError
-from .moments import CumulantSet, Expectation, Value, Word, mixed_moment_free
+from .moments import CumulantSet, Expectation, Value, Word, _cyclic_key, mixed_moment_free, parts_product, sub_words
 from .partitions import enumerate_nc, kreweras_complement
 from .permutations import Permutation, all_permutations, compose, full_cycle, inverse
 from .weingarten import weingarten_table
@@ -54,17 +54,10 @@ def permutation_operator(alpha: Permutation, D: int) -> np.ndarray:
     return w
 
 
-def cycle_words(beta: Permutation, labels: Sequence[Hashable]) -> list[Word]:
-    """The label words read forward along each cycle of beta."""
-    return [tuple(labels[i - 1] for i in cyc) for cyc in beta.cycles()]
-
-
 def permuted_trace(beta: Permutation, phi: Callable[[Word], Value], labels: Sequence[Hashable], D: int) -> Value:
     """Tr(W_beta A_1 x ... x A_k) expressed through normalized moments."""
-    out: Value = D ** beta.num_cycles()
-    for word in cycle_words(beta, labels):
-        out *= phi(word)
-    return out
+    cycles = beta.cycles()
+    return parts_product(phi, labels, cycles, D ** len(cycles))
 
 
 @dataclass
@@ -93,7 +86,7 @@ class ChannelCoefficients:
 def _label_pattern(alpha: Permutation, ids: Sequence[int]) -> tuple[Word, ...]:
     """alpha's sorted cycle words, each at its least rotation: shared exactly
     when a label-preserving permutation conjugates one alpha into the other."""
-    return tuple(sorted(min(w[i:] + w[:i] for i in range(len(w))) for w in cycle_words(alpha, ids)))
+    return tuple(sorted(_cyclic_key(w) for w in sub_words(ids, alpha.cycles())))
 
 
 def _row_sum(wg_row: Sequence[Fraction], traces: Sequence[Value]) -> Value:
@@ -141,14 +134,7 @@ def kappa_alpha(
     """Cumulant coefficient of W_{alpha^-1} in the large-D channel: the
     product over the cycles of alpha of the free cumulant of each cycle word."""
     labels = tuple(labels) if labels is not None else positional_labels(alpha.k)
-    return _kappa_alpha(alpha, CumulantSet(phi), labels)
-
-
-def _kappa_alpha(alpha: Permutation, cumulants: CumulantSet, labels: Sequence[Hashable]) -> Value:
-    out: Value = 1
-    for word in cycle_words(alpha, labels):
-        out *= cumulants.kappa(word)
-    return out
+    return parts_product(CumulantSet(phi).kappa, labels, alpha.cycles())
 
 
 def channel_asymptotic(
@@ -165,8 +151,9 @@ def channel_asymptotic(
     cumulants = CumulantSet(phi)
     coeffs: dict[Permutation, Value] = {}
     for alpha in all_permutations(k):
-        kap = _kappa_alpha(alpha, cumulants, labels)
-        denom = D ** (k - alpha.num_cycles())
+        cycles = alpha.cycles()
+        kap = parts_product(cumulants.kappa, labels, cycles)
+        denom = D ** (k - len(cycles))
         coeffs[alpha] = Fraction(kap, denom) if isinstance(kap, int) else kap / denom
     return ChannelCoefficients(k=k, D=D, mode="asymptotic", coeffs=coeffs)
 
@@ -200,11 +187,8 @@ def otoc_haar_channel(
     gamma = full_cycle(k)
     total: Value = 0
     for alpha, c in coeffs.coeffs.items():
-        grouping = compose(inverse(alpha), gamma)
-        term: Value = c * D ** grouping.num_cycles()
-        for word in cycle_words(grouping, b_labels):
-            term *= phi_b(word)
-        total += term
+        cycles = compose(inverse(alpha), gamma).cycles()
+        total += parts_product(phi_b, b_labels, cycles, c * D ** len(cycles))
     return (
         Fraction(total, D)
         if isinstance(total, int)

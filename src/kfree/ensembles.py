@@ -17,7 +17,7 @@ import numpy as np
 from .channel import permutation_operator
 from .errors import RegimeError
 from .eth import SpectralModel
-from .moments import Expectation, _cyclic_key, _word_trace, free_cumulant
+from .moments import Expectation, _cyclic_key, _word_trace, free_cumulant, sub_words
 from .partitions import enumerate_nc
 from .permutations import all_permutations
 
@@ -44,6 +44,8 @@ class DiscreteEnsemble:
     probabilities: np.ndarray | None = None
 
     def __post_init__(self):
+        if len(self.unitaries) == 0:
+            raise ValueError("a discrete ensemble needs at least one unitary")
         self.unitaries = [np.asarray(u, dtype=complex) for u in self.unitaries]
         for i, u in enumerate(self.unitaries):
             if u.shape != self.unitaries[0].shape:
@@ -224,7 +226,7 @@ def channel_monte_carlo(spec: EnsembleSpec, k: int, O: np.ndarray, n_samples: in
 @dataclass
 class Estimate:
     value: complex
-    std_error: float
+    std_error: float | None  # None with one sample: there is no spread
     n_samples: int
     seed: int | None = None
 
@@ -259,12 +261,12 @@ class EnsembleExpectation:
     ):
         self.operators = {k: np.asarray(v, dtype=complex) for k, v in operators.items()}
         self.rotated = set(rotated)
-        self.n_batches = n_batches
         self.exact = isinstance(spec, DiscreteEnsemble)
         self._members = functools.partial(_members, spec, n_samples, seed)  # drawn afresh for each pass
         self.n_samples = member_count(spec, n_samples)
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
+        self.n_batches = min(n_batches, self.n_samples)  # no batch is empty
         self._means: dict[tuple, complex] = {}
         self._batches: dict[tuple, np.ndarray] = {}
         dims = {m.shape[0] for m in self.operators.values()}
@@ -332,12 +334,7 @@ def _alternating_labels(k: int) -> tuple:
 
 
 def _needed_block_words(word: tuple) -> list[tuple]:
-    words = set()
-    n = len(word)
-    for pi in enumerate_nc(n):
-        for block in pi.blocks:
-            words.add(tuple(word[i - 1] for i in block))
-    return sorted(words, key=repr)
+    return sorted({w for pi in enumerate_nc(len(word)) for w in sub_words(word, pi.blocks)}, key=repr)
 
 
 def k_freeness_test(
@@ -353,7 +350,7 @@ def k_freeness_test(
 
     Word moments are ensemble-averaged first and Moebius inversion is applied
     to the averaged moments; the standard error comes from recomputing the
-    cumulant on batch means.
+    cumulant on batch means, at most one per sample (None for one sample).
     """
     word = _alternating_labels(k)
     expectation = EnsembleExpectation(
@@ -363,11 +360,14 @@ def k_freeness_test(
     value = complex(free_cumulant(expectation.functional(), word))
     if expectation.exact:
         return Estimate(value=value, std_error=0.0, n_samples=expectation.n_samples, seed=seed)
+    batches = expectation.n_batches
+    if batches < 2:
+        return Estimate(value=value, std_error=None, n_samples=expectation.n_samples, seed=seed)
     batch_vals = np.array(
-        [complex(free_cumulant(expectation.functional(batch=b), word)) for b in range(n_batches)]
+        [complex(free_cumulant(expectation.functional(batch=b), word)) for b in range(batches)]
     )
     spread = np.std(batch_vals.real, ddof=1) + 1j * np.std(batch_vals.imag, ddof=1)
-    std_error = abs(spread) / math.sqrt(n_batches)
+    std_error = abs(spread) / math.sqrt(batches)
     return Estimate(value=value, std_error=std_error, n_samples=expectation.n_samples, seed=seed)
 
 

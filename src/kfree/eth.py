@@ -54,13 +54,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .moments import Expectation, _word_trace, classical_cumulant, free_cumulant, mixed_moment_free
+from .moments import Expectation, _word_trace, classical_cumulant, free_cumulant, mixed_moment_free, parts_product
 from .partitions import Partition, iter_set_partitions
 
 DEFAULT_DIM_CAP = 4096
 RESONANCE_EPS_FACTOR = 1e-10
+RESONANCE_SAMPLES = 20_000  # index quadruples resonance_report draws
 _WINDOW_CHUNK_ELEMS = 2_000_000  # amplitude-tensor entries per chunk of a windowed average
-GOE_OBSERVABLES = ("A", "B")  # the observables goe_model draws by default
+GOE_OBSERVABLES = ("A", "B")  # the observables goe_model draws
 ISING_OBSERVABLES = ("sz_mid", "sx_mid")  # the observables of ising_model
 _PANEL_ELEMS = 65_536  # entries per row panel of the Hermiticity check
 
@@ -91,11 +92,11 @@ def bimodal_observable(D: int, rng) -> np.ndarray:
     return (q * signs) @ q.conj().T
 
 
-def normalize_observable(m: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+def normalize_observable(m: np.ndarray) -> np.ndarray:
     """Make an operator traceless and unit-normalized in the second moment."""
     m = np.asarray(m)
     D = m.shape[0]
-    w = weights if weights is not None else np.full(D, 1.0 / D)
+    w = np.full(D, 1.0 / D)
     m = m - np.dot(w, np.diagonal(m)) * np.eye(D)
     norm = np.sqrt(abs(_word_trace({"m": m}, w)(("m", "m"))))
     return m / norm
@@ -150,20 +151,19 @@ def level_spacing_ratio(energies: np.ndarray) -> float | None:
     return float(np.mean(np.minimum(s1, s2)[kept] / larger[kept])) if kept.any() else None
 
 
-def resonance_report(energies: np.ndarray, eps: float | None = None, n_samples: int = 20000, seed: int = 0) -> dict:
-    """Count near-resonances |E_i + E_j - E_k - E_l| < eps among sampled
-    quadruples, excluding the trivial ones where {i,j} == {k,l}."""
-    if eps is None:
-        eps = RESONANCE_EPS_FACTOR * spectral_width(energies)
+def resonance_report(energies: np.ndarray, seed: int = 0) -> dict:
+    """Count near-resonances |E_i + E_j - E_k - E_l| < eps = RESONANCE_EPS_FACTOR x width among
+    RESONANCE_SAMPLES sampled quadruples, excluding the trivial ones where {i,j} == {k,l}."""
+    eps = RESONANCE_EPS_FACTOR * spectral_width(energies)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(energies), size=(n_samples, 4))
+    idx = rng.integers(0, len(energies), size=(RESONANCE_SAMPLES, 4))
     e = energies
     delta = np.abs(e[idx[:, 0]] + e[idx[:, 1]] - e[idx[:, 2]] - e[idx[:, 3]])
     trivial = ((idx[:, 0] == idx[:, 2]) & (idx[:, 1] == idx[:, 3])) | (
         (idx[:, 0] == idx[:, 3]) & (idx[:, 1] == idx[:, 2])
     )
     hits = int(np.sum((delta < eps) & ~trivial))
-    return {"eps": eps, "n_samples": n_samples, "near_resonances": hits}
+    return {"eps": eps, "n_samples": RESONANCE_SAMPLES, "near_resonances": hits}
 
 
 # ---------------------------------------------------------------------------
@@ -175,26 +175,25 @@ def build_model(
     hamiltonian: np.ndarray,
     observables: dict[str, np.ndarray] | None = None,
     provenance: str = "user",
-    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> SpectralModel:
     """Dense diagonalization; observables are rotated into the eigenbasis."""
-    energies, basis = np.linalg.eigh(_checked_hamiltonian(hamiltonian, dim_cap))
+    energies, basis = np.linalg.eigh(_checked_hamiltonian(hamiltonian))
     obs = {name: to_eigenbasis(basis, m) for name, m in (observables or {}).items()}
     return SpectralModel(energies, basis, obs, provenance=provenance)
 
 
 def hamiltonian_energies(hamiltonian: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of a Hamiltonian (`eigvalsh`, no eigenvectors),
-    after the same checks as `build_model` with its default cap."""
-    return np.linalg.eigvalsh(_checked_hamiltonian(hamiltonian, DEFAULT_DIM_CAP))
+    after the same checks as `build_model`."""
+    return np.linalg.eigvalsh(_checked_hamiltonian(hamiltonian))
 
 
-def _checked_hamiltonian(hamiltonian, dim_cap: int) -> np.ndarray:
+def _checked_hamiltonian(hamiltonian) -> np.ndarray:
     """H after the dimension cap, finiteness and Hermiticity checks, real
     when every imaginary part is exactly 0."""
     h = np.asarray(hamiltonian)
-    if h.shape[0] > dim_cap:
-        raise ValueError(f"dimension {h.shape[0]} exceeds cap {dim_cap}")
+    if h.shape[0] > DEFAULT_DIM_CAP:
+        raise ValueError(f"dimension {h.shape[0]} exceeds cap {DEFAULT_DIM_CAP}")
     if not np.all(np.isfinite(h)):
         raise ValueError("hamiltonian has non-finite entries")
     h = _real_if_zero_imag(h)
@@ -225,13 +224,12 @@ def _real_if_zero_imag(m) -> np.ndarray:
     return m.real if np.iscomplexobj(m) and not np.any(m.imag) else m
 
 
-def goe_model(D: int, seed: int = 0, observables: Sequence[str] = GOE_OBSERVABLES, normalized: bool = True) -> SpectralModel:
-    """GOE Hamiltonian with independent GOE observables named in `observables`."""
+def goe_model(D: int, seed: int = 0) -> SpectralModel:
+    """GOE Hamiltonian with independent normalized GOE observables named GOE_OBSERVABLES."""
     rng = np.random.default_rng(seed)
     model = build_model(goe_matrix(D, rng), provenance=_goe_provenance(D, seed))
-    for name in observables:
-        m = goe_matrix(D, rng)
-        model.observables[name] = normalize_observable(m) if normalized else m
+    for name in GOE_OBSERVABLES:
+        model.observables[name] = normalize_observable(goe_matrix(D, rng))
     return model
 
 
@@ -427,14 +425,11 @@ def _restricted_chain_sum(chains: SlotChains, keep) -> complex:
 @lru_cache(maxsize=None)
 def _restricted_coeffs(slot_coeffs: tuple[int, ...], keep) -> tuple[tuple[Partition, int], ...]:
     """The non-zero (Q, c_Q) of `_restricted_chain_sum`, in `_slot_partitions` order."""
-    out = []
-    for q in _slot_partitions(len(slot_coeffs)):
-        c = 1
-        for b in q.blocks:
-            c *= _kept_cumulant(keep, tuple(sorted(slot_coeffs[i - 1] for i in b)))
-        if c != 0:
-            out.append((q, c))
-    return tuple(out)
+    def kept(block: tuple[int, ...]) -> int:
+        return _kept_cumulant(keep, tuple(sorted(block)))
+
+    coeffs = ((q, parts_product(kept, slot_coeffs, q.blocks)) for q in _slot_partitions(len(slot_coeffs)))
+    return tuple((q, c) for q, c in coeffs if c != 0)
 
 
 @lru_cache(maxsize=None)
@@ -728,7 +723,7 @@ def factorization_gap(model: SpectralModel, state: ThermalState, A, B, window: T
     return complex(joint), complex(product), complex(joint - product)
 
 
-def phase_average_delta_structure(model: SpectralModel, eps: float | None = None) -> float:
+def phase_average_delta_structure(model: SpectralModel) -> float:
     """Exhaustively compare the strict phase average of
     e^{-it[(E_i - E_ibar) + (E_j - E_jbar)]} with the resonance pattern
     d_{i,ibar} d_{j,jbar} + (d_{i,jbar} d_{j,ibar} - triple coincidence).
@@ -736,8 +731,7 @@ def phase_average_delta_structure(model: SpectralModel, eps: float | None = None
     D = model.dim
     if D > 24:
         raise ValueError("exhaustive delta-structure check is for small D")
-    if eps is None:
-        eps = RESONANCE_EPS_FACTOR * model.spectral_width()
+    eps = RESONANCE_EPS_FACTOR * model.spectral_width()
     e = model.energies
     worst = 0.0
     for i in range(D):

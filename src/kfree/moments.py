@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -148,15 +148,27 @@ class Expectation:
         return cls(_word_trace(operators), cyclic=True)
 
 
+def sub_words(word: Sequence[Hashable], parts: Iterable[Sequence[int]]) -> list[Word]:
+    """The word read along each part: 1-based positions in the order given (a cycle reads forward)."""
+    return [tuple(word[i - 1] for i in part) for part in parts]
+
+
+def parts_product(
+    f: Callable[[Word], Value], word: Sequence[Hashable], parts: Iterable[Sequence[int]], start: Value = 1
+) -> Value:
+    """start times the product of f over the sub-words of `parts`, multiplied left
+    to right: kappa_pi over the blocks of pi, D^#beta prod phi over the cycles of beta."""
+    out = start
+    for part in parts:
+        out *= f(tuple(word[i - 1] for i in part))
+    return out
+
+
 def blockwise_moment(word: Sequence[Hashable], sigma: Partition, phi: Callable[[Word], Value]) -> Value:
     """Product over blocks of sigma of the moment of the block sub-word."""
-    word = tuple(word)
     if sigma.n != len(word):
         raise ValueError(f"partition on {sigma.n} points vs word of length {len(word)}")
-    out: Value = 1
-    for block in sigma.blocks:
-        out *= phi(tuple(word[i - 1] for i in block))
-    return out
+    return parts_product(phi, word, sigma.blocks)
 
 
 def free_cumulant(phi: Callable[[Word], Value], word: Sequence[Hashable]) -> Value:
@@ -164,19 +176,15 @@ def free_cumulant(phi: Callable[[Word], Value], word: Sequence[Hashable]) -> Val
     word = tuple(word)
     total: Value = 0
     for sigma, mu in nc_moebius_table(len(word)):
-        total += blockwise_moment(word, sigma, phi) * mu
+        total += parts_product(phi, word, sigma.blocks) * mu
     return total
 
 
 def moments_from_cumulants(word: Sequence[Hashable], kappa: Callable[[Word], Value]) -> Value:
     """<word> = sum over NC(n) of the blockwise cumulant products."""
-    word = tuple(word)
     total: Value = 0
     for pi in enumerate_nc(len(word)):
-        term: Value = 1
-        for block in pi.blocks:
-            term *= kappa(tuple(word[i - 1] for i in block))
-        total += term
+        total += parts_product(kappa, word, pi.blocks)
     return total
 
 
@@ -187,7 +195,7 @@ def classical_cumulant(phi: Callable[[Word], Value], word: Sequence[Hashable]) -
     total: Value = 0
     for sigma in iter_set_partitions(len(word)):
         r = sigma.num_blocks()
-        total += blockwise_moment(word, sigma, phi) * ((-1) ** (r - 1) * factorial(r - 1))
+        total += parts_product(phi, word, sigma.blocks) * ((-1) ** (r - 1) * factorial(r - 1))
     return total
 
 
@@ -205,11 +213,7 @@ class CumulantSet:
         return self._cache[word]
 
     def kappa_pi(self, pi: Partition, word: Sequence[Hashable]) -> Value:
-        word = tuple(word)
-        out: Value = 1
-        for block in pi.blocks:
-            out *= self.kappa(tuple(word[i - 1] for i in block))
-        return out
+        return parts_product(self.kappa, word, pi.blocks)
 
     def table(self, label: Hashable, max_order: int) -> dict[int, Value]:
         return {n: self.kappa((label,) * n) for n in range(1, max_order + 1)}
@@ -246,17 +250,13 @@ def free_mixed_word(
     blocks survive the moment-cumulant expansion.
     """
     word = tuple(word)
-    n = len(word)
     cumulant_sets = {fam: CumulantSet(phi) for fam, phi in phis.items()}
+
+    def kappa(block: Word) -> Value:
+        return cumulant_sets[block[0][0]].kappa(tuple(label for _, label in block))
+
     total: Value = 0
-    for pi in enumerate_nc(n):
-        term: Value = 1
-        for block in pi.blocks:
-            families = {word[i - 1][0] for i in block}
-            if len(families) > 1:
-                term = 0
-                break
-            (fam,) = families
-            term *= cumulant_sets[fam].kappa(tuple(word[i - 1][1] for i in block))
-        total += term
+    for pi in enumerate_nc(len(word)):
+        if all(len({fam for fam, _ in block}) == 1 for block in sub_words(word, pi.blocks)):
+            total += parts_product(kappa, word, pi.blocks)
     return total

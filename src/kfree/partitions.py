@@ -164,12 +164,12 @@ def _nc_partitions_of(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...],
                 yield (block,) + tuple(itertools.chain.from_iterable(sub))
 
 
-def enumerate_nc(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Partition]:
+def enumerate_nc(n: int) -> list[Partition]:
     """All of NC(n) in a deterministic order; |NC(n)| = Catalan(n)."""
     if n < 1:
         raise ValueError("ground set must be nonempty")
-    if n > limit:
-        raise PartitionSizeError(f"n={n} exceeds enumeration limit {limit}")
+    if n > DEFAULT_ENUMERATION_LIMIT:
+        raise PartitionSizeError(f"n={n} exceeds enumeration limit {DEFAULT_ENUMERATION_LIMIT}")
     return [Partition.from_blocks(n, blocks) for blocks in _nc_partitions_of(tuple(range(1, n + 1)))]
 
 

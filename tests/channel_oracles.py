@@ -8,14 +8,16 @@ older or slower routes:
   form and evaluates the blockwise free cumulant of its orbit partition;
 - `kappa_alpha_geodesic` is the Moebius-weighted moment sum over the
   geodesic from the identity to alpha;
-- `channel_exact_rows` sums every Weingarten row, with no sharing.
+- `channel_exact_rows` sums every Weingarten row, with no sharing;
+- `label_pattern_sorted_rotations` is the former label-pattern rule, each
+  cycle word at its least rotation in tuple order.
 """
 
 from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
-from kfree.channel import ChannelCoefficients, cycle_words, permuted_trace, positional_labels
-from kfree.moments import CumulantSet, Value, Word
+from kfree.channel import ChannelCoefficients, permuted_trace, positional_labels
+from kfree.moments import CumulantSet, Value, Word, sub_words
 from kfree.permutations import Permutation, geodesic_set, permutation_to_nc
 from kfree.weingarten import weingarten_table
 
@@ -46,7 +48,7 @@ def kappa_alpha_geodesic(
     total: Value = 0
     for beta in geodesic_set(alpha):
         term: Value = moebius_between_permutations(beta, alpha)
-        for word in cycle_words(beta, labels):
+        for word in sub_words(labels, beta.cycles()):
             term *= phi(word)
         total += term
     return total
@@ -69,3 +71,8 @@ def channel_exact_rows(
             acc += wg * tr if isinstance(tr, (int, Fraction)) else complex(wg) * tr
         coeffs[alpha] = acc
     return ChannelCoefficients(k=k, D=D, mode="exact", coeffs=coeffs)
+
+
+def label_pattern_sorted_rotations(alpha: Permutation, ids: Sequence[int]) -> tuple[Word, ...]:
+    """alpha's cycle words, each at its least rotation in tuple order, sorted."""
+    return tuple(sorted(min(w[i:] + w[:i] for i in range(len(w))) for w in sub_words(ids, alpha.cycles())))

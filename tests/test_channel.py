@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from channel_oracles import channel_exact_rows, kappa_alpha_conjugation, kappa_alpha_geodesic
+from channel_oracles import (
+    channel_exact_rows,
+    kappa_alpha_conjugation,
+    kappa_alpha_geodesic,
+    label_pattern_sorted_rotations,
+)
 
 import kfree.channel
 import kfree.moments
@@ -22,7 +27,7 @@ from kfree.channel import (
     word_functional_from_matrices,
 )
 from kfree.errors import RegimeError
-from kfree.moments import CumulantSet, Expectation, free_cumulant
+from kfree.moments import CumulantSet, Expectation, free_cumulant, parts_product
 from kfree.partitions import kreweras_complement
 from kfree.permutations import (
     Permutation,
@@ -244,9 +249,29 @@ def test_kappa_alpha_cycle_product_matches_geodesic_oracle():
         phi = word_functional_from_matrices(random_mats(k, 3, seed=30 + k))
         cumulants = CumulantSet(phi)
         for alpha in all_permutations(k):
-            got = kfree.channel._kappa_alpha(alpha, cumulants, positional_labels(k))
+            got = parts_product(cumulants.kappa, positional_labels(k), alpha.cycles())
             ref = kappa_alpha_geodesic(alpha, phi)
             assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("kind", ["positional", "one", "XY", "XXY"])
+def test_label_pattern_classes_match_sorted_rotation_oracle(kind):
+    # _label_pattern keys each cycle word by moments._cyclic_key (least
+    # rotation by repr); the classes it splits S_k into must be the former
+    # rule's, which took the least rotation in tuple order
+    for k in range(1, 7):
+        labels = {
+            "positional": positional_labels(k),
+            "one": ("A",) * k,
+            "XY": ("X", "Y") * k,
+            "XXY": ("X", "X", "Y") * k,
+        }[kind][:k]
+        ids = tuple(labels.index(x) for x in labels)
+        classes, oracle = {}, {}
+        for alpha in all_permutations(k):
+            classes.setdefault(kfree.channel._label_pattern(alpha, ids), set()).add(alpha)
+            oracle.setdefault(label_pattern_sorted_rotations(alpha, ids), set()).add(alpha)
+        assert set(map(frozenset, classes.values())) == set(map(frozenset, oracle.values()))
 
 
 CHANNEL_LABELS = [

@@ -240,6 +240,20 @@ def test_haar_test_cli(capsys):
     assert abs(doc["result"]["estimate"][0]) < 0.2
 
 
+def test_haar_test_below_the_batch_count(tmp_path):
+    # fewer samples than the 20 batches: one batch per sample, no empty batch
+    out = tmp_path / "doc.json"
+    for n in (7, 1):
+        code, err = run_process("haar-test", "--dim", "4", "--k", "1", "--n-samples", str(n), "--output", str(out))
+        assert code == 0 and err == ""
+        result = json.loads(out.read_text())["result"]
+        assert result["n_samples"] == n
+        if n > 1:
+            assert 0 < result["std_error"] < float("inf")
+        else:
+            assert result["std_error"] is None and '"std_error": null' in out.read_text()
+
+
 def test_eth_build_and_cumulant(tmp_path, capsys):
     code, out, _ = run(capsys, "eth", "build", "--model", "goe", "--dim", "64", "--seed", "2")
     doc = json.loads(out)

@@ -174,6 +174,13 @@ def test_channel_monte_carlo_hamiltonian_dephases():
     assert np.max(np.abs(off)) < 5.0 / math.sqrt(spec.n_samples)
 
 
+def test_empty_discrete_ensemble_rejected():
+    with pytest.raises(ValueError, match="at least one unitary"):
+        DiscreteEnsemble([])
+    with pytest.raises(ValueError, match="at least one unitary"):
+        DiscreteEnsemble([], np.array([]))
+
+
 def test_probabilities_validated():
     with pytest.raises(ValueError):
         DiscreteEnsemble([np.eye(2), np.eye(2)], np.array([0.7, 0.2]))

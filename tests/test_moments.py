@@ -19,6 +19,8 @@ from kfree.moments import (
     free_mixed_word,
     mixed_moment_free,
     moments_from_cumulants,
+    parts_product,
+    sub_words,
 )
 from kfree import ensembles, eth
 from kfree.partitions import Partition, catalan
@@ -33,6 +35,38 @@ def moment_phi(values, label="A"):
 def test_empty_word_normalization():
     phi = moment_phi([1.0, 2.0])
     assert phi(()) == 1
+
+
+def test_sub_words_read_each_part_in_the_given_order():
+    word = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7))
+    # a cycle (1, 3, 2) reads positions 1, 3, 2, not sorted
+    assert sub_words(word, [(1, 3, 2), (4,)]) == [(Fraction(1, 2), Fraction(1, 5), Fraction(1, 3)), (Fraction(1, 7),)]
+    assert sub_words(word, [(2, 1)]) != sub_words(word, [(1, 2)])
+
+
+class _Trail(tuple):
+    """Records the factors of a product in the order they are multiplied."""
+
+    def __mul__(self, other):
+        return _Trail((*self, other))
+
+
+def test_parts_product_multiplies_start_first_then_left_to_right():
+    word = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+
+    def f(sub):  # depends on the order of the sub-word
+        return sum(x * 10**i for i, x in enumerate(sub))
+
+    parts = [(1, 3, 2)]
+    assert parts_product(f, word, parts) == Fraction(1, 2) + Fraction(10, 5) + Fraction(100, 3)
+    parts = [(2,), (3, 1)]
+    assert parts_product(f, word, parts, start=Fraction(7, 4)) == Fraction(7, 4) * Fraction(1, 3) * (
+        Fraction(1, 5) + Fraction(10, 2)
+    )
+    assert parts_product(f, word, parts, start=_Trail(("start",))) == (
+        "start", Fraction(1, 3), Fraction(1, 5) + Fraction(10, 2)
+    )
+    assert parts_product(f, word, [], start=Fraction(3)) == Fraction(3)
 
 
 def test_blockwise_moment_examples():

@@ -15,12 +15,19 @@ The stages run once with the BLAS thread count in effect and, where kfree
 can pin OpenBLAS (`ensembles._one_blas_thread`), once on one thread, as the
 sample loop runs them.
 
-End to end, the two `haar-test` steps of the haar-mc benchmark workload
-(k = 2 at D = 256 and k = 3 at D = 128, 60 samples each, default
-observables), each one `kfree.cli.dispatch` call repeated `--repeats` times:
-every repeat, the median and the SHA-256 of the document, which must agree
-between revisions that write the same document.  The end-to-end part uses
-only `dispatch`, so it runs on any revision that has it.
+End to end, each case is one `kfree.cli.dispatch` call repeated `--repeats`
+times: every repeat, the median and the SHA-256 of the document, which must
+agree between revisions that write the same document.  The cases are
+
+- the two `haar-test` steps of the haar-mc benchmark workload (k = 2 at
+  D = 256 and k = 3 at D = 128, 60 samples each, default observables);
+- its `distance` step (a Hamiltonian time window at k = 2, D = 16, 3000
+  times), which sums the frame potential over all pairs of times;
+- `distance` at k = 2, D = 8 with 200 times, small enough that a size rule
+  once sent it through dense D^4 x D^4 superoperators.
+
+The end-to-end part uses only `dispatch`, so it runs on any revision that
+has it.
 
 Example:
     python scripts/bench_haar_mc.py --repeats 5 --out BENCH_haar_mc.json
@@ -54,6 +61,15 @@ WORDS = sorted(
 CASES = (
     ("haar-test-k2", ["haar-test", "--dim", "256", "--k", "2", "--n-samples", "60", "--seed", "1"]),
     ("haar-test-k3", ["haar-test", "--dim", "128", "--k", "3", "--n-samples", "60", "--seed", "1"]),
+    (
+        "distance-k2-d16",
+        ["distance", "--ensemble", "hamiltonian", "--k", "2", "--dim", "16", "--t-max", "5000",
+         "--n-samples", "3000", "--seed", "1"],
+    ),
+    (
+        "distance-k2-d8",
+        ["distance", "--ensemble", "hamiltonian", "--k", "2", "--dim", "8", "--n-samples", "200", "--seed", "1"],
+    ),
 )
 
 

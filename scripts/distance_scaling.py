@@ -32,7 +32,7 @@ def main(argv=None) -> int:
     for D in dims:
         model = goe_model(D, seed=D + args.k)
         spec = HamiltonianEnsemble(model, t_max=args.t_max, n_samples=args.n_samples)
-        d = channel_distance(spec, args.k, method="gram", seed=args.seed)
+        d = channel_distance(spec, args.k, seed=args.seed)
         dists.append(d)
         limit = infinite_time_distance(model, args.k) if args.k <= 2 else float("nan")
         predicted = math.sqrt(math.factorial(args.k)) * D ** (args.k / 2)

@@ -9,6 +9,7 @@ configuration and the package version.  Rational numbers serialize as
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -163,7 +164,7 @@ def _default_observable(D: int, seed: int) -> np.ndarray:
 
 
 def _cmd_nc(args) -> None:
-    from .partitions import _moebius, enumerate_nc, kreweras_complement, leq
+    from .partitions import Partition, _moebius, _nc_partitions_of, enumerate_nc, kreweras_complement
 
     _require(args, "n")
     parts = enumerate_nc(args.n)
@@ -174,11 +175,12 @@ def _cmd_nc(args) -> None:
     if args.kreweras:
         result["kreweras"] = {str(p): str(kreweras_complement(p)) for p in parts}
     if args.moebius:
+        # [0, pi] in NC(n) is the product of the NC lattices of pi's blocks
         table = {}
-        for s in parts:
-            for p in parts:
-                if leq(s, p):  # both come from enumerate_nc: moebius_nc's checks hold
-                    table[f"{s} <= {p}"] = _moebius(s, p)
+        for p in parts:
+            for pieces in itertools.product(*(_nc_partitions_of(b) for b in p.blocks)):
+                s = Partition.from_blocks(args.n, itertools.chain.from_iterable(pieces))
+                table[f"{s} <= {p}"] = _moebius(s, p)
         result["moebius"] = table
     _emit(args, "nc", result)
 
@@ -320,6 +322,9 @@ def _cmd_haar_test(args) -> None:
 def _build_ensemble(args):
     from .ensembles import DiscreteEnsemble, HaarEnsemble, HamiltonianEnsemble, clifford_group_1q, pauli_group
 
+    _require(args, "ensemble", "k")
+    _require_positive(args, "k")
+    _require_finite(args, "t_max")
     name = args.ensemble
     if name == "pauli":
         return pauli_group()
@@ -346,8 +351,7 @@ def _build_ensemble(args):
 def _cmd_design_check(args) -> None:
     from .ensembles import design_check, member_count
 
-    _require(args, "ensemble", "k")
-    _require_positive(args, "k")
+    _require_finite(args, "tolerance")
     spec = _build_ensemble(args)
     report = design_check(spec, args.k, tolerance=args.tolerance, seed=args.seed)
     _emit(
@@ -369,10 +373,8 @@ def _cmd_design_check(args) -> None:
 def _cmd_distance(args) -> None:
     from .ensembles import channel_distance, member_count
 
-    _require(args, "ensemble", "k")
-    _require_positive(args, "k")
     spec = _build_ensemble(args)
-    dist = channel_distance(spec, args.k, method=args.method, seed=args.seed)
+    dist = channel_distance(spec, args.k, seed=args.seed)
     _emit(
         args,
         "distance",
@@ -657,7 +659,6 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--t-max", dest="t_max", type=float, default=1000.0)
     p.add_argument("--n-samples", dest="n_samples", type=int, default=1000)
-    p.add_argument("--method", choices=["auto", "dense", "gram"], default="auto")
     p.add_argument("--unitaries")
     p.add_argument("--probs")
     _add_common(p)

@@ -81,8 +81,8 @@ class HamiltonianEnsemble:
     n_samples: int = 1000
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
+        if not math.isfinite(self.t_max) or self.t_max <= 0:
+            raise ValueError(f"t_max must be positive and finite (got {self.t_max})")
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
 
@@ -451,15 +451,10 @@ def design_check(spec: EnsembleSpec, k: int, tolerance: float = 1e-10, seed: int
     set of inputs (dense superoperators); reports the max entry deviation."""
     if isinstance(spec, HaarEnsemble):
         return DesignReport(True, 0.0, k, tolerance)
-    dev = float(np.max(np.abs(_superoperator_gap(spec, k, seed))))
-    return DesignReport(dev <= tolerance, dev, k, tolerance)
-
-
-def _superoperator_gap(spec: DiscreteEnsemble | HamiltonianEnsemble, k: int, seed: int) -> np.ndarray:
-    """S_ensemble - S_Haar, subtracted in place in the ensemble's matrix."""
     gap = ensemble_superoperator(spec, k, seed=seed)
-    gap -= haar_channel_superoperator(k, spec.dim)
-    return gap
+    gap -= haar_channel_superoperator(k, spec.dim)  # in place: no second D^(2k) x D^(2k) array
+    dev = float(np.max(np.abs(gap)))
+    return DesignReport(dev <= tolerance, dev, k, tolerance)
 
 
 def _pair_moment(spec: DiscreteEnsemble | HamiltonianEnsemble, k: int, seed: int) -> float:
@@ -491,24 +486,16 @@ def _pair_moment(spec: DiscreteEnsemble | HamiltonianEnsemble, k: int, seed: int
     return acc / total**2
 
 
-def channel_distance(spec: EnsembleSpec, k: int, method: str = "auto", seed: int = 0) -> float:
-    """Frobenius distance between the ensemble and Haar k-fold channels.
-
-    "dense" subtracts explicit superoperators; "gram" expands the squared
-    norm into pairwise |Tr(U V^dagger)|^{2k} sums (exact identity: both
-    cross terms with Haar equal k! whenever D >= k) and scales to any D.
-    """
+def channel_distance(spec: EnsembleSpec, k: int, seed: int = 0) -> float:
+    """Frobenius distance between the ensemble and Haar k-fold channels,
+    sqrt(F_E - k!) with F_E = E|Tr(U V^dagger)|^{2k} the frame potential
+    (`_pair_moment`): both cross terms with Haar equal k! whenever D >= k.
+    At an exact design F_E - k! is rounding noise; `design_check` tests one."""
     if isinstance(spec, HaarEnsemble):
         return 0.0
     D = spec.dim
     if D < k:
         raise RegimeError(f"channel distance needs D >= k (got D={D}, k={k})")
-    if method == "auto":
-        method = "dense" if (D**k) ** 2 <= DENSE_SUPEROP_CAP else "gram"
-    if method == "dense":
-        return float(np.linalg.norm(_superoperator_gap(spec, k, seed)))
-    if method != "gram":
-        raise ValueError(f"unknown method {method!r}")
     f_e = _pair_moment(spec, k, seed)
     return math.sqrt(max(f_e - math.factorial(k), 0.0))
 

@@ -239,7 +239,7 @@ def test_criterion_7_channel_distance_scaling():
             for D in dims:
                 model = goe_model(D, seed=D + k)
                 spec = HamiltonianEnsemble(model, t_max=5000.0, n_samples=3000)
-                d = channel_distance(spec, k, method="gram", seed=11)
+                d = channel_distance(spec, k, seed=11)
                 dists.append(d)
                 predicted = math.sqrt(math.factorial(k)) * D ** (k / 2)
                 assert predicted / 2 <= d <= predicted * 2

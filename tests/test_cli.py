@@ -55,6 +55,23 @@ def test_nc_kreweras_listing(capsys):
     assert doc["result"]["kreweras"]["{{1,2,3}}"] == "{{1}, {2}, {3}}"
 
 
+def test_nc_moebius_table_lists_each_interval(monkeypatch, capsys):
+    from kfree.partitions import enumerate_nc, leq, moebius_nc
+
+    def refuse(*args):
+        raise AssertionError("the Moebius table scanned pairs with leq")
+
+    wants = {}
+    for n in range(1, 7):
+        parts = enumerate_nc(n)
+        wants[n] = {f"{s} <= {p}": moebius_nc(s, p) for s in parts for p in parts if leq(s, p)}
+    monkeypatch.setattr(kfree.partitions, "leq", refuse)
+    for n, want in wants.items():
+        code, out, _ = run(capsys, "nc", "--n", str(n), "--moebius")
+        assert code == 0
+        assert json.loads(out)["result"]["moebius"] == want
+
+
 def test_perm_report(capsys):
     code, out, _ = run(capsys, "perm", "--perm", "2,3,1", "--geodesic")
     doc = json.loads(out)
@@ -553,7 +570,6 @@ def test_non_positive_sizes_exit_1():
         haar + ["--dim", "8", "--n-samples", "0"],
         haar + ["--dim", "8", "--n-samples", "-1"],
         hamiltonian + ["--n-samples", "0"],
-        hamiltonian + ["--n-samples", "0", "--method", "gram"],
     ]
     for argv in cases:
         code, err = run_process(*argv)
@@ -578,6 +594,11 @@ def test_non_finite_floats_exit_1():
         (["eth", "cumulant", *goe, "--t-max", "inf", "--n-points", "2"], "--t-max"),
         (["eth", "deutsch", *goe, "--strength=-inf"], "--strength"),
         (["eth", "freetime", *goe, "--threshold", "nan", "--n-points", "3"], "--threshold"),
+        (["distance", "--ensemble", "hamiltonian", "--k", "1", "--dim", "4", "--t-max", "inf"], "--t-max"),
+        (["distance", "--ensemble", "hamiltonian", "--k", "1", "--dim", "4", "--t-max", "nan"], "--t-max"),
+        (["distance", "--ensemble", "hamiltonian", "--k", "1", "--dim", "4", "--t-max", "1e309"], "--t-max"),
+        (["design-check", "--ensemble", "hamiltonian", "--k", "1", "--dim", "4", "--t-max", "inf"], "--t-max"),
+        (["design-check", "--ensemble", "pauli", "--k", "1", "--tolerance", "nan"], "--tolerance"),
     ]
     for argv, flag in cases:
         code, err = run_process(*argv)

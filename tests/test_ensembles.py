@@ -2,6 +2,7 @@
 design checks, and channel distance."""
 
 import gc
+import json
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 import kfree
 from kfree import ensembles
 from kfree.channel import channel_exact, haar_word_average_exact, permutation_operator, word_functional_from_matrices
+from kfree.cli import dispatch
 from kfree.ensembles import (
     DiscreteEnsemble,
     EnsembleExpectation,
@@ -172,6 +174,13 @@ def test_channel_monte_carlo_hamiltonian_dephases():
     assert np.max(np.abs(np.diagonal(avg_eig) - np.diagonal(O_eig))) < 1e-12
     off = avg_eig - np.diag(np.diagonal(avg_eig))
     assert np.max(np.abs(off)) < 5.0 / math.sqrt(spec.n_samples)
+
+
+def test_hamiltonian_window_must_be_finite():
+    model = goe_model(4, seed=0)
+    for t_max in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            HamiltonianEnsemble(model, t_max=t_max)
 
 
 def test_empty_discrete_ensemble_rejected():
@@ -447,21 +456,41 @@ def test_channel_distance_haar_zero():
     assert channel_distance(HaarEnsemble(8), 2) == 0.0
 
 
+def _dense_channel_distance(spec, k, seed=0):
+    """Reference: the Frobenius norm of the difference of dense superoperators."""
+    return np.linalg.norm(ensemble_superoperator(spec, k, seed) - haar_channel_superoperator(k, spec.dim))
+
+
 def test_channel_distance_dense_equals_gram():
     rng = np.random.default_rng(3)
     ens = DiscreteEnsemble([sample_haar(4, rng) for _ in range(5)])
-    assert abs(channel_distance(ens, 1, method="dense") - channel_distance(ens, 1, method="gram")) < 1e-9
+    assert abs(_dense_channel_distance(ens, 1) - channel_distance(ens, 1)) < 1e-9
     ens2 = DiscreteEnsemble([sample_haar(2, rng) for _ in range(4)])
-    assert abs(channel_distance(ens2, 2, method="dense") - channel_distance(ens2, 2, method="gram")) < 1e-9
+    assert abs(_dense_channel_distance(ens2, 2) - channel_distance(ens2, 2)) < 1e-9
 
 
 def test_hamiltonian_channel_distance_dense_equals_gram():
     # both routes average over the same sampled times
     spec = HamiltonianEnsemble(goe_model(4, seed=0), t_max=50.0, n_samples=200)
     for k in (1, 2):
-        dense = channel_distance(spec, k, method="dense", seed=7)
-        gram = channel_distance(spec, k, method="gram", seed=7)
+        dense = _dense_channel_distance(spec, k, seed=7)
+        gram = channel_distance(spec, k, seed=7)
         assert abs(dense - gram) <= 1e-9 * gram
+
+
+def test_channel_distance_builds_no_superoperator(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("channel distance built a dense superoperator")
+
+    for name in ("ensemble_superoperator", "haar_channel_superoperator", "_add_superoperator_term"):
+        monkeypatch.setattr(ensembles, name, refuse)
+    for spec in (pauli_group(), clifford_group_1q()):
+        for k in (1, 2):
+            assert channel_distance(spec, k) >= 0.0
+    spec = HamiltonianEnsemble(goe_model(8, seed=0), t_max=1000.0, n_samples=1000)
+    assert channel_distance(spec, 2) > 0.0
+    assert dispatch(["distance", "--ensemble", "hamiltonian", "--k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["distance"] > 0.0
 
 
 def _pair_moment_pair_loop(spec, k):
@@ -491,7 +520,7 @@ def test_channel_distance_requires_d_ge_k():
 def test_hamiltonian_distance_matches_infinite_time_limit():
     model = goe_model(8, seed=5)
     spec = HamiltonianEnsemble(model, t_max=5000.0, n_samples=3000)
-    d = channel_distance(spec, 1, method="gram", seed=11)
+    d = channel_distance(spec, 1, seed=11)
     assert abs(d - infinite_time_distance(model, 1)) < 0.3 * infinite_time_distance(model, 1)
 
 

@@ -22,21 +22,10 @@ Example:
     python scripts/bench_channel.py --repeats 5 --out BENCH_channel.json
 """
 
-import argparse
-import contextlib
-import hashlib
-import io
-import json
-import os
-import platform
-import statistics
 import sys
-import time
 
-import numpy as np
-
+import benchlib
 import kfree
-from kfree.cli import dispatch
 
 A_MOMENTS = "--a-moments=1/3,7/5,-2/9,11/4,3/7,5/2,1/11"
 B_MOMENTS = "--b-moments=2/7,4/3,1/5,-5/6,7/9,3/2,2/3"
@@ -61,46 +50,16 @@ def clear_caches() -> None:
                     obj.cache_clear()
 
 
-def run_case(name: str, argv: list[str], repeats: int) -> dict:
-    seconds, digests = [], set()
-    for _ in range(repeats):
-        clear_caches()
-        out = io.StringIO()
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(out):
-            code = dispatch(argv)
-        seconds.append(time.perf_counter() - t0)
-        if code != 0:
-            raise SystemExit(f"{name}: kfree exited {code}")
-        digests.add(hashlib.sha256(out.getvalue().encode()).hexdigest())
-    if len(digests) != 1:
-        raise SystemExit(f"{name}: repeats wrote different documents")
-    return {"name": name, "argv": argv, "seconds": seconds, "median_s": statistics.median(seconds), "sha256": digests.pop()}
-
-
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default="BENCH_channel.json")
-    args = ap.parse_args(argv)
-    if args.repeats < 1:
-        ap.error("--repeats must be positive")
-
+    args = benchlib.parse(benchlib.parser(__doc__, "BENCH_channel.json"), argv)
     doc = {
         "benchmark": "channel",
         "kfree": kfree.__version__,
         "repeats": args.repeats,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-        },
-        "cases": [run_case(name, case_argv, args.repeats) for name, case_argv in CASES],
+        "environment": benchlib.environment(),
+        "cases": [benchlib.run_case(name, case_argv, args.repeats, clear_caches) for name, case_argv in CASES],
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    benchlib.write(doc, args.out)
     for case in doc["cases"]:
         sys.stdout.write(f"{case['name']}: {case['median_s']:.3f} s  {case['sha256'][:12]}\n")
     return 0

@@ -31,8 +31,6 @@ import argparse
 import contextlib
 import io
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -43,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+import benchlib
 import kfree
 from kfree.cli import dispatch
 from kfree.eth import TimeWindow, averaged_free_cumulant, build_model, goe_matrix, goe_model, thermal_state
@@ -140,16 +139,12 @@ def measure(stage: str, work: Path, repeats: int) -> dict:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default="BENCH_eth_build.json")
+    ap = benchlib.parser(__doc__, "BENCH_eth_build.json")
     ap.add_argument("--child", choices=STAGES, help=argparse.SUPPRESS)
     ap.add_argument("--workdir", help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
+    args = benchlib.parse(ap, argv)
     if args.child:
         return child(args.child, Path(args.workdir))
-    if args.repeats < 1:
-        ap.error("--repeats must be positive")
 
     with tempfile.TemporaryDirectory(prefix="bench-eth-build-") as tmp:
         work = Path(tmp)
@@ -159,17 +154,10 @@ def main(argv=None) -> int:
         "benchmark": "eth-build",
         "kfree": str(Path(kfree.__file__).resolve().parent),
         "repeats": args.repeats,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-        },
+        "environment": benchlib.environment(),
         "stages": stages,
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    benchlib.write(doc, args.out)
     for s in stages:
         sys.stdout.write(
             f"{s['stage']:>18}: {1e3 * s['median_s']:8.1f} ms  tracemalloc {s['tracemalloc_peak_mb']:6.1f} MB  "

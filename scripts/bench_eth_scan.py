@@ -18,16 +18,13 @@ Example:
     python scripts/bench_eth_scan.py --dim 256 --repeats 5 --out BENCH_eth_scan.json
 """
 
-import argparse
-import json
-import os
-import platform
 import statistics
 import sys
 import time
 
 import numpy as np
 
+import benchlib
 from kfree.eth import (
     DeutschSpec,
     alternating_word,
@@ -61,13 +58,11 @@ def cases(model, state):
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = benchlib.parser(__doc__, "BENCH_eth_scan.json")
     ap.add_argument("--dim", type=int, default=256)
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default="BENCH_eth_scan.json")
-    args = ap.parse_args(argv)
-    if args.repeats < 1 or args.dim < 2:
-        ap.error("--repeats must be positive and --dim at least 2")
+    args = benchlib.parse(ap, argv)
+    if args.dim < 2:
+        ap.error("--dim must be at least 2")
 
     model = goe_model(args.dim, seed=11)
     state = thermal_state(model, 0.3 / model.spectral_width())
@@ -94,17 +89,10 @@ def main(argv=None) -> int:
         "seed": 11,
         "beta": state.beta,
         "repeats": args.repeats,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-        },
+        "environment": benchlib.environment(),
         "cases": results,
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    benchlib.write(doc, args.out)
     for case in results:
         sys.stdout.write(f"{case['name']}: {case['median_s']:.3f} s\n")
     return 0

@@ -16,16 +16,11 @@ Example:
     python scripts/bench_eth_window.py --repeats 5 --out BENCH_eth_window.json
 """
 
-import argparse
-import json
-import os
-import platform
 import statistics
 import sys
 import time
 
-import numpy as np
-
+import benchlib
 from kfree.eth import TimeWindow, averaged_free_cumulant, goe_model, thermal_state
 
 CASES = (
@@ -62,28 +57,15 @@ def run_case(case: dict, repeats: int) -> dict:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", default="BENCH_eth_window.json")
-    args = ap.parse_args(argv)
-    if args.repeats < 1:
-        ap.error("--repeats must be positive")
-
+    args = benchlib.parse(benchlib.parser(__doc__, "BENCH_eth_window.json"), argv)
     doc = {
         "benchmark": "eth-window",
         "word": [[name, timed] for name, timed in WORD],
         "repeats": args.repeats,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-        },
+        "environment": benchlib.environment(),
         "cases": [run_case(case, args.repeats) for case in CASES],
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    benchlib.write(doc, args.out)
     for case in doc["cases"]:
         sys.stdout.write(f"{case['name']}: {case['total_median_s']:.3f} s over {len(case['windows'])} windows\n")
     return 0

@@ -33,23 +33,17 @@ Example:
     python scripts/bench_haar_mc.py --repeats 5 --out BENCH_haar_mc.json
 """
 
-import argparse
-import contextlib
-import hashlib
-import io
-import json
 import math
 import os
-import platform
 import statistics
 import sys
 import time
 
 import numpy as np
 
+import benchlib
 import kfree
 from kfree import ensembles
-from kfree.cli import dispatch
 from kfree.eth import goe_matrix, normalize_observable
 from kfree.moments import _cyclic_key, _word_trace
 
@@ -108,49 +102,23 @@ def stage_table(samples: int) -> dict:
     return table
 
 
-def run_case(name: str, argv: list[str], repeats: int) -> dict:
-    seconds, digests = [], set()
-    for _ in range(repeats):
-        out = io.StringIO()
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(out):
-            code = dispatch(argv)
-        seconds.append(time.perf_counter() - t0)
-        if code != 0:
-            raise SystemExit(f"{name}: kfree exited {code}")
-        digests.add(hashlib.sha256(out.getvalue().encode()).hexdigest())
-    if len(digests) != 1:
-        raise SystemExit(f"{name}: repeats wrote different documents")
-    return {"name": name, "argv": argv, "seconds": seconds, "median_s": statistics.median(seconds), "sha256": digests.pop()}
-
-
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--repeats", type=int, default=5)
+    ap = benchlib.parser(__doc__, "BENCH_haar_mc.json")
     ap.add_argument("--samples", type=int, default=20, help="draws per stage timing")
-    ap.add_argument("--out", default="BENCH_haar_mc.json")
-    args = ap.parse_args(argv)
-    if args.repeats < 1 or args.samples < 1:
-        ap.error("--repeats and --samples must be positive")
+    args = benchlib.parse(ap, argv)
+    if args.samples < 1:
+        ap.error("--samples must be positive")
 
     doc = {
         "benchmark": "haar_mc",
         "kfree": kfree.__version__,
         "repeats": args.repeats,
         "samples": args.samples,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-        },
+        "environment": benchlib.environment(openblas_num_threads=os.environ.get("OPENBLAS_NUM_THREADS")),
         "stages_ms": stage_table(args.samples),
-        "cases": [run_case(name, case_argv, args.repeats) for name, case_argv in CASES],
+        "cases": [benchlib.run_case(name, case_argv, args.repeats) for name, case_argv in CASES],
     }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    benchlib.write(doc, args.out)
     for setting, dims in doc["stages_ms"].items():
         for D, stages in dims.items():
             cells = "  ".join(f"{name} {ms:.2f}" for name, ms in stages.items())

@@ -28,7 +28,6 @@ EXIT_REGIME = 2
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
 
@@ -126,24 +125,18 @@ def _parse_finite_floats(flag: str, text: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _require(args, *names) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
-        raise ValueError("missing required option(s): " + ", ".join("--" + n.replace("_", "-") for n in missing))
+# The domain of every flag with one of these names, on every subcommand that
+# has it, whether or not the action reads it; `dispatch` checks them once.
+POSITIVE_FLAGS = ("n", "k", "dim", "length", "n_samples", "n_points", "max_order")
+FINITE_FLAGS = ("beta", "t_max", "strength", "threshold", "tolerance")
 
 
-def _require_positive(args, *names) -> None:
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and value < 1:
-            raise ValueError(f"--{name.replace('_', '-')} must be positive (got {value})")
-
-
-def _require_finite(args, *names) -> None:
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite (got {value})")
+def _check_domains(args) -> None:
+    for names, ok, rule in ((POSITIVE_FLAGS, lambda v: v >= 1, "positive"), (FINITE_FLAGS, math.isfinite, "finite")):
+        for name in names:
+            value = getattr(args, name, None)
+            if value is not None and not ok(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be {rule} (got {value})")
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -166,7 +159,6 @@ def _default_observable(D: int, seed: int) -> np.ndarray:
 def _cmd_nc(args) -> None:
     from .partitions import Partition, _moebius, _nc_partitions_of, enumerate_nc, kreweras_complement
 
-    _require(args, "n")
     parts = enumerate_nc(args.n)
     if args.count:
         _emit(args, "nc", {"n": args.n, "count": len(parts)})
@@ -188,7 +180,6 @@ def _cmd_nc(args) -> None:
 def _cmd_perm(args) -> None:
     from .permutations import NCEmbeddingError, geodesic_set, permutation_to_nc
 
-    _require(args, "perm")
     alpha = _parse_perm(args.perm)
     result = {
         "permutation": str(alpha),
@@ -209,21 +200,20 @@ def _cmd_perm(args) -> None:
 def _cmd_wg(args) -> None:
     from .weingarten import weingarten_table
 
-    _require(args, "k", "dim")
     if args.k > 6:  # k = 6 peaks at 219 MB; k = 7's 5040^2 entry pairs would need about 9 GB
         raise ValueError(f"--k must be at most 6 (got {args.k})")
     table = weingarten_table(args.k, args.dim)
     result = {"k": args.k, "dim": args.dim, "permutations": [str(p) for p in table.perms], "gram": [], "weingarten": []}
+    # a table holds p(k) distinct values, so interning keeps one string per value, not k!^2
     for gram_row, wg_row in table.rows():
-        result["gram"].append([str(x) for x in gram_row])
-        result["weingarten"].append([f"{x.numerator}/{x.denominator}" for x in wg_row])
+        result["gram"].append([sys.intern(str(x)) for x in gram_row])
+        result["weingarten"].append([sys.intern(f"{x.numerator}/{x.denominator}") for x in wg_row])
     _emit(args, "wg", result)
 
 
 def _cmd_cumulants(args) -> None:
     from .moments import CumulantSet, Expectation
 
-    _require_positive(args, "max_order")
     if args.moments:
         moments = _parse_moments(args.moments)
         phi = Expectation.from_moment_sequence(moments)
@@ -269,15 +259,9 @@ def _word_functional(args, prefix: str, k: int):
 def _cmd_channel(args) -> None:
     from .channel import channel_asymptotic, channel_exact
 
-    _require(args, "k", "dim")
-    _require_positive(args, "k", "dim")
     phi, labels = _word_functional(args, "a", args.k)
-    if args.mode == "exact":
-        coeffs = channel_exact(args.k, args.dim, phi, labels)
-    elif args.mode == "asymptotic":
-        coeffs = channel_asymptotic(args.k, args.dim, phi, labels)
-    else:
-        raise ValueError(f"unknown mode {args.mode!r}")
+    channel = channel_exact if args.mode == "exact" else channel_asymptotic  # argparse allows no other mode
+    coeffs = channel(args.k, args.dim, phi, labels)
     out = {}
     for alpha, c in coeffs.coeffs.items():
         out[str(alpha)] = f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else complex(c)
@@ -287,8 +271,6 @@ def _cmd_channel(args) -> None:
 def _cmd_otoc(args) -> None:
     from .channel import otoc_haar
 
-    _require(args, "k")
-    _require_positive(args, "k", "dim")
     phi_a, a_labels = _word_functional(args, "a", args.k)
     phi_b, b_labels = _word_functional(args, "b", args.k)
     res = otoc_haar(phi_a, phi_b, args.k, D=args.dim, a_labels=a_labels, b_labels=b_labels)
@@ -302,8 +284,6 @@ def _cmd_otoc(args) -> None:
 def _cmd_haar_test(args) -> None:
     from .ensembles import HaarEnsemble, k_freeness_test
 
-    _require(args, "dim")
-    _require_positive(args, "dim", "k", "n_samples")
     A = _load_matrix(args.a) if args.a else _default_observable(args.dim, args.seed + 101)
     B = _load_matrix(args.b) if args.b else _default_observable(args.dim, args.seed + 202)
     est = k_freeness_test(HaarEnsemble(args.dim), A, B, args.k, n_samples=args.n_samples, seed=args.seed)
@@ -322,21 +302,16 @@ def _cmd_haar_test(args) -> None:
 def _build_ensemble(args):
     from .ensembles import DiscreteEnsemble, HaarEnsemble, HamiltonianEnsemble, clifford_group_1q, pauli_group
 
-    _require(args, "ensemble", "k")
-    _require_positive(args, "k")
-    _require_finite(args, "t_max")
     name = args.ensemble
     if name == "pauli":
         return pauli_group()
     if name == "clifford":
         return clifford_group_1q()
     if name == "haar":
-        _require_positive(args, "dim")
         return HaarEnsemble(args.dim)
     if name == "hamiltonian":
         from .eth import goe_model
 
-        _require_positive(args, "dim")
         model = goe_model(args.dim, seed=args.seed)
         return HamiltonianEnsemble(model, t_max=args.t_max, n_samples=args.n_samples)
     if name == "files":
@@ -348,55 +323,38 @@ def _build_ensemble(args):
     raise ValueError(f"unknown ensemble {name!r}")
 
 
-def _cmd_design_check(args) -> None:
-    from .ensembles import design_check, member_count
+def _ensemble_fields(args, spec) -> dict:
+    """The document fields `design-check` and `distance` share."""
+    from .ensembles import member_count
 
-    _require_finite(args, "tolerance")
+    # n_samples counts the members averaged: none for Haar, whose channel is exact
+    n_samples = member_count(spec, None)
+    return {"ensemble": args.ensemble, "k": args.k, "seed": args.seed, "n_samples": n_samples, "dim": spec.dim}
+
+
+def _cmd_design_check(args) -> None:
+    from .ensembles import design_check
+
     spec = _build_ensemble(args)
     report = design_check(spec, args.k, tolerance=args.tolerance, seed=args.seed)
-    _emit(
-        args,
-        "design-check",
-        {
-            "ensemble": args.ensemble,
-            "k": args.k,
-            "passed": report.passed,
-            "max_deviation": report.max_deviation,
-            "tolerance": report.tolerance,
-            "seed": args.seed,
-            "n_samples": member_count(spec, None),  # the members averaged: none for Haar, whose channel is exact
-            "dim": spec.dim,
-        },
-    )
+    fields = {"passed": report.passed, "max_deviation": report.max_deviation, "tolerance": report.tolerance}
+    _emit(args, "design-check", {**_ensemble_fields(args, spec), **fields})
 
 
 def _cmd_distance(args) -> None:
-    from .ensembles import channel_distance, member_count
+    from .ensembles import channel_distance
 
     spec = _build_ensemble(args)
     dist = channel_distance(spec, args.k, seed=args.seed)
-    _emit(
-        args,
-        "distance",
-        {
-            "ensemble": args.ensemble,
-            "k": args.k,
-            "distance": dist,
-            "seed": args.seed,
-            "n_samples": member_count(spec, None),  # the members averaged: none for Haar, whose channel is exact
-            "dim": spec.dim,
-        },
-    )
+    _emit(args, "distance", {**_ensemble_fields(args, spec), "distance": dist})
 
 
 def _eth_model(args):
     from .eth import build_model, goe_model, ising_model, to_eigenbasis
 
     if args.model == "goe":
-        _require_positive(args, "dim")
         model = goe_model(args.dim, seed=args.seed)
     elif args.model == "ising":
-        _require_positive(args, "length")
         model = ising_model(args.length)
     else:
         h = _load_matrix(args.model)
@@ -435,11 +393,9 @@ def _eth_build(args) -> dict:
     )
 
     if args.model == "goe":
-        _require_positive(args, "dim")
         h = goe_matrix(args.dim, np.random.default_rng(args.seed))
         provenance, names = _goe_provenance(args.dim, args.seed), set(GOE_OBSERVABLES)
     elif args.model == "ising":
-        _require_positive(args, "length")
         h = ising_hamiltonian(args.length)
         provenance, names = _ising_provenance(args.length), set(ISING_OBSERVABLES)
     else:
@@ -485,12 +441,9 @@ def _cmd_eth(args) -> None:
     )
 
     action = args.action
-    _require_finite(args, "beta", "t_max", "strength", "threshold")
-    if action in ("cumulant", "timeavg", "freetime"):
-        _require_positive(args, "k", "n_points")
-    if action == "cumulant":
-        _require(args, "t_max")
-    elif action in ("timeavg", "freetime", "appendixb") and args.t_max is not None and args.t_max <= 0:
+    if action == "cumulant" and args.t_max is None:
+        raise ValueError("eth cumulant needs --t-max")
+    if action in ("timeavg", "freetime", "appendixb") and args.t_max is not None and args.t_max <= 0:
         raise ValueError(f"--t-max must be > 0 (got {args.t_max})")
     if action == "build":
         _emit(args, "eth build", _eth_build(args))
@@ -563,8 +516,6 @@ def _cmd_eth(args) -> None:
                 ),
             },
         )
-    else:
-        raise ValueError(f"unknown eth action {action!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +536,7 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("nc", help="non-crossing partitions, Moebius tables, Kreweras pairs")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", action="store_true")
     p.add_argument("--moebius", action="store_true")
     p.add_argument("--kreweras", action="store_true")
@@ -593,14 +544,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_nc)
 
     p = subs.add_parser("perm", help="cycle structure, length, geodesics, NC embedding")
-    p.add_argument("--perm", help="one-line notation, e.g. 2,3,1")
+    p.add_argument("--perm", required=True, help="one-line notation, e.g. 2,3,1")
     p.add_argument("--geodesic", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_perm)
 
     p = subs.add_parser("wg", help="exact Gram and Weingarten tables")
-    p.add_argument("--k", type=int)
-    p.add_argument("--dim", type=int)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_wg)
 
@@ -612,8 +563,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_cumulants)
 
     p = subs.add_parser("channel", help="k-fold Haar channel coefficients")
-    p.add_argument("--k", type=int)
-    p.add_argument("--dim", type=int)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True)
     p.add_argument("--mode", choices=["exact", "asymptotic"], default="exact")
     p.add_argument("--a-ops", dest="a_ops", help="comma separated operator files (1 or k)")
     p.add_argument("--a-moments", dest="a_moments", help="moment sequence for identical inputs")
@@ -623,7 +574,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_channel)
 
     p = subs.add_parser("otoc", help="Haar-averaged 2k-OTOC, both evaluation paths")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, required=True)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--a-ops", dest="a_ops")
     p.add_argument("--a-moments", dest="a_moments")
@@ -633,7 +584,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_otoc)
 
     p = subs.add_parser("haar-test", help="Monte Carlo freeness probe under Haar")
-    p.add_argument("--dim", type=int)
+    p.add_argument("--dim", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n-samples", dest="n_samples", type=int, default=2000)
     p.add_argument("--a", help="operator file for A (default: seeded GOE observable)")
@@ -642,8 +593,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_haar_test)
 
     p = subs.add_parser("design-check", help="compare an ensemble channel with Haar")
-    p.add_argument("--ensemble", help="pauli | clifford | haar | hamiltonian | files")
-    p.add_argument("--k", type=int)
+    p.add_argument("--ensemble", required=True, help="pauli | clifford | haar | hamiltonian | files")
+    p.add_argument("--k", type=int, required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--t-max", dest="t_max", type=float, default=100.0)
@@ -654,8 +605,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_design_check)
 
     p = subs.add_parser("distance", help="Frobenius distance to the Haar channel")
-    p.add_argument("--ensemble")
-    p.add_argument("--k", type=int)
+    p.add_argument("--ensemble", required=True)
+    p.add_argument("--k", type=int, required=True)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--t-max", dest="t_max", type=float, default=1000.0)
     p.add_argument("--n-samples", dest="n_samples", type=int, default=1000)
@@ -732,6 +683,7 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_domains(args)
         args.func(args)
     except RegimeError as exc:
         print(f"kfree: regime error: {exc}", file=sys.stderr)

@@ -465,6 +465,9 @@ def _pair_moment(spec: DiscreteEnsemble | HamiltonianEnsemble, k: int, seed: int
     members' times, since every member shares the model's eigenbasis.
     """
     weights, total, member = _members(spec, 0, seed)
+    # |Tr(U V^dagger)| <= D with equality at i = j, so the sum below reaches D^(2k) total^2
+    if 2 * k * math.log(spec.dim) + 2 * math.log(total) > math.log(np.finfo(float).max):
+        raise RegimeError(f"channel distance at k={k}, D={spec.dim} overflows a float: its pair sum reaches D^(2k)")
     if isinstance(spec, DiscreteEnsemble):
         rows = np.stack([member(i).reshape(-1) for i in range(len(weights))])
     else:

@@ -63,6 +63,7 @@ RESONANCE_SAMPLES = 20_000  # index quadruples resonance_report draws
 _WINDOW_CHUNK_ELEMS = 2_000_000  # amplitude-tensor entries per chunk of a windowed average
 GOE_OBSERVABLES = ("A", "B")  # the observables goe_model draws
 ISING_OBSERVABLES = ("sz_mid", "sx_mid")  # the observables of ising_model
+ISING_J, ISING_HX, ISING_HZ = 1.0, -1.05, 0.5  # zz coupling, transverse and longitudinal fields of ising_model
 _PANEL_ELEMS = 65_536  # entries per row panel of the Hermiticity check
 
 
@@ -97,8 +98,11 @@ def normalize_observable(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     D = m.shape[0]
     w = np.full(D, 1.0 / D)
+    scale = np.max(np.abs(m))
     m = m - np.dot(w, np.diagonal(m)) * np.eye(D)
     norm = np.sqrt(abs(_word_trace({"m": m}, w)(("m", "m"))))
+    if norm <= 1e-12 * scale:  # a multiple of the identity, every 1 x 1 operator among them
+        raise ValueError(f"a {D}x{D} observable with no traceless part cannot be normalized")
     return m / norm
 
 
@@ -237,8 +241,9 @@ def _goe_provenance(D: int, seed: int) -> str:
     return f"goe(D={D}, seed={seed})"
 
 
-def ising_hamiltonian(L: int, J: float = 1.0, hx: float = -1.05, hz: float = 0.5) -> np.ndarray:
-    """Mixed-field Ising chain (open boundary) at a standard chaotic point.
+def ising_hamiltonian(L: int) -> np.ndarray:
+    """Mixed-field Ising chain (open boundary) at a standard chaotic point,
+    J = ISING_J, hx = ISING_HX, hz = ISING_HZ.
 
     Site i is bit L-1-i of a basis index (site 0 is the leftmost Kronecker
     factor): sigma-z is diagonal with entries 1 - 2 bit, and sigma-x flips
@@ -250,16 +255,16 @@ def ising_hamiltonian(L: int, J: float = 1.0, hx: float = -1.05, hz: float = 0.5
     z = [1.0 - 2.0 * ((idx & b) != 0) for b in bits]
     diag = np.zeros(D)
     for i in range(L - 1):
-        diag += J * (z[i] * z[i + 1])
+        diag += ISING_J * (z[i] * z[i + 1])
     h = np.zeros((D, D))
     for i in range(L):
-        diag += hz * z[i]
-        h[idx, idx ^ bits[i]] += hx
+        diag += ISING_HZ * z[i]
+        h[idx, idx ^ bits[i]] += ISING_HX
     h[idx, idx] = diag
     return h
 
 
-def ising_model(L: int, J: float = 1.0, hx: float = -1.05, hz: float = 0.5) -> SpectralModel:
+def ising_model(L: int) -> SpectralModel:
     """`ising_hamiltonian` with mid-chain sigma-z / sigma-x observables."""
     D = 2**L
     idx = np.arange(D)
@@ -267,11 +272,11 @@ def ising_model(L: int, J: float = 1.0, hx: float = -1.05, hz: float = 0.5) -> S
     sx_mid = np.zeros((D, D))
     sx_mid[idx, idx ^ bit] = 1.0
     obs = dict(zip(ISING_OBSERVABLES, (np.diag(1.0 - 2.0 * ((idx & bit) != 0)), sx_mid)))
-    return build_model(ising_hamiltonian(L, J, hx, hz), obs, provenance=_ising_provenance(L, J, hx, hz))
+    return build_model(ising_hamiltonian(L), obs, provenance=_ising_provenance(L))
 
 
-def _ising_provenance(L: int, J: float = 1.0, hx: float = -1.05, hz: float = 0.5) -> str:
-    return f"ising(L={L}, J={J}, hx={hx}, hz={hz})"
+def _ising_provenance(L: int) -> str:
+    return f"ising(L={L}, J={ISING_J}, hx={ISING_HX}, hz={ISING_HZ})"
 
 
 @dataclass

@@ -604,3 +604,50 @@ def test_non_finite_floats_exit_1():
         code, err = run_process(*argv)
         assert_validation_exit(code, err)
         assert f"{flag} must be finite" in err
+
+
+def test_flag_domains_hold_where_the_action_ignores_the_flag(capsys):
+    # checked once after parsing, on every subcommand that has the flag
+    cases = [
+        (["eth", "build", "--model", "goe", "--dim", "8", "--k", "0"], "--k must be positive (got 0)"),
+        (["eth", "build", "--model", "ising", "--length", "3", "--dim", "-1"], "--dim must be positive (got -1)"),
+        (["eth", "deutsch", "--model", "goe", "--dim", "8", "--t-max", "inf"], "--t-max must be finite (got inf)"),
+        (["design-check", "--ensemble", "pauli", "--k", "1", "--dim", "0"], "--dim must be positive (got 0)"),
+        (["distance", "--ensemble", "pauli", "--k", "1", "--n-samples", "0"], "--n-samples must be positive (got 0)"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"kfree: {message}"]
+
+
+def test_parser_errors_are_one_line(capsys):
+    cases = [
+        ["nc", "--n", "x"],
+        ["channel", "--k", "2", "--dim", "2", "--mode", "foo", "--moments", "0,1"],
+        ["wg", "--k", "2"],
+        ["distance", "--k", "2"],
+        ["haar-test", "--dim", "4", "--bogus"],
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("kfree") and ": error: " in err
+
+
+def test_distance_beyond_the_float_range_exits_2():
+    # the frame potential's pair sum would pass 1.8e308 (k = 120) or k! would (k = 171)
+    for k in ("120", "171"):
+        code, err = run_process("distance", "--ensemble", "hamiltonian", "--k", k, "--dim", "200", "--n-samples", "10")
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert f"k={k}, D=200" in err
+
+
+def test_one_level_observables_exit_1():
+    for argv in (["eth", "timeavg", "--model", "goe", "--dim", "1"],
+                 ["haar-test", "--dim", "1", "--k", "1", "--n-samples", "2"],
+                 ["design-check", "--ensemble", "hamiltonian", "--k", "1", "--dim", "1"]):
+        code, err = run_process(*argv)
+        assert_validation_exit(code, err)
+        assert "no traceless part" in err

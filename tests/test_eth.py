@@ -204,6 +204,13 @@ def test_ising_model_matches_kronecker_oracle(monkeypatch, L):
         assert built["obs"][name].dtype == m.dtype and np.array_equal(built["obs"][name], m)
 
 
+def test_normalize_observable_refuses_multiples_of_the_identity():
+    # no traceless part to scale: every 1 x 1 operator, and c I up to rounding
+    for m in (np.eye(1), np.array([[2.0 + 0j]]), 0.1 * np.eye(5), np.zeros((3, 3))):
+        with pytest.raises(ValueError, match="no traceless part"):
+            normalize_observable(m)
+
+
 def test_ising_model_builds():
     model = ising_model(10)
     assert model.dim == 1024

@@ -21,10 +21,11 @@ agree between revisions that write the same document.  The cases are
 
 - the two `haar-test` steps of the haar-mc benchmark workload (k = 2 at
   D = 256 and k = 3 at D = 128, 60 samples each, default observables);
-- its `distance` step (a Hamiltonian time window at k = 2, D = 16, 3000
-  times), which sums the frame potential over all pairs of times;
-- `distance` at k = 2, D = 8 with 200 times, small enough that a size rule
-  once sent it through dense D^4 x D^4 superoperators.
+- its `distance` step (a Hamiltonian time window at k = 2, D = 16), which
+  sums the window's Fejer kernel over the D^4 pairs of level pairs; it still
+  passes `--n-samples 3000`, which the exact window does not read;
+- `distance` at k = 2, D = 8, small enough that a size rule once sent it
+  through dense D^4 x D^4 superoperators.
 
 The end-to-end part uses only `dispatch`, so it runs on any revision that
 has it.

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Channel distance of the long-time evolution ensemble from the Haar
-channel, versus dimension, compared with sqrt(k!) D^(k/2).
+"""Channel distance of the time-window evolution ensemble from the Haar
+channel, versus dimension, beside its t_max -> infinity limit and
+sqrt(k!) D^(k/2).  Both distances are exact window-kernel sums.
 
 Example:
     python scripts/distance_scaling.py --k 2 --dims 4,8,16,32 --out dist.csv
@@ -12,7 +13,7 @@ import sys
 
 import numpy as np
 
-from kfree.ensembles import HamiltonianEnsemble, channel_distance, infinite_time_distance
+from kfree.ensembles import HamiltonianEnsemble, channel_distance
 from kfree.eth import goe_model
 
 
@@ -21,8 +22,6 @@ def main(argv=None) -> int:
     ap.add_argument("--k", type=int, default=2)
     ap.add_argument("--dims", default="4,8,16")
     ap.add_argument("--t-max", dest="t_max", type=float, default=5000.0)
-    ap.add_argument("--n-samples", dest="n_samples", type=int, default=3000)
-    ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
 
@@ -31,10 +30,9 @@ def main(argv=None) -> int:
     dists = []
     for D in dims:
         model = goe_model(D, seed=D + args.k)
-        spec = HamiltonianEnsemble(model, t_max=args.t_max, n_samples=args.n_samples)
-        d = channel_distance(spec, args.k, seed=args.seed)
+        d = channel_distance(HamiltonianEnsemble(model, t_max=args.t_max), args.k)
         dists.append(d)
-        limit = infinite_time_distance(model, args.k) if args.k <= 2 else float("nan")
+        limit = channel_distance(HamiltonianEnsemble(model, t_max=math.inf), args.k)
         predicted = math.sqrt(math.factorial(args.k)) * D ** (args.k / 2)
         lines.append(f"{D},{float(d)!r},{float(limit)!r},{float(predicted)!r}")
     slope = np.polyfit(np.log(dims), np.log(dists), 1)[0]

@@ -40,17 +40,10 @@ def permutation_operator(alpha: Permutation, D: int) -> np.ndarray:
     k = alpha.k
     if D**k > DENSE_VALIDATION_CAP:
         raise ValueError(f"dense permutation operator capped at D^k <= {DENSE_VALIDATION_CAP}")
-    cols = np.arange(D**k)
-    digits = np.empty((k, D**k), dtype=np.int64)
-    rem = cols.copy()
-    for t in range(k - 1, -1, -1):
-        digits[t] = rem % D
-        rem //= D
-    rows = np.zeros(D**k, dtype=np.int64)
-    for t in range(k):
-        rows = rows * D + digits[alpha(t + 1) - 1]
+    digits = np.unravel_index(np.arange(D**k), (D,) * k)  # of each column, most significant first
+    rows = np.ravel_multi_index([digits[alpha(t + 1) - 1] for t in range(k)], (D,) * k)
     w = np.zeros((D**k, D**k))
-    w[rows, cols] = 1.0
+    w[rows, np.arange(D**k)] = 1.0
     return w
 
 

@@ -100,15 +100,26 @@ def _parse_perm(text: str):
     return Permutation(tuple(int(x) for x in text.split(",")))
 
 
-def _parse_moments(text: str) -> list:
-    """Parse a comma list, staying exact (Fraction) whenever possible."""
+def _parse_moments(flag: str, text: str, order: int) -> list:
+    """Parse a comma list of at least `order` moments, staying exact
+    (Fraction) whenever possible; a short list is an error naming `flag`."""
     out = []
     for tok in text.split(","):
         try:
             out.append(Fraction(tok.strip()))
         except ValueError:
             out.append(complex(float(tok), 0.0))
+    if len(out) < order:
+        raise ValueError(f"{flag} gives {len(out)} moments, but order {order} is needed")
     return out
+
+
+def _check_nc_size(flag: str, n: int) -> None:
+    """Refuse, naming `flag`, free cumulants over NC(n) past the enumeration limit."""
+    from .partitions import DEFAULT_ENUMERATION_LIMIT
+
+    if n > DEFAULT_ENUMERATION_LIMIT:
+        raise ValueError(f"{flag} asks for NC({n}), past the enumeration limit n <= {DEFAULT_ENUMERATION_LIMIT}")
 
 
 def _parse_finite_floats(flag: str, text: str) -> tuple[float, ...]:
@@ -215,7 +226,7 @@ def _cmd_cumulants(args) -> None:
     from .moments import CumulantSet, Expectation
 
     if args.moments:
-        moments = _parse_moments(args.moments)
+        moments = _parse_moments("--moments", args.moments, args.max_order or 0)
         phi = Expectation.from_moment_sequence(moments)
         max_order = args.max_order or len(moments)
     elif args.operator:
@@ -224,6 +235,7 @@ def _cmd_cumulants(args) -> None:
         max_order = args.max_order or 6
     else:
         raise ValueError("need --moments or --operator")
+    _check_nc_size(f"--max-order {max_order}" if args.max_order else f"--moments ({max_order} moments)", max_order)
     table = CumulantSet(phi).table("A", max_order)
     rows = (["order", "real", "imag"], [[n, complex(v).real, complex(v).imag] for n, v in table.items()])
     _emit(args, "cumulants", {"kappa": {str(n): complex(v) for n, v in table.items()}}, rows=rows)
@@ -252,7 +264,7 @@ def _word_functional(args, prefix: str, k: int):
                     raise ValueError(f"--{prefix}-ops: {path} is {m.shape[0]}x{m.shape[0]}, but --dim is {args.dim}")
         return Expectation.normalized_trace(ops), labels
     if mom_arg:
-        return Expectation.from_moment_sequence(_parse_moments(mom_arg)), ("A",) * k
+        return Expectation.from_moment_sequence(_parse_moments(f"--{prefix}-moments", mom_arg, k)), ("A",) * k
     raise ValueError(f"need --{prefix}-ops or --{prefix}-moments")
 
 
@@ -284,6 +296,7 @@ def _cmd_otoc(args) -> None:
 def _cmd_haar_test(args) -> None:
     from .ensembles import HaarEnsemble, k_freeness_test
 
+    _check_nc_size(f"--k {args.k}", 2 * args.k)
     A = _load_matrix(args.a) if args.a else _default_observable(args.dim, args.seed + 101)
     B = _load_matrix(args.b) if args.b else _default_observable(args.dim, args.seed + 202)
     est = k_freeness_test(HaarEnsemble(args.dim), A, B, args.k, n_samples=args.n_samples, seed=args.seed)
@@ -313,7 +326,7 @@ def _build_ensemble(args):
         from .eth import goe_model
 
         model = goe_model(args.dim, seed=args.seed)
-        return HamiltonianEnsemble(model, t_max=args.t_max, n_samples=args.n_samples)
+        return HamiltonianEnsemble(model, t_max=args.t_max)
     if name == "files":
         if not args.unitaries:
             raise ValueError("--unitaries required for --ensemble files")
@@ -325,10 +338,10 @@ def _build_ensemble(args):
 
 def _ensemble_fields(args, spec) -> dict:
     """The document fields `design-check` and `distance` share."""
-    from .ensembles import member_count
+    from .ensembles import DiscreteEnsemble
 
-    # n_samples counts the members averaged: none for Haar, whose channel is exact
-    n_samples = member_count(spec, None)
+    # n_samples counts the members averaged: none for Haar or a time window, whose channels are exact
+    n_samples = len(spec.unitaries) if isinstance(spec, DiscreteEnsemble) else None
     return {"ensemble": args.ensemble, "k": args.k, "seed": args.seed, "n_samples": n_samples, "dim": spec.dim}
 
 
@@ -336,7 +349,7 @@ def _cmd_design_check(args) -> None:
     from .ensembles import design_check
 
     spec = _build_ensemble(args)
-    report = design_check(spec, args.k, tolerance=args.tolerance, seed=args.seed)
+    report = design_check(spec, args.k, tolerance=args.tolerance)
     fields = {"passed": report.passed, "max_deviation": report.max_deviation, "tolerance": report.tolerance}
     _emit(args, "design-check", {**_ensemble_fields(args, spec), **fields})
 
@@ -345,8 +358,18 @@ def _cmd_distance(args) -> None:
     from .ensembles import channel_distance
 
     spec = _build_ensemble(args)
-    dist = channel_distance(spec, args.k, seed=args.seed)
+    dist = channel_distance(spec, args.k)
     _emit(args, "distance", {**_ensemble_fields(args, spec), "distance": dist})
+
+
+def _check_model_dim(args) -> None:
+    """Refuse a built-in model past eth.DEFAULT_DIM_CAP before its matrix exists."""
+    from .eth import DEFAULT_DIM_CAP
+
+    if args.model == "goe" and args.dim > DEFAULT_DIM_CAP:
+        raise ValueError(f"--dim {args.dim} exceeds the dimension cap {DEFAULT_DIM_CAP}")
+    if args.model == "ising" and args.length > DEFAULT_DIM_CAP.bit_length() - 1:
+        raise ValueError(f"--length {args.length} gives dimension 2^{args.length}, past the cap {DEFAULT_DIM_CAP}")
 
 
 def _eth_model(args):
@@ -441,6 +464,9 @@ def _cmd_eth(args) -> None:
     )
 
     action = args.action
+    _check_model_dim(args)
+    if action in ("cumulant", "freetime"):
+        _check_nc_size(f"--k {args.k}", 2 * args.k)
     if action == "cumulant" and args.t_max is None:
         raise ValueError("eth cumulant needs --t-max")
     if action in ("timeavg", "freetime", "appendixb") and args.t_max is not None and args.t_max <= 0:
@@ -523,6 +549,9 @@ def _cmd_eth(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+_N_SAMPLES_HELP = "checked to be positive, but no ensemble reads it: discrete, Haar and --t-max window channels are exact"
+
+
 def _add_common(sub) -> None:
     sub.add_argument("--output", help="write the result document to this path")
     sub.add_argument("--format", choices=["json", "csv", "text"], default="json")
@@ -598,7 +627,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--t-max", dest="t_max", type=float, default=100.0)
-    p.add_argument("--n-samples", dest="n_samples", type=int, default=1000)
+    p.add_argument("--n-samples", dest="n_samples", type=int, default=1000, help=_N_SAMPLES_HELP)
     p.add_argument("--unitaries", help="comma separated unitary files")
     p.add_argument("--probs", help="comma separated probabilities")
     _add_common(p)
@@ -609,7 +638,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--t-max", dest="t_max", type=float, default=1000.0)
-    p.add_argument("--n-samples", dest="n_samples", type=int, default=1000)
+    p.add_argument("--n-samples", dest="n_samples", type=int, default=1000, help=_N_SAMPLES_HELP)
     p.add_argument("--unitaries")
     p.add_argument("--probs")
     _add_common(p)

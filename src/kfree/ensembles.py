@@ -1,6 +1,6 @@
 """Unitary ensembles and their channel diagnostics: Haar sampling, discrete
-sets, Hamiltonian time windows, Monte Carlo channel estimation, freeness
-probes, design checks, and channel distance."""
+sets, Hamiltonian time windows averaged exactly, Monte Carlo channel
+estimation, freeness probes, design checks, and channel distance."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import permutation_operator
 from .errors import RegimeError
-from .eth import SpectralModel
+from .eth import SpectralModel, window_kernel
 from .moments import Expectation, _cyclic_key, _word_trace, free_cumulant, sub_words
 from .partitions import enumerate_nc
 from .permutations import all_permutations
@@ -25,8 +25,8 @@ PROB_TOL = 1e-12
 UNITARY_TOL = 1e-10  # max |U^dagger U - I| accepted for a supplied unitary
 DENSE_CHANNEL_CAP = 4096  # D^k for Monte Carlo channel matrices
 DENSE_SUPEROP_CAP = 4096  # D^(2k), the side of a dense superoperator, and k!
-_PAIR_BLOCK_ROWS = 256  # sample-Gram rows held at once by _pair_moment
-_PAIR_SUB_ROWS = 32  # Gram rows computed per complex matmul inside a block
+WINDOW_PAIR_CAP = 2**24  # D^(2k), the pairs of k-tuples of levels a window kernel spans
+_KERNEL_BLOCK_ELEMS = 2**16  # window-kernel entries per row block of the frame potential
 
 
 @dataclass(frozen=True)
@@ -74,17 +74,18 @@ class DiscreteEnsemble:
 
 @dataclass
 class HamiltonianEnsemble:
-    """Evolution unitaries e^{-iHt} with t uniform on [0, t_max]."""
+    """Evolution unitaries e^{-iHt} with t uniform on [0, t_max], averaged
+    exactly.  In the eigenbasis of H its k-fold channel multiplies the entry
+    of k-tuples I, J of levels by the window kernel K_T(s_I - s_J)
+    (`eth.window_kernel`), s_I = E_{i_1} + ... + E_{i_k}; t_max = inf is the
+    long-time limit, which keeps the resonances s_I = s_J."""
 
     model: SpectralModel
     t_max: float
-    n_samples: int = 1000
 
     def __post_init__(self):
-        if not math.isfinite(self.t_max) or self.t_max <= 0:
-            raise ValueError(f"t_max must be positive and finite (got {self.t_max})")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
+        if not self.t_max > 0:
+            raise ValueError(f"t_max must be positive (got {self.t_max})")
 
     @property
     def dim(self) -> int:
@@ -109,24 +110,18 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _members(spec: EnsembleSpec, n_samples: int, seed: int):
+def _members(spec: HaarEnsemble | DiscreteEnsemble, n_samples: int, seed: int):
     """(weights, total, member) of an ensemble: its average of f is
     sum_i weights[i] f(member(i)) / total.
 
     A discrete ensemble lists its unitaries with their probabilities, total
     1.  Haar draws `n_samples` unitaries, unitary i from substream i of
-    `spawn_rngs(seed, n_samples)`, and a Hamiltonian ensemble evolves for
-    its own `spec.n_samples` times, taken in one uniform draw from
-    `default_rng(seed)`; sampled members weigh 1 each and total their
-    count.  A Haar member consumes its substream, so call this again for a
-    second pass over the same draws.
+    `spawn_rngs(seed, n_samples)`, each weighing 1, total `n_samples`.  A
+    Haar member consumes its substream, so call this again for a second pass
+    over the same draws.
     """
     if isinstance(spec, DiscreteEnsemble):
         return spec.probabilities, 1.0, spec.unitaries.__getitem__
-    if isinstance(spec, HamiltonianEnsemble):
-        basis, energies = spec.model.basis, spec.model.energies
-        times = _window_times(spec, seed)
-        return np.ones(len(times)), len(times), lambda i: (basis * np.exp(-1j * energies * times[i])) @ basis.conj().T
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rngs = spawn_rngs(seed, n_samples)
@@ -134,17 +129,18 @@ def _members(spec: EnsembleSpec, n_samples: int, seed: int):
     return np.ones(n_samples), n_samples, lambda i: sample_haar(spec.dim, rngs[i])
 
 
-def member_count(spec: EnsembleSpec, n_samples: int | None) -> int | None:
-    """How many members `_members` lists, without drawing them: a discrete
-    size, a Hamiltonian ensemble's own `spec.n_samples`, else `n_samples`."""
-    if isinstance(spec, DiscreteEnsemble):
-        return len(spec.unitaries)
-    return spec.n_samples if isinstance(spec, HamiltonianEnsemble) else n_samples
-
-
-def _window_times(spec: HamiltonianEnsemble, seed: int) -> np.ndarray:
-    """The `spec.n_samples` evolution times of a Hamiltonian ensemble."""
-    return np.random.default_rng(seed).uniform(0.0, spec.t_max, spec.n_samples)
+def _window_kernel(spec: HamiltonianEnsemble, k: int, rows: slice = slice(None)) -> np.ndarray:
+    """K_T(s_I - s_J) for the k-tuples of levels I in `rows` and every J, in
+    the row-major order of the columns of V^{x k}, s_I = E_{i_1} + ... + E_{i_k}.
+    At t_max = inf the sums are rounded to 9 decimals, so the resonances kept
+    are the sums equal to 1e-9.  Refuses past WINDOW_PAIR_CAP pairs of tuples."""
+    D = spec.dim
+    if 2 * k * math.log2(D) > math.log2(WINDOW_PAIR_CAP):
+        raise RegimeError(f"time-window kernel at k={k}, D={D} spans D^(2k) > {WINDOW_PAIR_CAP} pairs of level tuples")
+    sums = functools.reduce(np.add.outer, [spec.model.energies] * k).reshape(-1)
+    if spec.t_max == math.inf:
+        sums = np.round(sums, 9)
+    return window_kernel(np.subtract.outer(sums[rows], sums), spec.t_max)
 
 
 @functools.cache
@@ -197,17 +193,15 @@ def _worker_count() -> int:
 
 
 def _kron_power(u: np.ndarray, k: int) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
-    for _ in range(k):
-        out = np.kron(out, u)
-    return out
+    return functools.reduce(np.kron, [u] * k, np.array([[1.0 + 0.0j]]))
 
 
 def channel_monte_carlo(spec: EnsembleSpec, k: int, O: np.ndarray, n_samples: int = 1000, seed: int = 0) -> np.ndarray:
-    """Empirical mean of U^{dagger x k} O U^{x k} (dense; small D^k only).
+    """Ensemble mean of U^{dagger x k} O U^{x k} (dense; small D^k only).
 
-    Haar takes `n_samples` draws, a Hamiltonian ensemble its own
-    `spec.n_samples`, and a discrete ensemble is summed exactly (`_members`).
+    Haar takes `n_samples` draws and a discrete ensemble is summed exactly
+    (`_members`); a time window is exact too: with W = V^{x k}, it is
+    W ((W^dagger O W) * K) W^dagger for the kernel matrix K of `_window_kernel`.
     """
     O = np.asarray(O, dtype=complex)
     D = round(O.shape[0] ** (1.0 / k))
@@ -215,6 +209,9 @@ def channel_monte_carlo(spec: EnsembleSpec, k: int, O: np.ndarray, n_samples: in
         raise ValueError("operator dimension is not a k-th power")
     if D**k > DENSE_CHANNEL_CAP:
         raise ValueError(f"dense channel capped at D^k <= {DENSE_CHANNEL_CAP}")
+    if isinstance(spec, HamiltonianEnsemble):
+        w = _kron_power(spec.model.basis, k)
+        return w @ ((w.conj().T @ O @ w) * _window_kernel(spec, k)) @ w.conj().T
     weights, total, member = _members(spec, n_samples, seed)
     acc = np.zeros_like(O)
     for i, w in enumerate(weights):
@@ -259,11 +256,13 @@ class EnsembleExpectation:
         seed: int = 0,
         n_batches: int = 20,
     ):
+        if isinstance(spec, HamiltonianEnsemble):
+            raise ValueError("a time window has no sampled members: eth.averaged_free_cumulant averages its words exactly")
         self.operators = {k: np.asarray(v, dtype=complex) for k, v in operators.items()}
         self.rotated = set(rotated)
         self.exact = isinstance(spec, DiscreteEnsemble)
         self._members = functools.partial(_members, spec, n_samples, seed)  # drawn afresh for each pass
-        self.n_samples = member_count(spec, n_samples)
+        self.n_samples = len(spec.unitaries) if self.exact else n_samples
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
         self.n_batches = min(n_batches, self.n_samples)  # no batch is empty
@@ -329,10 +328,6 @@ class EnsembleExpectation:
         return Expectation(fn, cyclic=True)
 
 
-def _alternating_labels(k: int) -> tuple:
-    return tuple(x for _ in range(k) for x in ("A", "B"))
-
-
 def _needed_block_words(word: tuple) -> list[tuple]:
     return sorted({w for pi in enumerate_nc(len(word)) for w in sub_words(word, pi.blocks)}, key=repr)
 
@@ -352,22 +347,18 @@ def k_freeness_test(
     to the averaged moments; the standard error comes from recomputing the
     cumulant on batch means, at most one per sample (None for one sample).
     """
-    word = _alternating_labels(k)
+    word = ("A", "B") * k
     expectation = EnsembleExpectation(
         spec, {"A": A, "B": B}, rotated={"A"}, n_samples=n_samples, seed=seed, n_batches=n_batches
     )
     expectation.evaluate_words(_needed_block_words(word))
     value = complex(free_cumulant(expectation.functional(), word))
-    if expectation.exact:
-        return Estimate(value=value, std_error=0.0, n_samples=expectation.n_samples, seed=seed)
     batches = expectation.n_batches
-    if batches < 2:
-        return Estimate(value=value, std_error=None, n_samples=expectation.n_samples, seed=seed)
-    batch_vals = np.array(
-        [complex(free_cumulant(expectation.functional(batch=b), word)) for b in range(batches)]
-    )
-    spread = np.std(batch_vals.real, ddof=1) + 1j * np.std(batch_vals.imag, ddof=1)
-    std_error = abs(spread) / math.sqrt(batches)
+    std_error = 0.0 if expectation.exact else None
+    if not expectation.exact and batches >= 2:
+        batch_vals = np.array([complex(free_cumulant(expectation.functional(batch=b), word)) for b in range(batches)])
+        spread = np.std(batch_vals.real, ddof=1) + 1j * np.std(batch_vals.imag, ddof=1)
+        std_error = abs(spread) / math.sqrt(batches)
     return Estimate(value=value, std_error=std_error, n_samples=expectation.n_samples, seed=seed)
 
 
@@ -422,19 +413,35 @@ def haar_channel_superoperator(k: int, D: int) -> np.ndarray:
     return basis @ basis.conj().T
 
 
-def ensemble_superoperator(spec: EnsembleSpec, k: int, seed: int = 0) -> np.ndarray:
+def _window_superoperator(spec: HamiltonianEnsemble, k: int) -> np.ndarray:
+    """The row-major-vec superoperator of a time window, (W x conj W) diag K
+    (W x conj W)^dagger with W = V^{x k} and K the kernel of `_window_kernel`:
+    out[i, j, r, s] = sum_{I,J} W_iI conj(W_rI) K_IJ conj(W_jJ) W_sJ with out
+    viewed as (d, d, d, d), built one row slab i at a time from
+    c[I, j, s] = sum_J K_IJ conj(W_jJ) W_sJ, so no D^(2k) x D^(2k) factor exists."""
+    w = _kron_power(spec.model.basis, k)
+    d = len(w)
+    right = (w.conj().T[:, :, None] * w.T[:, None, :]).reshape(d, d * d)
+    c = _window_kernel(spec, k) @ right
+    out = np.empty((d * d, d * d), dtype=complex)
+    out4 = out.reshape((d,) * 4)
+    for i in range(d):
+        out4[i] = ((w[i] * w.conj()) @ c).reshape(d, d, d).transpose(1, 0, 2)
+    return out
+
+
+def ensemble_superoperator(spec: EnsembleSpec, k: int) -> np.ndarray:
     """Dense k-fold channel superoperator of an ensemble: the Haar projector,
-    or the weighted mean over the members of a discrete or Hamiltonian
-    ensemble (`_members`)."""
+    the exact time window, or the weighted sum over a discrete ensemble."""
     _check_superop_size(k, spec.dim)
     if isinstance(spec, HaarEnsemble):
         return haar_channel_superoperator(k, spec.dim)
-    weights, total, member = _members(spec, 0, seed)  # no Haar draws: handled above
+    if isinstance(spec, HamiltonianEnsemble):
+        return _window_superoperator(spec, k)
     dim = spec.dim**k
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i, w in enumerate(weights):
-        _add_superoperator_term(out, member(i), k, w)
-    out /= total
+    for p, u in zip(spec.probabilities, spec.unitaries):
+        _add_superoperator_term(out, u, k, p)
     return out
 
 
@@ -446,73 +453,50 @@ class DesignReport:
     tolerance: float
 
 
-def design_check(spec: EnsembleSpec, k: int, tolerance: float = 1e-10, seed: int = 0) -> DesignReport:
+def design_check(spec: EnsembleSpec, k: int, tolerance: float = 1e-10) -> DesignReport:
     """Compare the ensemble k-fold channel with the Haar one on a spanning
     set of inputs (dense superoperators); reports the max entry deviation."""
     if isinstance(spec, HaarEnsemble):
         return DesignReport(True, 0.0, k, tolerance)
-    gap = ensemble_superoperator(spec, k, seed=seed)
+    gap = ensemble_superoperator(spec, k)
     gap -= haar_channel_superoperator(k, spec.dim)  # in place: no second D^(2k) x D^(2k) array
     dev = float(np.max(np.abs(gap)))
     return DesignReport(dev <= tolerance, dev, k, tolerance)
 
 
-def _pair_moment(spec: DiscreteEnsemble | HamiltonianEnsemble, k: int, seed: int) -> float:
-    """E |Tr(U V^dagger)|^{2k} over independent pairs of members.
-
-    Tr(U_i U_j^dagger) is the inner product of two rows: vec(U) for a
-    discrete ensemble, and for a Hamiltonian one the phases e^{-itE} of the
-    members' times, since every member shares the model's eigenbasis.
-    """
-    weights, total, member = _members(spec, 0, seed)
-    # |Tr(U V^dagger)| <= D with equality at i = j, so the sum below reaches D^(2k) total^2
-    if 2 * k * math.log(spec.dim) + 2 * math.log(total) > math.log(np.finfo(float).max):
+def _pair_moment(spec: DiscreteEnsemble, k: int) -> float:
+    """E |Tr(U V^dagger)|^{2k} over independent pairs of members, with
+    Tr(U_i U_j^dagger) the inner product of the rows vec(U_i) and vec(U_j)."""
+    # |Tr(U V^dagger)| <= D with equality at i = j, so the sum below reaches D^(2k)
+    if 2 * k * math.log(spec.dim) > math.log(np.finfo(float).max):
         raise RegimeError(f"channel distance at k={k}, D={spec.dim} overflows a float: its pair sum reaches D^(2k)")
-    if isinstance(spec, DiscreteEnsemble):
-        rows = np.stack([member(i).reshape(-1) for i in range(len(weights))])
-    else:
-        rows = np.exp(-1j * np.outer(_window_times(spec, seed), spec.model.energies))
-    conj = rows.conj().T
-    n = len(rows)
-    acc = 0.0
-    # sum_ij w_i w_j |Gram[i, j]|^{2k}, one row block at a time in one reused
-    # float buffer, filled a few rows per matmul so no block-sized complex
-    # temporary exists
-    buf = np.empty((min(_PAIR_BLOCK_ROWS, n), n))
-    for start in range(0, n, _PAIR_BLOCK_ROWS):
-        block = buf[: min(_PAIR_BLOCK_ROWS, n - start)]
-        for s in range(0, len(block), _PAIR_SUB_ROWS):
-            sub = rows[start + s : start + s + _PAIR_SUB_ROWS]
-            np.abs(sub @ conj, out=block[s : s + _PAIR_SUB_ROWS])
-        block **= 2 * k
-        acc += float(weights[start : start + len(block)] @ (block @ weights))
-    return acc / total**2
+    rows = np.stack([u.reshape(-1) for u in spec.unitaries])
+    gram = np.abs(rows @ rows.conj().T) ** (2 * k)
+    return float(spec.probabilities @ (gram @ spec.probabilities))
 
 
-def channel_distance(spec: EnsembleSpec, k: int, seed: int = 0) -> float:
+def _window_frame_potential(spec: HamiltonianEnsemble, k: int) -> float:
+    """E_{t,t'} |Tr(U_t U_t'^dagger)|^{2k} = sum_{I,J} |K_T(s_I - s_J)|^2 of a
+    time window: the Fejer kernel 2(1 - cos x)/x^2 at x = T (s_I - s_J),
+    summed over pairs of k-tuples of levels a row block at a time."""
+    n = spec.dim**k
+    rows = max(1, _KERNEL_BLOCK_ELEMS // n)
+    return sum(float(np.sum(np.abs(_window_kernel(spec, k, slice(lo, lo + rows))) ** 2)) for lo in range(0, n, rows))
+
+
+def channel_distance(spec: EnsembleSpec, k: int) -> float:
     """Frobenius distance between the ensemble and Haar k-fold channels,
     sqrt(F_E - k!) with F_E = E|Tr(U V^dagger)|^{2k} the frame potential
-    (`_pair_moment`): both cross terms with Haar equal k! whenever D >= k.
-    At an exact design F_E - k! is rounding noise; `design_check` tests one."""
+    (`_pair_moment`, `_window_frame_potential`): both cross terms with Haar
+    equal k! whenever D >= k.  At an exact design F_E - k! is rounding noise;
+    `design_check` tests one."""
     if isinstance(spec, HaarEnsemble):
         return 0.0
     D = spec.dim
     if D < k:
         raise RegimeError(f"channel distance needs D >= k (got D={D}, k={k})")
-    f_e = _pair_moment(spec, k, seed)
+    f_e = _window_frame_potential(spec, k) if isinstance(spec, HamiltonianEnsemble) else _pair_moment(spec, k)
     return math.sqrt(max(f_e - math.factorial(k), 0.0))
-
-
-def infinite_time_distance(model: SpectralModel, k: int) -> float:
-    """Strict t_max -> infinity limit of the time-window channel distance,
-    by resonance counting on the actual spectrum (k <= 2)."""
-    if k not in (1, 2):
-        raise ValueError("analytic limit implemented for k <= 2")
-    # one entry per ordered k-tuple of levels: its energy sum
-    sums = functools.reduce(np.add.outer, [model.energies] * k).reshape(-1)
-    _, counts = np.unique(np.round(sums, 9), return_counts=True)
-    f = float(np.sum(counts.astype(float) ** 2))
-    return math.sqrt(max(f - math.factorial(k), 0.0))
 
 
 # ---------------------------------------------------------------------------

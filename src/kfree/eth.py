@@ -21,8 +21,7 @@ singleton pattern) and builds the amplitude tensor by broadcast multiplies
 into one reused buffer (`_slot_amplitudes`).  Amplitudes far from
 resonance, divided by their phase d, are contracted slot by slot against
 per-slot phase vectors e^{iT c_s E}, with the window kernel's e^{iTd} - 1
-telescoped over the slots; the few near resonance take the kernel
-directly, and |d| < 1e-14 keeps weight 1.
+telescoped over the slots; the few near resonance take `window_kernel`.
 `_chain_time_average` is the one place that chooses between the infinite
 window and a finite one.
 
@@ -160,12 +159,9 @@ def resonance_report(energies: np.ndarray, seed: int = 0) -> dict:
     RESONANCE_SAMPLES sampled quadruples, excluding the trivial ones where {i,j} == {k,l}."""
     eps = RESONANCE_EPS_FACTOR * spectral_width(energies)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(energies), size=(RESONANCE_SAMPLES, 4))
-    e = energies
-    delta = np.abs(e[idx[:, 0]] + e[idx[:, 1]] - e[idx[:, 2]] - e[idx[:, 3]])
-    trivial = ((idx[:, 0] == idx[:, 2]) & (idx[:, 1] == idx[:, 3])) | (
-        (idx[:, 0] == idx[:, 3]) & (idx[:, 1] == idx[:, 2])
-    )
+    i, j, k, l = rng.integers(0, len(energies), size=(RESONANCE_SAMPLES, 4)).T
+    delta = np.abs(energies[i] + energies[j] - energies[k] - energies[l])
+    trivial = ((i == k) & (j == l)) | ((i == l) & (j == k))
     hits = int(np.sum((delta < eps) & ~trivial))
     return {"eps": eps, "n_samples": RESONANCE_SAMPLES, "near_resonances": hits}
 
@@ -473,8 +469,7 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
     d and the product of phase vectors carry eps M of rounding, so it is kept
     to |d| >= 1e-3 M (error <= ~1e3 eps).  The few amplitudes nearer
     resonance (structural resonances with a rounding residual, near-degenerate
-    levels) take the kernel itself, sin(x)/x + 2i sin^2(x/2)/x at x = Td,
-    and those with |d| < 1e-14 keep weight 1.
+    levels) take `window_kernel` itself, those at |d| < 1e-14 summed apart.
 
     Amplitudes are materialized chunked over the first slot, each chunk in
     one reused buffer (`_slot_amplitudes`); later slots are contracted once,
@@ -509,7 +504,9 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
             delta = np.add.outer(delta, c * e)
         close = delta < near
         close &= delta > -near
-        direct += _window_kernel_sum(g[close], delta[close], t_max)
+        amp, d = g[close], delta[close]
+        small = np.abs(d) < 1e-14  # summed apart, weight 1
+        direct += complex(amp[small].sum() + np.sum(amp[~small] * window_kernel(d[~small], t_max)))
         delta[close] = np.inf
         g /= delta
         r = _contract_rows(rows[0][:, sel], g.reshape(len(g), -1))
@@ -550,12 +547,16 @@ def _slot_amplitudes(out: np.ndarray, subs: list[str], operands: list[np.ndarray
         product = np.multiply(product, view, out=out if full else None)
 
 
-def _window_kernel_sum(amp: np.ndarray, d: np.ndarray, t_max: float) -> complex:
-    """sum amp (e^{ix} - 1)/(ix) at x = T d, written sin(x)/x + 2i sin^2(x/2)/x
-    so that no digits cancel at small x; |d| < 1e-14 keeps weight 1."""
+def window_kernel(d: np.ndarray, t_max: float) -> np.ndarray:
+    """The window kernel K_T(d) = (1/T) int_0^T e^{idt} dt = (e^{ix} - 1)/(ix)
+    at x = T d, written sin(x)/x + 2i sin^2(x/2)/x so that no digits cancel
+    at small x.  |d| < 1e-14 has weight 1, and T = inf keeps only those: the
+    resonance indicator of the infinite window."""
     small = np.abs(d) < 1e-14
-    x = t_max * d[~small]
-    return complex(amp[small].sum() + np.sum(amp[~small] * (np.sin(x) / x + 2j * np.sin(x / 2) ** 2 / x)))
+    if t_max == np.inf:
+        return small.astype(complex)
+    x = t_max * np.where(small, 1.0, d)
+    return np.where(small, 1.0, np.sin(x) / x + 2j * np.sin(x / 2) ** 2 / x)
 
 
 def _contract_rows(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -737,19 +738,11 @@ def phase_average_delta_structure(model: SpectralModel) -> float:
     if D > 24:
         raise ValueError("exhaustive delta-structure check is for small D")
     eps = RESONANCE_EPS_FACTOR * model.spectral_width()
-    e = model.energies
-    worst = 0.0
-    for i in range(D):
-        for ibar in range(D):
-            for j in range(D):
-                for jbar in range(D):
-                    delta = (e[i] - e[ibar]) + (e[j] - e[jbar])
-                    strict = 1.0 if abs(delta) < eps else 0.0
-                    formula = float(i == ibar and j == jbar) + (
-                        float(i == jbar and j == ibar) - float(i == ibar == j == jbar)
-                    )
-                    worst = max(worst, abs(strict - formula))
-    return worst
+    gap = np.subtract.outer(model.energies, model.energies)  # E_i - E_ibar
+    strict = np.abs(np.add.outer(gap, gap)) < eps  # axes i, ibar, j, jbar
+    d = np.eye(D)
+    formula = np.einsum("ab,cd->abcd", d, d) + np.einsum("ad,cb->abcd", d, d) - np.einsum("ab,ac,ad->abcd", d, d, d)
+    return float(np.max(np.abs(strict - formula)))
 
 
 # ---------------------------------------------------------------------------

@@ -238,8 +238,8 @@ def test_criterion_7_channel_distance_scaling():
             dists = []
             for D in dims:
                 model = goe_model(D, seed=D + k)
-                spec = HamiltonianEnsemble(model, t_max=5000.0, n_samples=3000)
-                d = channel_distance(spec, k, seed=11)
+                spec = HamiltonianEnsemble(model, t_max=5000.0)
+                d = channel_distance(spec, k)
                 dists.append(d)
                 predicted = math.sqrt(math.factorial(k)) * D ** (k / 2)
                 assert predicted / 2 <= d <= predicted * 2

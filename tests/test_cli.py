@@ -371,10 +371,22 @@ def test_discrete_ensembles_report_their_own_size(capsys):
         result = json.loads(out)["result"]
         assert code == 0
         assert (result["n_samples"], result["dim"]) == (24, 2)
+    # a time window is averaged exactly: no members, like Haar
     code, out, _ = run(capsys, "distance", "--ensemble", "hamiltonian", "--k", "1", "--dim", "6",
                        "--n-samples", "40", "--t-max", "50")
     result = json.loads(out)["result"]
-    assert (result["n_samples"], result["dim"]) == (40, 6)
+    assert (result["n_samples"], result["dim"]) == (None, 6)
+
+
+def test_time_window_documents_ignore_n_samples(capsys):
+    # --n-samples is still accepted and checked, but the window is exact
+    argv = ["distance", "--ensemble", "hamiltonian", "--k", "2", "--dim", "16", "--t-max", "5000", "--seed", "3"]
+    blocks = []
+    for n in ("10", "3000"):
+        code, out, _ = run(capsys, *argv, "--n-samples", n)
+        assert code == 0
+        blocks.append(json.dumps(json.loads(out)["result"], sort_keys=True))
+    assert blocks[0] == blocks[1]
 
 
 def test_eth_timeavg_cli(capsys):
@@ -636,7 +648,8 @@ def test_parser_errors_are_one_line(capsys):
 
 
 def test_distance_beyond_the_float_range_exits_2():
-    # the frame potential's pair sum would pass 1.8e308 (k = 120) or k! would (k = 171)
+    # the window kernel would span D^(2k) pairs of level tuples, far past its cap
+    # (and the frame potential past 1.8e308 at k = 120, k! at k = 171)
     for k in ("120", "171"):
         code, err = run_process("distance", "--ensemble", "hamiltonian", "--k", k, "--dim", "200", "--n-samples", "10")
         assert code == 2
@@ -651,3 +664,39 @@ def test_one_level_observables_exit_1():
         code, err = run_process(*argv)
         assert_validation_exit(code, err)
         assert "no traceless part" in err
+
+
+def test_nc_and_moment_limits_name_the_flag(capsys):
+    cases = [
+        (["haar-test", "--dim", "2", "--k", "9"], "--k 9 asks for NC(18)"),
+        (["eth", "cumulant", "--model", "goe", "--dim", "4", "--k", "9", "--t-max", "1"], "--k 9 asks for NC(18)"),
+        (["cumulants", "--moments", "0,1,0,2,0,5,0,14,0,42,0"], "--moments (11 moments) asks for NC(11)"),
+        (["cumulants", "--moments", "0,1", "--max-order", "10"], "--moments gives 2 moments, but order 10 is needed"),
+        (["otoc", "--k", "3", "--a-moments", "0,1", "--b-moments", "0,1,0"], "--a-moments gives 2 moments"),
+        (["otoc", "--k", "3", "--a-moments", "0,1,0", "--b-moments", "0,1"], "--b-moments gives 2 moments"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and message in err
+        assert "'" not in err  # not the str() of a KeyError
+
+
+def test_eth_dimension_cap_is_checked_before_any_matrix(monkeypatch, capsys):
+    from kfree import eth
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model matrix was built past the dimension cap")
+
+    for name in ("goe_matrix", "ising_hamiltonian", "goe_model", "ising_model"):
+        monkeypatch.setattr(eth, name, refuse)
+    cases = [
+        (["eth", "build", "--model", "ising", "--length", "13"], "--length 13 gives dimension 2^13, past the cap 4096"),
+        (["eth", "build", "--model", "goe", "--dim", "5000"], "--dim 5000 exceeds the dimension cap 4096"),
+        (["eth", "timeavg", "--model", "ising", "--length", "64"], "--length 64"),
+        (["eth", "appendixb", "--model", "goe", "--dim", "4097"], "--dim 4097"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and message in err

@@ -1,7 +1,9 @@
 """Unitary ensembles: sampling, Monte Carlo channels, freeness probes,
 design checks, and channel distance."""
 
+import functools
 import gc
+import itertools
 import json
 import math
 import os
@@ -28,12 +30,12 @@ from kfree.ensembles import (
     design_check,
     ensemble_superoperator,
     haar_channel_superoperator,
-    infinite_time_distance,
     k_freeness_test,
     pauli_group,
     sample_haar,
     spawn_rngs,
     _pair_moment,
+    _window_frame_potential,
 )
 from kfree.errors import RegimeError
 from kfree.eth import SpectralModel, goe_matrix, goe_model, normalize_observable
@@ -115,23 +117,24 @@ def test_channel_monte_carlo_single_element_exact():
     assert np.allclose(channel_monte_carlo(ens, 2, O), uk.conj().T @ O @ uk)
 
 
-def _evolutions(spec, seed):
-    """Reference members of a Hamiltonian ensemble: e^{-iHt} at times from
-    one uniform draw of the seeded generator."""
-    times = np.random.default_rng(seed).uniform(0.0, spec.t_max, spec.n_samples)
-    basis = spec.model.basis
-    return [(basis * np.exp(-1j * spec.model.energies * t)) @ basis.conj().T for t in times]
+def _window_kernel_oracle(omega, t_max):
+    """(1/T) int_0^T e^{i omega t} dt = (e^{i omega T} - 1)/(i omega T), 1 at omega = 0."""
+    omega = np.asarray(omega, dtype=float)
+    x = np.where(omega == 0.0, 1.0, omega * t_max)
+    return np.where(omega == 0.0, 1.0, (np.exp(1j * x) - 1.0) / (1j * x))
 
 
-def test_channel_monte_carlo_hamiltonian_reads_spec_n_samples():
-    # a Hamiltonian ensemble carries its own sample count; the n_samples
-    # argument is the Haar draw count and does not apply
-    spec = HamiltonianEnsemble(goe_model(3, seed=2), t_max=7.0, n_samples=5)
-    rng = np.random.default_rng(6)
-    O = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    want = sum(u.conj().T @ O @ u for u in _evolutions(spec, seed=3)) / 5
-    assert np.array_equal(channel_monte_carlo(spec, 1, O, seed=3), want)
-    assert np.array_equal(channel_monte_carlo(spec, 1, O, n_samples=40, seed=3), want)
+def _window_kron_quadrature(spec, k, nodes):
+    """Reference window superoperator: Gauss-Legendre quadrature over [0, T]
+    of the dense term kron((U^{x k})^dagger, (U^{x k})^T), U = e^{-iHt}."""
+    basis, energies = spec.model.basis, spec.model.energies
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    out = 0.0
+    for xi, wi in zip(x, w):
+        t = 0.5 * spec.t_max * (xi + 1.0)
+        uk = functools.reduce(np.kron, [(basis * np.exp(-1j * energies * t)) @ basis.conj().T] * k)
+        out = out + 0.5 * wi * np.kron(uk.conj().T, uk.T)
+    return out
 
 
 def test_channel_monte_carlo_rejects_no_samples():
@@ -165,22 +168,42 @@ def test_ensemble_expectation_counts_members_without_drawing_them(monkeypatch):
 
 
 def test_channel_monte_carlo_hamiltonian_dephases():
+    # at k = 1 in the eigenbasis the window keeps the diagonal and multiplies
+    # entry (i, j) by K_T(E_i - E_j); the superoperator does the same, and
+    # the Haar draw count and seed do not apply
     model = goe_model(8, seed=3)
-    spec = HamiltonianEnsemble(model, t_max=50000.0, n_samples=4000)
-    O_eig = model.observables["A"]
+    rng = np.random.default_rng(4)
+    O_eig = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     O = model.basis @ O_eig @ model.basis.conj().T
-    avg = channel_monte_carlo(spec, 1, O, seed=4)
-    avg_eig = model.basis.conj().T @ avg @ model.basis
-    assert np.max(np.abs(np.diagonal(avg_eig) - np.diagonal(O_eig))) < 1e-12
-    off = avg_eig - np.diag(np.diagonal(avg_eig))
-    assert np.max(np.abs(off)) < 5.0 / math.sqrt(spec.n_samples)
+    for t_max in (0.3, 50.0, 50000.0):
+        spec = HamiltonianEnsemble(model, t_max=t_max)
+        want = O_eig * _window_kernel_oracle(np.subtract.outer(model.energies, model.energies), t_max)
+        avg = channel_monte_carlo(spec, 1, O, seed=4)
+        assert np.array_equal(avg, channel_monte_carlo(spec, 1, O, n_samples=7, seed=9))
+        via_superop = (ensemble_superoperator(spec, 1) @ O.reshape(-1)).reshape(8, 8)
+        for got in (avg, via_superop):
+            got_eig = model.basis.conj().T @ got @ model.basis
+            assert np.max(np.abs(np.diagonal(got_eig) - np.diagonal(O_eig))) < 1e-12
+            assert np.max(np.abs(got_eig - want)) < 1e-12
+    # by T = 50000 every off-diagonal entry has dephased
+    assert np.max(np.abs(want - np.diag(np.diagonal(O_eig)))) < 1e-3 * np.max(np.abs(O_eig))
 
 
-def test_hamiltonian_window_must_be_finite():
+def test_hamiltonian_window_must_be_positive():
     model = goe_model(4, seed=0)
-    for t_max in (math.inf, math.nan, 0.0, -1.0):
-        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+    for t_max in (math.nan, 0.0, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="t_max must be positive"):
             HamiltonianEnsemble(model, t_max=t_max)
+    assert HamiltonianEnsemble(model, t_max=math.inf).t_max == math.inf
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_window_superoperator_matches_quadrature(k):
+    # the slab-built (W x conj W) diag K (W x conj W)^dagger against 400
+    # Gauss-Legendre nodes of the dense kron terms over [0, T]
+    spec = HamiltonianEnsemble(goe_model(3, seed=2), t_max=7.0)
+    want = _window_kron_quadrature(spec, k, 400)
+    assert np.max(np.abs(ensemble_superoperator(spec, k) - want)) < 1e-12
 
 
 def test_empty_discrete_ensemble_rejected():
@@ -277,17 +300,16 @@ def test_k_freeness_trivial_ensemble_nonzero():
     assert abs(est.value) > 0.05
 
 
-def test_k_freeness_hamiltonian_uses_spec_n_samples():
-    # a Hamiltonian ensemble brings its own sample count, as in every other
-    # consumer; its members are an equal-weight discrete ensemble
+def test_time_window_expectation_names_the_exact_route():
+    # a time window has no members to sample; eth averages its words exactly
     model = goe_model(6, seed=4)
-    A, B = model.basis @ model.observables["A"] @ model.basis.conj().T, np.diag(np.arange(6.0))
-    spec = HamiltonianEnsemble(model, t_max=30.0, n_samples=7)
-    est = k_freeness_test(spec, A, B, 2, n_samples=40, seed=5, n_batches=7)
-    assert est.n_samples == 7
-    assert est.value == k_freeness_test(spec, A, B, 2, n_samples=3, seed=5, n_batches=7).value
-    members = k_freeness_test(DiscreteEnsemble(_evolutions(spec, seed=5)), A, B, 2)
-    assert abs(est.value - members.value) <= 1e-12 * abs(members.value)
+    spec = HamiltonianEnsemble(model, t_max=30.0)
+    A, B = np.diag(np.arange(6.0)), np.diag(np.arange(6.0) ** 2)
+    for make in (lambda: EnsembleExpectation(spec, {"A": A, "B": B}, {"A"}), lambda: k_freeness_test(spec, A, B, 2)):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert len(str(err.value).splitlines()) == 1
+        assert "eth.averaged_free_cumulant" in str(err.value)
 
 
 def test_k_freeness_reproducible():
@@ -326,14 +348,12 @@ def _pool_expectation(spec, seed=5):
 
 
 @pytest.mark.parametrize("D", [32, 128])
-@pytest.mark.parametrize("kind", ["haar", "hamiltonian", "discrete"])
+@pytest.mark.parametrize("kind", ["haar", "discrete"])
 def test_evaluate_words_independent_of_worker_count(monkeypatch, D, kind):
     # each member runs on one BLAS thread (a sample from its own substream),
     # so neither the worker count nor the order members finish in can move a bit
     if kind == "haar":
         spec = HaarEnsemble(D)
-    elif kind == "hamiltonian":
-        spec = HamiltonianEnsemble(goe_model(D, seed=3), t_max=50.0, n_samples=24)
     else:
         rng = np.random.default_rng(D)
         spec = DiscreteEnsemble([sample_haar(D, rng) for _ in range(6)], np.arange(1.0, 7.0) / 21.0)
@@ -456,9 +476,9 @@ def test_channel_distance_haar_zero():
     assert channel_distance(HaarEnsemble(8), 2) == 0.0
 
 
-def _dense_channel_distance(spec, k, seed=0):
+def _dense_channel_distance(spec, k):
     """Reference: the Frobenius norm of the difference of dense superoperators."""
-    return np.linalg.norm(ensemble_superoperator(spec, k, seed) - haar_channel_superoperator(k, spec.dim))
+    return np.linalg.norm(ensemble_superoperator(spec, k) - haar_channel_superoperator(k, spec.dim))
 
 
 def test_channel_distance_dense_equals_gram():
@@ -470,24 +490,26 @@ def test_channel_distance_dense_equals_gram():
 
 
 def test_hamiltonian_channel_distance_dense_equals_gram():
-    # both routes average over the same sampled times
-    spec = HamiltonianEnsemble(goe_model(4, seed=0), t_max=50.0, n_samples=200)
-    for k in (1, 2):
-        dense = _dense_channel_distance(spec, k, seed=7)
-        gram = channel_distance(spec, k, seed=7)
-        assert abs(dense - gram) <= 1e-9 * gram
+    # the Fejer sum F_k - k! is the squared Frobenius norm of the dense gap
+    for t_max in (0.5, 50.0, math.inf):
+        spec = HamiltonianEnsemble(goe_model(4, seed=0), t_max=t_max)
+        for k in (1, 2):
+            dense = _dense_channel_distance(spec, k) ** 2
+            fejer = _window_frame_potential(spec, k) - math.factorial(k)
+            assert abs(dense - fejer) <= 1e-12 * fejer
+            assert abs(channel_distance(spec, k) ** 2 - fejer) <= 1e-12 * fejer
 
 
 def test_channel_distance_builds_no_superoperator(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("channel distance built a dense superoperator")
 
-    for name in ("ensemble_superoperator", "haar_channel_superoperator", "_add_superoperator_term"):
+    for name in ("ensemble_superoperator", "haar_channel_superoperator", "_add_superoperator_term", "_window_superoperator"):
         monkeypatch.setattr(ensembles, name, refuse)
     for spec in (pauli_group(), clifford_group_1q()):
         for k in (1, 2):
             assert channel_distance(spec, k) >= 0.0
-    spec = HamiltonianEnsemble(goe_model(8, seed=0), t_max=1000.0, n_samples=1000)
+    spec = HamiltonianEnsemble(goe_model(8, seed=0), t_max=1000.0)
     assert channel_distance(spec, 2) > 0.0
     assert dispatch(["distance", "--ensemble", "hamiltonian", "--k", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["distance"] > 0.0
@@ -509,7 +531,7 @@ def test_discrete_pair_moment_matches_pair_loop():
     for spec in (pauli_group(), clifford_group_1q(), weighted):
         for k in (1, 2, 3):
             want = _pair_moment_pair_loop(spec, k)
-            assert abs(_pair_moment(spec, k, seed=0) - want) <= 1e-12 * want
+            assert abs(_pair_moment(spec, k) - want) <= 1e-12 * want
 
 
 def test_channel_distance_requires_d_ge_k():
@@ -518,48 +540,65 @@ def test_channel_distance_requires_d_ge_k():
 
 
 def test_hamiltonian_distance_matches_infinite_time_limit():
+    # the window kernel tends to the resonance indicator: the distance at
+    # T = 5000 is near its T -> infinity limit and meets it as T grows
     model = goe_model(8, seed=5)
-    spec = HamiltonianEnsemble(model, t_max=5000.0, n_samples=3000)
-    d = channel_distance(spec, 1, seed=11)
-    assert abs(d - infinite_time_distance(model, 1)) < 0.3 * infinite_time_distance(model, 1)
+    for k in (1, 2):
+        limit = channel_distance(HamiltonianEnsemble(model, t_max=math.inf), k)
+        assert abs(channel_distance(HamiltonianEnsemble(model, t_max=5000.0), k) - limit) < 0.01 * limit
+        assert abs(channel_distance(HamiltonianEnsemble(model, t_max=1e12), k) - limit) < 1e-6 * limit
 
 
-def _pair_moment_full_gram(spec, k, seed):
-    """Reference: the mean over the full n x n sample Gram matrix at once."""
-    rng = np.random.default_rng(seed)
-    times = rng.uniform(0.0, spec.t_max, size=spec.n_samples)
-    phases = np.exp(-1j * np.outer(times, spec.model.energies))
-    gram = phases @ phases.conj().T
-    return float(np.mean(np.abs(gram) ** (2 * k)))
+def _fejer_sum_full(spec, k):
+    """Reference: 2(1 - cos x)/x^2 at x = T (s_I - s_J) over the whole matrix of tuple pairs at once."""
+    sums = functools.reduce(np.add.outer, [spec.model.energies] * k).reshape(-1)
+    x = spec.t_max * np.subtract.outer(sums, sums)
+    tiny = np.abs(x) < 1e-6
+    x = np.where(tiny, 1.0, x)
+    return float(np.sum(np.where(tiny, 1.0, 2.0 * (1.0 - np.cos(x)) / x**2)))
 
 
-@pytest.mark.parametrize("n_samples", [1, 255, 256, 700])
-def test_hamiltonian_pair_moment_blocks_match_full_gram(n_samples):
-    spec = HamiltonianEnsemble(goe_model(8, seed=5), t_max=800.0, n_samples=n_samples)
+@pytest.mark.parametrize("block_rows", [1, 255, 256, 700])
+def test_hamiltonian_pair_moment_blocks_match_full_gram(monkeypatch, block_rows):
+    # the frame potential of a window, summed `block_rows` tuples at a time
+    # (blocks of 1, of 255 and a remainder, exactly 256, and one block past
+    # the 512 triples), against the whole Fejer matrix
+    spec = HamiltonianEnsemble(goe_model(8, seed=5), t_max=800.0)
     for k in (1, 2, 3):
-        blocked = _pair_moment(spec, k, seed=13)
-        full = _pair_moment_full_gram(spec, k, seed=13)
-        assert abs(blocked - full) <= 1e-12 * abs(full)
+        monkeypatch.setattr(ensembles, "_KERNEL_BLOCK_ELEMS", block_rows * 8**k)
+        want = _fejer_sum_full(spec, k)
+        assert abs(_window_frame_potential(spec, k) - want) <= 1e-12 * want
 
 
 def test_infinite_time_distance_counts_resonances():
-    # an evenly spaced spectrum is maximally resonant; the reference counts
-    # the level (k = 1) and pair-sum (k = 2) coincidences one by one
+    # an evenly spaced spectrum is maximally resonant: at T = infinity the
+    # frame potential counts the pairs of k-tuples with equal level sums,
+    # also where the float sums of equal tuples differ by rounding (E = 1000 + j/10)
     D = 6
-    model = SpectralModel(np.arange(D, dtype=float), np.eye(D), {})
-    pair_sums = [min(s + 1, 2 * D - 1 - s) for s in range(2 * D - 1)]
-    assert infinite_time_distance(model, 1) == math.sqrt(D - 1)
-    assert infinite_time_distance(model, 2) == math.sqrt(sum(c * c for c in pair_sums) - 2)
-    for k in (0, 3):
-        with pytest.raises(ValueError, match="k <= 2"):
-            infinite_time_distance(model, k)
+    for energies in (np.arange(D, dtype=float), 1000.0 + 0.1 * np.arange(D)):
+        spec = HamiltonianEnsemble(SpectralModel(energies, np.eye(D), {}), t_max=math.inf)
+        for k in (1, 2, 3):
+            tuples = list(itertools.product(range(D), repeat=k))
+            count = sum(sum(a) == sum(b) for a in tuples for b in tuples)
+            assert _window_frame_potential(spec, k) == count
+            assert channel_distance(spec, k) == math.sqrt(count - math.factorial(k))
 
 
 def test_infinite_time_distance_values():
-    model = goe_model(16, seed=1)
+    spec = HamiltonianEnsemble(goe_model(16, seed=1), t_max=math.inf)
     # generic spectra: k=1 -> sqrt(D - 1), k=2 -> sqrt(2 D^2 - D - 2)
-    assert abs(infinite_time_distance(model, 1) - math.sqrt(15)) < 1e-9
-    assert abs(infinite_time_distance(model, 2) - math.sqrt(2 * 256 - 16 - 2)) < 1e-9
+    assert abs(channel_distance(spec, 1) - math.sqrt(15)) < 1e-9
+    assert abs(channel_distance(spec, 2) - math.sqrt(2 * 256 - 16 - 2)) < 1e-9
+
+
+def test_window_pair_cap_refuses_before_any_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel was evaluated past the pair cap")
+
+    monkeypatch.setattr(ensembles, "window_kernel", refuse)
+    spec = HamiltonianEnsemble(goe_model(65, seed=0), t_max=10.0)  # 65^4 > 2^24 pairs at k = 2
+    with pytest.raises(RegimeError, match="k=2, D=65"):
+        channel_distance(spec, 2)
 
 
 def test_ensemble_superoperator_discrete_matches_channel():
@@ -585,16 +624,11 @@ def test_ensemble_superoperator_is_bit_identical_to_kron_sum():
     rng = np.random.default_rng(17)
     unitaries = [sample_haar(3, rng) for _ in range(4)]
     discrete = DiscreteEnsemble(unitaries, np.array([0.1, 0.2, 0.3, 0.4]))
-    hamiltonian = HamiltonianEnsemble(goe_model(3, seed=2), t_max=7.0, n_samples=5)
     for k in (1, 2):
         want = np.zeros((9**k, 9**k), dtype=complex)
         for p, u in zip(discrete.probabilities, unitaries):
             want += p * term(u, k)
         assert np.array_equal(ensemble_superoperator(discrete, k), want)
-        want = np.zeros((9**k, 9**k), dtype=complex)
-        for u in _evolutions(hamiltonian, seed=3):
-            want += term(u, k)
-        assert np.array_equal(ensemble_superoperator(hamiltonian, k, seed=3), want / 5)
 
 
 def test_clifford_group_has_24_elements():

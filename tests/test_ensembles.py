@@ -167,10 +167,24 @@ def test_ensemble_expectation_counts_members_without_drawing_them(monkeypatch):
     assert draws == [6]
 
 
+def test_channel_monte_carlo_hamiltonian_reads_spec_n_samples():
+    # a Hamiltonian ensemble carries its own average, set by its window; the
+    # n_samples argument is the Haar draw count and, like the seed, does not apply
+    model = goe_model(3, seed=2)
+    spec = HamiltonianEnsemble(model, t_max=7.0)
+    rng = np.random.default_rng(6)
+    O = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    O_eig = model.basis.conj().T @ O @ model.basis
+    want = O_eig * _window_kernel_oracle(np.subtract.outer(model.energies, model.energies), 7.0)
+    avg = channel_monte_carlo(spec, 1, O, seed=3)
+    assert np.max(np.abs(model.basis.conj().T @ avg @ model.basis - want)) < 1e-12
+    for n_samples, seed in ((1, 3), (40, 3), (7, 9)):
+        assert np.array_equal(channel_monte_carlo(spec, 1, O, n_samples=n_samples, seed=seed), avg)
+
+
 def test_channel_monte_carlo_hamiltonian_dephases():
     # at k = 1 in the eigenbasis the window keeps the diagonal and multiplies
-    # entry (i, j) by K_T(E_i - E_j); the superoperator does the same, and
-    # the Haar draw count and seed do not apply
+    # entry (i, j) by K_T(E_i - E_j); the superoperator does the same
     model = goe_model(8, seed=3)
     rng = np.random.default_rng(4)
     O_eig = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -179,7 +193,6 @@ def test_channel_monte_carlo_hamiltonian_dephases():
         spec = HamiltonianEnsemble(model, t_max=t_max)
         want = O_eig * _window_kernel_oracle(np.subtract.outer(model.energies, model.energies), t_max)
         avg = channel_monte_carlo(spec, 1, O, seed=4)
-        assert np.array_equal(avg, channel_monte_carlo(spec, 1, O, n_samples=7, seed=9))
         via_superop = (ensemble_superoperator(spec, 1) @ O.reshape(-1)).reshape(8, 8)
         for got in (avg, via_superop):
             got_eig = model.basis.conj().T @ got @ model.basis

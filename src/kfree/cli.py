@@ -122,6 +122,13 @@ def _check_nc_size(flag: str, n: int) -> None:
         raise ValueError(f"{flag} asks for NC({n}), past the enumeration limit n <= {DEFAULT_ENUMERATION_LIMIT}")
 
 
+def _check_k(k: int, limit: int, where: str = "") -> None:
+    """Refuse a --k past `limit` before any permutation list, Weingarten
+    table or slot-partition table exists."""
+    if k > limit:
+        raise ValueError(f"--k must be at most {limit}{where} (got {k})")
+
+
 def _parse_finite_floats(flag: str, text: str) -> tuple[float, ...]:
     """Parse a comma list of finite floats; a bad entry is an error naming `flag`."""
     out = []
@@ -211,8 +218,7 @@ def _cmd_perm(args) -> None:
 def _cmd_wg(args) -> None:
     from .weingarten import weingarten_table
 
-    if args.k > 6:  # k = 6 peaks at 219 MB; k = 7's 5040^2 entry pairs would need about 9 GB
-        raise ValueError(f"--k must be at most 6 (got {args.k})")
+    _check_k(args.k, 6)  # k = 6 peaks at 219 MB; k = 7's 5040^2 entry pairs would need about 9 GB
     table = weingarten_table(args.k, args.dim)
     result = {"k": args.k, "dim": args.dim, "permutations": [str(p) for p in table.perms], "gram": [], "weingarten": []}
     # a table holds p(k) distinct values, so interning keeps one string per value, not k!^2
@@ -271,6 +277,9 @@ def _word_functional(args, prefix: str, k: int):
 def _cmd_channel(args) -> None:
     from .channel import channel_asymptotic, channel_exact
 
+    # one term per permutation: k = 8 exact takes 4 s and k = 9 asymptotic 7 s on a
+    # 2-core x86-64 machine; one more k runs past 40 s
+    _check_k(args.k, 8 if args.mode == "exact" else 9, f" for --mode {args.mode}")
     phi, labels = _word_functional(args, "a", args.k)
     channel = channel_exact if args.mode == "exact" else channel_asymptotic  # argparse allows no other mode
     coeffs = channel(args.k, args.dim, phi, labels)
@@ -283,6 +292,10 @@ def _cmd_channel(args) -> None:
 def _cmd_otoc(args) -> None:
     from .channel import otoc_haar
 
+    if args.dim is None:
+        _check_nc_size(f"--k {args.k}", args.k)
+    else:
+        _check_k(args.k, 8, " with --dim")  # the exact channel, as `channel --mode exact`
     phi_a, a_labels = _word_functional(args, "a", args.k)
     phi_b, b_labels = _word_functional(args, "b", args.k)
     res = otoc_haar(phi_a, phi_b, args.k, D=args.dim, a_labels=a_labels, b_labels=b_labels)
@@ -451,6 +464,7 @@ def _eth_obs_pair(args, model):
 
 def _cmd_eth(args) -> None:
     from .eth import (
+        WINDOW_AMPLITUDE_CAP,
         DeutschSpec,
         TimeWindow,
         alternating_word,
@@ -467,6 +481,9 @@ def _cmd_eth(args) -> None:
     _check_model_dim(args)
     if action in ("cumulant", "freetime"):
         _check_nc_size(f"--k {args.k}", 2 * args.k)
+    if action == "timeavg" and args.t_max is None:
+        # a strict average sums over the Bell(2k) slot partitions: k = 5 takes 4 s, k = 6 runs past 60 s
+        _check_k(args.k, 5, " for the infinite window")
     if action == "cumulant" and args.t_max is None:
         raise ValueError("eth cumulant needs --t-max")
     if action in ("timeavg", "freetime", "appendixb") and args.t_max is not None and args.t_max <= 0:
@@ -475,6 +492,10 @@ def _cmd_eth(args) -> None:
         _emit(args, "eth build", _eth_build(args))
         return
     model = _eth_model(args)
+    # e^{iEt} has no limit as t grows, so a time grid whose phases overflow is refused
+    t_phase = (args.t_max or 0.0) * float(np.max(np.abs(model.energies)))
+    if action in ("cumulant", "freetime") and not math.isfinite(t_phase):
+        raise ValueError(f"--t-max {args.t_max} puts the phases E t past the float range")
     state = thermal_state(model, args.beta)
     if action == "cumulant":
         a, b = _eth_obs_pair(args, model)
@@ -487,8 +508,11 @@ def _cmd_eth(args) -> None:
         _emit(args, "eth cumulant", {"k": args.k, "beta": args.beta, "scan": rows_data}, rows=rows)
     elif action == "timeavg":
         a, b = _eth_obs_pair(args, model)
-        word = tuple(x for _ in range(args.k) for x in ((a, True), (b, False)))
         window = TimeWindow("infinite") if args.t_max is None else TimeWindow("finite", args.t_max)
+        if window.mode == "finite" and model.dim > 1:  # the 2k slots of a window span D^(2k - 1) amplitudes
+            k_max = next(k for k in itertools.count(1) if model.dim ** (2 * k + 1) > WINDOW_AMPLITUDE_CAP)
+            _check_k(args.k, k_max, f" for a finite window at D = {model.dim}")
+        word = tuple(x for _ in range(args.k) for x in ((a, True), (b, False)))
         v = time_average(model, state, word, window)
         _emit(args, "eth timeavg", {"k": args.k, "beta": args.beta, "mode": window.mode, "value": complex(v)})
     elif action == "freetime":
@@ -524,12 +548,14 @@ def _cmd_eth(args) -> None:
         rng = np.random.default_rng(args.seed + 7)
         pert = goe_matrix(model.dim, rng)
         lambdas = _parse_finite_floats("--lambdas", args.lambdas or "1,2")
-        spec = DeutschSpec(
-            perturbation=pert,
-            strength=args.strength if args.strength is not None else model.dim**-0.5,
-            lambdas=lambdas,
-            beta=args.beta,
-        )
+        strength = args.strength if args.strength is not None else model.dim**-0.5
+        # Gershgorin: the perturbed levels, their gaps to the base ones and the band
+        # profile's bins stay below 4 (max|E| + |c lambda| D max|H'|)
+        lam = max(map(abs, lambdas))
+        shift = abs(strength) * lam * model.dim * float(np.max(np.abs(pert)))
+        if not math.isfinite(4 * (float(np.max(np.abs(model.energies))) + shift)):
+            raise ValueError(f"--strength {strength} times --lambdas entry {lam} puts H + c lambda H' out of float range")
+        spec = DeutschSpec(perturbation=pert, strength=strength, lambdas=lambdas, beta=args.beta)
         report = deutsch_ensemble(model, spec, observable=a)
         _emit(
             args,

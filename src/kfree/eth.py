@@ -59,6 +59,7 @@ from .partitions import Partition, iter_set_partitions
 DEFAULT_DIM_CAP = 4096
 RESONANCE_EPS_FACTOR = 1e-10
 RESONANCE_SAMPLES = 20_000  # index quadruples resonance_report draws
+WINDOW_AMPLITUDE_CAP = 64_000_000  # D^(m - 1), the amplitudes a windowed average of m slots spans
 _WINDOW_CHUNK_ELEMS = 2_000_000  # amplitude-tensor entries per chunk of a windowed average
 GOE_OBSERVABLES = ("A", "B")  # the observables goe_model draws
 ISING_OBSERVABLES = ("sz_mid", "sx_mid")  # the observables of ising_model
@@ -284,10 +285,14 @@ class ThermalState:
     @classmethod
     def from_model(cls, model: SpectralModel, beta: float) -> "ThermalState":
         # energies shifted by the ground state before exponentiating, so Z
-        # here is the shifted partition function
-        shifted = model.energies - model.energies[0]
-        w = np.exp(-beta * shifted)
-        Z = float(np.sum(w))
+        # here is the shifted partition function; a beta (E - E_0) past the
+        # float range is inf, weight 0, which leaves the ground states
+        with np.errstate(over="ignore"):
+            w = np.exp(-beta * (model.energies - model.energies[0]))
+            Z = float(np.sum(w))
+            if np.isinf(Z):  # beta < 0 past the range: shifted by the top level instead
+                w = np.exp(-beta * (model.energies - model.energies[-1]))
+                Z = float(np.sum(w))
         return cls(beta=beta, weights=w / Z, Z=Z)
 
     def effective_dim(self) -> float:
@@ -477,18 +482,23 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
     """
     m = chains.n_slots
     D = len(energies)
-    if D ** (m - 1) > 64_000_000:
+    if D ** (m - 1) > WINDOW_AMPLITUDE_CAP:
         raise ValueError(f"windowed average too large: D={D}, slots={m}")
     subs, operands = _chain_einsum(chains, Partition.singletons(m))
 
     coeffs = chains.slot_coeffs
     e = energies - np.mean(energies)
-    near = max(1e-14, 1e-3 * sum(abs(c) for c in coeffs) * float(np.max(np.abs(e))))
-    # rows[s] = [u_s - 1; u_s] over the eigenstates of slot s
-    rows = []
-    for c in coeffs:
-        theta = t_max * c * e
-        rows.append(np.stack([2j * np.sin(theta / 2) * np.exp(0.5j * theta), np.exp(1j * theta)]))
+    weight, spread = sum(abs(c) for c in coeffs), float(np.max(np.abs(e)))
+    if 0 < weight * spread and t_max * weight * spread < np.finfo(float).tiny:
+        return merged_chain_sum(chains, Partition.singletons(m))  # every T d underflows: weight 1, the t = 0 sum
+    near = max(1e-14, 1e-3 * weight * spread)
+    with np.errstate(over="ignore", invalid="ignore"):
+        thetas = [t_max * c * e for c in coeffs]
+    # rows[s] = [u_s - 1; u_s] over the eigenstates of slot s; None where some
+    # T c_s E overflows, so T d does for every far amplitude: weight 0
+    rows = None
+    if all(np.isfinite(theta).all() for theta in thetas):
+        rows = [np.stack([2j * np.sin(theta / 2) * np.exp(0.5j * theta), np.exp(1j * theta)]) for theta in thetas]
 
     chunk = min(D, max(1, _WINDOW_CHUNK_ELEMS // max(1, D ** (m - 1))))
     amplitudes = np.empty((chunk,) + (D,) * (m - 1), dtype=np.result_type(*operands))
@@ -507,11 +517,15 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
         amp, d = g[close], delta[close]
         small = np.abs(d) < 1e-14  # summed apart, weight 1
         direct += complex(amp[small].sum() + np.sum(amp[~small] * window_kernel(d[~small], t_max)))
+        if rows is None:
+            continue
         delta[close] = np.inf
         g /= delta
         r = _contract_rows(rows[0][:, sel], g.reshape(len(g), -1))
         telescoped += r[0].sum()
         h += r[1]
+    if rows is None:
+        return direct
     for s in range(1, m):
         r = rows[s] @ h.reshape(D, -1)
         telescoped += r[0].sum()
@@ -555,8 +569,12 @@ def window_kernel(d: np.ndarray, t_max: float) -> np.ndarray:
     small = np.abs(d) < 1e-14
     if t_max == np.inf:
         return small.astype(complex)
-    x = t_max * np.where(small, 1.0, d)
-    return np.where(small, 1.0, np.sin(x) / x + 2j * np.sin(x / 2) ** 2 / x)
+    with np.errstate(over="ignore"):
+        x = t_max * np.where(small, 1.0, d)
+    one = small | (np.abs(x) < np.finfo(float).tiny)  # T d underflows: K = 1 to the last bit
+    far = np.isinf(x)  # T d overflows: K -> 0
+    x = np.where(one | far, 1.0, x)
+    return np.where(one, 1.0, np.where(far, 0.0, np.sin(x) / x + 2j * np.sin(x / 2) ** 2 / x))
 
 
 def _contract_rows(rows: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -553,11 +554,58 @@ def test_boundary_errors_name_the_flag(tmp_path):
         (["cumulants", "--moments", "1,2", "--max-order", "0"], "--max-order must be positive"),
         (["wg", "--k", "8", "--dim", "8"], "--k must be at most 6"),
         (["wg", "--k", "7", "--dim", "7"], "--k must be at most 6 (got 7)"),
+        (["channel", "--mode", "asymptotic", "--k", "11", "--dim", "40", "--moments", "0,1"],
+         "--k must be at most 9 for --mode asymptotic (got 11)"),
+        (["channel", "--mode", "asymptotic", "--k", "10", "--dim", "40", "--moments", "0,1"], "--k must be at most 9"),
+        (["channel", "--mode", "exact", "--k", "9", "--dim", "9", "--moments", "0,1"],
+         "--k must be at most 8 for --mode exact (got 9)"),
+        (["otoc", "--k", "9", "--dim", "9", "--a-moments", "0,1", "--b-moments", "0,1"], "--k must be at most 8 with --dim"),
+        (["otoc", "--k", "11", "--a-moments", "0,1", "--b-moments", "0,1"], "--k 11 asks for NC(11)"),
+        (["eth", "timeavg", "--model", "goe", "--dim", "8", "--k", "6"], "--k must be at most 5 for the infinite window"),
+        (["eth", "timeavg", "--model", "goe", "--dim", "8", "--k", "9"], "--k must be at most 5"),
+        (["eth", "timeavg", "--t-max", "5", "--k", "6", "--dim", "8"], "--k must be at most 4 for a finite window at D = 8"),
+        (["eth", "cumulant", "--model", "goe", "--dim", "8", "--t-max", "1e308", "--n-points", "3"],
+         "--t-max 1e+308 puts the phases E t past the float range"),
+        (["eth", "freetime", "--model", "goe", "--dim", "8", "--t-max", "1e308", "--n-points", "3"], "--t-max 1e+308"),
+        (["eth", "deutsch", "--model", "goe", "--dim", "8", "--strength", "1e308"], "--strength 1e+308"),
+        (["eth", "deutsch", "--model", "goe", "--dim", "8", "--lambdas", "1e308,1"], "--lambdas entry 1e+308"),
     ]
     for argv, message in cases:
         code, err = run_process(*argv)
         assert_validation_exit(code, err)
         assert message in err
+
+
+def test_k_limits_refused_before_any_table(capsys):
+    # the permutation, Weingarten and slot-partition tables stay empty
+    from kfree import eth, weingarten
+
+    for cache in (weingarten.weingarten_table, eth._slot_partitions, eth._restricted_coeffs):
+        cache.cache_clear()
+    for argv in (["channel", "--mode", "exact", "--k", "9", "--dim", "9", "--moments", "0,1"],
+                 ["otoc", "--k", "9", "--dim", "9", "--a-moments", "0,1", "--b-moments", "0,1"],
+                 ["eth", "timeavg", "--model", "goe", "--dim", "8", "--k", "9"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("kfree: --k")
+    for cache in (weingarten.weingarten_table, eth._slot_partitions, eth._restricted_coeffs):
+        assert cache.cache_info().currsize == 0
+
+
+def test_float_extremes_give_a_finite_document(capsys):
+    # a window, thermal weight or kernel at the end of the float range takes
+    # its limit: no warning, exit 0 and a JSON document of finite numbers
+    goe = ["--model", "goe", "--dim", "8"]
+    hamiltonian = ["--ensemble", "hamiltonian", "--dim", "4"]
+    cases = [[cmd, *hamiltonian, *rest] for cmd in ("distance", "design-check")
+             for rest in (["--k", "1", "--t-max", "1e308"], ["--k", "2", "--t-max", "1e-310"])]
+    cases += [["eth", action, *goe, "--t-max", t] for action in ("timeavg", "appendixb") for t in ("1e308", "1e-320")]
+    cases += [["eth", "timeavg", *goe, "--beta", "1e308"], ["eth", "timeavg", *goe, "--beta=-1e308"]]
+    for argv in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert (code, err, caught) == (0, "", []), argv
+        json.loads(out)
 
 
 def test_wg_k7_refused_before_any_table(capsys):

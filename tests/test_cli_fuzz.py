@@ -24,7 +24,7 @@ def domain(valid, invalid):
 
 
 SIZE = domain(("1", "2", "3"), ("-1", "0", "x"))
-REAL = domain(("0.5", "0", "-1"), ("nan", "inf", "-inf", "1e309"))
+REAL = domain(("0.5", "0", "-1", "1e308", "1e-320"), ("nan", "inf", "-inf", "1e309"))
 MOMENTS = domain(("0,1", "1,2,3", "0,1,0,2"), ("1/3,x", "nan,1"))
 ENSEMBLE = domain(("pauli", "clifford", "haar", "hamiltonian"), ("bogus",))
 SWITCH = st.none()  # a store_true flag, passed bare

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from kfree.ensembles import (
     clifford_group_1q,
     design_check,
     ensemble_superoperator,
-    haar_channel_superoperator,
     k_freeness_test,
     pauli_group,
     sample_haar,
@@ -450,6 +450,30 @@ def test_design_check_haar_trivial():
     assert report.passed and report.max_deviation == 0.0
 
 
+def test_design_check_slabs_equal_the_dense_gap():
+    # the max over paired row slabs is the max entry of the dense gap, to the bit
+    model = goe_model(4, seed=1)
+    cases = [(pauli_group(), k) for k in (1, 2, 3)] + [(clifford_group_1q(), k) for k in (1, 2, 3, 4)]
+    cases += [(HamiltonianEnsemble(model, t_max), k) for t_max in (7.0, 100.0, math.inf) for k in (1, 2)]
+    for spec, k in cases:
+        dense = ensemble_superoperator(spec, k) - ensemble_superoperator(HaarEnsemble(spec.dim), k)
+        assert design_check(spec, k).max_deviation == np.max(np.abs(dense))
+
+
+def test_design_check_holds_no_full_superoperator():
+    # at D = 4, k = 3 one complex D^(2k) x D^(2k) array is 16 D^(4k) bytes = 256 MiB
+    rng = np.random.default_rng(2)
+    specs = [HamiltonianEnsemble(goe_model(4, seed=0), 7.0), DiscreteEnsemble([sample_haar(4, rng) for _ in range(2)])]
+    for spec in specs:
+        tracemalloc.start()
+        try:
+            design_check(spec, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 4**12
+
+
 def _weingarten_superoperator(k, D):
     """Reference for D >= k: sum_{alpha, beta} Wg(alpha, beta) vec(W_alpha^-1) vec(W_beta^T)^T."""
     perms = all_permutations(k)
@@ -467,18 +491,18 @@ def test_haar_superoperator_projector_branch_consistent():
     # the commutant projector equals the Weingarten sum wherever that
     # exists (D >= k), and is idempotent where only it exists (D < k)
     for k, D in ((1, 2), (2, 2), (1, 4), (2, 3), (2, 4), (2, 8), (3, 3)):
-        assert np.max(np.abs(haar_channel_superoperator(k, D) - _weingarten_superoperator(k, D))) < 1e-12
-    s = haar_channel_superoperator(3, 2)
+        assert np.max(np.abs(ensemble_superoperator(HaarEnsemble(D), k) - _weingarten_superoperator(k, D))) < 1e-12
+    s = ensemble_superoperator(HaarEnsemble(2), 3)
     assert np.max(np.abs(s @ s - s)) < 1e-10
 
 
 def test_superoperator_cap_bounds_the_allocation():
     # D^(2k) and k! are checked before anything is built; none of the
     # rejected sizes is ever allocated
-    assert haar_channel_superoperator(6, 1).shape == (1, 1)
+    assert ensemble_superoperator(HaarEnsemble(1), 6).shape == (1, 1)
     for k, D in ((7, 2), (3, 8), (7, 1), (12, 1)):
         with pytest.raises(ValueError, match="capped"):
-            haar_channel_superoperator(k, D)
+            ensemble_superoperator(HaarEnsemble(D), k)
     with pytest.raises(ValueError, match="capped"):
         ensemble_superoperator(pauli_group(), 7)
     with pytest.raises(ValueError, match="capped"):
@@ -491,7 +515,7 @@ def test_channel_distance_haar_zero():
 
 def _dense_channel_distance(spec, k):
     """Reference: the Frobenius norm of the difference of dense superoperators."""
-    return np.linalg.norm(ensemble_superoperator(spec, k) - haar_channel_superoperator(k, spec.dim))
+    return np.linalg.norm(ensemble_superoperator(spec, k) - ensemble_superoperator(HaarEnsemble(spec.dim), k))
 
 
 def test_channel_distance_dense_equals_gram():
@@ -517,7 +541,7 @@ def test_channel_distance_builds_no_superoperator(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("channel distance built a dense superoperator")
 
-    for name in ("ensemble_superoperator", "haar_channel_superoperator", "_add_superoperator_term", "_window_superoperator"):
+    for name in ("ensemble_superoperator", "_superoperator_slabs"):
         monkeypatch.setattr(ensembles, name, refuse)
     for spec in (pauli_group(), clifford_group_1q()):
         for k in (1, 2):

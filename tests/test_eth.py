@@ -648,6 +648,38 @@ def test_strict_average_idempotent_and_linear(small_model, small_state):
     assert abs(lhs - rhs) < 1e-12
 
 
+def test_window_limits_at_the_float_extremes(small_model, small_state):
+    # T d underflowing gives every amplitude weight 1 (the t = 0 value); T d
+    # overflowing gives the far ones weight 0 (the infinite window), both
+    # without a warning
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        kernel = eth.window_kernel(np.array([0.0, 1e-10, 1.0, -3.0]), 1e-320)
+        assert np.array_equal(kernel, np.ones(4, dtype=complex))
+        assert np.array_equal(eth.window_kernel(np.array([0.0, 1e-20, 2.0, -3.0]), 1e308), np.array([1, 1, 0, 0]))
+        for k in (1, 2):
+            word = tuple(x for _ in range(k) for x in (("A", True), ("B", False)))
+            t0 = thermal_word_moment(small_model, small_state, alternating_word("A", "B", k, 0.0))
+            tiny = time_average(small_model, small_state, word, TimeWindow("finite", 1e-320))
+            assert abs(tiny - t0) <= 1e-12 * abs(t0)
+            strict = time_average(small_model, small_state, word, TimeWindow("infinite"))
+            huge = time_average(small_model, small_state, word, TimeWindow("finite", 1e308))
+            assert abs(huge - strict) <= 1e-12 * abs(strict)
+        for t_max in (1e-320, 1e308):
+            assert np.all(np.isfinite(factorization_gap(small_model, small_state, "A", "B", TimeWindow("finite", t_max))))
+
+
+def test_thermal_weights_past_the_float_range():
+    model = goe_model(8, seed=0)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        cold, inverted = thermal_state(model, 1e308), thermal_state(model, -1e308)
+    assert np.array_equal(cold.weights, np.eye(8)[0]) and cold.Z == 1.0
+    assert np.array_equal(inverted.weights, np.eye(8)[-1])
+    # the shift by the top level keeps a large negative beta finite, and an in-range one as it was
+    assert np.all(np.isfinite(thermal_state(model, -1000.0).weights))
+    w = np.exp(-0.5 * (model.energies - model.energies[0]))
+    assert np.array_equal(thermal_state(model, 0.5).weights, w / np.sum(w))
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         TimeWindow("finite", None)

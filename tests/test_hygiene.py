@@ -19,6 +19,7 @@ LIBRARY_API = {
     "channel.otoc_term_structure": "the symbolic 2k-OTOC expansion over NC(k) and the Kreweras complement",
     "channel.word_functional_from_matrices": "builds the positional functional the channel functions take",
     "ensembles.channel_monte_carlo": "the dense k-fold channel of any ensemble, the Monte Carlo side of channel_exact",
+    "ensembles.ensemble_superoperator": "the dense superoperator, the reference the slab route of design_check is tested against",
     "eth.appendix_b_crossing_term": "the off-diagonal crossing term of the paper's Appendix B",
     "eth.averaged_free_cumulant": "time-averaged free cumulant; the benchmark's library steps call it",
     "eth.bimodal_observable": "the +-1 observable of scripts/freeness_decay_scan.py",

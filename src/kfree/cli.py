@@ -464,7 +464,7 @@ def _eth_obs_pair(args, model):
 
 def _cmd_eth(args) -> None:
     from .eth import (
-        WINDOW_AMPLITUDE_CAP,
+        WINDOW_BYTES_CAP,
         DeutschSpec,
         TimeWindow,
         alternating_word,
@@ -475,6 +475,7 @@ def _cmd_eth(args) -> None:
         thermal_free_cumulant,
         thermal_state,
         time_average,
+        window_bytes,
     )
 
     action = args.action
@@ -509,8 +510,8 @@ def _cmd_eth(args) -> None:
     elif action == "timeavg":
         a, b = _eth_obs_pair(args, model)
         window = TimeWindow("infinite") if args.t_max is None else TimeWindow("finite", args.t_max)
-        if window.mode == "finite" and model.dim > 1:  # the 2k slots of a window span D^(2k - 1) amplitudes
-            k_max = next(k for k in itertools.count(1) if model.dim ** (2 * k + 1) > WINDOW_AMPLITUDE_CAP)
+        if window.mode == "finite" and model.dim > 1:  # a window of 2k slots holds window_bytes(D, 2k)
+            k_max = next(k for k in itertools.count(1) if window_bytes(model.dim, 2 * k + 2) > WINDOW_BYTES_CAP)
             _check_k(args.k, k_max, f" for a finite window at D = {model.dim}")
         word = tuple(x for _ in range(args.k) for x in ((a, True), (b, False)))
         v = time_average(model, state, word, window)
@@ -537,6 +538,12 @@ def _cmd_eth(args) -> None:
     elif action == "appendixb":
         a, b = _eth_obs_pair(args, model)
         window = TimeWindow("infinite") if args.t_max is None else TimeWindow("finite", args.t_max)
+        held = window_bytes(model.dim, 4)  # the joint average has 4 slots
+        if window.mode == "finite" and held > WINDOW_BYTES_CAP:
+            raise ValueError(
+                f"--t-max at D = {model.dim}: the finite window holds about {held / 2**30:.1f} GiB, past the"
+                f" {WINDOW_BYTES_CAP / 2**30:g} GiB budget; lower --dim or drop --t-max"
+            )
         joint, product, gap = factorization_gap(model, state, a, b, window)
         _emit(
             args,

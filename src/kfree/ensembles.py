@@ -96,10 +96,15 @@ EnsembleSpec = HaarEnsemble | DiscreteEnsemble | HamiltonianEnsemble
 
 
 def sample_haar(D: int, rng) -> np.ndarray:
-    """Haar-distributed unitary: Ginibre draw, QR, phase-normalized diagonal."""
+    """Haar-distributed unitary: Ginibre draw, QR, phase-normalized diagonal.
+
+    The draw fills one complex buffer, real and imaginary parts of each
+    entry in turn, and is not scaled to unit variance: a positive scale
+    changes neither Q nor the phases of diag R."""
     if D < 1:
         raise ValueError("dimension must be positive")
-    z = (rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))) / math.sqrt(2.0)
+    z = np.empty((D, D), dtype=complex)
+    rng.standard_normal(out=z.view(np.float64))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -228,6 +233,31 @@ class Estimate:
     seed: int | None = None
 
 
+def _eigenframe(letters: dict[Hashable, np.ndarray]) -> tuple[np.ndarray | None, dict[Hashable, np.ndarray]]:
+    """(V, letters in V): V the eigenbasis of the first exactly Hermitian
+    letter, from a real `eigh` where its imaginary part is all zero; that
+    letter becomes its eigenvalues (1-D), every other X becomes V^dagger X V.
+    With no exactly Hermitian letter, V is None (the identity frame) and the
+    letters stay as they are."""
+    for label, m in letters.items():
+        if np.array_equal(m, m.conj().T):
+            energies, v = np.linalg.eigh(m if m.imag.any() else m.real)
+            return v, {k: energies if k == label else v.conj().T @ x @ v for k, x in letters.items()}
+    return None, dict(letters)
+
+
+def _in_frame(w: np.ndarray | None, u: np.ndarray, v: np.ndarray | None) -> np.ndarray:
+    """G = W^dagger U V, a None frame being the identity."""
+    if w is not None:
+        u = w.conj().T @ u
+    return u if v is None else u @ v
+
+
+def _dress(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """G X G^dagger, one matmul for a diagonal (1-D) X and two for a dense one."""
+    return (g * x) @ g.conj().T if x.ndim == 1 else g @ x @ g.conj().T
+
+
 class EnsembleExpectation:
     """The ensemble-inclusive expectation: each word moment is the ensemble
     average of the normalized trace of the dressed word.
@@ -236,15 +266,23 @@ class EnsembleExpectation:
     left fixed.  Per-batch means are retained so nonlinear functions of the
     moments (cumulants) get batch-means error bars.
 
-    Each sample costs its draw (Ginibre plus QR), two matmuls per rotated
-    label for the dressing, and one `moments._word_trace` over the dressed
-    letters, which closes every word with an O(D^2) contraction of two
-    cached half-products.  Words are traced longest first, so shorter words
-    find their halves built: at k = 2 one word matmul (A B) serves every
-    word of a sample.  The QR is the largest part (about 12 ms of 25 ms at
-    D = 256 on a 2-core x86-64 machine with OpenBLAS 0.3.31) and gains
-    nothing from a second BLAS thread, so samples run concurrently, one per
-    core, each on one OpenBLAS thread.
+    Words are traced in the eigenframe (`_eigenframe`): with W the
+    eigenbasis of the first exactly Hermitian rotated letter and V that of
+    the first exactly Hermitian fixed one (the identity where there is
+    none), Tr w(U^dagger X_r U, X_f) = Tr w(W^dagger X_r W, G V^dagger X_f V
+    G^dagger) with G = W^dagger U V.  A Haar G is the draw itself, since
+    W^dagger U V is Haar when U is; a discrete member's G is computed.  So
+    the rotated letters are constant, the one that fixed W a diagonal, and
+    only the fixed letters are dressed; a word of rotated letters only, or
+    of fixed letters only, is traced once for every member.
+
+    A Haar sample of a freeness probe then costs its draw (Ginibre plus QR),
+    one matmul to dress B as (G * b) G^dagger, and the word matmuls of
+    `moments._word_trace`, in which a product with the diagonal A is an
+    O(D^2) scaling: none at k = 2, two at k = 3.  The QR is the largest part
+    (about 12 ms at D = 256 on a 2-core x86-64 machine with OpenBLAS 0.3.31)
+    and gains nothing from a second BLAS thread, so samples run
+    concurrently, one per core, each on one OpenBLAS thread.
     """
 
     def __init__(
@@ -282,35 +320,45 @@ class EnsembleExpectation:
         # imported here, not at the top: its ~10 ms import would add to every kfree start-up
         from concurrent.futures import ThreadPoolExecutor
 
-        weights, total, member = self._members()
-        per_sample = {w: np.empty(self.n_samples, dtype=complex) for w in needed}
-
-        def run(i: int) -> None:
-            traces = self._sample_traces(member(i), needed)
-            for w in needed:
-                per_sample[w][i] = traces[w]
-
+        mixed = sorted(
+            (w for w in needed if not (self.rotated.issuperset(w) or self.rotated.isdisjoint(w))),
+            key=lambda w: (-len(w), repr(w)),  # longest first, so shorter words find their halves built
+        )
         # members are independent (a sample has its own substream) and each
         # runs on one BLAS thread, so its bits depend on neither the BLAS
         # thread count nor the number of workers; without OpenBLAS control,
-        # one worker
+        # one worker.  The frames are found under the same pin.
         with _one_blas_thread() as pinned:
+            w_frame, rotated = _eigenframe({k: v for k, v in self.operators.items() if k in self.rotated})
+            v_frame, fixed = _eigenframe({k: v for k, v in self.operators.items() if k not in self.rotated})
+            constant = _word_trace({**rotated, **fixed})
+            for w in needed.difference(mixed):
+                self._means[w] = constant(w)
+                if not self.exact:
+                    self._batches[w] = np.full(self.n_batches, self._means[w])
+            if not mixed:
+                return
+            dressing = {label: fixed[label] for label in set().union(*mixed) if label in fixed}
+            weights, total, member = self._members()
+            per_sample = {w: np.empty(self.n_samples, dtype=complex) for w in mixed}
+
+            def run(i: int) -> None:
+                g = member(i)
+                if self.exact:  # a discrete member is U; a Haar draw is G itself
+                    g = _in_frame(w_frame, g, v_frame)
+                trace = _word_trace({**rotated, **{label: _dress(g, x) for label, x in dressing.items()}})
+                for w in mixed:
+                    per_sample[w][i] = trace(w)
+
             workers = min(_worker_count(), self.n_samples) if pinned else 1
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 for _ in pool.map(run, range(self.n_samples)):
                     pass
-        for w in needed:
+        for w in mixed:
             vals = per_sample[w]
             self._means[w] = complex(np.sum(weights * vals) / total)
             if not self.exact:  # sampled members weigh 1: batch means are plain means
                 self._batches[w] = np.array([np.mean(chunk) for chunk in np.array_split(vals, self.n_batches)])
-
-    def _sample_traces(self, u: np.ndarray, words: set[tuple]) -> dict[tuple, complex]:
-        dressed = {}
-        for label, m in self.operators.items():
-            dressed[label] = u.conj().T @ m @ u if label in self.rotated else m
-        trace = _word_trace(dressed)
-        return {w: trace(w) for w in sorted(words, key=lambda w: (-len(w), repr(w)))}
 
     def functional(self, batch: int | None = None) -> Expectation:
         """Expectation over cached word averages (or one batch's averages)."""

@@ -59,7 +59,7 @@ from .partitions import Partition, iter_set_partitions
 DEFAULT_DIM_CAP = 4096
 RESONANCE_EPS_FACTOR = 1e-10
 RESONANCE_SAMPLES = 20_000  # index quadruples resonance_report draws
-WINDOW_AMPLITUDE_CAP = 64_000_000  # D^(m - 1), the amplitudes a windowed average of m slots spans
+WINDOW_BYTES_CAP = 2**31  # bytes a windowed average may hold, as `window_bytes` counts them
 _WINDOW_CHUNK_ELEMS = 2_000_000  # amplitude-tensor entries per chunk of a windowed average
 GOE_OBSERVABLES = ("A", "B")  # the observables goe_model draws
 ISING_OBSERVABLES = ("sz_mid", "sx_mid")  # the observables of ising_model
@@ -455,6 +455,16 @@ def _single_slot(coeffs: tuple[int, ...]) -> bool:
     return len(coeffs) == 1
 
 
+def window_bytes(D: int, m: int) -> int:
+    """Peak bytes `_windowed_chain_sum` holds for m slots over D levels: 120
+    per entry of h (the D^(m-1) amplitudes summed over the first slot) with
+    its row contractions, and 32 per entry of one amplitude chunk with its
+    phases and masks.  Both are bounds on tracemalloc peaks of real and
+    complex 4-slot sums at D = 40 and 60, which came to about 115 and 25."""
+    n = D ** (m - 1)
+    return 120 * n + 32 * min(D, max(1, _WINDOW_CHUNK_ELEMS // n)) * n
+
+
 def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) -> complex:
     """Finite-window average (1/T) int_0^T dt of the chain sum: the amplitude
     of each slot assignment is weighted with (e^{iTd} - 1)/(iTd), where
@@ -482,8 +492,11 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
     """
     m = chains.n_slots
     D = len(energies)
-    if D ** (m - 1) > WINDOW_AMPLITUDE_CAP:
-        raise ValueError(f"windowed average too large: D={D}, slots={m}")
+    if window_bytes(D, m) > WINDOW_BYTES_CAP:
+        raise ValueError(
+            f"a finite window over {m} slots at D = {D} holds about {window_bytes(D, m) / 2**30:.1f} GiB,"
+            f" past the {WINDOW_BYTES_CAP / 2**30:g} GiB budget"
+        )
     subs, operands = _chain_einsum(chains, Partition.singletons(m))
 
     coeffs = chains.slot_coeffs

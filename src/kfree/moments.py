@@ -7,9 +7,9 @@ number, so the same code serves symbolic checks, Monte Carlo ensemble
 averages, and thermal exact-diagonalization functionals.
 
 The one place matrices enter is `_word_trace`, the (weighted) normalized
-trace of a word over dense letters, which every matrix-backed functional
-(`Expectation.normalized_trace`, the ensemble averages, the thermal
-moments) evaluates its words with.
+trace of a word over dense or diagonal letters, which every matrix-backed
+functional (`Expectation.normalized_trace`, the ensemble averages, the
+thermal moments) evaluates its words with.
 """
 
 from __future__ import annotations
@@ -32,50 +32,82 @@ Word = tuple[Hashable, ...]
 Value = complex | float | Fraction
 
 
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x y for matrices and diagonals (1-D): only two matrices take a matmul,
+    a diagonal scales the rows or columns of the other factor."""
+    if x.ndim == 2 and y.ndim == 2:
+        return x @ y
+    if x.ndim == 1 and y.ndim == 2:
+        return x[:, None] * y
+    return x * y
+
+
+def _diagonal(x: np.ndarray) -> np.ndarray:
+    return x if x.ndim == 1 else np.diagonal(x)
+
+
 def _word_trace(
     letters: Mapping[Hashable, np.ndarray], weights: np.ndarray | None = None
 ) -> Callable[[Word], complex]:
-    """Trace of words over dense letters: Tr(L_w1 ... L_wn)/D, or with
-    `weights` the diagonal sum sum_i w_i (L_w1 ... L_wn)_ii.
+    """Trace of words over letters: Tr(L_w1 ... L_wn)/D, or with `weights`
+    the diagonal sum sum_i w_i (L_w1 ... L_wn)_ii.
 
-    A word of length one is a diagonal sum.  A longer word splits into
-    halves P = w[:h] and S = w[h:], and closes with the O(D^2) contraction
-    (P S)_ii = sum_j P_ij S_ji.  Every product is cached by the returned
-    function and extends its longest cached prefix, so the split h is the
-    one that needs the fewest new matmuls given what earlier words built
-    (h = n // 2 on a tie); any split gives the same sum.
+    A letter is a D x D matrix or, 1-D, the diagonal of a diagonal matrix,
+    which any product takes in O(D^2) (`_times`).  A word of length one is a
+    diagonal sum.  A longer word splits into halves P = w[:h] and S = w[h:],
+    and closes with the O(D^2) contraction (P S)_ii = sum_j P_ij S_ji.  Every
+    product is cached by the returned function and extends its longest
+    cached prefix, so the split h is the one that needs the fewest new
+    matmuls of two matrices, counted for both halves together (S may extend
+    a product P built) given what earlier words built, h = n // 2 on a tie;
+    any split gives the same sum.
     """
     dims = {m.shape[0] for m in letters.values()}
     if len(dims) != 1:
         raise ValueError("operators must share one dimension")
     (dim,) = dims
+    dense = {label for label, m in letters.items() if m.ndim == 2}
     prods: dict[Word, np.ndarray] = {}
 
-    def cached(word: Word) -> int:
-        """Length of the longest prefix of `word` with a product at hand."""
+    def cached(word: Word, new: set[Word] | frozenset = frozenset()) -> int:
+        """Length of the longest prefix of `word` with a product at hand or in `new`."""
         n = len(word)
-        while n > 1 and word[:n] not in prods:
+        while n > 1 and word[:n] not in prods and word[:n] not in new:
             n -= 1
         return n
+
+    def matmuls(word: Word, new: set[Word]) -> int:
+        """The matmuls a product of `word` needs beyond `prods` and `new`; adds the prefixes it builds to `new`."""
+        count = 0
+        for i in range(cached(word, new), len(word)):
+            count += word[i] in dense and not dense.isdisjoint(word[:i])
+            new.add(word[: i + 1])
+        return count
 
     def product(word: Word) -> np.ndarray:
         n = cached(word)
         m = prods[word[:n]] if n > 1 else letters[word[0]]
         for i in range(n, len(word)):
-            m = prods[word[: i + 1]] = m @ letters[word[i]]
+            m = prods[word[: i + 1]] = _times(m, letters[word[i]])
         return m
 
     def split(word: Word) -> int:
         """The cut with the fewest new matmuls; `min` keeps n // 2 on a tie."""
         n = len(word)
-        return min((n // 2, *range(1, n)), key=lambda h: h - cached(word[:h]) + n - h - cached(word[h:]))
+
+        def cost(h: int) -> int:
+            new: set[Word] = set()
+            return matmuls(word[:h], new) + matmuls(word[h:], new)
+
+        return min((n // 2, *range(1, n)), key=cost)
 
     def trace(word: Word) -> complex:
         if len(word) == 1:
-            diag = np.diagonal(letters[word[0]])
+            diag = _diagonal(letters[word[0]])
         else:
             h = split(word)
-            diag = np.sum(product(word[:h]) * product(word[h:]).T, axis=1)
+            p, s = product(word[:h]), product(word[h:])
+            diag = np.sum(p * s.T, axis=1) if p.ndim == s.ndim == 2 else _diagonal(p) * _diagonal(s)
         if weights is None:
             return complex(np.sum(diag)) / dim
         return complex(np.dot(weights, diag))

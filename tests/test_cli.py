@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import kfree
 from kfree.cli import dispatch
@@ -574,6 +575,27 @@ def test_boundary_errors_name_the_flag(tmp_path):
         code, err = run_process(*argv)
         assert_validation_exit(code, err)
         assert message in err
+
+
+def test_finite_window_byte_budget_refuses_in_one_line(monkeypatch, capsys):
+    """The windowed average's byte budget, patched small: `appendixb` refuses
+    a window over budget before any amplitude exists, naming --t-max and
+    --dim, and `timeavg` lowers its --k limit; under budget both run."""
+    from kfree import eth
+
+    monkeypatch.setattr(eth, "WINDOW_BYTES_CAP", eth.window_bytes(8, 4) - 1)
+    monkeypatch.setattr(eth, "_windowed_chain_sum", lambda *a: pytest.fail("a window over budget was evaluated"))
+    code, out, err = run(capsys, "eth", "appendixb", "--model", "goe", "--dim", "8", "--t-max", "1")
+    assert_validation_exit(code, err)
+    assert out == "" and "--t-max" in err and "--dim" in err and "GiB budget" in err
+    code, out, err = run(capsys, "eth", "timeavg", "--model", "goe", "--dim", "8", "--t-max", "1", "--k", "2")
+    assert_validation_exit(code, err)
+    assert "--k must be at most 1 for a finite window at D = 8 (got 2)" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(eth, "WINDOW_BYTES_CAP", eth.window_bytes(8, 4))
+    for argv in (["appendixb"], ["timeavg", "--k", "2"]):
+        code, _, err = run(capsys, "eth", *argv, "--model", "goe", "--dim", "8", "--t-max", "1")
+        assert (code, err) == (0, "")
 
 
 def test_k_limits_refused_before_any_table(capsys):

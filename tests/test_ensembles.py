@@ -255,33 +255,60 @@ def _assert_close(got, want):
     assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 
+def _oracle_letters(kind, D, rng):
+    """(operators, rotated labels, eigenframe label of each side or None, word
+    pattern): real symmetric, complex Hermitian or non-Hermitian letters, or
+    a mix where the first letter of a side is not Hermitian and a later one is."""
+
+    def gauss():
+        return rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+
+    def herm(m):
+        return m + m.conj().T
+
+    if kind == "real":
+        return {"A": herm(gauss().real), "B": herm(gauss().real)}, {"A"}, ("A", "B"), ("A", "B")
+    if kind == "complex":
+        return {"A": herm(gauss()), "B": herm(gauss())}, {"A"}, ("A", "B"), ("A", "B")
+    if kind == "dense":
+        return {"A": gauss(), "B": gauss()}, {"A"}, (None, None), ("A", "B")
+    ops = {"A": gauss(), "B": gauss(), "C": herm(gauss().real), "E": herm(gauss())}
+    return ops, {"A", "C"}, ("C", "E"), ("A", "B", "C", "E")
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_ensemble_expectation_matches_prefix_product_oracle(k):
+    """Haar and discrete averages against full prefix products of the
+    dressed words.  A Haar draw G stands for U = W G V^dagger, W and V the
+    eigenbases of the first exactly Hermitian rotated and fixed letters."""
     D = 7
     rng = np.random.default_rng(40 + k)
-    ops = {lab: rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)) for lab in "AB"}
-    word = ("A", "B") * k
-    words = {tuple(word[i - 1] for i in block) for pi in enumerate_nc(2 * k) for block in pi.blocks}
-    # exact path: a discrete ensemble, weighted by its probabilities
-    unitaries = [sample_haar(D, rng) for _ in range(3)]
-    probs = np.array([0.5, 0.3, 0.2])
-    exact = EnsembleExpectation(DiscreteEnsemble(unitaries, probs), ops, rotated={"A"})
-    exact.evaluate_words(words)
-    for w in words:
-        key = _cyclic_key(w)
-        want = sum(p * _prefix_product_traces(exact, u, {key})[key] for p, u in zip(probs, unitaries))
-        _assert_close(exact._means[key], want)
-    # sampled path: same seed, same per-sample streams, same batches
-    n, n_batches = 30, 5
-    sampled = EnsembleExpectation(HaarEnsemble(D), ops, rotated={"A"}, n_samples=n, seed=8, n_batches=n_batches)
-    sampled.evaluate_words(words)
-    keys = {_cyclic_key(w) for w in words}
-    per_sample = [_prefix_product_traces(sampled, sample_haar(D, r), keys) for r in spawn_rngs(8, n)]
-    for key in keys:
-        vals = np.array([traces[key] for traces in per_sample])
-        _assert_close(sampled._means[key], complex(np.mean(vals)))
-        for got, chunk in zip(sampled._batches[key], np.array_split(vals, n_batches)):
-            _assert_close(got, complex(np.mean(chunk)))
+    for kind in ("dense", "real", "complex", "mixed"):
+        ops, rotated, framed, pattern = _oracle_letters(kind, D, rng)
+        word = tuple(itertools.islice(itertools.cycle(pattern), 2 * k))
+        words = {tuple(word[i - 1] for i in block) for pi in enumerate_nc(2 * k) for block in pi.blocks}
+        keys = {_cyclic_key(w) for w in words}
+        # exact path: a discrete ensemble, weighted by its probabilities
+        unitaries = [sample_haar(D, rng) for _ in range(3)]
+        probs = np.array([0.5, 0.3, 0.2])
+        exact = EnsembleExpectation(DiscreteEnsemble(unitaries, probs), ops, rotated=rotated)
+        exact.evaluate_words(words)
+        for key in keys:
+            want = sum(p * _prefix_product_traces(exact, u, {key})[key] for p, u in zip(probs, unitaries))
+            _assert_close(exact._means[key], want)
+        # sampled path: same seed, same per-sample streams, same batches
+        w, v = (np.eye(D) if lab is None else np.linalg.eigh(ops[lab] if ops[lab].imag.any() else ops[lab].real)[1]
+                for lab in framed)
+        n, n_batches = 30, 5
+        sampled = EnsembleExpectation(HaarEnsemble(D), ops, rotated=rotated, n_samples=n, seed=8, n_batches=n_batches)
+        sampled.evaluate_words(words)
+        draws = [w @ sample_haar(D, r) @ v.conj().T for r in spawn_rngs(8, n)]
+        per_sample = [_prefix_product_traces(sampled, u, keys) for u in draws]
+        for key in keys:
+            vals = np.array([traces[key] for traces in per_sample])
+            _assert_close(sampled._means[key], complex(np.mean(vals)))
+            for got, chunk in zip(sampled._batches[key], np.array_split(vals, n_batches)):
+                _assert_close(got, complex(np.mean(chunk)))
 
 
 def test_k_freeness_haar_small_d_matches_exact_oracle():
@@ -295,6 +322,20 @@ def test_k_freeness_haar_small_d_matches_exact_oracle():
     phi_exact = Expectation(lambda w: haar_word_average_exact(pa, pb, w, D), cyclic=True)
     exact = complex(free_cumulant(phi_exact, ("A", "B", "A", "B")))
     est = k_freeness_test(HaarEnsemble(D), A, B, 2, n_samples=6000, seed=77)
+    assert abs(est.value - exact) <= 4 * est.std_error
+
+
+def test_k_freeness_haar_k3_small_d_matches_exact_oracle():
+    # kappa_6: the k = 3 words take word matmuls besides the dressing
+    D = 6
+    rng = np.random.default_rng(3)
+    A = normalize_observable(goe_matrix(D, rng))
+    B = normalize_observable(goe_matrix(D, rng))
+    pa = Expectation.normalized_trace({"A": A})
+    pb = Expectation.normalized_trace({"B": B})
+    phi_exact = Expectation(lambda w: haar_word_average_exact(pa, pb, w, D), cyclic=True)
+    exact = complex(free_cumulant(phi_exact, ("A", "B") * 3))
+    est = k_freeness_test(HaarEnsemble(D), A, B, 3, n_samples=6000, seed=303)
     assert abs(est.value - exact) <= 4 * est.std_error
 
 

@@ -3,6 +3,7 @@ averages, factorizations, free-k times, perturbed-basis ensembles."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -587,6 +588,36 @@ def test_windowed_average_matches_accurate_kernel_oracle(window_models, name, ch
         # the gap is a difference of the two, so its rounding scales with theirs
         scale = abs(want_joint) + abs(want_product)
         assert abs(gap - (want_joint - want_product)) <= tol * scale, (t_max, gap)
+
+
+@pytest.mark.parametrize("chunk_elems", [1, None], ids=["chunk1", "default"])
+@pytest.mark.parametrize("name", ["real", "complex"])
+def test_window_bytes_bound_what_a_window_holds(monkeypatch, name, chunk_elems):
+    """`window_bytes`, the count the window budget is checked against, bounds
+    the tracemalloc peak of a 4-slot windowed average, one first-slot index
+    per chunk and in the default chunks, and is within a factor 4 of it."""
+    if chunk_elems is not None:
+        monkeypatch.setattr(eth, "_WINDOW_CHUNK_ELEMS", chunk_elems)
+    D = 24
+    rng = np.random.default_rng(8)
+    if name == "real":
+        model = goe_model(D, seed=8)
+    else:
+        def hermitian():
+            g = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+            return (g + g.conj().T) / 2.0
+
+        model = build_model(hermitian(), {lab: normalize_observable(hermitian()) for lab in ("A", "B")})
+    w = thermal_state(model, 0.3).weights
+    a, b = model.observable("A"), model.observable("B")
+    chains = SlotChains(cycles=[[a, b], [a, b]], weights=[w, w], slot_coeffs=(1, -1, 1, -1))
+    tracemalloc.start()
+    try:
+        eth._windowed_chain_sum(chains, model.energies, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eth.window_bytes(D, 4) / 4 <= peak <= eth.window_bytes(D, 4)
 
 
 AMPLITUDE_WORDS = (

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Time finite-window averaged free cumulants and write BENCH_eth_window.json.
 
-Two cases of kappa_4(A(t), B, A(t), B) = `averaged_free_cumulant` over
+Three cases of kappa_4(A(t), B, A(t), B) = `averaged_free_cumulant` over
 finite windows, each on `goe_model` at beta = 0.3 / (spectral width):
 
 - D = 32, the window ladder of the eth-spectral benchmark
   (t_max = 1e-9, 40, 640, 1e4, 1e6, 1e9);
-- D = 64, the six windows of acceptance criterion 8 (t_max = 40 ... 1280).
+- D = 64, the six windows of acceptance criterion 8 (t_max = 40 ... 1280);
+- D = 120, one window at t_max = 40: a large-D window, whose 4-slot
+  average folds one first-slot index at a time into h (D^3 entries).
 
 Each window is timed `--repeats` times after one untimed warm-up call; the
 document records every repeat, the median and the value.  Only the public
@@ -26,6 +28,7 @@ from kfree.eth import TimeWindow, averaged_free_cumulant, goe_model, thermal_sta
 CASES = (
     {"name": "ladder-D32", "dim": 32, "seed": 11, "t_values": (1e-9, 40.0, 640.0, 1e4, 1e6, 1e9)},
     {"name": "criterion8-D64", "dim": 64, "seed": 11, "t_values": (40.0, 80.0, 160.0, 320.0, 640.0, 1280.0)},
+    {"name": "large-D120", "dim": 120, "seed": 11, "t_values": (40.0,)},
 )
 WORD = (("A", True), ("B", False), ("A", True), ("B", False))
 

@@ -107,8 +107,8 @@ def _parse_moments(flag: str, text: str, order: int) -> list:
     for tok in text.split(","):
         try:
             out.append(Fraction(tok.strip()))
-        except ValueError:
-            out.append(complex(float(tok), 0.0))
+        except (ValueError, ZeroDivisionError):
+            out.append(complex(_parse_finite_floats(flag, tok)[0]))
     if len(out) < order:
         raise ValueError(f"{flag} gives {len(out)} moments, but order {order} is needed")
     return out
@@ -157,10 +157,16 @@ def _check_domains(args) -> None:
                 raise ValueError(f"--{name.replace('_', '-')} must be {rule} (got {value})")
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_matrix(path: str, flag: str = "", dim: int | None = None) -> np.ndarray:
+    """A finite operator file; with `dim`, one that is not dim x dim is an error naming `flag` and the path."""
     from .matio import load_operator
 
-    return load_operator(path)
+    m = load_operator(path)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{path}: operator has non-finite entries")
+    if dim is not None and m.shape[0] != dim:
+        raise ValueError(f"{flag}: {path} is {m.shape[0]}x{m.shape[0]}, but --dim is {dim}")
+    return m
 
 
 def _default_observable(D: int, seed: int) -> np.ndarray:
@@ -265,9 +271,7 @@ def _word_functional(args, prefix: str, k: int):
         ops = {}
         for label, path in zip(labels, paths):
             if label not in ops:
-                m = ops[label] = _load_matrix(path)
-                if args.dim is not None and m.shape[0] != args.dim:
-                    raise ValueError(f"--{prefix}-ops: {path} is {m.shape[0]}x{m.shape[0]}, but --dim is {args.dim}")
+                ops[label] = _load_matrix(path, f"--{prefix}-ops", args.dim)
         return Expectation.normalized_trace(ops), labels
     if mom_arg:
         return Expectation.from_moment_sequence(_parse_moments(f"--{prefix}-moments", mom_arg, k)), ("A",) * k
@@ -310,8 +314,8 @@ def _cmd_haar_test(args) -> None:
     from .ensembles import HaarEnsemble, k_freeness_test
 
     _check_nc_size(f"--k {args.k}", 2 * args.k)
-    A = _load_matrix(args.a) if args.a else _default_observable(args.dim, args.seed + 101)
-    B = _load_matrix(args.b) if args.b else _default_observable(args.dim, args.seed + 202)
+    A = _load_matrix(args.a, "--a", args.dim) if args.a else _default_observable(args.dim, args.seed + 101)
+    B = _load_matrix(args.b, "--b", args.dim) if args.b else _default_observable(args.dim, args.seed + 202)
     est = k_freeness_test(HaarEnsemble(args.dim), A, B, args.k, n_samples=args.n_samples, seed=args.seed)
     _emit(
         args,
@@ -343,7 +347,11 @@ def _build_ensemble(args):
     if name == "files":
         if not args.unitaries:
             raise ValueError("--unitaries required for --ensemble files")
-        mats = [_load_matrix(p) for p in args.unitaries.split(",")]
+        paths = args.unitaries.split(",")
+        mats = [_load_matrix(p) for p in paths]
+        for path, m in zip(paths, mats):
+            if m.shape != mats[0].shape:
+                raise ValueError(f"--unitaries: {path} has shape {m.shape}, {paths[0]} has {mats[0].shape}")
         probs = _parse_finite_floats("--probs", args.probs) if args.probs else None
         return DiscreteEnsemble(mats, np.array(probs) if probs else None)
     raise ValueError(f"unknown ensemble {name!r}")
@@ -750,7 +758,7 @@ def dispatch(argv=None) -> int:
     except RegimeError as exc:
         print(f"kfree: regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"kfree: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK

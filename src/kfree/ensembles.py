@@ -306,10 +306,10 @@ class EnsembleExpectation:
         self.n_batches = min(n_batches, self.n_samples)  # no batch is empty
         self._means: dict[tuple, complex] = {}
         self._batches: dict[tuple, np.ndarray] = {}
-        dims = {m.shape[0] for m in self.operators.values()}
-        if len(dims) != 1:
-            raise ValueError("operators must share one dimension")
-        (self.dim,) = dims
+        self.dim = spec.dim
+        for label, m in self.operators.items():
+            if m.shape != (spec.dim, spec.dim):
+                raise ValueError(f"operator {label!r} has shape {m.shape}, but the ensemble's dimension is {spec.dim}")
 
     def evaluate_words(self, words: Sequence[tuple]) -> None:
         """Accumulate the ensemble averages of every requested word at once."""

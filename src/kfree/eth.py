@@ -456,13 +456,14 @@ def _single_slot(coeffs: tuple[int, ...]) -> bool:
 
 
 def window_bytes(D: int, m: int) -> int:
-    """Peak bytes `_windowed_chain_sum` holds for m slots over D levels: 120
-    per entry of h (the D^(m-1) amplitudes summed over the first slot) with
-    its row contractions, and 32 per entry of one amplitude chunk with its
-    phases and masks.  Both are bounds on tracemalloc peaks of real and
-    complex 4-slot sums at D = 40 and 60, which came to about 115 and 25."""
+    """Bytes `_windowed_chain_sum` allocates for m slots over D levels, at
+    most: for each entry of h (the D^(m-1) amplitudes summed over the first
+    slot) h itself and one product of h's size, both complex; for each entry
+    of one amplitude chunk the amplitude (complex at most), its phase d (a
+    float) and two masks (bools)."""
     n = D ** (m - 1)
-    return 120 * n + 32 * min(D, max(1, _WINDOW_CHUNK_ELEMS // n)) * n
+    c16, f8, b1 = (np.dtype(t).itemsize for t in (complex, float, bool))
+    return 2 * c16 * n + (c16 + f8 + 2 * b1) * min(D, max(1, _WINDOW_CHUNK_ELEMS // n)) * n
 
 
 def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) -> complex:
@@ -484,14 +485,15 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
     d and the product of phase vectors carry eps M of rounding, so it is kept
     to |d| >= 1e-3 M (error <= ~1e3 eps).  The few amplitudes nearer
     resonance (structural resonances with a rounding residual, near-degenerate
-    levels) take `window_kernel` itself, those at |d| < 1e-14 summed apart.
+    levels) take `window_kernel` itself.
 
     Amplitudes are materialized chunked over the first slot, each chunk in
-    one reused buffer (`_slot_amplitudes`); later slots are contracted once,
-    after every chunk has been folded into h.
+    one reused buffer (`_slot_amplitudes`).  A chunk adds its first-slot
+    term, (u_0 - 1) against the chunk summed over its later axes, and is
+    folded into h with u_0 in place (a real chunk by two real products);
+    later slots are contracted once, after every chunk is in h.
     """
-    m = chains.n_slots
-    D = len(energies)
+    m, D = chains.n_slots, len(energies)
     if window_bytes(D, m) > WINDOW_BYTES_CAP:
         raise ValueError(
             f"a finite window over {m} slots at D = {D} holds about {window_bytes(D, m) / 2**30:.1f} GiB,"
@@ -513,10 +515,9 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
     if all(np.isfinite(theta).all() for theta in thetas):
         rows = [np.stack([2j * np.sin(theta / 2) * np.exp(0.5j * theta), np.exp(1j * theta)]) for theta in thetas]
 
-    chunk = min(D, max(1, _WINDOW_CHUNK_ELEMS // max(1, D ** (m - 1))))
+    chunk = min(D, max(1, _WINDOW_CHUNK_ELEMS // D ** (m - 1)))
     amplitudes = np.empty((chunk,) + (D,) * (m - 1), dtype=np.result_type(*operands))
-    direct = 0.0 + 0.0j
-    telescoped = 0.0 + 0.0j
+    direct = telescoped = 0.0 + 0.0j
     h = np.zeros(D ** (m - 1), dtype=complex)
     for lo in range(0, D, chunk):
         sel = slice(lo, lo + chunk)
@@ -527,16 +528,20 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
             delta = np.add.outer(delta, c * e)
         close = delta < near
         close &= delta > -near
-        amp, d = g[close], delta[close]
-        small = np.abs(d) < 1e-14  # summed apart, weight 1
-        direct += complex(amp[small].sum() + np.sum(amp[~small] * window_kernel(d[~small], t_max)))
+        direct += complex(np.sum(g[close] * window_kernel(delta[close], t_max)))
         if rows is None:
             continue
         delta[close] = np.inf
         g /= delta
-        r = _contract_rows(rows[0][:, sel], g.reshape(len(g), -1))
-        telescoped += r[0].sum()
-        h += r[1]
+        del delta, close  # freed before the product of h's size
+        g = g.reshape(len(g), -1)
+        telescoped += rows[0][0, sel] @ g.sum(axis=1)
+        u = rows[0][1, sel]
+        if np.iscomplexobj(g):
+            h += u @ g
+        else:
+            h.real += u.real @ g
+            h.imag += u.imag @ g
     if rows is None:
         return direct
     for s in range(1, m):
@@ -590,14 +595,6 @@ def window_kernel(d: np.ndarray, t_max: float) -> np.ndarray:
     return np.where(one, 1.0, np.where(far, 0.0, np.sin(x) / x + 2j * np.sin(x / 2) ** 2 / x))
 
 
-def _contract_rows(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """rows @ h for complex rows, without a complex copy of a real h."""
-    if np.iscomplexobj(h):
-        return rows @ h
-    out = np.concatenate([rows.real, rows.imag]) @ h
-    return out[: len(rows)] + 1j * out[len(rows) :]
-
-
 # ---------------------------------------------------------------------------
 # public time-average interface
 # ---------------------------------------------------------------------------
@@ -632,28 +629,20 @@ def time_average(model: SpectralModel, state: ThermalState, word: Sequence[tuple
     return _chain_time_average(chains_from_word(model, state, word), model.energies, window)
 
 
-def averaged_expectation(model: SpectralModel, state: ThermalState, letters: Sequence[tuple], window: TimeWindow) -> Expectation:
-    """Functional whose word moments are individually time-averaged.
-
-    `letters` is the full word as (observable, timed) pairs, and the
-    functional's words are tuples of positions into it.
-    `averaged_free_cumulant` labels each letter with the position of the
-    first equal letter (`_value_labels`), so equal sub-words share one entry.
-    """
-    return Expectation(lambda positions: time_average(model, state, [letters[p] for p in positions], window))
-
-
 def averaged_free_cumulant(
     model: SpectralModel, state: ThermalState, word: Sequence[tuple], window: TimeWindow
 ) -> complex:
     """Free cumulant of individually time-averaged word moments.
 
     The average sits inside each moment (ensemble-inclusive expectation);
-    Moebius inversion happens after averaging.
+    Moebius inversion happens after averaging.  The functional's words are
+    tuples of positions into `word`, each letter labelled with the position
+    of the first equal letter (`_value_labels`), so equal sub-words share one
+    cache entry.
     """
     if not word:
         raise ValueError("averaged_free_cumulant needs a nonempty word (got the empty word)")
-    phi = averaged_expectation(model, state, word, window)
+    phi = Expectation(lambda positions: time_average(model, state, [word[p] for p in positions], window))
     return complex(free_cumulant(phi, _value_labels(word)))
 
 

@@ -516,11 +516,14 @@ def test_operator_dimension_must_match_dim(tmp_path):
         (["channel", "--mode", "exact", "--k", "2", "--dim", "3", "--a-ops", str(tmp_path / "a2.json")], "--a-ops"),
         (["otoc", "--k", "2", "--dim", "3", "--a-ops", str(tmp_path / "a3.json"),
           "--b-ops", str(tmp_path / "a2.json")], "--b-ops"),
+        (["haar-test", "--dim", "3", "--n-samples", "2", "--a", str(tmp_path / "a2.json")], "--a:"),
+        (["haar-test", "--dim", "3", "--n-samples", "2", "--a", str(tmp_path / "a3.json"),
+          "--b", str(tmp_path / "a2.json")], "--b:"),
     ]
     for argv, flag in cases:
         code, err = run_process(*argv)
         assert_validation_exit(code, err)
-        assert flag in err and "--dim" in err
+        assert flag in err and "--dim" in err and "a2.json is 2x2" in err
 
 
 def test_boundary_errors_name_the_flag(tmp_path):
@@ -551,6 +554,11 @@ def test_boundary_errors_name_the_flag(tmp_path):
         (["otoc", "--k", "2", "--dim", "0", "--a-moments", "1,2", "--b-moments", "1,2"], "--dim must be positive"),
         (["otoc", "--k", "2", "--dim", "-1", "--a-moments", "1,2", "--b-moments", "1,2"], "--dim must be positive"),
         (["otoc", "--k", "0", "--a-moments", "1,2", "--b-moments", "1,2"], "--k must be positive"),
+        (["cumulants", "--moments", "1,x"], "--moments: entry 'x'"),
+        (["cumulants", "--moments", "1,nan"], "--moments: entry 'nan'"),
+        (["cumulants", "--moments", "1,inf,2"], "--moments: entry 'inf'"),
+        (["channel", "--k", "2", "--dim", "2", "--a-moments", "0,-inf"], "--a-moments: entry '-inf'"),
+        (["otoc", "--k", "2", "--a-moments", "0,1", "--b-moments", "0,1/0"], "--b-moments: entry '1/0'"),
         (["cumulants", "--moments", "1,2", "--max-order", "-1"], "--max-order must be positive"),
         (["cumulants", "--moments", "1,2", "--max-order", "0"], "--max-order must be positive"),
         (["wg", "--k", "8", "--dim", "8"], "--k must be at most 6"),
@@ -575,6 +583,16 @@ def test_boundary_errors_name_the_flag(tmp_path):
         code, err = run_process(*argv)
         assert_validation_exit(code, err)
         assert message in err
+
+
+def test_exact_moments_past_the_float_range_exit_1():
+    """An exact moment no float can hold stays exact in a `channel` document,
+    and where a document needs its float value the run exits 1 in one line."""
+    code, err = run_process("cumulants", "--moments", "1,1e999")
+    assert_validation_exit(code, err)
+    assert "too large" in err
+    code, err = run_process("channel", "--k", "1", "--dim", "2", "--moments", "1e999")
+    assert (code, err) == (0, "")
 
 
 def test_finite_window_byte_budget_refuses_in_one_line(monkeypatch, capsys):

@@ -153,6 +153,16 @@ def test_ensemble_expectation_rejects_no_samples():
             k_freeness_test(HaarEnsemble(2), ops["A"], ops["B"], 1, n_samples=n)
 
 
+def test_ensemble_expectation_refuses_operators_of_another_dimension():
+    spec = DiscreteEnsemble([np.eye(2), np.diag([1.0, -1.0])])
+    for ensemble in (HaarEnsemble(8), spec):
+        for ops in ({"A": np.eye(4), "B": np.eye(ensemble.dim)}, {"A": np.eye(ensemble.dim), "B": np.ones(ensemble.dim)}):
+            with pytest.raises(ValueError, match=f"ensemble's dimension is {ensemble.dim}"):
+                EnsembleExpectation(ensemble, ops, {"A"}, n_samples=4)
+            with pytest.raises(ValueError, match=f"ensemble's dimension is {ensemble.dim}"):
+                k_freeness_test(ensemble, ops["A"], ops["B"], 1, n_samples=4)
+
+
 def test_ensemble_expectation_counts_members_without_drawing_them(monkeypatch):
     draws = []
     spawn = ensembles.spawn_rngs
@@ -435,7 +445,7 @@ def _openblas_control():
     return control
 
 
-def test_evaluate_words_restores_blas_threads():
+def test_evaluate_words_restores_blas_threads(monkeypatch):
     get, set_ = _openblas_control()
     original = get()
     try:
@@ -443,10 +453,13 @@ def test_evaluate_words_restores_blas_threads():
         before = get()  # 2 unless OpenBLAS caps the count on this machine
         _pool_expectation(HaarEnsemble(16))
         assert get() == before
-        # a sample that raises: the operators do not match the ensemble's dimension
-        ops = {"A": np.eye(4), "B": np.eye(4)}
-        bad = EnsembleExpectation(HaarEnsemble(8), ops, {"A"}, n_samples=10, seed=1)
-        with pytest.raises(ValueError):
+        # a sample that raises: the Haar draw fails
+        def failing_draw(D, rng):
+            raise ValueError("draw failed")
+
+        monkeypatch.setattr(ensembles, "sample_haar", failing_draw)
+        bad = EnsembleExpectation(HaarEnsemble(8), {"A": np.eye(8), "B": np.eye(8)}, {"A"}, n_samples=10, seed=1)
+        with pytest.raises(ValueError, match="draw failed"):
             bad.evaluate_words([("A", "B")])
         assert get() == before
     finally:

@@ -590,15 +590,9 @@ def test_windowed_average_matches_accurate_kernel_oracle(window_models, name, ch
         assert abs(gap - (want_joint - want_product)) <= tol * scale, (t_max, gap)
 
 
-@pytest.mark.parametrize("chunk_elems", [1, None], ids=["chunk1", "default"])
-@pytest.mark.parametrize("name", ["real", "complex"])
-def test_window_bytes_bound_what_a_window_holds(monkeypatch, name, chunk_elems):
-    """`window_bytes`, the count the window budget is checked against, bounds
-    the tracemalloc peak of a 4-slot windowed average, one first-slot index
-    per chunk and in the default chunks, and is within a factor 4 of it."""
-    if chunk_elems is not None:
-        monkeypatch.setattr(eth, "_WINDOW_CHUNK_ELEMS", chunk_elems)
-    D = 24
+def _window_peak(name: str, D: int) -> int:
+    """tracemalloc peak of a 4-slot windowed average at T = 3 on a seeded
+    real (GOE) or complex model of dimension D."""
     rng = np.random.default_rng(8)
     if name == "real":
         model = goe_model(D, seed=8)
@@ -614,10 +608,33 @@ def test_window_bytes_bound_what_a_window_holds(monkeypatch, name, chunk_elems):
     tracemalloc.start()
     try:
         eth._windowed_chain_sum(chains, model.energies, 3.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("chunk_elems", [1, None], ids=["chunk1", "default"])
+@pytest.mark.parametrize("name", ["real", "complex"])
+def test_window_bytes_bound_what_a_window_holds(monkeypatch, name, chunk_elems):
+    """`window_bytes`, the count the window budget is checked against, bounds
+    the tracemalloc peak of a 4-slot windowed average, one first-slot index
+    per chunk and in the default chunks, and is within a factor 4 of it."""
+    if chunk_elems is not None:
+        monkeypatch.setattr(eth, "_WINDOW_CHUNK_ELEMS", chunk_elems)
+    D = 24
+    peak = _window_peak(name, D)
     assert eth.window_bytes(D, 4) / 4 <= peak <= eth.window_bytes(D, 4)
+
+
+@pytest.mark.parametrize("name, bytes_per_entry", [("real", 48), ("complex", 64)])
+def test_window_holds_h_once(monkeypatch, name, bytes_per_entry):
+    """One first-slot index per chunk, a window holds h (16 bytes per entry)
+    and a few arrays of h's size beside it: at most 48 bytes per entry of h
+    for a real model and 64 for a complex one.  A window that copied h into
+    complex row products per chunk held 130 and 105."""
+    monkeypatch.setattr(eth, "_WINDOW_CHUNK_ELEMS", 1)
+    D = 60
+    assert _window_peak(name, D) <= bytes_per_entry * D**3
 
 
 AMPLITUDE_WORDS = (

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from kfree.eth import alternating_word, bimodal_observable, goe_model, ising_model, thermal_free_cumulant, thermal_state
+from kfree.eth import bimodal_observable, goe_model, ising_model, thermal_cumulant_scan, thermal_state
 
 
 def main(argv=None) -> int:
@@ -47,8 +47,7 @@ def main(argv=None) -> int:
     t_max = args.t_max if args.t_max is not None else 60.0 / model.spectral_width()
     times = np.linspace(0.0, t_max, args.n_points)
     lines = ["t,real,imag,std_error"]
-    for t in times:
-        v = thermal_free_cumulant(model, state, alternating_word(A, B, args.k, float(t)))
+    for t, v in zip(times, thermal_cumulant_scan(model, state, A, B, args.k, times)):
         lines.append(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r},0.0")
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -475,12 +476,11 @@ def _cmd_eth(args) -> None:
         WINDOW_BYTES_CAP,
         DeutschSpec,
         TimeWindow,
-        alternating_word,
         deutsch_ensemble,
         factorization_gap,
         free_k_time,
         goe_matrix,
-        thermal_free_cumulant,
+        thermal_cumulant_scan,
         thermal_state,
         time_average,
         window_bytes,
@@ -509,10 +509,8 @@ def _cmd_eth(args) -> None:
     if action == "cumulant":
         a, b = _eth_obs_pair(args, model)
         times = np.linspace(0.0, args.t_max, args.n_points)
-        rows_data = []
-        for t in times:
-            v = thermal_free_cumulant(model, state, alternating_word(a, b, args.k, float(t)))
-            rows_data.append([float(t), v.real, v.imag, 0.0])
+        values = thermal_cumulant_scan(model, state, a, b, args.k, times).tolist()
+        rows_data = [[float(t), v.real, v.imag, 0.0] for t, v in zip(times, values)]
         rows = (["t", "real", "imag", "std_error"], rows_data)
         _emit(args, "eth cumulant", {"k": args.k, "beta": args.beta, "scan": rows_data}, rows=rows)
     elif action == "timeavg":
@@ -728,6 +726,10 @@ def _load_config(path: str) -> dict:
     return values
 
 
+_NUMBER = r"(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?(?:/\d+)?|inf|nan)"  # a number or a fraction
+_NEGATIVE_VALUE = re.compile(rf"-{_NUMBER}(?:,[+-]?{_NUMBER})*", re.IGNORECASE)
+
+
 def dispatch(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--config" in argv:
@@ -747,6 +749,10 @@ def dispatch(argv=None) -> int:
                     argv.append(opt)
             else:
                 argv.extend([opt, str(val)])
+    # argparse takes a value such as -1e-3 or -1,2 for a flag of its own: glue it to its flag
+    for i in range(len(argv) - 1, 0, -1):
+        if re.fullmatch(r"--[\w-]+", argv[i - 1]) and _NEGATIVE_VALUE.fullmatch(argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

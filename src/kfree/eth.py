@@ -25,13 +25,16 @@ telescoped over the slots; the few near resonance take `window_kernel`.
 `_chain_time_average` is the one place that chooses between the infinite
 window and a finite one.
 
-Distinct-index sums and strict infinite-time averages are restricted sums:
-they keep the slot assignments whose every coincidence block B passes a
-test (B is one slot; B's phase coefficients sum to 0).  One block-product
-rule, `_restricted_chain_sum`, gives both as sum_Q c_Q S_Q with c_Q the
-product over B in Q of the classical cumulant of the 0/1 "B is kept"
-indicator, because [0, Q] in the set-partition lattice is the product of
-the lattices of Q's blocks (Nica-Speicher, Lecture 10; Stanley, EC1 3.10).
+A strict infinite-time average keeps the slot assignments whose every
+coincidence block B (maximal set of slots sharing an eigenstate) has phase
+coefficients summing to 0, the only ones whose phase cancels on a generic
+spectrum.  It is sum_Q c_Q S_Q with c_Q the product over B in Q of the
+classical cumulant of the 0/1 "B is kept" indicator (`_restricted_coeffs`),
+because [0, Q] in the set-partition lattice is the product of the lattices
+of Q's blocks (Nica-Speicher, Lecture 10; Stanley, EC1 3.10).
+A distinct-index sum (every block one slot, c_Q = mu(0, Q)) reads no
+diagonal entry, so `distinct_index_cumulant` zeroes the diagonals and sums
+only over the patterns Q with no block holding two adjacent slots.
 Reference sums that the tests compare against live in the tests, not here.
 
 Dtype rule: a matrix stays real unless it is complex-valued.  `build_model`
@@ -48,19 +51,21 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import factorial, prod
 from typing import Sequence
 
 import numpy as np
 
-from .moments import Expectation, _word_trace, classical_cumulant, free_cumulant, mixed_moment_free, parts_product
-from .partitions import Partition, iter_set_partitions
+from .moments import Expectation, _word_trace, classical_cumulant, free_cumulant, parts_product, sub_words
+from .partitions import Partition, iter_set_partitions, nc_moebius_table
 
 DEFAULT_DIM_CAP = 4096
 RESONANCE_EPS_FACTOR = 1e-10
 RESONANCE_SAMPLES = 20_000  # index quadruples resonance_report draws
 WINDOW_BYTES_CAP = 2**31  # bytes a windowed average may hold, as `window_bytes` counts them
 _WINDOW_CHUNK_ELEMS = 2_000_000  # amplitude-tensor entries per chunk of a windowed average
+_SCAN_CHUNK_ELEMS = 4096  # (time, eigenstate) entries per chunk of `thermal_cumulant_scan`
 GOE_OBSERVABLES = ("A", "B")  # the observables goe_model draws
 ISING_OBSERVABLES = ("sz_mid", "sx_mid")  # the observables of ising_model
 ISING_J, ISING_HX, ISING_HZ = 1.0, -1.05, 0.5  # zz coupling, transverse and longitudinal fields of ising_model
@@ -323,6 +328,49 @@ def thermal_free_cumulant(model: SpectralModel, state: ThermalState, word: Seque
     return complex(free_cumulant(phi, labels))
 
 
+def thermal_cumulant_scan(model: SpectralModel, state: ThermalState, A, B, k: int, times: Sequence[float]) -> np.ndarray:
+    """`thermal_free_cumulant` of `alternating_word(A, B, k, t)` at each t of
+    `times`.  rho commutes with H, so an NC(2k) block sub-word of A(t) letters
+    only, or of B only, is traced once; one whose A(t) letters form one
+    cyclic run is sum_ij u_i P_ij conj(u_j), u = e^{iEt}, with P formed once
+    (`_run_kernel`), one (times x D)(D x D) product per chunk of the grid;
+    the rest are traced at each t.  Where the letters collapse (A is B at
+    t = 0) the value is `thermal_free_cumulant`'s own."""
+    a, b, w = model.observable(A), model.observable(B), state.weights
+    word = (0, 1) * k  # label 0 is A(t), 1 is B
+    subs = dict.fromkeys(s for q, _ in nc_moebius_table(2 * k) for s in sub_words(word, q.blocks))
+    runs = {s: sum(x < y for x, y in zip(s, s[1:] + s[:1])) for s in subs}  # cyclic runs of A(t) letters
+    static = Expectation(_word_trace({0: a, 1: b}, w))
+    kernels = {s: _run_kernel(s, a, b, w) for s, n in runs.items() if n == 1}
+    timed = [s for s, n in runs.items() if n > 1]
+    b_t = b.astype(complex)
+    collapsed = _value_labels(((A, 0.0), (B, 0.0))) == (0, 0)
+    out = np.empty(len(times), dtype=complex)
+    step = max(1, _SCAN_CHUNK_ELEMS // model.dim)
+    for lo in range(0, len(times), step):
+        chunk = np.asarray(times[lo : lo + step], dtype=float)
+        u = np.exp(1j * np.multiply.outer(chunk, model.energies))
+        values = {s: np.einsum("ti,ti->t", u @ p, u.conj()) for s, p in kernels.items()}
+        traces = (_word_trace({0: np.outer(uj, uj.conj()) * a, 1: b_t}, w) for uj in u)
+        values.update(zip(timed, np.array([[trace(s) for s in timed] for trace in traces]).T))
+        out[lo : lo + step] = free_cumulant(Expectation(lambda s: values[s] if s in values else static(s)), word)
+        if collapsed:
+            out[lo : lo + step][chunk == 0.0] = thermal_free_cumulant(model, state, alternating_word(A, B, k, 0.0))
+    return out
+
+
+def _run_kernel(sub: tuple[int, ...], a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """P with sum_i w_i (sub-word at t)_ii = sum_ij u_i P_ij conj(u_j) for a
+    sub-word whose A(t) letters (label 0) form one cyclic run: rho, diagonal
+    like the phases, joins the first letter, and the word turned to start at
+    the run is cut into run and rest, P = run * rest^T."""
+    mats = [(a, b)[x] for x in sub]
+    mats[0] = w[:, None] * mats[0]
+    start = next(i for i, x in enumerate(sub) if x < sub[i - 1])
+    mats = mats[start:] + mats[:start]
+    return reduce(np.matmul, mats[: sub.count(0)]) * reduce(np.matmul, mats[sub.count(0) :]).T
+
+
 def _thermal_letters(model: SpectralModel, word: Sequence[tuple]) -> tuple[dict[int, np.ndarray], tuple[int, ...]]:
     """The word's value labels and one Heisenberg matrix per distinct label."""
     labels = _value_labels(word)
@@ -417,42 +465,19 @@ def _slot_partitions(m: int) -> tuple[Partition, ...]:
     return tuple(iter_set_partitions(m))
 
 
-def _restricted_chain_sum(chains: SlotChains, keep) -> complex:
-    """Sum over the slot assignments whose every coincidence block (maximal
-    set of slots sharing an eigenstate) passes `keep(block coefficients)`:
-    sum_Q c_Q S_Q with c_Q = sum_{P <= Q} keep(P) mu(P, Q), which factors
-    over the blocks of Q (module docstring)."""
-    total = 0.0 + 0.0j
-    for q, c in _restricted_coeffs(chains.slot_coeffs, keep):
-        total += c * merged_chain_sum(chains, q)
-    return total
-
-
 @lru_cache(maxsize=None)
-def _restricted_coeffs(slot_coeffs: tuple[int, ...], keep) -> tuple[tuple[Partition, int], ...]:
-    """The non-zero (Q, c_Q) of `_restricted_chain_sum`, in `_slot_partitions` order."""
-    def kept(block: tuple[int, ...]) -> int:
-        return _kept_cumulant(keep, tuple(sorted(block)))
-
-    coeffs = ((q, parts_product(kept, slot_coeffs, q.blocks)) for q in _slot_partitions(len(slot_coeffs)))
+def _restricted_coeffs(slot_coeffs: tuple[int, ...]) -> tuple[tuple[Partition, int], ...]:
+    """The non-zero (Q, c_Q), in `_slot_partitions` order, of a strict
+    infinite-time average sum_Q c_Q S_Q (module docstring)."""
+    coeffs = ((q, parts_product(_kept_cumulant, slot_coeffs, q.blocks)) for q in _slot_partitions(len(slot_coeffs)))
     return tuple((q, c) for q, c in coeffs if c != 0)
 
 
 @lru_cache(maxsize=None)
-def _kept_cumulant(keep, coeffs: tuple[int, ...]) -> int:
-    """Classical cumulant of the indicator "this block is kept" over the
-    slot coefficients of one block."""
-    return classical_cumulant(lambda block: int(keep(block)), coeffs)
-
-
-def _zero_phase(coeffs: tuple[int, ...]) -> bool:
-    """Strict average: a block survives iff its phase cancels (generic spectra)."""
-    return sum(coeffs) == 0
-
-
-def _single_slot(coeffs: tuple[int, ...]) -> bool:
-    """Distinct indices: every block is one slot, so c_Q = mu(0, Q)."""
-    return len(coeffs) == 1
+def _kept_cumulant(coeffs: tuple[int, ...]) -> int:
+    """Classical cumulant of the indicator "this block's phase cancels" over
+    the slot coefficients of one block."""
+    return classical_cumulant(lambda block: int(sum(block) == 0), coeffs)
 
 
 def window_bytes(D: int, m: int) -> int:
@@ -618,7 +643,7 @@ def _chain_time_average(chains: SlotChains, energies: np.ndarray, window: TimeWi
     assignments whose every coincidence block has zero total phase."""
     if window.mode == "finite":
         return _windowed_chain_sum(chains, energies, window.t_max)
-    return _restricted_chain_sum(chains, _zero_phase)
+    return sum((c * merged_chain_sum(chains, q) for q, c in _restricted_coeffs(chains.slot_coeffs)), 0j)
 
 
 def time_average(model: SpectralModel, state: ThermalState, word: Sequence[tuple], window: TimeWindow) -> complex:
@@ -656,36 +681,35 @@ def distinct_index_cumulant(model: SpectralModel, state: ThermalState, A, B, k: 
 
     Sum over pairwise distinct eigenstate indices of
     w_{i0} A(t)_{i0 i1} B_{i1 i2} A(t)_{i2 i3} B_{i3 i0} ... around the
-    2k-cycle: a restricted sum whose every coincidence block is one slot.
+    2k-cycle, as sum_Q mu(0, Q) S_Q.  It reads no diagonal entry, since
+    adjacent slots differ, so every letter's diagonal is set to 0 and only the
+    Q whose S_Q can then be non-zero are contracted (`_distinct_patterns`).
     """
     if k < 1:
         raise ValueError(f"distinct_index_cumulant needs k >= 1 (got k={k})")
-    mats = []
-    for _ in range(k):
-        mats.append(heisenberg(model, A, t))
-        mats.append(model.observable(B))
-    chains = SlotChains(cycles=[mats], weights=[state.weights], slot_coeffs=(0,) * (2 * k))
-    return _restricted_chain_sum(chains, _single_slot)
+    letters = [heisenberg(model, A, t).copy(), model.observable(B).copy()]
+    for m in letters:
+        np.fill_diagonal(m, 0)
+    chains = SlotChains(cycles=[letters * k], weights=[state.weights], slot_coeffs=(0,) * (2 * k))
+    return sum((mu * merged_chain_sum(chains, q) for q, mu in _distinct_patterns(2 * k)), 0j)
+
+
+@lru_cache(maxsize=None)
+def _distinct_patterns(m: int) -> tuple[tuple[Partition, int], ...]:
+    """(Q, mu(0, Q)) for each set partition Q of the m-cycle in which no block
+    holds a slot and its cyclic successor, in `_slot_partitions` order, with
+    mu(0, Q) = prod_B (-1)^(|B|-1) (|B|-1)!: 1, 4, 41 and 715 patterns at
+    m = 2, 4, 6 and 8, against Bell(m) = 2, 15, 203 and 4,140."""
+    return tuple(
+        (q, prod((-1) ** (len(b) - 1) * factorial(len(b) - 1) for b in q.blocks))
+        for q in _slot_partitions(m)
+        if not any(s % m + 1 in b for b in q.blocks for s in b)
+    )
 
 
 # ---------------------------------------------------------------------------
-# long-time factorization, free-k times, window factorization
+# free-k times, window factorization
 # ---------------------------------------------------------------------------
-
-
-def otoc_long_time_factorization(model: SpectralModel, state: ThermalState, A, B, k: int) -> tuple[complex, complex, float]:
-    """Strict-infinite averaged 2k-OTOC against its cumulant factorization.
-
-    lhs = E_inf <A(t) B ... A(t) B>;  rhs = sum over NC(k) of the thermal
-    cumulant products of A times the B moments grouped by the dual
-    partition.  Returns (lhs, rhs, |lhs - rhs|).
-    """
-    word = tuple(x for _ in range(k) for x in ((A, True), (B, False)))
-    lhs = time_average(model, state, word, TimeWindow("infinite"))
-    letters = {"a": model.observable(A), "b": model.observable(B)}
-    phi = Expectation(_word_trace(letters, state.weights))
-    rhs = mixed_moment_free(phi, phi, ("a",) * k, ("b",) * k)
-    return complex(lhs), complex(rhs), abs(complex(lhs) - complex(rhs))
 
 
 @dataclass
@@ -712,26 +736,11 @@ def free_k_time(
         width = max(model.spectral_width(), 1e-12)
         t_grid = np.linspace(0.0, 40.0 / width, 81)
     times = np.asarray(list(t_grid), dtype=float)
-    mags = np.array(
-        [abs(thermal_free_cumulant(model, state, alternating_word(A, B, k, t))) for t in times]
-    )
-    baseline = mags[0]
-    cutoff = threshold * baseline
-    below = mags <= cutoff
-    for i in range(len(times)):
-        if below[i:].all():
-            return FreeTimeResult(True, float(times[i]), threshold, times, mags)
-    return FreeTimeResult(False, None, threshold, times, mags)
-
-
-def appendix_b_crossing_term(model: SpectralModel, state: ThermalState, A, B) -> complex:
-    """The off-diagonal pairing that separates the joint average from the
-    product of averages: sum_{i != j} w_i w_j A_{ji} B_{ij} A_{ij} B_{ji}."""
-    a, b = model.observable(A), model.observable(B)
-    w = state.weights
-    full = np.einsum("i,j,ji,ij,ij,ji->", w, w, a, b, a, b, optimize=True)
-    diag = np.sum(w**2 * np.diagonal(a) ** 2 * np.diagonal(b) ** 2)
-    return complex(full - diag)
+    mags = np.abs(thermal_cumulant_scan(model, state, A, B, k, times))
+    above = np.flatnonzero(~(mags <= threshold * mags[0]))
+    i = above[-1] + 1 if len(above) else 0  # every magnitude from times[i] on is below
+    reached = bool(i < len(times))
+    return FreeTimeResult(reached, float(times[i]) if reached else None, threshold, times, mags)
 
 
 def factorization_gap(model: SpectralModel, state: ThermalState, A, B, window: TimeWindow) -> tuple[complex, complex, complex]:
@@ -747,22 +756,6 @@ def factorization_gap(model: SpectralModel, state: ThermalState, A, B, window: T
     mean = time_average(model, state, single, window)
     product = mean * mean
     return complex(joint), complex(product), complex(joint - product)
-
-
-def phase_average_delta_structure(model: SpectralModel) -> float:
-    """Exhaustively compare the strict phase average of
-    e^{-it[(E_i - E_ibar) + (E_j - E_jbar)]} with the resonance pattern
-    d_{i,ibar} d_{j,jbar} + (d_{i,jbar} d_{j,ibar} - triple coincidence).
-    Returns the largest mismatch over all index quadruples (small D only)."""
-    D = model.dim
-    if D > 24:
-        raise ValueError("exhaustive delta-structure check is for small D")
-    eps = RESONANCE_EPS_FACTOR * model.spectral_width()
-    gap = np.subtract.outer(model.energies, model.energies)  # E_i - E_ibar
-    strict = np.abs(np.add.outer(gap, gap)) < eps  # axes i, ibar, j, jbar
-    d = np.eye(D)
-    formula = np.einsum("ab,cd->abcd", d, d) + np.einsum("ad,cb->abcd", d, d) - np.einsum("ab,ac,ad->abcd", d, d, d)
-    return float(np.max(np.abs(strict - formula)))
 
 
 # ---------------------------------------------------------------------------

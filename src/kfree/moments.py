@@ -192,7 +192,7 @@ def parts_product(
     to right: kappa_pi over the blocks of pi, D^#beta prod phi over the cycles of beta."""
     out = start
     for part in parts:
-        out *= f(tuple(word[i - 1] for i in part))
+        out *= f(tuple([word[i - 1] for i in part]))
     return out
 
 

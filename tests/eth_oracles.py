@@ -5,6 +5,11 @@ amplitude/frequency tensor, so it is exact but only usable at small D.
 None of them goes through `kfree.eth`'s einsum builder: they take the
 matrices of a chain and write their own loops and contractions.
 
+`distinct_index_bell` is the distinct-index sum over all Bell(2k) merge
+patterns with the letters' diagonals kept, where `kfree.eth` zeroes the
+diagonals and contracts only the patterns whose blocks hold no two
+cyclically adjacent slots.
+
 The lattice oracles do the inclusion-exclusion over the set-partition
 lattice pair by pair, with the general Moebius function mu(sigma, pi), where
 `kfree.eth` uses the block-product rule: `coincidence_pattern_sum` for any
@@ -17,6 +22,12 @@ with broadcast multiplies.
 
 `thermal_word_moment` is the plain weighted trace of one word, the moment
 that `kfree.eth.thermal_free_cumulant` inverts.
+
+`otoc_long_time_factorization`, `appendix_b_crossing_term` and
+`phase_average_delta_structure` check the paper's long-time claims: the
+strict-averaged 2k-OTOC against its free-cumulant factorization, the
+Appendix B crossing term that `kfree.eth.factorization_gap` must equal, and
+the delta structure of strict phase averages, by exhaustive comparison.
 
 `ising_kronecker` assembles the mixed-field Ising chain from dense
 Kronecker products of single-site Paulis, where `kfree.eth.ising_model`
@@ -32,6 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from kfree.eth import (
+    RESONANCE_EPS_FACTOR,
     SlotChains,
     SpectralModel,
     ThermalState,
@@ -42,7 +54,7 @@ from kfree.eth import (
     merged_chain_sum,
     time_average,
 )
-from kfree.moments import Expectation, _word_trace, free_cumulant
+from kfree.moments import Expectation, _word_trace, free_cumulant, mixed_moment_free
 from kfree.partitions import Partition, iter_set_partitions, leq
 
 BRUTE_FORCE_DIM_CAP = 60
@@ -172,6 +184,19 @@ def distinct_index_brute(model: SpectralModel, state: ThermalState, A, B, k: int
     return _distinct_brute_generic(chains, model.dim)
 
 
+def distinct_index_bell(model: SpectralModel, state: ThermalState, A, B, k: int = 2, t: float = 0.0) -> complex:
+    """The distinct-index sum of `kfree.eth.distinct_index_cumulant` over every
+    set partition Q of the 2k slots, diagonals kept: sum_Q mu(0, Q) S_Q with
+    the lattice Moebius function, Bell(2k) merged sums in all."""
+    chains = SlotChains(cycles=[[heisenberg(model, A, t), model.observable(B)] * k], weights=[state.weights],
+                        slot_coeffs=(0,) * (2 * k))
+    zero = Partition.singletons(2 * k)
+    total = 0.0 + 0.0j
+    for q in iter_set_partitions(2 * k):
+        total += partition_lattice_moebius(zero, q) * merged_chain_sum(chains, q)
+    return complex(total)
+
+
 def _distinct_brute_k2(chains: SlotChains, D: int) -> complex:
     if D > BRUTE_FORCE_DIM_CAP:
         raise ValueError(f"brute force capped at D <= {BRUTE_FORCE_DIM_CAP}")
@@ -289,6 +314,47 @@ def thermal_word_moment(model: SpectralModel, state: ThermalState, word: Sequenc
         return 1.0
     letters, labels = _thermal_letters(model, word)
     return _word_trace(letters, state.weights)(labels)
+
+
+def otoc_long_time_factorization(model: SpectralModel, state: ThermalState, A, B, k: int) -> tuple[complex, complex, float]:
+    """Strict-infinite averaged 2k-OTOC against its cumulant factorization.
+
+    lhs = E_inf <A(t) B ... A(t) B>;  rhs = sum over NC(k) of the thermal
+    cumulant products of A times the B moments grouped by the dual
+    partition.  Returns (lhs, rhs, |lhs - rhs|).
+    """
+    word = tuple(x for _ in range(k) for x in ((A, True), (B, False)))
+    lhs = time_average(model, state, word, TimeWindow("infinite"))
+    letters = {"a": model.observable(A), "b": model.observable(B)}
+    phi = Expectation(_word_trace(letters, state.weights))
+    rhs = mixed_moment_free(phi, phi, ("a",) * k, ("b",) * k)
+    return complex(lhs), complex(rhs), abs(complex(lhs) - complex(rhs))
+
+
+def appendix_b_crossing_term(model: SpectralModel, state: ThermalState, A, B) -> complex:
+    """The off-diagonal pairing that separates the joint average from the
+    product of averages: sum_{i != j} w_i w_j A_{ji} B_{ij} A_{ij} B_{ji}."""
+    a, b = model.observable(A), model.observable(B)
+    w = state.weights
+    full = np.einsum("i,j,ji,ij,ij,ji->", w, w, a, b, a, b, optimize=True)
+    diag = np.sum(w**2 * np.diagonal(a) ** 2 * np.diagonal(b) ** 2)
+    return complex(full - diag)
+
+
+def phase_average_delta_structure(model: SpectralModel) -> float:
+    """Exhaustively compare the strict phase average of
+    e^{-it[(E_i - E_ibar) + (E_j - E_jbar)]} with the resonance pattern
+    d_{i,ibar} d_{j,jbar} + (d_{i,jbar} d_{j,ibar} - triple coincidence).
+    Returns the largest mismatch over all index quadruples (small D only)."""
+    D = model.dim
+    if D > 24:
+        raise ValueError("exhaustive delta-structure check is for small D")
+    eps = RESONANCE_EPS_FACTOR * model.spectral_width()
+    gap = np.subtract.outer(model.energies, model.energies)  # E_i - E_ibar
+    strict = np.abs(np.add.outer(gap, gap)) < eps  # axes i, ibar, j, jbar
+    d = np.eye(D)
+    formula = np.einsum("ab,cd->abcd", d, d) + np.einsum("ad,cb->abcd", d, d) - np.einsum("ab,ac,ad->abcd", d, d, d)
+    return float(np.max(np.abs(strict - formula)))
 
 
 def _pauli_site(op: np.ndarray, site: int, L: int) -> np.ndarray:

@@ -38,14 +38,12 @@ from kfree.ensembles import (
 from kfree.eth import (
     TimeWindow,
     alternating_word,
-    appendix_b_crossing_term,
     averaged_free_cumulant,
     distinct_index_cumulant,
     factorization_gap,
     goe_matrix,
     goe_model,
     normalize_observable,
-    phase_average_delta_structure,
     thermal_free_cumulant,
     thermal_state,
 )
@@ -62,7 +60,7 @@ from kfree.partitions import (
 from kfree.permutations import Permutation, full_cycle, geodesic_set, identity, permutation_to_nc
 from kfree.weingarten import weingarten_table
 
-from eth_oracles import distinct_index_brute
+from eth_oracles import appendix_b_crossing_term, distinct_index_brute, phase_average_delta_structure
 from ratlinalg_oracles import exact_matmul
 
 

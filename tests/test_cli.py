@@ -578,11 +578,28 @@ def test_boundary_errors_name_the_flag(tmp_path):
         (["eth", "freetime", "--model", "goe", "--dim", "8", "--t-max", "1e308", "--n-points", "3"], "--t-max 1e+308"),
         (["eth", "deutsch", "--model", "goe", "--dim", "8", "--strength", "1e308"], "--strength 1e+308"),
         (["eth", "deutsch", "--model", "goe", "--dim", "8", "--lambdas", "1e308,1"], "--lambdas entry 1e+308"),
+        (["eth", "freetime", "--model", "goe", "--dim", "8", "--t-max", "-1e-3", "--n-points", "3"],
+         "--t-max must be > 0 (got -0.001)"),
+        (["cumulants", "--moments", "-1,nan"], "--moments: entry 'nan'"),
+        (["otoc", "--k", "2", "--a-moments", "-1,1/0", "--b-moments", "0,1"], "--a-moments: entry '1/0'"),
     ]
     for argv, message in cases:
         code, err = run_process(*argv)
         assert_validation_exit(code, err)
         assert message in err
+
+
+def test_negative_values_in_exponent_or_list_form_are_values(capsys):
+    # argparse alone takes -1e-3 or -1,2 after a flag for a flag of its own
+    cases = [
+        (["eth", "timeavg", "--model", "goe", "--dim", "8", "--k", "1"], "--beta", "-1e-3"),
+        (["cumulants"], "--moments", "-1,2"),
+        (["otoc", "--k", "2", "--b-moments", "0,1"], "--a-moments", "-1,2"),
+    ]
+    for head, flag, value in cases:
+        code, out, err = run(capsys, *head, flag, value)
+        assert (code, err) == (0, "")
+        assert run(capsys, *head, f"{flag}={value}") == (0, out, "")
 
 
 def test_exact_moments_past_the_float_range_exit_1():

@@ -12,7 +12,7 @@ import io
 import json
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kfree.cli import dispatch
@@ -89,6 +89,9 @@ def argvs(draw):
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
+@example(["eth", "timeavg", "--model", "goe", "--dim", "8", "--k", "1", "--beta", "-1e-3"])
+@example(["cumulants", "--moments", "-1,2"])
+@example(["otoc", "--k", "2", "--a-moments", "-1,2", "--b-moments", "0,1"])
 @given(argvs())
 def test_any_argv_exits_0_1_or_2_with_one_line_errors(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -1,6 +1,7 @@
 """Exact diagonalization: thermal cumulants, distinct-index sums, time
 averages, factorizations, free-k times, perturbed-basis ensembles."""
 
+import gc
 import itertools
 import math
 import tracemalloc
@@ -15,7 +16,6 @@ from kfree.eth import (
     SpectralModel,
     TimeWindow,
     alternating_word,
-    appendix_b_crossing_term,
     averaged_free_cumulant,
     bimodal_observable,
     build_model,
@@ -33,32 +33,34 @@ from kfree.eth import (
     level_spacing_ratio,
     merged_chain_sum,
     normalize_observable,
-    otoc_long_time_factorization,
-    phase_average_delta_structure,
     resonance_report,
+    thermal_cumulant_scan,
     thermal_free_cumulant,
     thermal_state,
     time_average,
     _chain_einsum,
     _hermitian_deviation,
+    _distinct_patterns,
     _restricted_coeffs,
-    _single_slot,
     _slot_amplitudes,
     _slot_coeffs,
-    _zero_phase,
 )
 from kfree.moments import Expectation, free_cumulant
 from kfree.partitions import Partition, iter_set_partitions
 
 from eth_oracles import (
     SpectralSum,
+    appendix_b_crossing_term,
     chain_amplitudes_einsum,
     coincidence_pattern_sum,
+    distinct_index_bell,
     distinct_index_brute,
     ising_kronecker,
     joint_spectral_sum,
     merged_chain_sum_loops,
+    otoc_long_time_factorization,
     partition_lattice_moebius,
+    phase_average_delta_structure,
     positional_averaged_free_cumulant,
     positional_thermal_free_cumulant,
     strict_average_coeffs,
@@ -422,6 +424,54 @@ def test_distinct_index_generic_brute_k3():
     assert abs(v1 - v2) < 1e-10
 
 
+def _complex_model(D, seed):
+    """A model whose Hamiltonian and observables have non-zero imaginary parts."""
+    rng = np.random.default_rng(seed)
+
+    def herm():
+        g = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        return (g + g.conj().T) / 2
+
+    return build_model(herm(), {"A": normalize_observable(herm()), "B": normalize_observable(herm())})
+
+
+def test_distinct_index_matches_the_bell_oracle():
+    # every Bell(2k) merge pattern with the diagonals kept, against the
+    # cycle-independent patterns with the diagonals zeroed
+    for model in (goe_model(12, seed=3), _complex_model(12, seed=4)):
+        state = thermal_state(model, 0.5)
+        for k in (1, 2, 3, 4):
+            for t in (0.0, 0.7):
+                want = distinct_index_bell(model, state, "A", "B", k=k, t=t)
+                got = distinct_index_cumulant(model, state, "A", "B", k=k, t=t)
+                assert abs(got - want) <= 1e-12 * abs(want), (k, t, got, want)
+
+
+def test_distinct_index_contracts_only_cycle_independent_patterns(monkeypatch):
+    model = goe_model(6, seed=1)
+    state = thermal_state(model, 0.5)
+    calls = []
+
+    def counted(chains, merge):
+        calls.append(merge)
+        return merged_chain_sum(chains, merge)
+
+    monkeypatch.setattr(eth, "merged_chain_sum", counted)
+    for k, count in zip((1, 2, 3, 4), (1, 4, 41, 715)):
+        calls.clear()
+        distinct_index_cumulant(model, state, "A", "B", k=k, t=0.3)
+        assert len(calls) == count
+
+
+def test_distinct_index_vanishes_below_2k_levels():
+    # fewer levels than slots: no assignment is injective
+    for D, k in ((3, 2), (5, 3), (7, 4)):
+        model = goe_model(D, seed=D)
+        state = thermal_state(model, 0.5)
+        for t in (0.0, 0.7):
+            assert abs(distinct_index_cumulant(model, state, "A", "B", k=k, t=t)) <= 1e-12
+
+
 def test_distinct_index_vanishes_for_diagonal_observable(small_model, small_state):
     Ad = np.diag(np.diagonal(small_model.observables["A"]))
     v = distinct_index_cumulant(small_model, small_state, Ad, Ad, k=2, t=0.0)
@@ -446,14 +496,116 @@ def test_strict_coefficients_match_pairwise_lattice_oracle():
     vectors += sorted({_slot_coeffs(timed) for timed in itertools.product((False, True), repeat=6)})
     assert len(vectors) == 363 + 63
     for coeffs in vectors:
-        assert _restricted_coeffs(coeffs, _zero_phase) == strict_average_coeffs(len(coeffs), coeffs)
+        assert _restricted_coeffs(coeffs) == strict_average_coeffs(len(coeffs), coeffs)
 
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_distinct_index_coefficients_are_moebius_from_bottom(m):
+    # the patterns kept are exactly those whose merged sum survives letters
+    # with zeroed diagonals (D = m levels colour any quotient of the m-cycle),
+    # each with the lattice Moebius function mu(0, Q)
+    rng = np.random.default_rng(m)
+    letters = [rng.standard_normal((m, m)) for _ in range(m)]
+    for x in letters:
+        np.fill_diagonal(x, 0)
+    chains = SlotChains([letters], [np.ones(m)], (0,) * m)
     zero = Partition.singletons(m)
-    expected = tuple((q, partition_lattice_moebius(zero, q)) for q in iter_set_partitions(m))
-    assert _restricted_coeffs((0,) * m, _single_slot) == expected
+    expected = tuple(
+        (q, partition_lattice_moebius(zero, q)) for q in iter_set_partitions(m) if merged_chain_sum(chains, q) != 0
+    )
+    assert _distinct_patterns(m) == expected
+    assert len(expected) == (0, 1, 1, 4, 11, 41, 162)[m - 1]
+
+
+def _complex_model(D, seed):
+    """A model whose Hamiltonian and observables have non-zero imaginary parts."""
+    rng = np.random.default_rng(seed)
+
+    def herm():
+        g = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        return (g + g.conj().T) / 2
+
+    return build_model(herm(), {"A": normalize_observable(herm()), "B": normalize_observable(herm())})
+
+
+def test_distinct_index_matches_the_bell_oracle():
+    # every Bell(2k) merge pattern with the diagonals kept, against the
+    # cycle-independent patterns with the diagonals zeroed
+    for model in (goe_model(12, seed=3), _complex_model(12, seed=4)):
+        state = thermal_state(model, 0.5)
+        for k in (1, 2, 3, 4):
+            for t in (0.0, 0.7):
+                want = distinct_index_bell(model, state, "A", "B", k=k, t=t)
+                got = distinct_index_cumulant(model, state, "A", "B", k=k, t=t)
+                assert abs(got - want) <= 1e-12 * abs(want), (k, t, got, want)
+
+
+def test_distinct_index_contracts_only_cycle_independent_patterns(monkeypatch):
+    model = goe_model(6, seed=1)
+    state = thermal_state(model, 0.5)
+    calls = []
+
+    def counted(chains, merge):
+        calls.append(merge)
+        return merged_chain_sum(chains, merge)
+
+    monkeypatch.setattr(eth, "merged_chain_sum", counted)
+    for k, count in zip((1, 2, 3, 4), (1, 4, 41, 715)):
+        calls.clear()
+        distinct_index_cumulant(model, state, "A", "B", k=k, t=0.3)
+        assert len(calls) == count
+
+
+def test_distinct_index_vanishes_below_2k_levels():
+    # fewer levels than slots: no assignment is injective
+    for D, k in ((3, 2), (5, 3), (7, 4)):
+        model = goe_model(D, seed=D)
+        state = thermal_state(model, 0.5)
+        for t in (0.0, 0.7):
+            assert abs(distinct_index_cumulant(model, state, "A", "B", k=k, t=t)) <= 1e-12
+
+
+def test_distinct_index_vanishes_for_diagonal_observable(small_model, small_state):
+    Ad = np.diag(np.diagonal(small_model.observables["A"]))
+    v = distinct_index_cumulant(small_model, small_state, Ad, Ad, k=2, t=0.0)
+    assert abs(v) < 1e-12
+
+
+def test_inclusion_exclusion_completeness(small_model):
+    state = thermal_state(small_model, 0.5)
+    B = small_model.observables["B"]
+    mats = [heisenberg(small_model, "A", 0.3), B, heisenberg(small_model, "A", 0.3), B]
+    chains = SlotChains([mats], [state.weights], (0, 0, 0, 0))
+    total = sum(coincidence_pattern_sum(chains, p) for p in iter_set_partitions(4))
+    unrestricted = merged_chain_sum(chains, Partition.singletons(4))
+    assert abs(total - unrestricted) < 1e-10
+
+
+def test_strict_coefficients_match_pairwise_lattice_oracle():
+    # block-product coefficients against the O(Bell(m)^2) zeta-mu double
+    # loop: every {-1, 0, 1} coefficient vector up to m = 5, and every
+    # vector a word of timed/untimed letters produces at m = 6
+    vectors = [c for m in range(1, 6) for c in itertools.product((-1, 0, 1), repeat=m)]
+    vectors += sorted({_slot_coeffs(timed) for timed in itertools.product((False, True), repeat=6)})
+    assert len(vectors) == 363 + 63
+    for coeffs in vectors:
+        assert _restricted_coeffs(coeffs) == strict_average_coeffs(len(coeffs), coeffs)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_distinct_index_coefficients_are_moebius_from_bottom(m):
+    # the patterns whose merged sums survive zeroed diagonals: no block holds
+    # two cyclically adjacent slots (in a 1-cycle the slot is its own neighbour)
+    zero = Partition.singletons(m)
+
+    def adjacent(b):
+        return any((j - i) % m in (1, m - 1) for i, j in itertools.combinations_with_replacement(b, 2) if i != j or m == 1)
+
+    expected = tuple(
+        (q, partition_lattice_moebius(zero, q)) for q in iter_set_partitions(m) if not any(map(adjacent, q.blocks))
+    )
+    assert _distinct_patterns(m) == expected
+    assert len(expected) == (0, 1, 1, 4, 11, 41, 162)[m - 1]
 
 
 @pytest.mark.parametrize("cycle_lengths", [(4,), (5,), (2, 2), (3, 2)])
@@ -593,15 +745,7 @@ def test_windowed_average_matches_accurate_kernel_oracle(window_models, name, ch
 def _window_peak(name: str, D: int) -> int:
     """tracemalloc peak of a 4-slot windowed average at T = 3 on a seeded
     real (GOE) or complex model of dimension D."""
-    rng = np.random.default_rng(8)
-    if name == "real":
-        model = goe_model(D, seed=8)
-    else:
-        def hermitian():
-            g = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-            return (g + g.conj().T) / 2.0
-
-        model = build_model(hermitian(), {lab: normalize_observable(hermitian()) for lab in ("A", "B")})
+    model = goe_model(D, seed=8) if name == "real" else _complex_model(D, seed=8)
     w = thermal_state(model, 0.3).weights
     a, b = model.observable("A"), model.observable("B")
     chains = SlotChains(cycles=[[a, b], [a, b]], weights=[w, w], slot_coeffs=(1, -1, 1, -1))
@@ -797,6 +941,55 @@ def test_gap_scaling_is_quadratic_not_linear():
         gaps.append(abs(gap))
     slope = np.polyfit(np.log(dims), np.log(gaps), 1)[0]
     assert -2.4 <= slope <= -1.6
+
+
+def test_thermal_cumulant_scan_matches_per_t_cumulants():
+    # a real, a complex and an Ising model, with t = 0, A is B, and a
+    # one-point grid given as a list
+    grid = np.array([0.0, 0.35, 0.7, 2.0])
+    models = [(goe_model(12, seed=3), "A", "B"), (_complex_model(12, seed=4), "A", "B"), (ising_model(4), "sz_mid", "sx_mid")]
+    for model, A, B in models:
+        for beta in (0.0, 0.3):
+            state = thermal_state(model, beta)
+            for k in (1, 2, 3):
+                for a, b, times in ((A, B, grid), (B, B, grid), (A, B, [0.7])):
+                    got = thermal_cumulant_scan(model, state, a, b, k, times)
+                    want = [thermal_free_cumulant(model, state, alternating_word(a, b, k, t)) for t in times]
+                    for g, w in zip(got, want):
+                        assert abs(g - w) <= 1e-12 * abs(w) + 1e-14, (k, beta, a, b, g, w)
+                    if a == b:  # the letters collapse at t = 0: the per-t value itself
+                        assert got[0] == want[0]
+
+
+def test_thermal_cumulant_scan_over_several_chunks():
+    model = goe_model(12, seed=3)
+    state = thermal_state(model, 0.3)
+    times = np.linspace(0.0, 5.0, 2 * (eth._SCAN_CHUNK_ELEMS // model.dim) + 3)
+    got = thermal_cumulant_scan(model, state, "A", "B", 2, times)
+    for g, t in zip(got, times):
+        w = thermal_free_cumulant(model, state, alternating_word("A", "B", 2, t))
+        assert abs(g - w) <= 1e-12 * abs(w) + 1e-14
+
+
+def test_thermal_cumulant_scan_peak_grows_by_at_most_one_chunk():
+    # no array grows with the grid but the returned values, 16 bytes a point
+    D = 64
+    model = goe_model(D, seed=5)
+    state = thermal_state(model, 0.3)
+    chunk_bytes = (eth._SCAN_CHUNK_ELEMS // D) * D * np.dtype(complex).itemsize
+
+    def peak(n):
+        times = np.linspace(0.0, 3.0, n)
+        gc.collect()  # empties the interpreter's free lists, which tracemalloc counts
+        tracemalloc.start()
+        try:
+            thermal_cumulant_scan(model, state, "A", "B", 2, times)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(64)
+    assert peak(4096) - small <= chunk_bytes
 
 
 def test_free_k_time_ordering_and_monotonicity():

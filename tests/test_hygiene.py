@@ -20,12 +20,9 @@ LIBRARY_API = {
     "channel.word_functional_from_matrices": "builds the positional functional the channel functions take",
     "ensembles.channel_monte_carlo": "the dense k-fold channel of any ensemble, the Monte Carlo side of channel_exact",
     "ensembles.ensemble_superoperator": "the dense superoperator, the reference the slab route of design_check is tested against",
-    "eth.appendix_b_crossing_term": "the off-diagonal crossing term of the paper's Appendix B",
     "eth.averaged_free_cumulant": "time-averaged free cumulant; the benchmark's library steps call it",
     "eth.bimodal_observable": "the +-1 observable of scripts/freeness_decay_scan.py",
     "eth.distinct_index_cumulant": "kappa_2k as a restricted spectral sum; the benchmark's library steps call it",
-    "eth.otoc_long_time_factorization": "averaged 2k-OTOC against its cumulant factorization, a paper claim",
-    "eth.phase_average_delta_structure": "checks the delta structure that strict phase averages rely on",
     "matio.save_operator": "writes the operator files that the CLI reads",
     "moments.free_mixed_word": "moments of words in free families, the definition of freeness",
     "moments.moments_from_cumulants": "the inverse of free_cumulant: moments from cumulants over NC(n)",

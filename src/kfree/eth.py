@@ -28,13 +28,17 @@ window and a finite one.
 A strict infinite-time average keeps the slot assignments whose every
 coincidence block B (maximal set of slots sharing an eigenstate) has phase
 coefficients summing to 0, the only ones whose phase cancels on a generic
-spectrum.  It is sum_Q c_Q S_Q with c_Q the product over B in Q of the
-classical cumulant of the 0/1 "B is kept" indicator (`_restricted_coeffs`),
+spectrum.  It is sum_Q c_Q S_Q with c_Q a product over the blocks of Q,
 because [0, Q] in the set-partition lattice is the product of the lattices
-of Q's blocks (Nica-Speicher, Lecture 10; Stanley, EC1 3.10).
-A distinct-index sum (every block one slot, c_Q = mu(0, Q)) reads no
-diagonal entry, so `distinct_index_cumulant` zeroes the diagonals and sums
-only over the patterns Q with no block holding two adjacent slots.
+of Q's blocks (Nica-Speicher, Lecture 10; Stanley, EC1 3.10).  Slot
+coefficients are -1, 0 or +1, and a block weighs 0 unless it is one zero
+slot (weight 1) or balanced, p slots of +1 and p of -1 (weight c_p,
+`_balanced_weight`), so `_restricted_coeffs` generates just the partitions
+into such blocks.  A distinct-index sum (every block one slot,
+c_Q = mu(0, Q)) reads no diagonal entry, so `distinct_index_cumulant`
+zeroes the diagonals and sums only over the patterns Q with no block holding
+two adjacent slots.  One pruned restricted-growth walk,
+`partitions.weighted_set_partitions`, lists both kinds of pattern.
 Reference sums that the tests compare against live in the tests, not here.
 
 Dtype rule: a matrix stays real unless it is complex-valued.  `build_model`
@@ -52,13 +56,13 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import factorial, prod
+from math import comb
 from typing import Sequence
 
 import numpy as np
 
-from .moments import Expectation, _word_trace, classical_cumulant, free_cumulant, parts_product, sub_words
-from .partitions import Partition, iter_set_partitions, nc_moebius_table
+from .moments import Expectation, _word_trace, free_cumulant, sub_words
+from .partitions import Partition, nc_moebius_table, weighted_set_partitions
 
 DEFAULT_DIM_CAP = 4096
 RESONANCE_EPS_FACTOR = 1e-10
@@ -287,25 +291,21 @@ class ThermalState:
     weights: np.ndarray
     Z: float
 
-    @classmethod
-    def from_model(cls, model: SpectralModel, beta: float) -> "ThermalState":
-        # energies shifted by the ground state before exponentiating, so Z
-        # here is the shifted partition function; a beta (E - E_0) past the
-        # float range is inf, weight 0, which leaves the ground states
-        with np.errstate(over="ignore"):
-            w = np.exp(-beta * (model.energies - model.energies[0]))
-            Z = float(np.sum(w))
-            if np.isinf(Z):  # beta < 0 past the range: shifted by the top level instead
-                w = np.exp(-beta * (model.energies - model.energies[-1]))
-                Z = float(np.sum(w))
-        return cls(beta=beta, weights=w / Z, Z=Z)
-
     def effective_dim(self) -> float:
         return float(1.0 / np.sum(self.weights**2))
 
 
 def thermal_state(model: SpectralModel, beta: float) -> ThermalState:
-    return ThermalState.from_model(model, beta)
+    # energies shifted by the ground state before exponentiating, so Z
+    # here is the shifted partition function; a beta (E - E_0) past the
+    # float range is inf, weight 0, which leaves the ground states
+    with np.errstate(over="ignore"):
+        w = np.exp(-beta * (model.energies - model.energies[0]))
+        Z = float(np.sum(w))
+        if np.isinf(Z):  # beta < 0 past the range: shifted by the top level instead
+            w = np.exp(-beta * (model.energies - model.energies[-1]))
+            Z = float(np.sum(w))
+    return ThermalState(beta=beta, weights=w / Z, Z=Z)
 
 
 def heisenberg(model: SpectralModel, obs, t: float) -> np.ndarray:
@@ -423,13 +423,7 @@ def chains_from_word(model: SpectralModel, state: ThermalState, word: Sequence[t
 def _slot_coeffs(timed: Sequence[bool]) -> tuple[int, ...]:
     """Phase coefficient per slot: a timed letter i adds +1 to its left slot
     i and -1 to its right slot i + 1 (cyclically)."""
-    m = len(timed)
-    coeffs = [0] * m
-    for i, t in enumerate(timed):
-        if t:
-            coeffs[i] += 1
-            coeffs[(i + 1) % m] -= 1
-    return tuple(coeffs)
+    return tuple(bool(timed[i]) - bool(timed[i - 1]) for i in range(len(timed)))
 
 
 def _chain_einsum(chains: SlotChains, merge: Partition) -> tuple[list[str], list[np.ndarray]]:
@@ -461,23 +455,31 @@ def merged_chain_sum(chains: SlotChains, merge: Partition) -> complex:
 
 
 @lru_cache(maxsize=None)
-def _slot_partitions(m: int) -> tuple[Partition, ...]:
-    return tuple(iter_set_partitions(m))
-
-
-@lru_cache(maxsize=None)
 def _restricted_coeffs(slot_coeffs: tuple[int, ...]) -> tuple[tuple[Partition, int], ...]:
-    """The non-zero (Q, c_Q), in `_slot_partitions` order, of a strict
-    infinite-time average sum_Q c_Q S_Q (module docstring)."""
-    coeffs = ((q, parts_product(_kept_cumulant, slot_coeffs, q.blocks)) for q in _slot_partitions(len(slot_coeffs)))
-    return tuple((q, c) for q, c in coeffs if c != 0)
+    """The non-zero (Q, c_Q), in restricted-growth order, of a strict
+    infinite-time average sum_Q c_Q S_Q (module docstring).  The walk keeps a
+    slot of coefficient 0 alone and goes on only while the later slots can
+    still cancel every block's running sum, so each partition it reaches is
+    balanced; where the coefficients sum to 0, as a chain's do, no branch of
+    the walk is a dead end."""
+    c = (0,) + slot_coeffs  # c[s] is slot s's coefficient
+
+    def fits(g, s):  # no zero slot shares a block; the later slots can cancel every block's sum
+        shared = (x for b in g if len(b) > 1 for x in b)
+        return all(c[x] for x in shared) and sum(abs(sum(c[x] for x in b)) for b in g) <= sum(map(abs, slot_coeffs[s:]))
+
+    return weighted_set_partitions(len(slot_coeffs), fits, lambda n: _balanced_weight(n // 2))
 
 
 @lru_cache(maxsize=None)
-def _kept_cumulant(coeffs: tuple[int, ...]) -> int:
-    """Classical cumulant of the indicator "this block's phase cancels" over
-    the slot coefficients of one block."""
-    return classical_cumulant(lambda block: int(sum(block) == 0), coeffs)
+def _balanced_weight(p: int) -> int:
+    """c_p, the weight of a block of p slots of +1 and p of -1: the weights of
+    its partitions into balanced blocks sum to 1, its phase being cancelled.
+    The block holding the first +1 slot takes q - 1 more +1 slots and q -1
+    slots, C(p-1, q-1) C(p, q) ways, and the rest sums to 1 again, so
+    c_p = 1 - sum_{q<p} C(p-1, q-1) C(p, q) c_q: 1, -1, 4, -33, 456, -9460
+    for p = 1..6, and c_0 = 1 for a zero slot alone."""
+    return 1 - sum(comb(p - 1, q - 1) * comb(p, q) * _balanced_weight(q) for q in range(1, p))
 
 
 def window_bytes(D: int, m: int) -> int:
@@ -697,14 +699,14 @@ def distinct_index_cumulant(model: SpectralModel, state: ThermalState, A, B, k: 
 @lru_cache(maxsize=None)
 def _distinct_patterns(m: int) -> tuple[tuple[Partition, int], ...]:
     """(Q, mu(0, Q)) for each set partition Q of the m-cycle in which no block
-    holds a slot and its cyclic successor, in `_slot_partitions` order, with
+    holds a slot and its cyclic successor, in restricted-growth order, with
     mu(0, Q) = prod_B (-1)^(|B|-1) (|B|-1)!: 1, 4, 41 and 715 patterns at
     m = 2, 4, 6 and 8, against Bell(m) = 2, 15, 203 and 4,140."""
-    return tuple(
-        (q, prod((-1) ** (len(b) - 1) * factorial(len(b) - 1) for b in q.blocks))
-        for q in _slot_partitions(m)
-        if not any(s % m + 1 in b for b in q.blocks for s in b)
-    )
+
+    def apart(g, s):  # s - 1 and s, and m and 1, in different blocks
+        return not any(b[-2:] == (s - 1, s) or (b[0], b[-1]) == (1, m) for b in g)
+
+    return weighted_set_partitions(m, apart)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ thermal moments) evaluates its words with.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,7 +22,6 @@ import numpy as np
 from .partitions import (
     Partition,
     enumerate_nc,
-    iter_set_partitions,
     kreweras_complement,
     nc_moebius_table,
 )
@@ -217,17 +215,6 @@ def moments_from_cumulants(word: Sequence[Hashable], kappa: Callable[[Word], Val
     total: Value = 0
     for pi in enumerate_nc(len(word)):
         total += parts_product(kappa, word, pi.blocks)
-    return total
-
-
-def classical_cumulant(phi: Callable[[Word], Value], word: Sequence[Hashable]) -> Value:
-    """Ordinary cumulant: Moebius inversion over all set partitions, with
-    mu(sigma, 1_n) = (-1)^(r-1) (r-1)! for sigma of r blocks."""
-    word = tuple(word)
-    total: Value = 0
-    for sigma in iter_set_partitions(len(word)):
-        r = sigma.num_blocks()
-        total += parts_product(phi, word, sigma.blocks) * ((-1) ** (r - 1) * factorial(r - 1))
     return total
 
 

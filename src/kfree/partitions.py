@@ -13,6 +13,10 @@ Partitions are kept in a canonical block form: each block is an ascending
 tuple and blocks are ordered by their least element.  Equal partitions
 therefore compare and hash equal, so they can index dictionaries and be
 frozen into golden test files.
+
+`weighted_set_partitions` grows set partitions in restricted-growth order
+under a pruning rule, so a sum over the set-partition lattice visits only
+the partitions that can carry weight, never all Bell(n) of them.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
-from typing import Iterable, Iterator
+from math import comb, factorial, prod
+from typing import Callable, Iterable, Iterator
 
 DEFAULT_ENUMERATION_LIMIT = 10
 
@@ -117,26 +121,24 @@ def leq(sigma: Partition, pi: Partition) -> bool:
     return True
 
 
-def iter_set_partitions(n: int) -> Iterator[Partition]:
-    """All set partitions of {1..n} (restricted-growth enumeration)."""
-    if n == 0:
-        yield Partition(0, ())
-        return
-    blocks: list[list[int]] = []
-
-    def rec(i: int):
-        if i > n:
-            yield Partition(n, tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    yield from rec(1)
+def weighted_set_partitions(
+    n: int,
+    fits: Callable[[tuple, int], bool],
+    weight: Callable[[int], int] | None = None,
+    blocks: tuple = (),
+    s: int = 1,
+) -> tuple[tuple[Partition, int], ...]:
+    """(Q, prod over the blocks B of Q of weight(|B|)) for the set partitions
+    Q of {1..n} that extend `blocks`, a partition of {1..s-1}, in
+    restricted-growth order: element s joins each block in turn, then opens
+    its own, and the walk goes on from a grown partition g only where
+    fits(g, s).  The default weight (-1)^(|B|-1) (|B|-1)! makes the product
+    the Moebius function mu(0_n, Q) of the set-partition lattice."""
+    if s > n:
+        w = weight or (lambda size: (-1) ** (size - 1) * factorial(size - 1))
+        return ((Partition(n, blocks), prod(w(len(b)) for b in blocks)),)
+    grown = (blocks[:j] + (b + (s,),) + blocks[j + 1 :] for j, b in enumerate(blocks + ((),)))
+    return tuple(q for g in grown if fits(g, s) for q in weighted_set_partitions(n, fits, weight, g, s + 1))
 
 
 def _nc_partitions_of(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:

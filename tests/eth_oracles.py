@@ -16,6 +16,13 @@ lattice pair by pair, with the general Moebius function mu(sigma, pi), where
 exact coincidence pattern, and `strict_average_coeffs` with its O(Bell(m)^2)
 double loop over pairs of slot partitions.
 
+`restricted_coeffs_bell` is the Bell route of the strict average: every set
+partition of the slots (`iter_set_partitions`), each weighted with the
+product over its blocks of the classical cumulant of the 0/1 "the block's
+phase cancels" indicator (`classical_cumulant`), the zeros dropped.
+`kfree.eth` generates only the partitions into balanced blocks and weighs a
+block of p slots of each sign with c_p directly.
+
 `chain_amplitudes_einsum` is the amplitude tensor of a chain written as one
 einsum that sums no index, the formula `kfree.eth._slot_amplitudes` builds
 with broadcast multiplies.
@@ -37,8 +44,9 @@ fills the same entries by index arithmetic.
 import itertools
 import string
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
-from typing import Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,8 +62,8 @@ from kfree.eth import (
     merged_chain_sum,
     time_average,
 )
-from kfree.moments import Expectation, _word_trace, free_cumulant, mixed_moment_free
-from kfree.partitions import Partition, iter_set_partitions, leq
+from kfree.moments import Expectation, Value, Word, _word_trace, free_cumulant, mixed_moment_free, parts_product
+from kfree.partitions import Partition, leq
 
 BRUTE_FORCE_DIM_CAP = 60
 
@@ -285,6 +293,65 @@ def strict_average_coeffs(m: int, slot_coeffs: tuple[int, ...]) -> tuple[tuple[P
         if c != 0:
             out.append((q, c))
     return tuple(out)
+
+
+def iter_set_partitions(n: int) -> Iterator[Partition]:
+    """All set partitions of {1..n} (restricted-growth enumeration)."""
+    if n == 0:
+        yield Partition(0, ())
+        return
+    blocks: list[list[int]] = []
+
+    def rec(i: int):
+        if i > n:
+            yield Partition(n, tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1)
+        blocks.pop()
+
+    yield from rec(1)
+
+
+def classical_cumulant(phi: Callable[[Word], Value], word: Sequence[Hashable]) -> Value:
+    """Ordinary cumulant: Moebius inversion over all set partitions, with
+    mu(sigma, 1_n) = (-1)^(r-1) (r-1)! for sigma of r blocks."""
+    word = tuple(word)
+    total: Value = 0
+    for sigma in iter_set_partitions(len(word)):
+        r = sigma.num_blocks()
+        total += parts_product(phi, word, sigma.blocks) * ((-1) ** (r - 1) * factorial(r - 1))
+    return total
+
+
+@lru_cache(maxsize=None)
+def _slot_partitions(m: int) -> tuple[Partition, ...]:
+    return tuple(iter_set_partitions(m))
+
+
+def restricted_coeffs_bell(slot_coeffs: tuple[int, ...]) -> tuple[tuple[Partition, int], ...]:
+    """The non-zero (Q, c_Q), in `iter_set_partitions` order, of a strict
+    infinite-time average sum_Q c_Q S_Q, each c_Q a product of blockwise
+    classical cumulants over all Bell(m) slot partitions."""
+    coeffs = ((q, parts_product(_kept_cumulant, slot_coeffs, q.blocks)) for q in _slot_partitions(len(slot_coeffs)))
+    return tuple((q, c) for q, c in coeffs if c != 0)
+
+
+def _kept_cumulant(coeffs: tuple[int, ...]) -> int:
+    """Classical cumulant of the indicator "this block's phase cancels" over
+    the slot coefficients of one block.  The indicator of a sub-block reads
+    only the multiset of its coefficients, so the cumulant is symmetric in
+    its entries and is computed once per multiset."""
+    return _indicator_cumulant(tuple(sorted(coeffs)))
+
+
+@lru_cache(maxsize=None)
+def _indicator_cumulant(coeffs: tuple[int, ...]) -> int:
+    return classical_cumulant(lambda block: int(sum(block) == 0), coeffs)
 
 
 def positional_thermal_free_cumulant(model: SpectralModel, state: ThermalState, word: Sequence[tuple]) -> complex:

@@ -52,7 +52,6 @@ from kfree.partitions import (
     catalan,
     enumerate_nc,
     is_noncrossing,
-    iter_set_partitions,
     kreweras_complement,
     leq,
     moebius_nc,
@@ -60,7 +59,12 @@ from kfree.partitions import (
 from kfree.permutations import Permutation, full_cycle, geodesic_set, identity, permutation_to_nc
 from kfree.weingarten import weingarten_table
 
-from eth_oracles import appendix_b_crossing_term, distinct_index_brute, phase_average_delta_structure
+from eth_oracles import (
+    appendix_b_crossing_term,
+    distinct_index_brute,
+    iter_set_partitions,
+    phase_average_delta_structure,
+)
 from ratlinalg_oracles import exact_matmul
 
 

@@ -570,8 +570,8 @@ def test_boundary_errors_name_the_flag(tmp_path):
          "--k must be at most 8 for --mode exact (got 9)"),
         (["otoc", "--k", "9", "--dim", "9", "--a-moments", "0,1", "--b-moments", "0,1"], "--k must be at most 8 with --dim"),
         (["otoc", "--k", "11", "--a-moments", "0,1", "--b-moments", "0,1"], "--k 11 asks for NC(11)"),
-        (["eth", "timeavg", "--model", "goe", "--dim", "8", "--k", "6"], "--k must be at most 5 for the infinite window"),
-        (["eth", "timeavg", "--model", "goe", "--dim", "8", "--k", "9"], "--k must be at most 5"),
+        (["eth", "timeavg", "--model", "goe", "--dim", "8", "--k", "7"], "--k must be at most 6 for the infinite window"),
+        (["eth", "timeavg", "--model", "goe", "--dim", "8", "--k", "9"], "--k must be at most 6"),
         (["eth", "timeavg", "--t-max", "5", "--k", "6", "--dim", "8"], "--k must be at most 4 for a finite window at D = 8"),
         (["eth", "cumulant", "--model", "goe", "--dim", "8", "--t-max", "1e308", "--n-points", "3"],
          "--t-max 1e+308 puts the phases E t past the float range"),
@@ -637,14 +637,14 @@ def test_k_limits_refused_before_any_table(capsys):
     # the permutation, Weingarten and slot-partition tables stay empty
     from kfree import eth, weingarten
 
-    for cache in (weingarten.weingarten_table, eth._slot_partitions, eth._restricted_coeffs):
+    for cache in (weingarten.weingarten_table, eth._restricted_coeffs, eth._balanced_weight):
         cache.cache_clear()
     for argv in (["channel", "--mode", "exact", "--k", "9", "--dim", "9", "--moments", "0,1"],
                  ["otoc", "--k", "9", "--dim", "9", "--a-moments", "0,1", "--b-moments", "0,1"],
                  ["eth", "timeavg", "--model", "goe", "--dim", "8", "--k", "9"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and err.startswith("kfree: --k")
-    for cache in (weingarten.weingarten_table, eth._slot_partitions, eth._restricted_coeffs):
+    for cache in (weingarten.weingarten_table, eth._restricted_coeffs, eth._balanced_weight):
         assert cache.cache_info().currsize == 0
 
 

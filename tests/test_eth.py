@@ -39,6 +39,7 @@ from kfree.eth import (
     thermal_state,
     time_average,
     _chain_einsum,
+    _balanced_weight,
     _hermitian_deviation,
     _distinct_patterns,
     _restricted_coeffs,
@@ -46,16 +47,18 @@ from kfree.eth import (
     _slot_coeffs,
 )
 from kfree.moments import Expectation, free_cumulant
-from kfree.partitions import Partition, iter_set_partitions
+from kfree.partitions import Partition
 
 from eth_oracles import (
     SpectralSum,
     appendix_b_crossing_term,
     chain_amplitudes_einsum,
+    classical_cumulant,
     coincidence_pattern_sum,
     distinct_index_bell,
     distinct_index_brute,
     ising_kronecker,
+    iter_set_partitions,
     joint_spectral_sum,
     merged_chain_sum_loops,
     otoc_long_time_factorization,
@@ -63,6 +66,7 @@ from eth_oracles import (
     phase_average_delta_structure,
     positional_averaged_free_cumulant,
     positional_thermal_free_cumulant,
+    restricted_coeffs_bell,
     strict_average_coeffs,
     thermal_word_moment,
     window_average_total,
@@ -424,83 +428,8 @@ def test_distinct_index_generic_brute_k3():
     assert abs(v1 - v2) < 1e-10
 
 
-def _complex_model(D, seed):
-    """A model whose Hamiltonian and observables have non-zero imaginary parts."""
-    rng = np.random.default_rng(seed)
-
-    def herm():
-        g = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        return (g + g.conj().T) / 2
-
-    return build_model(herm(), {"A": normalize_observable(herm()), "B": normalize_observable(herm())})
-
-
-def test_distinct_index_matches_the_bell_oracle():
-    # every Bell(2k) merge pattern with the diagonals kept, against the
-    # cycle-independent patterns with the diagonals zeroed
-    for model in (goe_model(12, seed=3), _complex_model(12, seed=4)):
-        state = thermal_state(model, 0.5)
-        for k in (1, 2, 3, 4):
-            for t in (0.0, 0.7):
-                want = distinct_index_bell(model, state, "A", "B", k=k, t=t)
-                got = distinct_index_cumulant(model, state, "A", "B", k=k, t=t)
-                assert abs(got - want) <= 1e-12 * abs(want), (k, t, got, want)
-
-
-def test_distinct_index_contracts_only_cycle_independent_patterns(monkeypatch):
-    model = goe_model(6, seed=1)
-    state = thermal_state(model, 0.5)
-    calls = []
-
-    def counted(chains, merge):
-        calls.append(merge)
-        return merged_chain_sum(chains, merge)
-
-    monkeypatch.setattr(eth, "merged_chain_sum", counted)
-    for k, count in zip((1, 2, 3, 4), (1, 4, 41, 715)):
-        calls.clear()
-        distinct_index_cumulant(model, state, "A", "B", k=k, t=0.3)
-        assert len(calls) == count
-
-
-def test_distinct_index_vanishes_below_2k_levels():
-    # fewer levels than slots: no assignment is injective
-    for D, k in ((3, 2), (5, 3), (7, 4)):
-        model = goe_model(D, seed=D)
-        state = thermal_state(model, 0.5)
-        for t in (0.0, 0.7):
-            assert abs(distinct_index_cumulant(model, state, "A", "B", k=k, t=t)) <= 1e-12
-
-
-def test_distinct_index_vanishes_for_diagonal_observable(small_model, small_state):
-    Ad = np.diag(np.diagonal(small_model.observables["A"]))
-    v = distinct_index_cumulant(small_model, small_state, Ad, Ad, k=2, t=0.0)
-    assert abs(v) < 1e-12
-
-
-def test_inclusion_exclusion_completeness(small_model):
-    state = thermal_state(small_model, 0.5)
-    B = small_model.observables["B"]
-    mats = [heisenberg(small_model, "A", 0.3), B, heisenberg(small_model, "A", 0.3), B]
-    chains = SlotChains([mats], [state.weights], (0, 0, 0, 0))
-    total = sum(coincidence_pattern_sum(chains, p) for p in iter_set_partitions(4))
-    unrestricted = merged_chain_sum(chains, Partition.singletons(4))
-    assert abs(total - unrestricted) < 1e-10
-
-
-def test_strict_coefficients_match_pairwise_lattice_oracle():
-    # block-product coefficients against the O(Bell(m)^2) zeta-mu double
-    # loop: every {-1, 0, 1} coefficient vector up to m = 5, and every
-    # vector a word of timed/untimed letters produces at m = 6
-    vectors = [c for m in range(1, 6) for c in itertools.product((-1, 0, 1), repeat=m)]
-    vectors += sorted({_slot_coeffs(timed) for timed in itertools.product((False, True), repeat=6)})
-    assert len(vectors) == 363 + 63
-    for coeffs in vectors:
-        assert _restricted_coeffs(coeffs) == strict_average_coeffs(len(coeffs), coeffs)
-
-
 @pytest.mark.parametrize("m", range(1, 8))
-def test_distinct_index_coefficients_are_moebius_from_bottom(m):
+def test_distinct_patterns_are_the_merged_sums_that_survive_zeroed_diagonals(m):
     # the patterns kept are exactly those whose merged sum survives letters
     # with zeroed diagonals (D = m levels colour any quotient of the m-cycle),
     # each with the lattice Moebius function mu(0, Q)
@@ -590,6 +519,32 @@ def test_strict_coefficients_match_pairwise_lattice_oracle():
     assert len(vectors) == 363 + 63
     for coeffs in vectors:
         assert _restricted_coeffs(coeffs) == strict_average_coeffs(len(coeffs), coeffs)
+
+
+def test_strict_coefficients_match_the_bell_route_at_eight_slots():
+    # every coefficient vector a word of timed/untimed letters produces at
+    # m = 8 (k = 4), pattern by pattern and in order, against the sum over all
+    # Bell(8) = 4,140 slot partitions of blockwise classical cumulants
+    vectors = sorted({_slot_coeffs(timed) for timed in itertools.product((False, True), repeat=8)})
+    assert len(vectors) == 255
+    for coeffs in vectors:
+        assert _restricted_coeffs(coeffs) == restricted_coeffs_bell(coeffs)
+
+
+def test_balanced_block_weights_are_indicator_cumulants():
+    # c_p is the classical cumulant of the "phase cancels" indicator over a
+    # block of p slots of +1 and p of -1
+    for p in range(1, 6):
+        block = (1,) * p + (-1,) * p
+        assert _balanced_weight(p) == classical_cumulant(lambda b: int(sum(b) == 0), block)
+    assert [_balanced_weight(p) for p in range(7)] == [1, 1, -1, 4, -33, 456, -9460]
+
+
+def test_alternating_word_strict_pattern_counts():
+    # A(t) B A(t) B ...: slots alternate +1, -1, so the patterns are the
+    # partitions into balanced blocks, against Bell(2k) = 203, 4,140, 115,975
+    for k, count in zip((3, 4, 5), (16, 131, 1496)):
+        assert len(_restricted_coeffs(_slot_coeffs((True, False) * k))) == count
 
 
 @pytest.mark.parametrize("m", range(1, 8))

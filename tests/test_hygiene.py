@@ -1,6 +1,7 @@
-"""Source hygiene: no module imports a name it never uses, every top-level
-definition in `src/` has a caller there unless it is listed library API,
-and the benchmark's child process imports only modules that exist."""
+"""Source hygiene: no module imports a name it never uses or defines a
+top-level name twice, every top-level definition in `src/` has a caller
+there unless it is listed library API, and the benchmark's child process
+imports only modules that exist."""
 
 import ast
 import importlib.util
@@ -70,6 +71,44 @@ def test_unused_import_detector():
         "    return np.zeros(1)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 4: c"]
+
+
+def repeated_definitions(source: str) -> list[str]:
+    """Top-level names that a module binds more than once by a function,
+    class or plain assignment: the later binding shadows the earlier, so a
+    shadowed test never runs."""
+    lines: dict[str, list[int]] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            lines.setdefault(name, []).append(node.lineno)
+    return [f"{name}: lines {', '.join(map(str, at))}" for name, at in lines.items() if len(at) > 1]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_top_level_name_defined_twice(path):
+    assert repeated_definitions(path.read_text()) == []
+
+
+def test_repeated_definition_detector():
+    source = (
+        "LIMIT = 3\n"
+        "def f():\n"
+        "    def g():\n"
+        "        pass\n"
+        "    def g():\n"
+        "        pass\n"
+        "class f:\n"
+        "    pass\n"
+        "LIMIT: int = 4\n"
+    )
+    assert repeated_definitions(source) == ["LIMIT: lines 1, 9", "f: lines 2, 7"]
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:

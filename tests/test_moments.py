@@ -14,7 +14,6 @@ from kfree.moments import (
     _word_trace,
     Expectation,
     blockwise_moment,
-    classical_cumulant,
     free_cumulant,
     free_mixed_word,
     mixed_moment_free,
@@ -25,6 +24,7 @@ from kfree.moments import (
 from kfree import ensembles, eth
 from kfree.partitions import Partition, catalan
 
+from eth_oracles import classical_cumulant
 from moment_oracles import alternating_centered_moment, free_cumulant_recursive
 
 

@@ -15,14 +15,14 @@ from kfree.partitions import (
     catalan,
     enumerate_nc,
     is_noncrossing,
-    iter_set_partitions,
     kreweras_complement,
     leq,
     moebius_nc,
+    weighted_set_partitions,
 )
 from kfree.permutations import compose, inverse
 
-from eth_oracles import partition_lattice_moebius
+from eth_oracles import iter_set_partitions, partition_lattice_moebius
 from nc_oracles import inverse_kreweras, kreweras_by_chords, moebius_by_relabelling, nc_to_permutation
 
 
@@ -214,6 +214,16 @@ def test_partition_lattice_moebius_blocks():
     assert partition_lattice_moebius(zero, Partition.full(4)) == -6  # (-1)^3 3!
     assert partition_lattice_moebius(zero, Partition.from_blocks(4, [[1, 2], [3, 4]])) == 1
     assert partition_lattice_moebius(zero, zero) == 1
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_unpruned_walk_is_the_set_partition_lattice_with_moebius_weights(n):
+    # nothing pruned, the walk lists every set partition in restricted-growth
+    # order, each with its default weight mu(0_n, Q)
+    zero = Partition.singletons(n)
+    want = tuple((q, partition_lattice_moebius(zero, q)) for q in iter_set_partitions(n))
+    assert weighted_set_partitions(n, lambda g, s: True) == want
+    assert len(want) == (1, 1, 2, 5, 15, 52, 203)[n]
 
 
 def test_partition_lattice_moebius_zeta_inversion():

@@ -60,8 +60,6 @@ def _emit(args, command: str, result, rows=None) -> None:
     if fmt == "json":
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     elif fmt == "csv":
-        if rows is None:
-            raise ValueError("csv format is only available for tabular results")
         header, data = rows
         lines = [",".join(header)]
         for row in data:
@@ -93,12 +91,6 @@ def _textify(doc) -> str:
 
     walk("", doc["result"])
     return "\n".join(lines) + "\n"
-
-
-def _parse_perm(text: str):
-    from .permutations import Permutation
-
-    return Permutation(tuple(int(x) for x in text.split(",")))
 
 
 def _parse_moments(flag: str, text: str, order: int) -> list:
@@ -148,6 +140,7 @@ def _parse_finite_floats(flag: str, text: str) -> tuple[float, ...]:
 # has it, whether or not the action reads it; `dispatch` checks them once.
 POSITIVE_FLAGS = ("n", "k", "dim", "length", "n_samples", "n_points", "max_order")
 FINITE_FLAGS = ("beta", "t_max", "strength", "threshold", "tolerance")
+CSV_COMMANDS = ("cumulants", "eth cumulant", "eth freetime")  # the tabular results
 
 
 def _check_domains(args) -> None:
@@ -203,9 +196,12 @@ def _cmd_nc(args) -> None:
 
 
 def _cmd_perm(args) -> None:
-    from .permutations import NCEmbeddingError, geodesic_set, permutation_to_nc
+    from .permutations import NCEmbeddingError, Permutation, geodesic_set, permutation_to_nc
 
-    alpha = _parse_perm(args.perm)
+    try:
+        alpha = Permutation(tuple(int(x) for x in args.perm.split(",")))
+    except ValueError as exc:
+        raise ValueError(f"--perm {args.perm}: {exc}") from None
     result = {
         "permutation": str(alpha),
         "cycles": [list(c) for c in alpha.cycles()],
@@ -345,17 +341,16 @@ def _build_ensemble(args):
 
         model = goe_model(args.dim, seed=args.seed)
         return HamiltonianEnsemble(model, t_max=args.t_max)
-    if name == "files":
-        if not args.unitaries:
-            raise ValueError("--unitaries required for --ensemble files")
-        paths = args.unitaries.split(",")
-        mats = [_load_matrix(p) for p in paths]
-        for path, m in zip(paths, mats):
-            if m.shape != mats[0].shape:
-                raise ValueError(f"--unitaries: {path} has shape {m.shape}, {paths[0]} has {mats[0].shape}")
-        probs = _parse_finite_floats("--probs", args.probs) if args.probs else None
-        return DiscreteEnsemble(mats, np.array(probs) if probs else None)
-    raise ValueError(f"unknown ensemble {name!r}")
+    # argparse allows no other ensemble than "files"
+    if not args.unitaries:
+        raise ValueError("--unitaries required for --ensemble files")
+    paths = args.unitaries.split(",")
+    mats = [_load_matrix(p) for p in paths]
+    for path, m in zip(paths, mats):
+        if m.shape != mats[0].shape:
+            raise ValueError(f"--unitaries: {path} has shape {m.shape}, {paths[0]} has {mats[0].shape}")
+    probs = _parse_finite_floats("--probs", args.probs) if args.probs else None
+    return DiscreteEnsemble(mats, np.array(probs) if probs else None)
 
 
 def _ensemble_fields(args, spec) -> dict:
@@ -498,53 +493,39 @@ def _cmd_eth(args) -> None:
         raise ValueError("eth cumulant needs --t-max")
     if action in ("timeavg", "freetime", "appendixb") and args.t_max is not None and args.t_max <= 0:
         raise ValueError(f"--t-max must be > 0 (got {args.t_max})")
-    if action == "build":
-        _emit(args, "eth build", _eth_build(args))
-        return
-    model = _eth_model(args)
-    # e^{iEt} has no limit as t grows, so a time grid whose phases overflow is refused
-    t_phase = (args.t_max or 0.0) * float(np.max(np.abs(model.energies)))
-    if action in ("cumulant", "freetime") and not math.isfinite(t_phase):
-        raise ValueError(f"--t-max {args.t_max} puts the phases E t past the float range")
-    state = thermal_state(model, args.beta)
-    if action == "cumulant":
+    if action != "build":
+        model = _eth_model(args)
+        # e^{iEt} has no limit as t grows, so a time grid whose phases overflow is refused
+        t_phase = (args.t_max or 0.0) * float(np.max(np.abs(model.energies)))
+        if action in ("cumulant", "freetime") and not math.isfinite(t_phase):
+            raise ValueError(f"--t-max {args.t_max} puts the phases E t past the float range")
+        state = thermal_state(model, args.beta)
         a, b = _eth_obs_pair(args, model)
+    if action in ("timeavg", "appendixb"):
+        window = TimeWindow("infinite") if args.t_max is None else TimeWindow("finite", args.t_max)
+    if action == "build":
+        result = _eth_build(args)
+    elif action == "cumulant":
         times = np.linspace(0.0, args.t_max, args.n_points)
         values = thermal_cumulant_scan(model, state, a, b, args.k, times).tolist()
-        rows_data = [[float(t), v.real, v.imag, 0.0] for t, v in zip(times, values)]
-        rows = (["t", "real", "imag", "std_error"], rows_data)
-        _emit(args, "eth cumulant", {"k": args.k, "beta": args.beta, "scan": rows_data}, rows=rows)
+        scan = [[float(t), v.real, v.imag, 0.0] for t, v in zip(times, values)]
+        result = {"k": args.k, "beta": args.beta, "scan": scan}
     elif action == "timeavg":
-        a, b = _eth_obs_pair(args, model)
-        window = TimeWindow("infinite") if args.t_max is None else TimeWindow("finite", args.t_max)
         if window.mode == "finite" and model.dim > 1:  # a window of 2k slots holds window_bytes(D, 2k)
             k_max = next(k for k in itertools.count(1) if window_bytes(model.dim, 2 * k + 2) > WINDOW_BYTES_CAP)
             _check_k(args.k, k_max, f" for a finite window at D = {model.dim}")
         word = tuple(x for _ in range(args.k) for x in ((a, True), (b, False)))
         v = time_average(model, state, word, window)
-        _emit(args, "eth timeavg", {"k": args.k, "beta": args.beta, "mode": window.mode, "value": complex(v)})
+        result = {"k": args.k, "beta": args.beta, "mode": window.mode, "value": complex(v)}
     elif action == "freetime":
-        a, b = _eth_obs_pair(args, model)
-        t_max = args.t_max if args.t_max is not None else 40.0 / model.spectral_width()
-        grid = np.linspace(0.0, t_max, args.n_points)
-        res = free_k_time(model, state, a, b, args.k, threshold=args.threshold, t_grid=grid)
-        rows_data = [[float(t), float(m), 0.0, 0.0] for t, m in zip(res.times, res.magnitudes)]
-        rows = (["t", "real", "imag", "std_error"], rows_data)
-        _emit(
-            args,
-            "eth freetime",
-            {
-                "k": args.k,
-                "reached": res.reached,
-                "free_time": res.time,
-                "threshold": res.threshold,
-                "scan": rows_data,
-            },
-            rows=rows,
-        )
+        width = model.spectral_width()
+        t_max = args.t_max if args.t_max is not None else (40.0 / width if width else math.inf)
+        if not math.isfinite(t_max):  # the default grid of a zero or subnormal width
+            raise ValueError(f"the spectral width {width:g} sets no default grid (up to 40/width); pass --t-max")
+        res = free_k_time(model, state, a, b, args.k, np.linspace(0.0, t_max, args.n_points), threshold=args.threshold)
+        scan = [[float(t), float(m), 0.0, 0.0] for t, m in zip(res.times, res.magnitudes)]
+        result = {"k": args.k, "reached": res.reached, "free_time": res.time, "threshold": res.threshold, "scan": scan}
     elif action == "appendixb":
-        a, b = _eth_obs_pair(args, model)
-        window = TimeWindow("infinite") if args.t_max is None else TimeWindow("finite", args.t_max)
         held = window_bytes(model.dim, 4)  # the joint average has 4 slots
         if window.mode == "finite" and held > WINDOW_BYTES_CAP:
             raise ValueError(
@@ -552,13 +533,8 @@ def _cmd_eth(args) -> None:
                 f" {WINDOW_BYTES_CAP / 2**30:g} GiB budget; lower --dim or drop --t-max"
             )
         joint, product, gap = factorization_gap(model, state, a, b, window)
-        _emit(
-            args,
-            "eth appendixb",
-            {"joint": complex(joint), "product": complex(product), "gap": complex(gap), "mode": window.mode},
-        )
+        result = {"joint": complex(joint), "product": complex(product), "gap": complex(gap), "mode": window.mode}
     elif action == "deutsch":
-        a, _ = _eth_obs_pair(args, model)
         rng = np.random.default_rng(args.seed + 7)
         pert = goe_matrix(model.dim, rng)
         lambdas = _parse_finite_floats("--lambdas", args.lambdas or "1,2")
@@ -571,17 +547,13 @@ def _cmd_eth(args) -> None:
             raise ValueError(f"--strength {strength} times --lambdas entry {lam} puts H + c lambda H' out of float range")
         spec = DeutschSpec(perturbation=pert, strength=strength, lambdas=lambdas, beta=args.beta)
         report = deutsch_ensemble(model, spec, observable=a)
-        _emit(
-            args,
-            "eth deutsch",
-            {
-                "lambdas": list(report.lambdas),
-                "mixed_kappa4": {f"{l1},{l2}": complex(v) for (l1, l2), v in report.mixed_kappa4.items()},
-                "row_sum_max_error": max(
-                    float(np.max(np.abs(o.sum(axis=1) - 1.0))) for o in report.overlaps.values()
-                ),
-            },
-        )
+        result = {
+            "lambdas": list(report.lambdas),
+            "mixed_kappa4": {f"{l1},{l2}": complex(v) for (l1, l2), v in report.mixed_kappa4.items()},
+            "row_sum_max_error": max(float(np.max(np.abs(o.sum(axis=1) - 1.0))) for o in report.overlaps.values()),
+        }
+    rows = (["t", "real", "imag", "std_error"], result["scan"]) if "scan" in result else None
+    _emit(args, f"eth {action}", result, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +561,7 @@ def _cmd_eth(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+ENSEMBLES = ("pauli", "clifford", "haar", "hamiltonian", "files")
 _N_SAMPLES_HELP = "checked to be positive, but no ensemble reads it: discrete, Haar and --t-max window channels are exact"
 
 
@@ -662,7 +635,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_haar_test)
 
     p = subs.add_parser("design-check", help="compare an ensemble channel with Haar")
-    p.add_argument("--ensemble", required=True, help="pauli | clifford | haar | hamiltonian | files")
+    p.add_argument("--ensemble", required=True, choices=ENSEMBLES)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--tolerance", type=float, default=1e-10)
@@ -674,7 +647,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_design_check)
 
     p = subs.add_parser("distance", help="Frobenius distance to the Haar channel")
-    p.add_argument("--ensemble", required=True)
+    p.add_argument("--ensemble", required=True, choices=ENSEMBLES)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--t-max", dest="t_max", type=float, default=1000.0)
@@ -733,12 +706,12 @@ _NEGATIVE_VALUE = re.compile(rf"-{_NUMBER}(?:,[+-]?{_NUMBER})*", re.IGNORECASE)
 
 def dispatch(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--config" in argv:
+    if "--config" in argv[:-1]:  # a trailing --config is left to argparse, which refuses it
         # config entries become trailing options, so explicit flags win and
         # subparser defaults cannot clobber them
         try:
             cfg = _load_config(argv[argv.index("--config") + 1])
-        except (IndexError, FileNotFoundError, ValueError) as exc:
+        except (FileNotFoundError, ValueError) as exc:
             print(f"kfree: bad --config: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         for key, val in cfg.items():
@@ -761,6 +734,9 @@ def dispatch(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_domains(args)
+        command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+        if args.format == "csv" and command not in CSV_COMMANDS:
+            raise ValueError(f"--format csv is only for tabular results ({', '.join(CSV_COMMANDS)}), not {command}")
         args.func(args)
     except RegimeError as exc:
         print(f"kfree: regime error: {exc}", file=sys.stderr)

@@ -14,14 +14,16 @@ the sorted energies) read.  Both test Hermiticity one row panel at a time,
 on the real part when every imaginary part is exactly 0, so the check adds
 no full-size copy of H.
 
-One builder, `_chain_einsum`, writes the subscripts and operands of every
-chain sum.  `merged_chain_sum` contracts them to a number S_Q for one merge
-pattern Q.  The finite-window average keeps every slot axis open (the
-singleton pattern) and builds the amplitude tensor by broadcast multiplies
-into one reused buffer (`_slot_amplitudes`).  Amplitudes far from
-resonance, divided by their phase d, are contracted slot by slot against
-per-slot phase vectors e^{iT c_s E}, with the window kernel's e^{iTd} - 1
-telescoped over the slots; the few near resonance take `window_kernel`.
+One builder, `_chain_einsum`, lays out every chain sum as numpy's
+interleaved einsum operands: each matrix or weight vector followed by its
+axis numbers, axis n being the n-th block of the merge pattern Q.
+`merged_chain_sum` contracts them to a number S_Q.  The finite-window
+average keeps every slot axis open (the singleton pattern) and builds the
+amplitude tensor by broadcast multiplies into one reused buffer
+(`_slot_amplitudes`).  Amplitudes far from resonance, divided by their
+phase d, are contracted slot by slot against per-slot phase vectors
+e^{iT c_s E}, with the window kernel's e^{iTd} - 1 telescoped over the
+slots; the few near resonance take `window_kernel`.
 `_chain_time_average` is the one place that chooses between the infinite
 window and a finite one.
 
@@ -53,7 +55,6 @@ makes them complex.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb
@@ -426,32 +427,28 @@ def _slot_coeffs(timed: Sequence[bool]) -> tuple[int, ...]:
     return tuple(bool(timed[i]) - bool(timed[i - 1]) for i in range(len(timed)))
 
 
-def _chain_einsum(chains: SlotChains, merge: Partition) -> tuple[list[str], list[np.ndarray]]:
-    """Einsum subscripts and operands of the chain sum with slots identified
-    per `merge`: slot s gets the letter of its block, each cycle contributes
-    its weight vector on its first slot and then one matrix per slot pair."""
+def _chain_einsum(chains: SlotChains, merge: Partition) -> list:
+    """Interleaved einsum operands of the chain sum with slots identified
+    per `merge`: slot s lies on the axis numbered by its block, each cycle
+    contributes its weight vector on its first slot and then one matrix per
+    slot pair."""
     idx = merge.block_index()
-    letters = string.ascii_lowercase
-    subs = []
     operands = []
     slot = 1
     for cyc, w in zip(chains.cycles, chains.weights):
         p = len(cyc)
-        subs.append(letters[idx[slot]])
-        operands.append(w)
+        operands += [w, [idx[slot]]]
         for i, m in enumerate(cyc):
-            subs.append(letters[idx[slot + i]] + letters[idx[slot + (i + 1) % p]])
-            operands.append(m)
+            operands += [m, [idx[slot + i], idx[slot + (i + 1) % p]]]
         slot += p
-    return subs, operands
+    return operands
 
 
 def merged_chain_sum(chains: SlotChains, merge: Partition) -> complex:
     """Unrestricted chain sum with slots identified per `merge` (one einsum)."""
     if merge.n != chains.n_slots:
         raise ValueError("merge partition must cover every slot")
-    subs, operands = _chain_einsum(chains, merge)
-    return complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
+    return complex(np.einsum(*_chain_einsum(chains, merge), [], optimize=True))
 
 
 @lru_cache(maxsize=None)
@@ -526,7 +523,7 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
             f"a finite window over {m} slots at D = {D} holds about {window_bytes(D, m) / 2**30:.1f} GiB,"
             f" past the {WINDOW_BYTES_CAP / 2**30:g} GiB budget"
         )
-    subs, operands = _chain_einsum(chains, Partition.singletons(m))
+    operands = _chain_einsum(chains, Partition.singletons(m))
 
     coeffs = chains.slot_coeffs
     e = energies - np.mean(energies)
@@ -543,13 +540,13 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
         rows = [np.stack([2j * np.sin(theta / 2) * np.exp(0.5j * theta), np.exp(1j * theta)]) for theta in thetas]
 
     chunk = min(D, max(1, _WINDOW_CHUNK_ELEMS // D ** (m - 1)))
-    amplitudes = np.empty((chunk,) + (D,) * (m - 1), dtype=np.result_type(*operands))
+    amplitudes = np.empty((chunk,) + (D,) * (m - 1), dtype=np.result_type(*operands[::2]))
     direct = telescoped = 0.0 + 0.0j
     h = np.zeros(D ** (m - 1), dtype=complex)
     for lo in range(0, D, chunk):
         sel = slice(lo, lo + chunk)
         g = amplitudes[: min(chunk, D - lo)]
-        _slot_amplitudes(g, subs, operands, sel)
+        _slot_amplitudes(g, operands, sel)
         delta = coeffs[0] * e[sel]
         for c in coeffs[1:]:
             delta = np.add.outer(delta, c * e)
@@ -578,24 +575,23 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
     return complex(direct - 1j * telescoped / t_max)
 
 
-def _slot_amplitudes(out: np.ndarray, subs: list[str], operands: list[np.ndarray], sel: slice) -> None:
-    """Fill `out` with the chain's amplitude tensor over the slot axes (slot
-    letter a is axis 0, restricted to `sel`; b is axis 1; ...): the einsum
-    `",".join(subs) -> "ab..."`, which sums no index, done as broadcast
-    multiplies, each operand viewed on the axes its subscript names.  A
-    repeated subscript (the one slot of a one-letter cycle) is a diagonal."""
-    letters = string.ascii_lowercase
+def _slot_amplitudes(out: np.ndarray, operands: list, sel: slice) -> None:
+    """Fill `out` with the chain's amplitude tensor over the slot axes (axis
+    0 restricted to `sel`): the einsum of the interleaved `operands` onto
+    every axis, which sums no index, done as broadcast multiplies, each
+    operand viewed on the axes it names.  A repeated axis (the one slot of a
+    one-slot cycle) is a diagonal."""
     product = None
-    for s, op in zip(subs, operands):
-        if len(s) == 2 and s[0] == s[1]:
-            s, op = s[0], np.diagonal(op)
-        if len(s) == 2 and s[0] > s[1]:
-            s, op = s[::-1], op.T
-        if s[0] == letters[0]:
+    for op, axes in zip(operands[::2], operands[1::2]):
+        if len(axes) == 2 and axes[0] == axes[1]:
+            axes, op = axes[:1], np.diagonal(op)
+        if len(axes) == 2 and axes[0] > axes[1]:
+            axes, op = axes[::-1], op.T
+        if axes[0] == 0:
             op = op[sel]
         shape = [1] * out.ndim
-        for letter, n in zip(s, op.shape):
-            shape[letters.index(letter)] = n
+        for axis, n in zip(axes, op.shape):
+            shape[axis] = n
         view = op.reshape(shape)
         if product is None:
             product = view
@@ -729,14 +725,11 @@ def free_k_time(
     A,
     B,
     k: int,
+    t_grid: Sequence[float],
     threshold: float = 0.05,
-    t_grid: Sequence[float] | None = None,
 ) -> FreeTimeResult:
-    """Smallest grid time after which |kappa^beta_{2k}(A(t),B,...)| stays
-    below threshold times its initial magnitude for the rest of the grid."""
-    if t_grid is None:
-        width = max(model.spectral_width(), 1e-12)
-        t_grid = np.linspace(0.0, 40.0 / width, 81)
+    """Smallest time of `t_grid` after which |kappa^beta_{2k}(A(t),B,...)|
+    stays below threshold times its initial magnitude for the rest of the grid."""
     times = np.asarray(list(t_grid), dtype=float)
     mags = np.abs(thermal_cumulant_scan(model, state, A, B, k, times))
     above = np.flatnonzero(~(mags <= threshold * mags[0]))

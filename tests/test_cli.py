@@ -529,6 +529,9 @@ def test_operator_dimension_must_match_dim(tmp_path):
 def test_boundary_errors_name_the_flag(tmp_path):
     for name in ("u1.json", "u2.json"):
         save_operator(tmp_path / name, np.eye(2))
+    save_operator(tmp_path / "narrow.json", np.diag([0.0, 1e-310]))
+    flat = ["--model", str(tmp_path / "u1.json"), "--obs", f"A={tmp_path / 'u2.json'}"]  # H = I: zero width
+    narrow = ["--model", str(tmp_path / "narrow.json"), "--obs", f"A={tmp_path / 'u2.json'}"]  # 40 / width overflows
     files = ["design-check", "--ensemble", "files", "--k", "1", "--unitaries",
              f"{tmp_path / 'u1.json'},{tmp_path / 'u2.json'}"]
     cases = [
@@ -582,11 +585,36 @@ def test_boundary_errors_name_the_flag(tmp_path):
          "--t-max must be > 0 (got -0.001)"),
         (["cumulants", "--moments", "-1,nan"], "--moments: entry 'nan'"),
         (["otoc", "--k", "2", "--a-moments", "-1,1/0", "--b-moments", "0,1"], "--a-moments: entry '1/0'"),
+        (["eth", "freetime", *flat], "the spectral width 0 sets no default grid (up to 40/width); pass --t-max"),
+        (["eth", "freetime", *narrow], "the spectral width 1e-310 sets no default grid"),
+        (["nc", "--n", "3", "--config"], "argument --config: expected one argument"),
+        (["perm", "--perm", "a,b"], "--perm a,b: "),
+        (["perm", "--perm", "1,1"], "--perm 1,1: not a permutation"),
+        (["design-check", "--ensemble", "bogus", "--k", "1"], "argument --ensemble: invalid choice"),
+        (["distance", "--ensemble", "bogus", "--k", "1"], "argument --ensemble: invalid choice"),
+        (["eth", "build", "--dim", "8", "--format", "csv"], "--format csv is only for tabular results"),
+        (["eth", "timeavg", "--dim", "8", "--obs", "X"], "bad --obs 'X'; want NAME=path"),
+        (["design-check", "--ensemble", "files", "--k", "1"], "--unitaries required for --ensemble files"),
+        (["cumulants"], "need --moments or --operator"),
+        (["channel", "--k", "2", "--dim", "2"], "need --a-ops or --a-moments"),
+        (["otoc", "--k", "2", "--a-moments", "0,1"], "need --b-ops or --b-moments"),
     ]
     for argv, message in cases:
         code, err = run_process(*argv)
         assert_validation_exit(code, err)
         assert message in err
+
+
+def test_csv_is_refused_before_any_work(monkeypatch, capsys):
+    from kfree import ensembles
+
+    def no_sampling(*_):
+        raise AssertionError("a Haar sample was drawn")
+
+    monkeypatch.setattr(ensembles, "sample_haar", no_sampling)
+    code, out, err = run(capsys, "haar-test", "--dim", "4", "--k", "1", "--n-samples", "2", "--format", "csv")
+    assert (code, out) == (1, "")
+    assert "--format csv is only for tabular results" in err
 
 
 def test_negative_values_in_exponent_or_list_form_are_values(capsys):

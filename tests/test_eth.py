@@ -737,7 +737,7 @@ def test_window_holds_h_once(monkeypatch, name, bytes_per_entry):
 
 
 AMPLITUDE_WORDS = (
-    (("A", True),),  # k = 1: the one slot's "aa" subscript is a diagonal
+    (("A", True),),  # k = 1: the one slot's matrix lies on axes [0, 0], a diagonal
     (("A", True), ("B", False)),
     (("A", False), ("B", False)),
     (("A", True), ("B", False), ("A", False)),
@@ -754,13 +754,13 @@ def test_slot_amplitudes_match_einsum_oracle(window_models, name):
     chains = [chains_from_word(model, state, word) for word in AMPLITUDE_WORDS] + [joint]
     for chain in chains:
         want = chain_amplitudes_einsum(chain)
-        subs, operands = _chain_einsum(chain, Partition.singletons(chain.n_slots))
+        operands = _chain_einsum(chain, Partition.singletons(chain.n_slots))
         # the whole first axis, and first-slot chunks of 3, 3, 3, 1
         for step in (model.dim, 3):
             for lo in range(0, model.dim, step):
                 sel = slice(lo, lo + step)
                 got = np.empty_like(want[sel])
-                _slot_amplitudes(got, subs, operands, sel)
+                _slot_amplitudes(got, operands, sel)
                 assert got.dtype == want.dtype
                 assert np.max(np.abs(got - want[sel])) <= 1e-13 * np.max(np.abs(want)), (chain.slot_coeffs, sel)
 

@@ -48,12 +48,12 @@ import benchlib
 import kfree
 from kfree import ensembles
 from kfree.eth import goe_matrix, normalize_observable
-from kfree.moments import _cyclic_key, _word_trace
+from kfree.moments import _cyclic_key, _word_trace, cumulant_words
 
 STAGE_DIMS = (128, 256)
 # the words kappa_4 needs that mix A and B, each at its cyclic key, longest first as the sample loop traces them
 WORDS = sorted(
-    {_cyclic_key(w) for w in ensembles._needed_block_words(("A", "B") * 2) if set(w) == {"A", "B"}},
+    {_cyclic_key(w) for w in cumulant_words(("A", "B") * 2) if set(w) == {"A", "B"}},
     key=lambda w: (-len(w), repr(w)),
 )
 CASES = (

@@ -23,7 +23,7 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from .errors import RegimeError
-from .moments import CumulantSet, Expectation, Value, Word, _cyclic_key, mixed_moment_free, parts_product, sub_words
+from .moments import Expectation, Value, Word, _cyclic_key, cumulants, mixed_moment_free, parts_product, sub_words
 from .partitions import enumerate_nc, kreweras_complement
 from .permutations import Permutation, all_permutations, compose, full_cycle, inverse
 from .weingarten import weingarten_table
@@ -127,7 +127,7 @@ def kappa_alpha(
     """Cumulant coefficient of W_{alpha^-1} in the large-D channel: the
     product over the cycles of alpha of the free cumulant of each cycle word."""
     labels = tuple(labels) if labels is not None else positional_labels(alpha.k)
-    return parts_product(CumulantSet(phi).kappa, labels, alpha.cycles())
+    return parts_product(cumulants(phi), labels, alpha.cycles())
 
 
 def channel_asymptotic(
@@ -141,11 +141,11 @@ def channel_asymptotic(
     One free cumulant per distinct cycle word: k for one operator.
     """
     labels = tuple(labels) if labels is not None else positional_labels(k)
-    cumulants = CumulantSet(phi)
+    kappa = cumulants(phi)
     coeffs: dict[Permutation, Value] = {}
     for alpha in all_permutations(k):
         cycles = alpha.cycles()
-        kap = parts_product(cumulants.kappa, labels, cycles)
+        kap = parts_product(kappa, labels, cycles)
         denom = D ** (k - len(cycles))
         coeffs[alpha] = Fraction(kap, denom) if isinstance(kap, int) else kap / denom
     return ChannelCoefficients(k=k, D=D, mode="asymptotic", coeffs=coeffs)

@@ -9,6 +9,7 @@ configuration and the package version.  Rational numbers serialize as
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -34,14 +35,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonable(x):
+    """x as plain JSON data.  A non-finite float is refused here, before any
+    of the document is written."""
+    if isinstance(x, (np.floating, np.integer)):
+        x = x.item()
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"the result document holds a non-finite value ({x})")
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, complex):
-        return [x.real, x.imag]
+        return [_jsonable(x.real), _jsonable(x.imag)]
     if isinstance(x, np.ndarray):
         return _jsonable(x.tolist())
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -57,9 +62,7 @@ def _emit(args, command: str, result, rows=None) -> None:
         "result": _jsonable(result),
     }
     fmt = getattr(args, "format", "json") or "json"
-    if fmt == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    elif fmt == "csv":
+    if fmt == "csv":
         header, data = rows
         lines = [",".join(header)]
         for row in data:
@@ -67,13 +70,14 @@ def _emit(args, command: str, result, rows=None) -> None:
         text = "\n".join(lines) + "\n"
     elif fmt == "text":
         text = _textify(doc)
-    else:
+    elif fmt != "json":
         raise ValueError(f"unknown format {fmt!r}")
     out = getattr(args, "output", None)
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as dest:
+        if fmt == "json":  # streamed: the document's text is never held whole
+            json.dump(doc, dest, indent=2, sort_keys=True, allow_nan=False)
+            text = "\n"
+        dest.write(text)
 
 
 def _textify(doc) -> str:
@@ -166,7 +170,10 @@ def _load_matrix(path: str, flag: str = "", dim: int | None = None) -> np.ndarra
 def _default_observable(D: int, seed: int) -> np.ndarray:
     from .eth import goe_matrix, normalize_observable
 
-    return normalize_observable(goe_matrix(D, np.random.default_rng(seed)))
+    try:
+        return normalize_observable(goe_matrix(D, np.random.default_rng(seed)))
+    except ValueError as exc:  # D = 1: a 1 x 1 matrix has no traceless part
+        raise ValueError(f"--dim {D}: {exc}; pass --a and --b") from None
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +228,8 @@ def _cmd_perm(args) -> None:
 def _cmd_wg(args) -> None:
     from .weingarten import weingarten_table
 
-    _check_k(args.k, 6)  # k = 6 peaks at 219 MB; k = 7's 5040^2 entry pairs would need about 9 GB
+    # k = 6 peaks at 47 MB, its document streamed to the output; k = 7 has 49 times the entry pairs (5040^2)
+    _check_k(args.k, 6)
     table = weingarten_table(args.k, args.dim)
     result = {"k": args.k, "dim": args.dim, "permutations": [str(p) for p in table.perms], "gram": [], "weingarten": []}
     # a table holds p(k) distinct values, so interning keeps one string per value, not k!^2
@@ -232,7 +240,7 @@ def _cmd_wg(args) -> None:
 
 
 def _cmd_cumulants(args) -> None:
-    from .moments import CumulantSet, Expectation
+    from .moments import Expectation, cumulants
 
     if args.moments:
         moments = _parse_moments("--moments", args.moments, args.max_order or 0)
@@ -245,9 +253,14 @@ def _cmd_cumulants(args) -> None:
     else:
         raise ValueError("need --moments or --operator")
     _check_nc_size(f"--max-order {max_order}" if args.max_order else f"--moments ({max_order} moments)", max_order)
-    table = CumulantSet(phi).table("A", max_order)
-    rows = (["order", "real", "imag"], [[n, complex(v).real, complex(v).imag] for n, v in table.items()])
-    _emit(args, "cumulants", {"kappa": {str(n): complex(v) for n, v in table.items()}}, rows=rows)
+    kappa = cumulants(phi)
+    with np.errstate(over="ignore", invalid="ignore"):  # an operator's powers may overflow: refused below
+        table = {n: complex(kappa(("A",) * n)) for n in range(1, max_order + 1)}
+    if not np.all(np.isfinite(list(table.values()))):
+        source = "--moments" if args.moments else f"--operator {args.operator}"
+        raise ValueError(f"{source}: the free cumulants up to order {max_order} leave the float range")
+    rows = (["order", "real", "imag"], [[n, v.real, v.imag] for n, v in table.items()])
+    _emit(args, "cumulants", {"kappa": {str(n): v for n, v in table.items()}}, rows=rows)
 
 
 def _word_functional(args, prefix: str, k: int):
@@ -337,9 +350,10 @@ def _build_ensemble(args):
     if name == "haar":
         return HaarEnsemble(args.dim)
     if name == "hamiltonian":
-        from .eth import goe_model
+        from .eth import build_model, goe_matrix
 
-        model = goe_model(args.dim, seed=args.seed)
+        # the Hamiltonian alone: the ensemble reads no observable
+        model = build_model(goe_matrix(args.dim, np.random.default_rng(args.seed)))
         return HamiltonianEnsemble(model, t_max=args.t_max)
     # argparse allows no other ensemble than "files"
     if not args.unitaries:
@@ -350,7 +364,12 @@ def _build_ensemble(args):
         if m.shape != mats[0].shape:
             raise ValueError(f"--unitaries: {path} has shape {m.shape}, {paths[0]} has {mats[0].shape}")
     probs = _parse_finite_floats("--probs", args.probs) if args.probs else None
-    return DiscreteEnsemble(mats, np.array(probs) if probs else None)
+    try:
+        return DiscreteEnsemble(mats, np.array(probs) if probs else None)
+    except ValueError as exc:  # shapes and entries are checked: a file is not unitary, or the probabilities are bad
+        bad = re.match(r"unitary (\d+)", str(exc))
+        flag = f"--unitaries: {paths[int(bad[1])]}" if bad else f"--probs {args.probs}"
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _ensemble_fields(args, spec) -> dict:

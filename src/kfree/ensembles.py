@@ -17,8 +17,7 @@ import numpy as np
 from .channel import permutation_operator
 from .errors import RegimeError
 from .eth import SpectralModel, window_kernel
-from .moments import Expectation, _cyclic_key, _word_trace, free_cumulant, sub_words
-from .partitions import enumerate_nc
+from .moments import Expectation, _cyclic_key, _word_trace, cumulant_words, free_cumulant
 from .permutations import all_permutations
 
 PROB_TOL = 1e-12
@@ -376,10 +375,6 @@ class EnsembleExpectation:
         return Expectation(fn, cyclic=True)
 
 
-def _needed_block_words(word: tuple) -> list[tuple]:
-    return sorted({w for pi in enumerate_nc(len(word)) for w in sub_words(word, pi.blocks)}, key=repr)
-
-
 def k_freeness_test(
     spec: EnsembleSpec,
     A: np.ndarray,
@@ -399,7 +394,7 @@ def k_freeness_test(
     expectation = EnsembleExpectation(
         spec, {"A": A, "B": B}, rotated={"A"}, n_samples=n_samples, seed=seed, n_batches=n_batches
     )
-    expectation.evaluate_words(_needed_block_words(word))
+    expectation.evaluate_words(sorted(cumulant_words(word), key=repr))
     value = complex(free_cumulant(expectation.functional(), word))
     batches = expectation.n_batches
     std_error = 0.0 if expectation.exact else None

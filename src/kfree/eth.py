@@ -62,8 +62,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .moments import Expectation, _word_trace, free_cumulant, sub_words
-from .partitions import Partition, nc_moebius_table, weighted_set_partitions
+from .moments import Expectation, _word_trace, cumulant_words, free_cumulant
+from .partitions import Partition, weighted_set_partitions
 
 DEFAULT_DIM_CAP = 4096
 RESONANCE_EPS_FACTOR = 1e-10
@@ -339,8 +339,8 @@ def thermal_cumulant_scan(model: SpectralModel, state: ThermalState, A, B, k: in
     t = 0) the value is `thermal_free_cumulant`'s own."""
     a, b, w = model.observable(A), model.observable(B), state.weights
     word = (0, 1) * k  # label 0 is A(t), 1 is B
-    subs = dict.fromkeys(s for q, _ in nc_moebius_table(2 * k) for s in sub_words(word, q.blocks))
-    runs = {s: sum(x < y for x, y in zip(s, s[1:] + s[:1])) for s in subs}  # cyclic runs of A(t) letters
+    # the cyclic runs of A(t) letters in each sub-word, in the order free_cumulant reads them
+    runs = {s: sum(x < y for x, y in zip(s, s[1:] + s[:1])) for s in cumulant_words(word)}
     static = Expectation(_word_trace({0: a, 1: b}, w))
     kernels = {s: _run_kernel(s, a, b, w) for s, n in runs.items() if n == 1}
     timed = [s for s, n in runs.items() if n > 1]

@@ -19,12 +19,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .partitions import (
-    Partition,
-    enumerate_nc,
-    kreweras_complement,
-    nc_moebius_table,
-)
+from .partitions import kreweras_complement, nc_moebius_table
 
 Word = tuple[Hashable, ...]
 Value = complex | float | Fraction
@@ -194,13 +189,6 @@ def parts_product(
     return out
 
 
-def blockwise_moment(word: Sequence[Hashable], sigma: Partition, phi: Callable[[Word], Value]) -> Value:
-    """Product over blocks of sigma of the moment of the block sub-word."""
-    if sigma.n != len(word):
-        raise ValueError(f"partition on {sigma.n} points vs word of length {len(word)}")
-    return parts_product(phi, word, sigma.blocks)
-
-
 def free_cumulant(phi: Callable[[Word], Value], word: Sequence[Hashable]) -> Value:
     """kappa_n(word) by Moebius inversion over NC(n)."""
     word = tuple(word)
@@ -210,32 +198,22 @@ def free_cumulant(phi: Callable[[Word], Value], word: Sequence[Hashable]) -> Val
     return total
 
 
+def cumulant_words(word: Sequence[Hashable]) -> list[Word]:
+    """The block sub-words `free_cumulant` reads, each once, in the order it first reads them."""
+    return list(dict.fromkeys(s for sigma, _ in nc_moebius_table(len(word)) for s in sub_words(word, sigma.blocks)))
+
+
+def cumulants(phi: Callable[[Word], Value]) -> Expectation:
+    """The free cumulants of phi as a cached functional: kappa(word) = free_cumulant(phi, word)."""
+    return Expectation(lambda word: free_cumulant(phi, word))
+
+
 def moments_from_cumulants(word: Sequence[Hashable], kappa: Callable[[Word], Value]) -> Value:
     """<word> = sum over NC(n) of the blockwise cumulant products."""
     total: Value = 0
-    for pi in enumerate_nc(len(word)):
+    for pi, _ in nc_moebius_table(len(word)):
         total += parts_product(kappa, word, pi.blocks)
     return total
-
-
-class CumulantSet:
-    """Lazy kappa evaluations over one functional, with caching."""
-
-    def __init__(self, phi: Callable[[Word], Value]):
-        self.phi = phi
-        self._cache: dict[Word, Value] = {}
-
-    def kappa(self, word: Sequence[Hashable]) -> Value:
-        word = tuple(word)
-        if word not in self._cache:
-            self._cache[word] = free_cumulant(self.phi, word)
-        return self._cache[word]
-
-    def kappa_pi(self, pi: Partition, word: Sequence[Hashable]) -> Value:
-        return parts_product(self.kappa, word, pi.blocks)
-
-    def table(self, label: Hashable, max_order: int) -> dict[int, Value]:
-        return {n: self.kappa((label,) * n) for n in range(1, max_order + 1)}
 
 
 def mixed_moment_free(
@@ -250,11 +228,10 @@ def mixed_moment_free(
     a_word, b_word = tuple(a_word), tuple(b_word)
     if len(a_word) != len(b_word):
         raise ValueError("words must have equal length")
-    n = len(a_word)
-    cumulants = CumulantSet(phi_a)
+    kappa = cumulants(phi_a)
     total: Value = 0
-    for pi in enumerate_nc(n):
-        total += cumulants.kappa_pi(pi, a_word) * blockwise_moment(b_word, kreweras_complement(pi), phi_b)
+    for pi, _ in nc_moebius_table(len(a_word)):
+        total += parts_product(kappa, a_word, pi.blocks) * parts_product(phi_b, b_word, kreweras_complement(pi).blocks)
     return total
 
 
@@ -264,18 +241,15 @@ def free_mixed_word(
 ) -> Value:
     """Moment of an arbitrary word of elements from free families.
 
-    `word` is a sequence of (family, label) pairs.  Mixed free cumulants of
-    free families vanish, so only non-crossing partitions with single-family
-    blocks survive the moment-cumulant expansion.
+    `word` is a sequence of (family, label) pairs.  Families are free when
+    their mixed free cumulants vanish, so the moment is `moments_from_cumulants`
+    of a cumulant that is 0 on any block mixing families.
     """
-    word = tuple(word)
-    cumulant_sets = {fam: CumulantSet(phi) for fam, phi in phis.items()}
+    kappas = {fam: cumulants(phi) for fam, phi in phis.items()}
 
     def kappa(block: Word) -> Value:
-        return cumulant_sets[block[0][0]].kappa(tuple(label for _, label in block))
+        if len({fam for fam, _ in block}) > 1:
+            return 0
+        return kappas[block[0][0]](tuple(label for _, label in block))
 
-    total: Value = 0
-    for pi in enumerate_nc(len(word)):
-        if all(len({fam for fam, _ in block}) == 1 for block in sub_words(word, pi.blocks)):
-            total += parts_product(kappa, word, pi.blocks)
-    return total
+    return moments_from_cumulants(word, kappa)

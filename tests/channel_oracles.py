@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
 from kfree.channel import ChannelCoefficients, permuted_trace, positional_labels
-from kfree.moments import CumulantSet, Value, Word, sub_words
+from kfree.moments import Value, Word, cumulants, parts_product, sub_words
 from kfree.permutations import Permutation, geodesic_set, permutation_to_nc
 from kfree.weingarten import weingarten_table
 
@@ -35,7 +35,7 @@ def kappa_alpha_conjugation(
     rho, alpha_c = canonicalize_by_conjugation(alpha)
     pi = permutation_to_nc(alpha_c)
     word = tuple(labels[rho(p) - 1] for p in range(1, alpha.k + 1))
-    return CumulantSet(phi).kappa_pi(pi, word)
+    return parts_product(cumulants(phi), word, pi.blocks)
 
 
 def kappa_alpha_geodesic(

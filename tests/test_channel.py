@@ -27,7 +27,7 @@ from kfree.channel import (
     word_functional_from_matrices,
 )
 from kfree.errors import RegimeError
-from kfree.moments import CumulantSet, Expectation, free_cumulant, parts_product
+from kfree.moments import Expectation, cumulants, free_cumulant, parts_product
 from kfree.partitions import kreweras_complement
 from kfree.permutations import (
     Permutation,
@@ -173,7 +173,7 @@ def test_channel_asymptotic_k2_identical():
 
 
 def test_channel_asymptotic_shared_cumulants_match_kappa_alpha():
-    # one CumulantSet serves every alpha; each coefficient must equal the
+    # one cumulant functional serves every alpha; each coefficient must equal the
     # stand-alone kappa_alpha evaluation exactly
     k, D = 4, 7
     phi = word_functional_from_matrices(random_mats(k, 3, seed=4))
@@ -247,9 +247,9 @@ def test_kappa_alpha_cycle_product_bit_identical_to_conjugation_route():
 def test_kappa_alpha_cycle_product_matches_geodesic_oracle():
     for k in range(1, 6):
         phi = word_functional_from_matrices(random_mats(k, 3, seed=30 + k))
-        cumulants = CumulantSet(phi)
+        kappa = cumulants(phi)
         for alpha in all_permutations(k):
-            got = parts_product(cumulants.kappa, positional_labels(k), alpha.cycles())
+            got = parts_product(kappa, positional_labels(k), alpha.cycles())
             ref = kappa_alpha_geodesic(alpha, phi)
             assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
 

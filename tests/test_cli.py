@@ -380,6 +380,14 @@ def test_discrete_ensembles_report_their_own_size(capsys):
     assert (result["n_samples"], result["dim"]) == (None, 6)
 
 
+def test_hamiltonian_ensemble_runs_at_dim_1(capsys):
+    # the ensemble is built from the Hamiltonian alone: no 1 x 1 observable is normalized
+    code, out, _ = run(capsys, "distance", "--ensemble", "hamiltonian", "--k", "1", "--dim", "1")
+    assert code == 0 and json.loads(out)["result"]["distance"] == 0.0
+    code, out, _ = run(capsys, "design-check", "--ensemble", "hamiltonian", "--k", "2", "--dim", "1")
+    assert code == 0 and json.loads(out)["result"]["max_deviation"] == 0.0
+
+
 def test_time_window_documents_ignore_n_samples(capsys):
     # --n-samples is still accepted and checked, but the window is exact
     argv = ["distance", "--ensemble", "hamiltonian", "--k", "2", "--dim", "16", "--t-max", "5000", "--seed", "3"]
@@ -530,10 +538,13 @@ def test_boundary_errors_name_the_flag(tmp_path):
     for name in ("u1.json", "u2.json"):
         save_operator(tmp_path / name, np.eye(2))
     save_operator(tmp_path / "narrow.json", np.diag([0.0, 1e-310]))
+    save_operator(tmp_path / "huge.json", np.diag([1e200, -1e200]))  # its square overflows
+    save_operator(tmp_path / "shear.json", np.array([[1.0, 2.0], [0.0, 1.0]]))  # not unitary
     flat = ["--model", str(tmp_path / "u1.json"), "--obs", f"A={tmp_path / 'u2.json'}"]  # H = I: zero width
     narrow = ["--model", str(tmp_path / "narrow.json"), "--obs", f"A={tmp_path / 'u2.json'}"]  # 40 / width overflows
     files = ["design-check", "--ensemble", "files", "--k", "1", "--unitaries",
              f"{tmp_path / 'u1.json'},{tmp_path / 'u2.json'}"]
+    one_file = ["distance", "--ensemble", "files", "--k", "1", "--unitaries", str(tmp_path / "u1.json")]
     cases = [
         (["eth", "timeavg", "--model", "goe", "--dim", "8", "--k", "0"], "--k must be positive"),
         (["distance", "--ensemble", "hamiltonian", "--k", "2", "--dim", "0"], "--dim must be positive"),
@@ -550,6 +561,14 @@ def test_boundary_errors_name_the_flag(tmp_path):
         (["eth", "deutsch", "--model", "goe", "--dim", "8", "--lambdas", "1,,2"], "--lambdas"),
         (files + ["--probs", "1,nan"], "--probs"),
         (files + ["--probs", "1,x"], "--probs"),
+        (files + ["--probs", "0.5"], "--probs 0.5: 1 probabilities for 2 unitaries"),
+        (files + ["--probs", "0.7,0.7"], "--probs 0.7,0.7: probabilities must sum to 1"),
+        (one_file + ["--probs", "-1"], "--probs -1: probabilities must be nonnegative"),
+        (files[:-1] + [f"{tmp_path / 'u1.json'},{tmp_path / 'shear.json'}"],
+         f"--unitaries: {tmp_path / 'shear.json'}: unitary 1 is not unitary"),
+        (["haar-test", "--dim", "1", "--n-samples", "2"], "--dim 1: a 1x1 observable"),
+        (["cumulants", "--operator", str(tmp_path / "huge.json"), "--max-order", "3"],
+         f"--operator {tmp_path / 'huge.json'}: the free cumulants up to order 3 leave the float range"),
         (["channel", "--mode", "asymptotic", "--k", "-2", "--dim", "4", "--a-moments", "1,2"], "--k must be positive"),
         (["channel", "--mode", "asymptotic", "--k", "2", "--dim", "0", "--a-moments", "1,2"], "--dim must be positive"),
         (["channel", "--mode", "asymptotic", "--k", "2", "--dim", "-2", "--a-moments", "1,2"], "--dim must be positive"),
@@ -791,9 +810,9 @@ def test_distance_beyond_the_float_range_exits_2():
 
 
 def test_one_level_observables_exit_1():
+    # the Hamiltonian ensemble reads no observable: `test_hamiltonian_ensemble_runs_at_dim_1`
     for argv in (["eth", "timeavg", "--model", "goe", "--dim", "1"],
-                 ["haar-test", "--dim", "1", "--k", "1", "--n-samples", "2"],
-                 ["design-check", "--ensemble", "hamiltonian", "--k", "1", "--dim", "1"]):
+                 ["haar-test", "--dim", "1", "--k", "1", "--n-samples", "2"]):
         code, err = run_process(*argv)
         assert_validation_exit(code, err)
         assert "no traceless part" in err

@@ -16,7 +16,7 @@ SRC_MODULES = sorted((ROOT / "src" / "kfree").glob("*.py"))
 # Public API that nothing in src/ calls; each entry says why it stays.
 LIBRARY_API = {
     "channel.haar_word_average_exact": "exact finite-D Haar word average, the reference for Monte Carlo probes",
-    "channel.kappa_alpha": "kappa_alpha for one permutation; the channel itself shares one CumulantSet",
+    "channel.kappa_alpha": "kappa_alpha for one permutation; the channel itself shares one cumulant functional",
     "channel.otoc_term_structure": "the symbolic 2k-OTOC expansion over NC(k) and the Kreweras complement",
     "channel.word_functional_from_matrices": "builds the positional functional the channel functions take",
     "ensembles.channel_monte_carlo": "the dense k-fold channel of any ensemble, the Monte Carlo side of channel_exact",
@@ -26,7 +26,6 @@ LIBRARY_API = {
     "eth.distinct_index_cumulant": "kappa_2k as a restricted spectral sum; the benchmark's library steps call it",
     "matio.save_operator": "writes the operator files that the CLI reads",
     "moments.free_mixed_word": "moments of words in free families, the definition of freeness",
-    "moments.moments_from_cumulants": "the inverse of free_cumulant: moments from cumulants over NC(n)",
     "partitions.moebius_nc": "mu(sigma, pi) with its input checks; the CLI's enumerated pairs skip them",
     "permutations.identity": "the unit of S_k, beside full_cycle",
 }

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfree.moments import (
-    CumulantSet,
     _word_trace,
     Expectation,
-    blockwise_moment,
+    cumulant_words,
+    cumulants,
     free_cumulant,
     free_mixed_word,
     mixed_moment_free,
@@ -74,9 +74,21 @@ def test_blockwise_moment_examples():
              ("A", "B", "C", "D"): 17.0}
     phi = Expectation.from_table(table)
     word = ("A", "B", "C", "D")
-    assert blockwise_moment(word, Partition.full(4), phi) == 17.0
-    assert blockwise_moment(word, Partition.singletons(4), phi) == 2.0 * 3.0 * 5.0 * 7.0
-    assert blockwise_moment(word, Partition.from_blocks(4, [[1, 2], [3, 4]]), phi) == 11.0 * 13.0
+    assert parts_product(phi, word, Partition.full(4).blocks) == 17.0
+    assert parts_product(phi, word, Partition.singletons(4).blocks) == 2.0 * 3.0 * 5.0 * 7.0
+    assert parts_product(phi, word, Partition.from_blocks(4, [[1, 2], [3, 4]]).blocks) == 11.0 * 13.0
+
+
+@pytest.mark.parametrize("word", [("A", "B") * 2, (0, 1) * 3, ("x", "y", "x", "z", "y")])
+def test_cumulant_words_are_the_sub_words_free_cumulant_reads(word):
+    read = []
+
+    def phi(sub):  # records every call: no cache hides a repeated sub-word
+        read.append(sub)
+        return 1.0
+
+    free_cumulant(phi, word)
+    assert list(dict.fromkeys(read)) == cumulant_words(word)
 
 
 def test_kappa3_kappa4_closed_forms():
@@ -171,10 +183,10 @@ def test_kappa_pi_block_factorization_hand_expanded():
     word = ("W", "X", "Y", "Z")
     pi = Partition.from_blocks(4, [[1, 4], [2, 3]])
     expected = free_cumulant(phi, ("W", "Z")) * free_cumulant(phi, ("X", "Y"))
-    assert abs(CumulantSet(phi).kappa_pi(pi, word) - expected) < 1e-12
+    assert abs(parts_product(cumulants(phi), word, pi.blocks) - expected) < 1e-12
     pi2 = Partition.from_blocks(4, [[1, 2, 4], [3]])
     expected2 = free_cumulant(phi, ("W", "X", "Z")) * free_cumulant(phi, ("Y",))
-    assert abs(CumulantSet(phi).kappa_pi(pi2, word) - expected2) < 1e-12
+    assert abs(parts_product(cumulants(phi), word, pi2.blocks) - expected2) < 1e-12
 
 
 def test_mixed_moment_free_abab():
@@ -228,8 +240,8 @@ def test_alternating_centered_n1_identity():
 
 def test_cumulant_set_table():
     phi = moment_phi([0.0, 1.0, 0.0, 2.0])
-    cs = CumulantSet(phi)
-    table = cs.table("A", 4)
+    kappa = cumulants(phi)
+    table = {n: kappa(("A",) * n) for n in range(1, 5)}
     assert abs(table[2] - 1.0) < 1e-12
     assert abs(table[4]) < 1e-12
 

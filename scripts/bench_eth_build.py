@@ -9,14 +9,14 @@ Stages, on seeded GOE inputs written to a scratch directory first:
 - `hermiticity-D1024`: `eth.build_model` on a complex-typed D = 1024 matrix
   with one asymmetric entry, which runs the dimension cap, the finiteness
   check and the Hermiticity check, then is rejected before diagonalising;
-- `eth-build-D256`, `eth-build-D1024`: one `kfree eth build --model FILE.bin`
-  through `kfree.cli.dispatch`, load included;
+- `eth-build-D256`, `-D384`, `-D512`, `-D1024`: one `kfree eth build
+  --model FILE.bin` through `kfree.cli.dispatch`, load included;
 - `window-D32`: one finite-window kappa_4(A(t), B, A(t), B) at t_max = 40 on
   `goe_model(32, seed=11)` at beta = 0.3 / (spectral width), the model
   built before the stage.
 
-Per stage the document records the median of `--repeats` timed calls after
-one untimed warm-up, the tracemalloc peak of one more call (allocations
+Per stage the document records the wall and CPU times of `--repeats`
+timed calls after one untimed warm-up and their medians, the tracemalloc peak of one more call (allocations
 numpy reports to tracemalloc; LAPACK workspace is not among them), and the
 peak resident set (VmHWM) of a fresh interpreter that prepares the stage,
 reads VmHWM, runs the stage once and reads it again.  Only public API and
@@ -31,11 +31,9 @@ import argparse
 import contextlib
 import io
 import json
-import statistics
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -47,7 +45,8 @@ from kfree.cli import dispatch
 from kfree.eth import TimeWindow, averaged_free_cumulant, build_model, goe_matrix, goe_model, thermal_state
 from kfree.matio import load_operator, save_operator
 
-STAGES = ("load-bin-D1024", "load-json-D256", "hermiticity-D1024", "eth-build-D256", "eth-build-D1024", "window-D32")
+BUILD_DIMS = (256, 384, 512, 1024)
+STAGES = ("load-bin-D1024", "load-json-D256", "hermiticity-D1024", *(f"eth-build-D{D}" for D in BUILD_DIMS), "window-D32")
 WORD = (("A", True), ("B", False), ("A", True), ("B", False))
 
 
@@ -59,6 +58,8 @@ def write_inputs(work: Path) -> None:
     skew = goe_matrix(1024, rng) + 0j
     skew[0, 1] += 1.0
     save_operator(work / "skew1024.bin", skew)
+    for D in (384, 512):  # drawn last, so the inputs above stay those of earlier revisions
+        save_operator(work / f"H{D}.bin", goe_matrix(D, rng))
 
 
 def prepare(stage: str, work: Path):
@@ -114,11 +115,11 @@ def child(stage: str, work: Path) -> int:
 def measure(stage: str, work: Path, repeats: int) -> dict:
     fn = prepare(stage, work)
     fn()  # warm-up: lazy imports and caches
-    seconds = []
+    seconds, cpu_seconds = [], []
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        seconds.append(time.perf_counter() - t0)
+        _, wall, cpu = benchlib.timed(fn)
+        seconds.append(wall)
+        cpu_seconds.append(cpu)
     tracemalloc.start()
     try:
         fn()
@@ -131,8 +132,7 @@ def measure(stage: str, work: Path, repeats: int) -> dict:
     )
     return {
         "stage": stage,
-        "seconds": seconds,
-        "median_s": statistics.median(seconds),
+        **benchlib.times(seconds, cpu_seconds),
         "tracemalloc_peak_mb": peak / 2**20,
         **json.loads(proc.stdout),
     }
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     benchlib.write(doc, args.out)
     for s in stages:
         sys.stdout.write(
-            f"{s['stage']:>18}: {1e3 * s['median_s']:8.1f} ms  tracemalloc {s['tracemalloc_peak_mb']:6.1f} MB  "
+            f"{s['stage']:>18}: {1e3 * s['median_s']:8.1f} ms  CPU {1e3 * s['median_cpu_s']:8.1f} ms  tracemalloc {s['tracemalloc_peak_mb']:6.1f} MB  "
             f"VmHWM {s['vm_hwm_before_mb']:6.1f} -> {s['vm_hwm_mb']:6.1f} MB\n"
         )
     return 0

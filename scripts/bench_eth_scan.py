@@ -12,7 +12,8 @@ Five cases on `goe_model(D, seed=11)` at beta = 0.3 / (spectral width):
 - deutsch: `deutsch_ensemble` at lambdas 1, 2 and strength 0.25 (three
   mixed kappa_4 and two perturbed `eigh`).
 
-Each case runs `--repeats` times after one untimed warm-up.  A library case
+Each case runs `--repeats` times after one untimed warm-up, each run's wall
+and CPU time recorded (`benchlib.timed`).  A library case
 records a checksum of its values, a CLI case the SHA-256 of its document
 (`benchlib.run_case`).  Only `dispatch` and the public API are used, so the
 same script runs on any revision that has them.
@@ -21,9 +22,7 @@ Example:
     python scripts/bench_eth_scan.py --dim 256 --repeats 5 --out BENCH_eth_scan.json
 """
 
-import statistics
 import sys
-import time
 
 import numpy as np
 
@@ -61,15 +60,14 @@ def library_cases(model, state):
 
 def time_library_case(name, run, repeats) -> dict:
     values = [complex(v) for v in run()]
-    seconds = []
+    seconds, cpu_seconds = [], []
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        run()
-        seconds.append(time.perf_counter() - t0)
+        _, wall, cpu = benchlib.timed(run)
+        seconds.append(wall)
+        cpu_seconds.append(cpu)
     return {
         "name": name,
-        "seconds": seconds,
-        "median_s": statistics.median(seconds),
+        **benchlib.times(seconds, cpu_seconds),
         "n_values": len(values),
         "value_sum": [sum(v.real for v in values), sum(v.imag for v in values)],
     }
@@ -103,7 +101,7 @@ def main(argv=None) -> int:
     }
     benchlib.write(doc, args.out)
     for case in results:
-        sys.stdout.write(f"{case['name']}: {case['median_s']:.3f} s\n")
+        sys.stdout.write(f"{case['name']}: {case['median_s']:.3f} s wall, {case['median_cpu_s']:.3f} s CPU\n")
     return 0
 
 

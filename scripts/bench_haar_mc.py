@@ -15,8 +15,8 @@ draws (median in ms):
   traced once per evaluation, not per sample.
 
 The stages run once with the BLAS thread count in effect and, where kfree
-can pin OpenBLAS (`ensembles._one_blas_thread`), once on one thread, as the
-sample loop runs them.
+can pin OpenBLAS (`eth._one_blas_thread`, which `ensembles` imports and its
+sample loop enters), once on one thread, as the sample loop runs them.
 
 End to end, each case is one `kfree.cli.dispatch` call repeated `--repeats`
 times: every repeat, the median and the SHA-256 of the document, which must

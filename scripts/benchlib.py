@@ -53,21 +53,36 @@ def write(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
+def timed(fn) -> tuple:
+    """(result, wall seconds, CPU seconds) of one `fn()` call; the CPU time
+    (`time.process_time`) counts every thread of the process, BLAS threads
+    included."""
+    t0, c0 = time.perf_counter(), time.process_time()
+    result = fn()
+    return result, time.perf_counter() - t0, time.process_time() - c0
+
+
+def times(seconds: list, cpu_seconds: list) -> dict:
+    """The per-repeat wall and CPU times of a case and their medians."""
+    return {"seconds": seconds, "median_s": statistics.median(seconds),
+            "cpu_seconds": cpu_seconds, "median_cpu_s": statistics.median(cpu_seconds)}
+
+
 def run_case(name: str, argv: list[str], repeats: int, before=lambda: None) -> dict:
     """`repeats` timed `dispatch(argv)` calls, each after `before()`: every
-    time, the median and the SHA-256 of the document, which every repeat
-    must write alike."""
-    seconds, digests = [], set()
+    wall and CPU time, their medians and the SHA-256 of the document, which
+    every repeat must write alike."""
+    seconds, cpu_seconds, digests = [], [], set()
     for _ in range(repeats):
         before()
         out = io.StringIO()
-        t0 = time.perf_counter()
         with contextlib.redirect_stdout(out):
-            code = dispatch(argv)
-        seconds.append(time.perf_counter() - t0)
+            code, wall, cpu = timed(lambda: dispatch(argv))
+        seconds.append(wall)
+        cpu_seconds.append(cpu)
         if code != 0:
             raise SystemExit(f"{name}: kfree exited {code}")
         digests.add(hashlib.sha256(out.getvalue().encode()).hexdigest())
     if len(digests) != 1:
         raise SystemExit(f"{name}: repeats wrote different documents")
-    return {"name": name, "argv": argv, "seconds": seconds, "median_s": statistics.median(seconds), "sha256": digests.pop()}
+    return {"name": name, "argv": argv, **times(seconds, cpu_seconds), "sha256": digests.pop()}

@@ -254,11 +254,15 @@ def _cmd_cumulants(args) -> None:
         raise ValueError("need --moments or --operator")
     _check_nc_size(f"--max-order {max_order}" if args.max_order else f"--moments ({max_order} moments)", max_order)
     kappa = cumulants(phi)
+    source = "--moments" if args.moments else f"--operator {args.operator}"
+    out_of_range = ValueError(f"{source}: the free cumulants up to order {max_order} leave the float range")
     with np.errstate(over="ignore", invalid="ignore"):  # an operator's powers may overflow: refused below
-        table = {n: complex(kappa(("A",) * n)) for n in range(1, max_order + 1)}
+        try:
+            table = {n: complex(kappa(("A",) * n)) for n in range(1, max_order + 1)}
+        except OverflowError:  # an exact (Fraction) cumulant past the float range
+            raise out_of_range from None
     if not np.all(np.isfinite(list(table.values()))):
-        source = "--moments" if args.moments else f"--operator {args.operator}"
-        raise ValueError(f"{source}: the free cumulants up to order {max_order} leave the float range")
+        raise out_of_range
     rows = (["order", "real", "imag"], [[n, v.real, v.imag] for n, v in table.items()])
     _emit(args, "cumulants", {"kappa": {str(n): v for n, v in table.items()}}, rows=rows)
 
@@ -412,7 +416,10 @@ def _eth_model(args):
     from .eth import build_model, goe_model, ising_model, to_eigenbasis
 
     if args.model == "goe":
-        model = goe_model(args.dim, seed=args.seed)
+        try:
+            model = goe_model(args.dim, seed=args.seed)
+        except ValueError as exc:  # D = 1: a 1 x 1 observable has no traceless part
+            raise ValueError(f"--dim {args.dim}: {exc}") from None
     elif args.model == "ising":
         model = ising_model(args.length)
     else:

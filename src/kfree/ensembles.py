@@ -4,11 +4,9 @@ estimation, freeness probes, design checks, and channel distance."""
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Hashable, Iterator, Sequence
 
@@ -16,7 +14,7 @@ import numpy as np
 
 from .channel import permutation_operator
 from .errors import RegimeError
-from .eth import SpectralModel, window_kernel
+from .eth import SpectralModel, _one_blas_thread, window_kernel
 from .moments import Expectation, _cyclic_key, _word_trace, cumulant_words, free_cumulant
 from .permutations import all_permutations
 
@@ -145,47 +143,6 @@ def _window_kernel(spec: HamiltonianEnsemble, k: int, rows: slice = slice(None))
     if spec.t_max == math.inf:
         sums = np.round(sums, 9)
     return window_kernel(np.subtract.outer(sums[rows], sums), spec.t_max)
-
-
-@functools.cache
-def _openblas_thread_control():
-    """(get, set) for the thread count of the OpenBLAS numpy loaded, found
-    through its C API in the libraries mapped into this process, or None
-    where there is no such library (MKL, Accelerate, a non-Linux system)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
-    except OSError:
-        return None
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is None or set_ is None:
-                    continue
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Pin OpenBLAS to one thread for the block and restore the previous
-    count on exit; yields whether the count could be pinned."""
-    control = _openblas_thread_control()
-    if control is None:
-        yield False
-        return
-    get, set_ = control
-    before = get()
-    set_(1)
-    try:
-        yield True
-    finally:
-        set_(before)
 
 
 def _worker_count() -> int:

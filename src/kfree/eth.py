@@ -51,18 +51,26 @@ before rotating it, so a real model's basis, observables, merged sums and
 strict averages are float64.  Only a time phase (`heisenberg` at t != 0, the
 finite window's phase vectors) or an input with a non-zero imaginary part
 makes them complex.
+
+Thread rule: below ONE_THREAD_DIM levels every public entry point that
+does BLAS work runs on one OpenBLAS thread (`_one_blas_thread`, entered by
+`_one_thread_below`).  There a second thread buys little time and spins
+between the many small products; a larger model keeps the caller's count
+(DECISIONS.md entry 8).
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce, wraps
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
-from .moments import Expectation, _word_trace, cumulant_words, free_cumulant
+from .moments import Expectation, _times, _word_trace, cumulant_words, free_cumulant
 from .partitions import Partition, weighted_set_partitions
 
 DEFAULT_DIM_CAP = 4096
@@ -75,6 +83,74 @@ GOE_OBSERVABLES = ("A", "B")  # the observables goe_model draws
 ISING_OBSERVABLES = ("sz_mid", "sx_mid")  # the observables of ising_model
 ISING_J, ISING_HX, ISING_HZ = 1.0, -1.05, 0.5  # zz coupling, transverse and longitudinal fields of ising_model
 _PANEL_ELEMS = 65_536  # entries per row panel of the Hermiticity check
+ONE_THREAD_DIM = 288  # below this D an entry point runs on one OpenBLAS thread
+
+
+# ---------------------------------------------------------------------------
+# the OpenBLAS thread count
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _openblas_thread_control():
+    """(get, set) for the thread count of the OpenBLAS numpy loaded, found
+    through its C API in the libraries mapped into this process, or None
+    where there is no such library (MKL, Accelerate, a non-Linux system)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is None or set_ is None:
+                    continue
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread for the block and restore the previous
+    count on exit, also when the block raises; yields whether the count
+    could be pinned.  Re-entrant: inside another pin, or where the count is
+    already 1, it changes nothing, so overlapping pins end on the count the
+    outermost one found."""
+    control = _openblas_thread_control()
+    if control is None:
+        yield False
+        return
+    get, set_ = control
+    before = get()
+    if before == 1:
+        yield True
+        return
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(before)
+
+
+def _one_thread_below(fn):
+    """`fn` on one OpenBLAS thread when its first argument, a model or a
+    D x D matrix, has D < ONE_THREAD_DIM."""
+
+    @wraps(fn)
+    def call(first, *args, **kwargs):
+        shape = (first.dim,) if isinstance(first, SpectralModel) else np.shape(first)
+        if shape and shape[0] >= ONE_THREAD_DIM:
+            return fn(first, *args, **kwargs)
+        with _one_blas_thread():
+            return fn(first, *args, **kwargs)
+
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +258,7 @@ def resonance_report(energies: np.ndarray, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@_one_thread_below
 def build_model(
     hamiltonian: np.ndarray,
     observables: dict[str, np.ndarray] | None = None,
@@ -193,6 +270,7 @@ def build_model(
     return SpectralModel(energies, basis, obs, provenance=provenance)
 
 
+@_one_thread_below
 def hamiltonian_energies(hamiltonian: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of a Hamiltonian (`eigvalsh`, no eigenvectors),
     after the same checks as `build_model`."""
@@ -224,6 +302,7 @@ def _hermitian_deviation(h: np.ndarray) -> float:
     return dev
 
 
+@_one_thread_below
 def to_eigenbasis(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
     """basis^dagger m basis, in real arithmetic when neither has an imaginary part."""
     return basis.conj().T @ _real_if_zero_imag(m) @ basis
@@ -318,6 +397,7 @@ def heisenberg(model: SpectralModel, obs, t: float) -> np.ndarray:
     return (phases[:, None] * m) * phases.conj()[None, :]
 
 
+@_one_thread_below
 def thermal_free_cumulant(model: SpectralModel, state: ThermalState, word: Sequence[tuple]) -> complex:
     """kappa^beta_n of a word of (observable, time) letters, by Moebius
     inversion of thermal word moments over NC(n).  Equal letters share a
@@ -329,6 +409,7 @@ def thermal_free_cumulant(model: SpectralModel, state: ThermalState, word: Seque
     return complex(free_cumulant(phi, labels))
 
 
+@_one_thread_below
 def thermal_cumulant_scan(model: SpectralModel, state: ThermalState, A, B, k: int, times: Sequence[float]) -> np.ndarray:
     """`thermal_free_cumulant` of `alternating_word(A, B, k, t)` at each t of
     `times`.  rho commutes with H, so an NC(2k) block sub-word of A(t) letters
@@ -344,15 +425,14 @@ def thermal_cumulant_scan(model: SpectralModel, state: ThermalState, A, B, k: in
     static = Expectation(_word_trace({0: a, 1: b}, w))
     kernels = {s: _run_kernel(s, a, b, w) for s, n in runs.items() if n == 1}
     timed = [s for s, n in runs.items() if n > 1]
-    b_t = b.astype(complex)
     collapsed = _value_labels(((A, 0.0), (B, 0.0))) == (0, 0)
     out = np.empty(len(times), dtype=complex)
     step = max(1, _SCAN_CHUNK_ELEMS // model.dim)
     for lo in range(0, len(times), step):
         chunk = np.asarray(times[lo : lo + step], dtype=float)
         u = np.exp(1j * np.multiply.outer(chunk, model.energies))
-        values = {s: np.einsum("ti,ti->t", u @ p, u.conj()) for s, p in kernels.items()}
-        traces = (_word_trace({0: np.outer(uj, uj.conj()) * a, 1: b_t}, w) for uj in u)
+        values = {s: np.einsum("ti,ti->t", _times(u, p), u.conj()) for s, p in kernels.items()}
+        traces = (_word_trace({0: np.outer(uj, uj.conj()) * a, 1: b}, w) for uj in u)
         values.update(zip(timed, np.array([[trace(s) for s in timed] for trace in traces]).T))
         out[lo : lo + step] = free_cumulant(Expectation(lambda s: values[s] if s in values else static(s)), word)
         if collapsed:
@@ -644,6 +724,7 @@ def _chain_time_average(chains: SlotChains, energies: np.ndarray, window: TimeWi
     return sum((c * merged_chain_sum(chains, q) for q, c in _restricted_coeffs(chains.slot_coeffs)), 0j)
 
 
+@_one_thread_below
 def time_average(model: SpectralModel, state: ThermalState, word: Sequence[tuple], window: TimeWindow) -> complex:
     """Time-averaged moment of a word of (observable, timed: bool) letters;
     the empty word averages to 1."""
@@ -652,6 +733,7 @@ def time_average(model: SpectralModel, state: ThermalState, word: Sequence[tuple
     return _chain_time_average(chains_from_word(model, state, word), model.energies, window)
 
 
+@_one_thread_below
 def averaged_free_cumulant(
     model: SpectralModel, state: ThermalState, word: Sequence[tuple], window: TimeWindow
 ) -> complex:
@@ -674,6 +756,7 @@ def averaged_free_cumulant(
 # ---------------------------------------------------------------------------
 
 
+@_one_thread_below
 def distinct_index_cumulant(model: SpectralModel, state: ThermalState, A, B, k: int = 2, t: float = 0.0) -> complex:
     """Restricted spectral sum representation of kappa^beta_{2k}.
 
@@ -719,6 +802,7 @@ class FreeTimeResult:
     magnitudes: np.ndarray
 
 
+@_one_thread_below
 def free_k_time(
     model: SpectralModel,
     state: ThermalState,
@@ -738,6 +822,7 @@ def free_k_time(
     return FreeTimeResult(reached, float(times[i]) if reached else None, threshold, times, mags)
 
 
+@_one_thread_below
 def factorization_gap(model: SpectralModel, state: ThermalState, A, B, window: TimeWindow) -> tuple[complex, complex, complex]:
     """(joint, product, gap) for E_t[<A(t)B><A(t)B>] vs (E_t[<A(t)B>])^2."""
     a, b = model.observable(A), model.observable(B)
@@ -781,6 +866,7 @@ class DeutschReport:
     beta: float
 
 
+@_one_thread_below
 def deutsch_ensemble(model: SpectralModel, spec: DeutschSpec, observable="A") -> DeutschReport:
     """Diagonalize each perturbed Hamiltonian, rotate the observable into
     each perturbed eigenbasis, and probe mutual freeness with the base

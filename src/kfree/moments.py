@@ -27,8 +27,15 @@ Value = complex | float | Fraction
 
 def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x y for matrices and diagonals (1-D): only two matrices take a matmul,
-    a diagonal scales the rows or columns of the other factor."""
+    a diagonal scales the rows or columns of the other factor.  A real
+    matrix times a complex one is one real GEMM on the complex factor's
+    (re, im) column pairs, half the flops of casting the real factor to
+    complex; complex times real is its transpose, (x y)^T = y^T x^T."""
     if x.ndim == 2 and y.ndim == 2:
+        if x.dtype == np.complex128 and y.dtype == np.float64:
+            return _times(y.T, x.T).T
+        if x.dtype == np.float64 and y.dtype == np.complex128:
+            return (x @ np.ascontiguousarray(y).view(np.float64)).view(np.complex128)
         return x @ y
     if x.ndim == 1 and y.ndim == 2:
         return x[:, None] * y

@@ -567,6 +567,9 @@ def test_boundary_errors_name_the_flag(tmp_path):
         (files[:-1] + [f"{tmp_path / 'u1.json'},{tmp_path / 'shear.json'}"],
          f"--unitaries: {tmp_path / 'shear.json'}: unitary 1 is not unitary"),
         (["haar-test", "--dim", "1", "--n-samples", "2"], "--dim 1: a 1x1 observable"),
+        (["eth", "timeavg", "--model", "goe", "--dim", "1"], "--dim 1: a 1x1 observable"),
+        (["eth", "cumulant", "--model", "goe", "--dim", "1", "--t-max", "1"], "--dim 1: a 1x1 observable"),
+        (["cumulants", "--moments", "1e200,1e300"], "--moments: the free cumulants up to order 2 leave the float range"),
         (["cumulants", "--operator", str(tmp_path / "huge.json"), "--max-order", "3"],
          f"--operator {tmp_path / 'huge.json'}: the free cumulants up to order 3 leave the float range"),
         (["channel", "--mode", "asymptotic", "--k", "-2", "--dim", "4", "--a-moments", "1,2"], "--k must be positive"),
@@ -654,7 +657,7 @@ def test_exact_moments_past_the_float_range_exit_1():
     and where a document needs its float value the run exits 1 in one line."""
     code, err = run_process("cumulants", "--moments", "1,1e999")
     assert_validation_exit(code, err)
-    assert "too large" in err
+    assert "--moments: the free cumulants up to order 2 leave the float range" in err
     code, err = run_process("channel", "--k", "1", "--dim", "2", "--moments", "1e999")
     assert (code, err) == (0, "")
 

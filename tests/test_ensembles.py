@@ -1,6 +1,7 @@
 """Unitary ensembles: sampling, Monte Carlo channels, freeness probes,
 design checks, and channel distance."""
 
+import contextlib
 import functools
 import gc
 import itertools
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import kfree
-from kfree import ensembles
+from kfree import ensembles, eth
 from kfree.channel import channel_exact, haar_word_average_exact, permutation_operator, word_functional_from_matrices
 from kfree.cli import dispatch
 from kfree.ensembles import (
@@ -439,7 +440,7 @@ def test_evaluate_words_independent_of_worker_count(monkeypatch, D, kind):
 
 
 def _openblas_control():
-    control = ensembles._openblas_thread_control()
+    control = eth._openblas_thread_control()
     if control is None:
         pytest.skip("no OpenBLAS thread control in this process (numpy uses another BLAS)")
     return control
@@ -453,6 +454,33 @@ def test_evaluate_words_restores_blas_threads(monkeypatch):
         before = get()  # 2 unless OpenBLAS caps the count on this machine
         _pool_expectation(HaarEnsemble(16))
         assert get() == before
+        # an eth entry point below the crossover runs on one thread and
+        # restores the count on return and on raise, also inside another pin
+        seen, fail = [], []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(h):
+            seen.append(get())
+            if fail:
+                raise np.linalg.LinAlgError("eigh failed")
+            return eigh(h)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        h = goe_matrix(16, np.random.default_rng(1))
+        for nested in (False, True):
+            with eth._one_blas_thread() if nested else contextlib.nullcontext():
+                eth.build_model(h)
+                fail.append(True)
+                with pytest.raises(np.linalg.LinAlgError, match="eigh failed"):
+                    eth.build_model(h)
+                fail.clear()
+                assert get() == (1 if nested else before)
+            assert seen[-2:] == [1, 1]
+            assert get() == before
+        # at or above the crossover the caller's count stays
+        monkeypatch.setattr(eth, "ONE_THREAD_DIM", 16)
+        eth.build_model(h)
+        assert seen[-1] == before and get() == before
         # a sample that raises: the Haar draw fails
         def failing_draw(D, rng):
             raise ValueError("draw failed")
@@ -462,6 +490,53 @@ def test_evaluate_words_restores_blas_threads(monkeypatch):
         with pytest.raises(ValueError, match="draw failed"):
             bad.evaluate_words([("A", "B")])
         assert get() == before
+    finally:
+        set_(original)
+
+
+@pytest.mark.parametrize("crossover", [eth.ONE_THREAD_DIM, 8])
+def test_eth_entry_points_pin_one_blas_thread_below_the_crossover(monkeypatch, crossover):
+    """Every eth entry point that does BLAS work enters the one-thread pin
+    at D = 8 below the crossover, and not at it; the count is restored."""
+    get, set_ = _openblas_control()
+    monkeypatch.setattr(eth, "ONE_THREAD_DIM", crossover)
+    model = goe_model(8, seed=2)
+    state = eth.thermal_state(model, 0.3)
+    h = goe_matrix(8, np.random.default_rng(3))
+    window = eth.TimeWindow("infinite")
+    word = (("A", True), ("B", False))
+    calls = [
+        lambda: eth.build_model(h, {"A": h}),
+        lambda: eth.hamiltonian_energies(h),
+        lambda: eth.to_eigenbasis(model.basis, h),
+        lambda: eth.thermal_free_cumulant(model, state, eth.alternating_word("A", "B", 2, 0.5)),
+        lambda: eth.thermal_cumulant_scan(model, state, "A", "B", 2, [0.0, 0.5]),
+        lambda: eth.time_average(model, state, word, window),
+        lambda: eth.averaged_free_cumulant(model, state, word, window),
+        lambda: eth.distinct_index_cumulant(model, state, "A", "B", k=2),
+        lambda: eth.free_k_time(model, state, "A", "B", 2, [0.0, 0.5]),
+        lambda: eth.factorization_gap(model, state, "A", "B", window),
+        lambda: eth.deutsch_ensemble(model, eth.DeutschSpec(h, 0.25, (1.0,))),
+    ]
+    entered = []
+    pin = eth._one_blas_thread
+
+    @contextlib.contextmanager
+    def recording_pin():
+        with pin() as pinned:
+            entered.append(get())
+            yield pinned
+
+    monkeypatch.setattr(eth, "_one_blas_thread", recording_pin)
+    original = get()
+    try:
+        set_(2)
+        before = get()
+        for i, call in enumerate(calls):
+            entered.clear()
+            call()
+            assert get() == before, i
+            assert entered[:1] == ([1] if crossover > 8 else []), i
     finally:
         set_(original)
 

@@ -4,11 +4,16 @@ averages, factorizations, free-k times, perturbed-basis ensembles."""
 import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kfree
 from kfree import eth
 from kfree.eth import (
     DeutschSpec,
@@ -903,6 +908,8 @@ def test_thermal_cumulant_scan_matches_per_t_cumulants():
     # one-point grid given as a list
     grid = np.array([0.0, 0.35, 0.7, 2.0])
     models = [(goe_model(12, seed=3), "A", "B"), (_complex_model(12, seed=4), "A", "B"), (ising_model(4), "sz_mid", "sx_mid")]
+    # a real B stays real in the scan, so its products with A(t) are real GEMMs
+    assert [np.iscomplexobj(model.observable(B)) for model, _, B in models] == [False, True, False]
     for model, A, B in models:
         for beta in (0.0, 0.3):
             state = thermal_state(model, beta)
@@ -1011,3 +1018,45 @@ def test_criterion_8_companion_strict_kappa8():
         state = thermal_state(model, beta)
         k8bar = averaged_free_cumulant(model, state, word, TimeWindow("infinite"))
         assert abs(k8bar) <= 10.0 / state.effective_dim()
+
+
+_THREADED_RUN = """
+import sys
+from kfree.cli import dispatch
+from kfree.eth import TimeWindow, averaged_free_cumulant, distinct_index_cumulant, goe_model, thermal_state
+
+out = sys.argv[1]
+for action, flags in (("cumulant", ["--t-max", "2", "--n-points", "5", "--beta", "0.05"]), ("appendixb", [])):
+    argv = ["eth", action, "--model", "goe", "--dim", "256", "--seed", "3", *flags, "--output", f"{out}/{action}.json"]
+    assert dispatch(argv) == 0
+model = goe_model(256, seed=3)
+state = thermal_state(model, 0.3 / model.spectral_width())
+word = (("A", True), ("B", False)) * 2
+values = [averaged_free_cumulant(model, state, word, TimeWindow("infinite"))]
+values += [distinct_index_cumulant(model, state, "A", "B", k=k) for k in (2, 3)]
+with open(f"{out}/library.txt", "w") as fh:
+    fh.write(repr(values))
+"""
+
+
+def test_eth_documents_at_d256_independent_of_blas_threads(tmp_path):
+    # OpenBLAS's eigh rounds differently with one and two threads from
+    # D = 256 up; below the crossover eth runs on one thread
+    if eth._openblas_thread_control() is None:
+        pytest.skip("no OpenBLAS thread control in this process (numpy uses another BLAS)")
+    assert 256 < eth.ONE_THREAD_DIM
+    src = str(Path(kfree.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        proc = subprocess.run([sys.executable, "-c", _THREADED_RUN, str(out)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["appendixb.json", "cumulant.json", "library.txt"]
+    assert outputs[0] == outputs[1]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfree.moments import (
+    _times,
     _word_trace,
     Expectation,
     cumulant_words,
@@ -321,6 +322,43 @@ def test_word_trace_diagonal_letters_match_dense_diagonals(weights):
     for word in (w_ for n in range(1, 6) for w_ in itertools.product("xyz", repeat=n)):
         want = _chained_trace(dense, word, w)
         assert abs(trace(word) - want) <= 1e-12 * max(abs(want), 1.0), word
+
+
+def _mixed_operands(rng, D):
+    """(name, real, complex) D x D operands in several layouts: C order, a
+    transpose (Fortran order) and strided slices of larger arrays."""
+    r = rng.standard_normal((2 * D, 2 * D))
+    c = rng.standard_normal((2 * D, 2 * D)) + 1j * rng.standard_normal((2 * D, 2 * D))
+    return [
+        ("contiguous", r[:D, :D].copy(), c[:D, :D].copy()),
+        ("transposed", r[:D, :D].copy().T, c[:D, :D].copy().T),
+        ("strided", r[::2, 1::2], c[1::2, ::2]),
+        ("row-slice", r[:D, ::2], c[::2, :D]),
+    ]
+
+
+@pytest.mark.parametrize("D", [1, 7, 64])
+def test_times_mixed_real_complex_matches_complex_matmul(D):
+    """Real x complex and complex x real, in real GEMMs, equal the complex
+    product of the real factor cast to complex, in every operand layout."""
+    rng = np.random.default_rng(D)
+    for (nx, rx, cx), (ny, ry, cy) in itertools.product(_mixed_operands(rng, D), repeat=2):
+        for x, y in ((rx, cy), (cx, ry)):
+            want = x.astype(complex) @ y.astype(complex)
+            got = _times(x, y)
+            assert got.dtype == np.complex128 and got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (nx, ny, x.dtype)
+
+
+def test_times_diagonals_scale_rows_and_columns():
+    rng = np.random.default_rng(3)
+    D = 6
+    for d in (rng.standard_normal(D), rng.standard_normal(D) + 1j * rng.standard_normal(D)):
+        for _, r, c in _mixed_operands(rng, D):
+            for m in (r, c):
+                assert np.allclose(_times(d, m), np.diag(d) @ m, rtol=1e-14, atol=0)
+                assert np.allclose(_times(m, d), m @ np.diag(d), rtol=1e-14, atol=0)
+        assert np.array_equal(_times(d, d), d * d)
 
 
 class _CountingMatrix(np.ndarray):

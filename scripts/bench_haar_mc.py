@@ -2,12 +2,12 @@
 """Time the Monte Carlo freeness probe per sample stage and end to end;
 write BENCH_haar_mc.json.
 
-Per-sample stages, at D = 128 and 256, each timed on its own over `--samples`
-draws (median in ms):
+Per-sample stages, at D = 2, 128 and 256, each timed on its own over
+`--samples` draws (median in ms):
 
-- `ginibre`: the complex Gaussian draw G, one `standard_normal` into a
-  complex buffer;
-- `qr`: `np.linalg.qr` plus the phase fix of the diagonal of R;
+- `draw`: the Haar unitary G, one `ensembles.sample_haar` call, so the stage
+  times whichever route the revision under test draws by (D = 2 shows its
+  fixed per-draw cost);
 - `dressing`: B in the eigenframe, G diag(b) G^dagger (one matmul);
 - `traces`: every word kappa_4(A^U, B, A^U, B) needs that mixes A and B,
   through one `moments._word_trace` (the kernel `EnsembleExpectation` uses)
@@ -30,8 +30,9 @@ agree between revisions that write the same document.  The cases are
 - `distance` at k = 2, D = 8, small enough that a size rule once sent it
   through dense D^4 x D^4 superoperators.
 
-The end-to-end part uses only `dispatch`, so it runs on any revision that
-has it.
+The stages call only `sample_haar`, `spawn_rngs` and `_word_trace`, and the
+end-to-end part only `dispatch`, so the script runs on any revision that has
+them, e.g. with PYTHONPATH pointing at another checkout's `src`.
 
 Example:
     python scripts/bench_haar_mc.py --repeats 5 --out BENCH_haar_mc.json
@@ -50,7 +51,7 @@ from kfree import ensembles
 from kfree.eth import goe_matrix, normalize_observable
 from kfree.moments import _cyclic_key, _word_trace, cumulant_words
 
-STAGE_DIMS = (128, 256)
+STAGE_DIMS = (2, 128, 256)
 # the words kappa_4 needs that mix A and B, each at its cyclic key, longest first as the sample loop traces them
 WORDS = sorted(
     {_cyclic_key(w) for w in cumulant_words(("A", "B") * 2) if set(w) == {"A", "B"}},
@@ -76,24 +77,19 @@ def stage_times(D: int, samples: int) -> dict:
     # the eigenvalues of A and B: the frames an evaluation finds once
     a = np.linalg.eigvalsh(normalize_observable(goe_matrix(D, rng)))
     b = np.linalg.eigvalsh(normalize_observable(goe_matrix(D, rng)))
-    times = {"ginibre": [], "qr": [], "dressing": [], "traces": []}
+    times = {"draw": [], "dressing": [], "traces": []}
     clock = time.perf_counter
     for r in ensembles.spawn_rngs(D, samples):
         t0 = clock()
-        z = np.empty((D, D), dtype=complex)
-        r.standard_normal(out=z.view(np.float64))
+        g = ensembles.sample_haar(D, r)
         t1 = clock()
-        q, rr = np.linalg.qr(z)
-        d = np.diagonal(rr)
-        g = q * (d / np.abs(d))
-        t2 = clock()
         b_g = (g * b) @ g.conj().T
-        t3 = clock()
+        t2 = clock()
         trace = _word_trace({"A": a, "B": b_g})
         for w in WORDS:
             trace(w)
-        t4 = clock()
-        for name, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+        t3 = clock()
+        for name, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2)):
             times[name].append(dt)
     return {name: 1e3 * statistics.median(ts) for name, ts in times.items()}
 
@@ -127,7 +123,7 @@ def main(argv=None) -> int:
     benchlib.write(doc, args.out)
     for setting, dims in doc["stages_ms"].items():
         for D, stages in dims.items():
-            cells = "  ".join(f"{name} {ms:.2f}" for name, ms in stages.items())
+            cells = "  ".join(f"{name} {ms:.3f}" for name, ms in stages.items())
             sys.stdout.write(f"{setting} D={D}: {cells} ms\n")
     for case in doc["cases"]:
         sys.stdout.write(f"{case['name']}: {case['median_s']:.3f} s  {case['sha256'][:12]}\n")

@@ -316,11 +316,19 @@ def _cmd_otoc(args) -> None:
         _check_k(args.k, 8, " with --dim")  # the exact channel, as `channel --mode exact`
     phi_a, a_labels = _word_functional(args, "a", args.k)
     phi_b, b_labels = _word_functional(args, "b", args.k)
-    res = otoc_haar(phi_a, phi_b, args.k, D=args.dim, a_labels=a_labels, b_labels=b_labels)
-    result = {"k": args.k, "formula": complex(res.formula)}
-    if res.channel is not None:
-        result["dim"] = args.dim
-        result["channel"] = complex(res.channel)
+    sources = "/".join(f"--{p}-ops" if getattr(args, f"{p}_ops") else f"--{p}-moments" for p in "ab")
+    out_of_range = ValueError(f"{sources}: the {2 * args.k}-OTOC leaves the float range")
+    with np.errstate(over="ignore", invalid="ignore"):  # an operator's powers may overflow: refused below
+        res = otoc_haar(phi_a, phi_b, args.k, D=args.dim, a_labels=a_labels, b_labels=b_labels)
+        try:
+            result = {"k": args.k, "formula": complex(res.formula)}
+            if res.channel is not None:
+                result["dim"] = args.dim
+                result["channel"] = complex(res.channel)
+        except OverflowError:  # an exact (Fraction) value past the float range
+            raise out_of_range from None
+    if not np.all(np.isfinite([result["formula"], result.get("channel", 0)])):
+        raise out_of_range
     _emit(args, "otoc", result)
 
 

@@ -24,6 +24,7 @@ DENSE_CHANNEL_CAP = 4096  # D^k for Monte Carlo channel matrices
 DENSE_SUPEROP_CAP = 4096  # D^(2k), the side of a dense superoperator, and k!
 WINDOW_PAIR_CAP = 2**24  # D^(2k), the pairs of k-tuples of levels a window kernel spans
 _KERNEL_BLOCK_ELEMS = 2**16  # window-kernel entries per row block of the frame potential
+HAAR_BLOCK = 32  # Householder reflectors per compact-WY block of a Haar draw
 
 
 @dataclass(frozen=True)
@@ -93,18 +94,82 @@ EnsembleSpec = HaarEnsemble | DiscreteEnsemble | HamiltonianEnsemble
 
 
 def sample_haar(D: int, rng) -> np.ndarray:
-    """Haar-distributed unitary: Ginibre draw, QR, phase-normalized diagonal.
+    """Haar-distributed unitary as a product of D Householder reflectors,
+    drawn directly (Stewart, SIAM J. Numer. Anal. 17 (1980); Mezzadri,
+    Notices AMS 54 (2007)).
 
-    The draw fills one complex buffer, real and imaginary parts of each
-    entry in turn, and is not scaled to unit variance: a positive scale
-    changes neither Q nor the phases of diag R."""
+    The QR of a Ginibre matrix reduces column j, after j reflections, to a
+    fresh Gaussian vector of length D - j, so those vectors are drawn as they
+    are: D(D+1)/2 complex normals, real and imaginary parts of each in turn,
+    in one `standard_normal` call, column by column down the lower triangle.
+    `_haar_reflectors` turns each into LAPACK's reflector and `_accumulate`
+    forms H_0 ... H_{D-1} diag(sign beta), the Q of that QR with its phases
+    fixed (Q diag(R / |R|)).  No draw is scaled to unit variance: a positive
+    scale changes no reflector."""
     if D < 1:
         raise ValueError("dimension must be positive")
-    z = np.empty((D, D), dtype=complex)
-    rng.standard_normal(out=z.view(np.float64))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _accumulate(*_haar_reflectors(D, rng))
+
+
+@functools.lru_cache(maxsize=None)
+def _lower_triangle(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flat C-order indices of the lower triangle of a D x D array, column
+    by column; the positions of the column heads among them)."""
+    cols, rows = np.triu_indices(D)
+    flat, heads = rows * D + cols, np.flatnonzero(rows == cols)
+    flat.flags.writeable = heads.flags.writeable = False  # shared by every draw
+    return flat, heads
+
+
+@functools.lru_cache(maxsize=None)
+def _strict_upper(n: int) -> np.ndarray:
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False  # shared by every draw
+    return mask
+
+
+def _haar_reflectors(D: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, tau, sign beta) of D reflectors H_j = I - tau_j v_j v_j^dagger, each
+    by LAPACK's zlarfg rule from a Gaussian column x_j with head alpha_j:
+    beta_j = -copysign(|x_j|, Re alpha_j), tau_j = (beta_j - alpha_j) / beta_j,
+    and v_j = x_j / (alpha_j - beta_j) with a unit head, column j of the unit
+    lower-triangular V."""
+    flat, heads = _lower_triangle(D)
+    z = np.empty(len(flat), dtype=complex)
+    parts = z.view(np.float64)
+    rng.standard_normal(out=parts)
+    alpha = z[heads]
+    beta = np.copysign(np.sqrt(np.add.reduceat(parts * parts, 2 * heads)), -alpha.real)
+    v = np.zeros((D, D), dtype=complex)
+    v.reshape(-1)[flat] = z
+    v /= alpha - beta
+    v.reshape(-1)[:: D + 1] = 1.0
+    return v, (beta - alpha) / beta, np.sign(beta)
+
+
+def _accumulate(v: np.ndarray, tau: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """H_0 ... H_{D-1} diag(signs), the reflectors applied HAAR_BLOCK at a
+    time in compact-WY form, the last block first: H_j ... H_{j+b-1} =
+    I - V_b T_b V_b^dagger on rows j on, with T_b^-1 = striu(V_b^dagger V_b)
+    + diag(1 / tau_b), the UT transform (Joffrain et al., ACM TOMS 32
+    (2006))."""
+    D = len(tau)
+    v_conj = v.conj()
+    last = (D - 1) // HAAR_BLOCK * HAAR_BLOCK
+    g = np.eye(D, dtype=complex)
+    for j in range(last, -1, -HAAR_BLOCK):
+        cols = slice(j, j + HAAR_BLOCK)
+        vb, vb_h = v[j:, cols], v_conj[j:, cols].T
+        t_inv = vb_h @ vb
+        t_inv *= _strict_upper(len(t_inv))
+        t_inv.reshape(-1)[:: len(t_inv) + 1] = 1.0 / tau[cols]
+        tvh = np.linalg.inv(t_inv) @ vb_h
+        if j < last:  # g is still the identity on the block's own rows and columns
+            past = j + HAAR_BLOCK
+            tvh[:, HAAR_BLOCK:] = tvh[:, HAAR_BLOCK:] @ g[past:, past:]
+        g[j:, j:] -= vb @ tvh
+    g *= signs
+    return g
 
 
 def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
@@ -232,12 +297,13 @@ class EnsembleExpectation:
     only the fixed letters are dressed; a word of rotated letters only, or
     of fixed letters only, is traced once for every member.
 
-    A Haar sample of a freeness probe then costs its draw (Ginibre plus QR),
-    one matmul to dress B as (G * b) G^dagger, and the word matmuls of
-    `moments._word_trace`, in which a product with the diagonal A is an
-    O(D^2) scaling: none at k = 2, two at k = 3.  The QR is the largest part
-    (about 12 ms at D = 256 on a 2-core x86-64 machine with OpenBLAS 0.3.31)
-    and gains nothing from a second BLAS thread, so samples run
+    A Haar sample of a freeness probe then costs its draw (`sample_haar`:
+    D(D+1)/2 normals and Householder reflectors multiplied in compact-WY
+    blocks), one matmul to dress B as (G * b) G^dagger, and the word matmuls
+    of `moments._word_trace`, in which a product with the diagonal A is an
+    O(D^2) scaling: none at k = 2, two at k = 3.  The draw is the largest
+    part (about 6 ms at D = 256 on a 2-core x86-64 machine with OpenBLAS
+    0.3.31) and gains nothing from a second BLAS thread, so samples run
     concurrently, one per core, each on one OpenBLAS thread.
     """
 

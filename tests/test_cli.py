@@ -572,6 +572,12 @@ def test_boundary_errors_name_the_flag(tmp_path):
         (["cumulants", "--moments", "1e200,1e300"], "--moments: the free cumulants up to order 2 leave the float range"),
         (["cumulants", "--operator", str(tmp_path / "huge.json"), "--max-order", "3"],
          f"--operator {tmp_path / 'huge.json'}: the free cumulants up to order 3 leave the float range"),
+        (["otoc", "--k", "2", "--a-moments", "1e200,1e300", "--b-moments", "1,2"],
+         "--a-moments/--b-moments: the 4-OTOC leaves the float range"),
+        (["otoc", "--k", "2", "--dim", "4", "--a-moments", "1,2", "--b-moments", "1e200,1e300"],
+         "--a-moments/--b-moments: the 4-OTOC leaves the float range"),
+        (["otoc", "--k", "2", "--dim", "2", "--a-ops", str(tmp_path / "huge.json"), "--b-moments", "0,1"],
+         "--a-ops/--b-moments: the 4-OTOC leaves the float range"),
         (["channel", "--mode", "asymptotic", "--k", "-2", "--dim", "4", "--a-moments", "1,2"], "--k must be positive"),
         (["channel", "--mode", "asymptotic", "--k", "2", "--dim", "0", "--a-moments", "1,2"], "--dim must be positive"),
         (["channel", "--mode", "asymptotic", "--k", "2", "--dim", "-2", "--a-moments", "1,2"], "--dim must be positive"),

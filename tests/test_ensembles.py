@@ -53,6 +53,55 @@ def test_sample_haar_unitarity():
         assert np.max(np.abs(u.conj().T @ u - np.eye(D))) < 1e-10
 
 
+def _dense_reflector(v, tau, j):
+    """H_j = I - tau_j v_j v_j^dagger as a dense matrix."""
+    return np.eye(len(v)) - tau[j] * np.outer(v[:, j], v[:, j].conj())
+
+
+def _dense_reflector_product(v, tau, signs):
+    """H_0 ... H_{D-1} diag(signs), each reflector formed densely and the
+    product taken in order."""
+    return functools.reduce(np.matmul, [_dense_reflector(v, tau, j) for j in range(len(tau))]) * signs
+
+
+@pytest.mark.parametrize("D", [1, 2, 31, 32, 33, 64, 65, 100])
+def test_blocked_accumulation_equals_the_dense_reflector_product(D):
+    assert ensembles.HAAR_BLOCK == 32  # the D above sit on its block edges
+    v, tau, signs = ensembles._haar_reflectors(D, np.random.default_rng(D))
+    g = ensembles._accumulate(v, tau, signs)
+    assert np.max(np.abs(g - _dense_reflector_product(v, tau, signs))) <= 1e-13
+    assert np.max(np.abs(g.conj().T @ g - np.eye(D))) <= 1e-13
+    assert np.array_equal(sample_haar(D, np.random.default_rng(D)), g)
+
+
+@pytest.mark.parametrize("D", [1, 2, 33, 70])
+def test_haar_draw_is_the_phase_fixed_qr_of_a_ginibre_matrix(D):
+    # column j of Z is H_0 ... H_{j-1} applied to the j-th drawn vector, put
+    # below j zeros; the QR of Z finds the same reflectors, so Q diag(R/|R|) = G
+    z = np.empty(D * (D + 1) // 2, dtype=complex)
+    np.random.default_rng(D).standard_normal(out=z.view(np.float64))
+    v, tau, signs = ensembles._haar_reflectors(D, np.random.default_rng(D))
+    ginibre = np.zeros((D, D), dtype=complex)
+    q, start = np.eye(D), 0
+    for j in range(D):
+        ginibre[j:, j] = z[start:start + D - j]
+        start += D - j
+        ginibre[:, j] = q @ ginibre[:, j]
+        q = q @ _dense_reflector(v, tau, j)
+    q, r = np.linalg.qr(ginibre)
+    d = np.diagonal(r)
+    assert np.max(np.abs(q * (d / np.abs(d)) - sample_haar(D, np.random.default_rng(D)))) <= 1e-13
+
+
+def test_sample_haar_trace_moments_are_the_frame_potential():
+    # E|Tr U|^(2t) = t! for t <= D (Diaconis-Shahshahani): F_1 = 1, F_2 = 2
+    D, n = 8, 20000
+    traces = np.abs([np.trace(sample_haar(D, rng)) for rng in spawn_rngs(8128, n)]) ** 2
+    for vals, target in ((traces, 1.0), (traces**2, 2.0)):
+        se = np.std(vals) / math.sqrt(n)
+        assert abs(vals.mean() - target) <= 4 * se
+
+
 def test_sample_haar_entry_moments():
     # E[U_ij conj(U_kl)] = delta_ik delta_jl / D
     D, n = 8, 20000

@@ -2,14 +2,14 @@
 """Time k-fold Haar channels, OTOCs, Weingarten tables and NC(n) Moebius tables
 through the CLI; write BENCH_channel.json.
 
-Nine cases, each one `kfree.cli.dispatch` call; the channels and the OTOC
+Ten cases, each one `kfree.cli.dispatch` call; the channels and the OTOC
 take rational moment sequences (every replica holds the same operator):
 
 - `channel --mode asymptotic --k 6` and `--k 7` at `--dim 64`;
 - `channel --mode exact --k 5 --dim 6`, `--k 6 --dim 7` and `--k 7 --dim 7`;
 - `otoc --k 5 --dim 16`;
 - `wg --k 5 --dim 6` and `--k 6 --dim 7`;
-- `nc --n 7 --moebius --kreweras`.
+- `nc --n 7 --moebius --kreweras` and `--n 8`.
 
 Every `functools.lru_cache` in `kfree` is cleared before each call, so each
 repeat starts as cold as a fresh `kfree` process (import excluded).  The
@@ -39,6 +39,7 @@ CASES = (
     ("wg-k5-D6", ["wg", "--k", "5", "--dim", "6"]),
     ("wg-k6-D7", ["wg", "--k", "6", "--dim", "7"]),
     ("nc-n7-moebius-kreweras", ["nc", "--n", "7", "--moebius", "--kreweras"]),
+    ("nc-n8-moebius-kreweras", ["nc", "--n", "8", "--moebius", "--kreweras"]),
 )
 
 

@@ -112,12 +112,14 @@ class WeingartenTable:
     def matrix(self) -> list[list[Fraction]]:
         return [self.row(i) for i in range(len(self.perms))]
 
-    def rows(self) -> Iterator[tuple[list[int], list[Fraction]]]:
-        """(Gram row, Weingarten row) of each perms[i], both from one class row."""
-        powers, values = [self.D ** len(t) for t in self._types], self._values
+    def rows(self, show_gram=int, show_wg=Fraction) -> Iterator[tuple[list, list]]:
+        """(Gram row, Weingarten row) of each perms[i], both from one class row,
+        each entry mapped through `show_gram` or `show_wg` once per class."""
+        powers = [show_gram(self.D ** len(t)) for t in self._types]
+        values = [show_wg(v) for v in self._values]
         for i in range(len(self.perms)):
             row = _class_row(self.k, i)
-            yield [powers[c] for c in row], [values[c] for c in row]
+            yield list(map(powers.__getitem__, row)), list(map(values.__getitem__, row))
 
     def _verify_class_algebra(self) -> None:
         """Checks (1)-(3) of the module docstring, exactly, on every class."""

@@ -10,6 +10,9 @@ older, independent routes:
   relabels each restriction to 1..|W| and reads mu(., 1_|W|) off the chord
   complement;
 - `inverse_kreweras` is the chord-free inverse through a cyclic shift;
+- `moebius_table_pairwise` lists `kfree nc --moebius`'s intervals one pair at
+  a time, each sigma built as a `Partition` and mu(sigma, pi) read off the
+  relative orbits;
 - the conjugation route embeds NC(k) in S_k (`nc_to_permutation`,
   `is_nc_canonical`), conjugates a permutation to a non-crossing canonical
   form (`canonicalize_by_conjugation`) and evaluates the lattice Moebius
@@ -20,7 +23,7 @@ older, independent routes:
 import itertools
 from fractions import Fraction
 
-from kfree.partitions import Partition, catalan, is_noncrossing, moebius_nc
+from kfree.partitions import Partition, _moebius, _nc_partitions_of, catalan, enumerate_nc, is_noncrossing, moebius_nc
 from kfree.permutations import (
     NCEmbeddingError,
     Permutation,
@@ -84,6 +87,18 @@ def moebius_by_relabelling(sigma: Partition, pi: Partition) -> int:
         inner = [[pos[x] for x in b] for b in sigma.blocks if b[0] in pos]
         out *= _moebius_to_top(Partition.from_blocks(len(block), inner))
     return out
+
+
+def moebius_table_pairwise(n: int) -> dict[str, int]:
+    """{"sigma <= pi": mu(sigma, pi)} over the intervals of NC(n): each sigma
+    is one NC partition of every block of pi, built as a `Partition`, and
+    mu(sigma, pi) comes from the orbits of P_sigma^-1 P_pi."""
+    table = {}
+    for p in enumerate_nc(n):
+        for pieces in itertools.product(*(_nc_partitions_of(b) for b in p.blocks)):
+            s = Partition.from_blocks(n, itertools.chain.from_iterable(pieces))
+            table[f"{s} <= {p}"] = _moebius(s, p)
+    return table
 
 
 def inverse_kreweras(pi: Partition) -> Partition:

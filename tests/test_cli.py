@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, documents, formats, exit codes."""
 
+import argparse
 import json
 import os
 import struct
@@ -16,6 +17,7 @@ import pytest
 import kfree
 from kfree.cli import dispatch
 from kfree.matio import load_operator, save_operator
+from nc_oracles import moebius_table_pairwise
 
 
 def run(capsys, *argv):
@@ -72,6 +74,14 @@ def test_nc_moebius_table_lists_each_interval(monkeypatch, capsys):
         code, out, _ = run(capsys, "nc", "--n", str(n), "--moebius")
         assert code == 0
         assert json.loads(out)["result"]["moebius"] == want
+
+
+def test_nc_moebius_table_matches_the_pairwise_table(capsys):
+    # each interval's key and value, against one Partition and one orbit walk per pair
+    for n in range(1, 9):
+        code, out, _ = run(capsys, "nc", "--n", str(n), "--moebius")
+        assert code == 0
+        assert json.loads(out)["result"]["moebius"] == moebius_table_pairwise(n)
 
 
 def test_perm_report(capsys):
@@ -365,6 +375,20 @@ def test_non_finite_json_document_exits_1_without_output(tmp_path, capsys, monke
     code, _, err = run(capsys, "eth", "build", "--model", str(path), "--output", str(out))
     assert_validation_exit(code, err)
     assert not out.exists()
+
+
+def test_result_values_are_checked_below_plain_containers(capsys):
+    from kfree.cli import _emit, _jsonable
+
+    args = argparse.Namespace(format="json")
+    for bad in (float("inf"), np.float64("nan"), float("-inf")):
+        for result in ({"x": [1, bad]}, {"x": {"y": bad}}, [["a"], [bad]], {"x": ["a", bad, "b"]}):
+            with pytest.raises(ValueError, match="non-finite"):
+                _emit(args, "test", result)
+            assert capsys.readouterr().out == ""
+    got = _jsonable({"b": [True, False], "n": [np.int64(3), 4], "m": {"k": np.uint8(7)}, "s": ["a", None]})
+    assert got == {"b": [True, False], "n": [3, 4], "m": {"k": 7}, "s": ["a", None]}
+    assert [type(x) for x in got["b"] + got["n"]] == [bool, bool, int, int] and type(got["m"]["k"]) is int
 
 
 def test_discrete_ensembles_report_their_own_size(capsys):
@@ -834,6 +858,7 @@ def test_nc_and_moment_limits_name_the_flag(capsys):
         (["cumulants", "--moments", "0,1,0,2,0,5,0,14,0,42,0"], "--moments (11 moments) asks for NC(11)"),
         (["cumulants", "--moments", "0,1", "--max-order", "10"], "--moments gives 2 moments, but order 10 is needed"),
         (["otoc", "--k", "3", "--a-moments", "0,1", "--b-moments", "0,1,0"], "--a-moments gives 2 moments"),
+        (["nc", "--n", "11", "--moebius"], "--n 11 asks for NC(11)"),
         (["otoc", "--k", "3", "--a-moments", "0,1,0", "--b-moments", "0,1"], "--b-moments gives 2 moments"),
     ]
     for argv, message in cases:

@@ -12,7 +12,22 @@ import sys
 
 import numpy as np
 
-from kfree.eth import bimodal_observable, goe_model, ising_model, thermal_cumulant_scan, thermal_state
+from kfree.ensembles import sample_haar
+from kfree.eth import goe_model, ising_model, thermal_cumulant_scan, thermal_state
+
+
+def bimodal_observable(D: int, rng) -> np.ndarray:
+    """Traceless involution (+-1 spectrum) on a Haar-random basis.
+
+    Unit second moment and order-one higher free cumulants, which makes it a
+    useful probe operator where a GOE draw (semicircle, vanishing higher
+    cumulants) would give a degenerate baseline.
+    """
+    if D % 2:
+        raise ValueError("bimodal observable needs even dimension")
+    q = sample_haar(D, rng)
+    signs = np.array([1.0] * (D // 2) + [-1.0] * (D // 2))
+    return (q * signs) @ q.conj().T
 
 
 def main(argv=None) -> int:

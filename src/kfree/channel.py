@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import RegimeError
 from .moments import Expectation, Value, Word, _cyclic_key, cumulants, mixed_moment_free, parts_product, sub_words
-from .partitions import enumerate_nc, kreweras_complement
 from .permutations import Permutation, all_permutations, compose, full_cycle, inverse
 from .weingarten import weingarten_table
 
@@ -61,19 +60,6 @@ class ChannelCoefficients:
     D: int
     mode: str  # "exact" | "asymptotic"
     coeffs: dict[Permutation, Value] = field(default_factory=dict)
-
-    def reconstruct_dense(self) -> np.ndarray:
-        out = np.zeros((self.D**self.k, self.D**self.k), dtype=complex)
-        for alpha, c in self.coeffs.items():
-            out += complex(c) * permutation_operator(inverse(alpha), self.D)
-        return out
-
-    def trace(self) -> Value:
-        """Trace of the reconstructed output, sum_alpha c_alpha D^(#alpha)."""
-        total: Value = 0
-        for alpha, c in self.coeffs.items():
-            total += c * self.D ** alpha.num_cycles()
-        return total
 
 
 def _label_pattern(alpha: Permutation, ids: Sequence[int]) -> tuple[Word, ...]:
@@ -117,17 +103,6 @@ def channel_exact(
             by_pattern[pattern] = _row_sum(table.row(i), traces)
         coeffs[alpha] = by_pattern[pattern]
     return ChannelCoefficients(k=k, D=D, mode="exact", coeffs=coeffs)
-
-
-def kappa_alpha(
-    alpha: Permutation,
-    phi: Callable[[Word], Value],
-    labels: Sequence[Hashable] | None = None,
-) -> Value:
-    """Cumulant coefficient of W_{alpha^-1} in the large-D channel: the
-    product over the cycles of alpha of the free cumulant of each cycle word."""
-    labels = tuple(labels) if labels is not None else positional_labels(alpha.k)
-    return parts_product(cumulants(phi), labels, alpha.cycles())
 
 
 def channel_asymptotic(
@@ -260,11 +235,3 @@ def word_functional_from_matrices(mats: Sequence[np.ndarray]) -> Expectation:
     """Positional-label functional over an explicit operator tuple."""
     ops = {i + 1: np.asarray(m, dtype=complex) for i, m in enumerate(mats)}
     return Expectation.normalized_trace(ops)
-
-
-def otoc_term_structure(k: int) -> list[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]:
-    """Symbolic 2k-OTOC expansion: (A-cumulant blocks, B-moment blocks) pairs."""
-    out = []
-    for pi in enumerate_nc(k):
-        out.append((pi.blocks, kreweras_complement(pi).blocks))
-    return out

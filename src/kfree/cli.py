@@ -36,9 +36,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _jsonable(x):
     """x as plain JSON data.  A non-finite float is refused here, before any
-    of the document is written; plain leaves, and lists of them, pass as they are."""
+    of the document is written; plain leaves, lists of them and str-keyed
+    dicts of them pass as they are, uncopied."""
     plain = {str, int, bool, type(None)}
-    if type(x) in plain or (type(x) is list and set(map(type, x)) <= plain):
+    if (
+        type(x) in plain
+        or (type(x) is list and set(map(type, x)) <= plain)
+        or (type(x) is dict and set(map(type, x)) <= {str} and set(map(type, x.values())) <= plain)
+    ):
         return x
     if isinstance(x, (np.floating, np.integer)):
         x = x.item()
@@ -279,10 +284,13 @@ def _cmd_cumulants(args) -> None:
     _emit(args, "cumulants", {"kappa": {str(n): v for n, v in table.items()}}, rows=rows)
 
 
-def _word_functional(args, prefix: str, k: int):
-    """(phi, labels) for channel/otoc inputs.  Labels name operators: "A" for
-    every replica of a moment sequence, and for replica i of an operator list
-    the position of the first equal path, so each file is loaded once."""
+def _word_functional(args, prefix: str, k: int, first: tuple[str, int] | None = None):
+    """(phi, labels, first) for channel/otoc inputs.  Labels name operators: "A"
+    for every replica of a moment sequence, and for replica i of an operator
+    list the position of the first equal path, so each file is loaded once.
+    Every operator file must be --dim x --dim and share the size of `first`,
+    the (flag and path, size) of the first file loaded, by this call when
+    `first` is None; a mismatch names both files."""
     from .moments import Expectation
 
     ops_arg = getattr(args, f"{prefix}_ops", None)
@@ -294,13 +302,18 @@ def _word_functional(args, prefix: str, k: int):
         if len(paths) != k:
             raise ValueError(f"need 1 or {k} operators for --{prefix}-ops")
         labels = tuple(paths.index(path) + 1 for path in paths)
-        ops = {}
+        ops, flag = {}, f"--{prefix}-ops"
         for label, path in zip(labels, paths):
             if label not in ops:
-                ops[label] = _load_matrix(path, f"--{prefix}-ops", args.dim)
-        return Expectation.normalized_trace(ops), labels
+                ops[label] = _load_matrix(path, flag, args.dim)
+                n = len(ops[label])
+                first = first or (f"{flag} {path}", n)
+                if n != first[1]:
+                    raise ValueError(f"{flag}: {path} is {n}x{n}, but {first[0]} is {first[1]}x{first[1]}")
+        return Expectation.normalized_trace(ops), labels, first
     if mom_arg:
-        return Expectation.from_moment_sequence(_parse_moments(f"--{prefix}-moments", mom_arg, k)), ("A",) * k
+        phi = Expectation.from_moment_sequence(_parse_moments(f"--{prefix}-moments", mom_arg, k))
+        return phi, ("A",) * k, first
     raise ValueError(f"need --{prefix}-ops or --{prefix}-moments")
 
 
@@ -310,7 +323,7 @@ def _cmd_channel(args) -> None:
     # one term per permutation: k = 8 exact takes 4 s and k = 9 asymptotic 7 s on a
     # 2-core x86-64 machine; one more k runs past 40 s
     _check_k(args.k, 8 if args.mode == "exact" else 9, f" for --mode {args.mode}")
-    phi, labels = _word_functional(args, "a", args.k)
+    phi, labels, _ = _word_functional(args, "a", args.k)
     channel = channel_exact if args.mode == "exact" else channel_asymptotic  # argparse allows no other mode
     coeffs = channel(args.k, args.dim, phi, labels)
     out = {}
@@ -326,8 +339,8 @@ def _cmd_otoc(args) -> None:
         _check_nc_size(f"--k {args.k}", args.k)
     else:
         _check_k(args.k, 8, " with --dim")  # the exact channel, as `channel --mode exact`
-    phi_a, a_labels = _word_functional(args, "a", args.k)
-    phi_b, b_labels = _word_functional(args, "b", args.k)
+    phi_a, a_labels, first = _word_functional(args, "a", args.k)
+    phi_b, b_labels, _ = _word_functional(args, "b", args.k, first)
     sources = "/".join(f"--{p}-ops" if getattr(args, f"{p}_ops") else f"--{p}-moments" for p in "ab")
     out_of_range = ValueError(f"{sources}: the {2 * args.k}-OTOC leaves the float range")
     with np.errstate(over="ignore", invalid="ignore"):  # an operator's powers may overflow: refused below

@@ -1,6 +1,6 @@
 """Unitary ensembles and their channel diagnostics: Haar sampling, discrete
-sets, Hamiltonian time windows averaged exactly, Monte Carlo channel
-estimation, freeness probes, design checks, and channel distance."""
+sets, Hamiltonian time windows averaged exactly, freeness probes, design
+checks, and channel distance."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from .permutations import all_permutations
 
 PROB_TOL = 1e-12
 UNITARY_TOL = 1e-10  # max |U^dagger U - I| accepted for a supplied unitary
-DENSE_CHANNEL_CAP = 4096  # D^k for Monte Carlo channel matrices
 DENSE_SUPEROP_CAP = 4096  # D^(2k), the side of a dense superoperator, and k!
 WINDOW_PAIR_CAP = 2**24  # D^(2k), the pairs of k-tuples of levels a window kernel spans
 _KERNEL_BLOCK_ELEMS = 2**16  # window-kernel entries per row block of the frame potential
@@ -220,30 +219,6 @@ def _worker_count() -> int:
 
 def _kron_power(u: np.ndarray, k: int) -> np.ndarray:
     return functools.reduce(np.kron, [u] * k, np.array([[1.0 + 0.0j]]))
-
-
-def channel_monte_carlo(spec: EnsembleSpec, k: int, O: np.ndarray, n_samples: int = 1000, seed: int = 0) -> np.ndarray:
-    """Ensemble mean of U^{dagger x k} O U^{x k} (dense; small D^k only).
-
-    Haar takes `n_samples` draws and a discrete ensemble is summed exactly
-    (`_members`); a time window is exact too: with W = V^{x k}, it is
-    W ((W^dagger O W) * K) W^dagger for the kernel matrix K of `_window_kernel`.
-    """
-    O = np.asarray(O, dtype=complex)
-    D = round(O.shape[0] ** (1.0 / k))
-    if D**k != O.shape[0]:
-        raise ValueError("operator dimension is not a k-th power")
-    if D**k > DENSE_CHANNEL_CAP:
-        raise ValueError(f"dense channel capped at D^k <= {DENSE_CHANNEL_CAP}")
-    if isinstance(spec, HamiltonianEnsemble):
-        w = _kron_power(spec.model.basis, k)
-        return w @ ((w.conj().T @ O @ w) * _window_kernel(spec, k)) @ w.conj().T
-    weights, total, member = _members(spec, n_samples, seed)
-    acc = np.zeros_like(O)
-    for i, w in enumerate(weights):
-        uk = _kron_power(member(i), k)
-        acc += w * (uk.conj().T @ O @ uk)
-    return acc / total
 
 
 @dataclass
@@ -486,14 +461,6 @@ def _superoperator_slabs(spec: EnsembleSpec, k: int) -> Iterator[np.ndarray]:
             for p, uk in terms:
                 slab += p * (uk[:, i].conj()[None, :, None] * uk.T[:, None, :])
             yield slab
-
-
-def ensemble_superoperator(spec: EnsembleSpec, k: int) -> np.ndarray:
-    """Dense k-fold channel superoperator, its slabs stacked: the reference the slab route is tested against."""
-    _check_superop_size(k, spec.dim)  # before the stack is allocated
-    d = spec.dim**k
-    slabs = np.fromiter(_superoperator_slabs(spec, k), dtype=np.dtype((complex, (d, d, d))), count=d)
-    return slabs.reshape(d * d, d * d)
 
 
 @dataclass

@@ -163,22 +163,6 @@ def goe_matrix(D: int, rng) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def bimodal_observable(D: int, rng) -> np.ndarray:
-    """Traceless involution (+-1 spectrum) on a random basis.
-
-    Unit second moment and order-one higher free cumulants, which makes it a
-    useful probe operator where a GOE draw (semicircle, vanishing higher
-    cumulants) would give a degenerate baseline.
-    """
-    if D % 2:
-        raise ValueError("bimodal observable needs even dimension")
-    g = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    signs = np.array([1.0] * (D // 2) + [-1.0] * (D // 2))
-    return (q * signs) @ q.conj().T
-
-
 def normalize_observable(m: np.ndarray) -> np.ndarray:
     """Make an operator traceless and unit-normalized in the second moment."""
     m = np.asarray(m)

@@ -152,15 +152,6 @@ class Expectation:
         return self._cache[key]
 
     @classmethod
-    def from_table(cls, table: Mapping[Word, Value]) -> "Expectation":
-        def fn(word: Word) -> Value:
-            if word not in table:
-                raise KeyError(f"moment table has no entry for word {word!r}")
-            return table[word]
-
-        return cls(fn)
-
-    @classmethod
     def from_moment_sequence(cls, moments: Sequence[Value], label: Hashable = "A") -> "Expectation":
         """Single-operator functional: <A^n> = moments[n-1]."""
 
@@ -215,14 +206,6 @@ def cumulants(phi: Callable[[Word], Value]) -> Expectation:
     return Expectation(lambda word: free_cumulant(phi, word))
 
 
-def moments_from_cumulants(word: Sequence[Hashable], kappa: Callable[[Word], Value]) -> Value:
-    """<word> = sum over NC(n) of the blockwise cumulant products."""
-    total: Value = 0
-    for pi, _ in nc_moebius_table(len(word)):
-        total += parts_product(kappa, word, pi.blocks)
-    return total
-
-
 def mixed_moment_free(
     phi_a: Callable[[Word], Value],
     phi_b: Callable[[Word], Value],
@@ -240,23 +223,3 @@ def mixed_moment_free(
     for pi, _ in nc_moebius_table(len(a_word)):
         total += parts_product(kappa, a_word, pi.blocks) * parts_product(phi_b, b_word, kreweras_complement(pi).blocks)
     return total
-
-
-def free_mixed_word(
-    word: Sequence[tuple[Hashable, Hashable]],
-    phis: Mapping[Hashable, Callable[[Word], Value]],
-) -> Value:
-    """Moment of an arbitrary word of elements from free families.
-
-    `word` is a sequence of (family, label) pairs.  Families are free when
-    their mixed free cumulants vanish, so the moment is `moments_from_cumulants`
-    of a cumulant that is 0 on any block mixing families.
-    """
-    kappas = {fam: cumulants(phi) for fam, phi in phis.items()}
-
-    def kappa(block: Word) -> Value:
-        if len({fam for fam, _ in block}) > 1:
-            return 0
-        return kappas[block[0][0]](tuple(label for _, label in block))
-
-    return moments_from_cumulants(word, kappa)

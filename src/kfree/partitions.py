@@ -68,9 +68,6 @@ class Partition:
     def full(cls, n: int) -> "Partition":
         return cls(n, (tuple(range(1, n + 1)),))
 
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
     def block_index(self) -> dict[int, int]:
         """Map each element to the position of its block in `blocks`."""
         out: dict[int, int] = {}
@@ -78,13 +75,6 @@ class Partition:
             for x in b:
                 out[x] = j
         return out
-
-    def shift(self, delta: int) -> "Partition":
-        """Relabel every element i -> i + delta cyclically on {1..n}."""
-        n = self.n
-        return Partition.from_blocks(
-            n, [[(x - 1 + delta) % n + 1 for x in b] for b in self.blocks]
-        )
 
     def __str__(self) -> str:
         return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) + "}"

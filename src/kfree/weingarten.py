@@ -38,7 +38,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import RegimeError
-from .permutations import Permutation, all_permutations, compose, inverse
+from .permutations import Permutation, all_permutations
 
 
 def _cycle_types(k: int, largest: int | None = None) -> list[tuple[int, ...]]:
@@ -71,14 +71,6 @@ def _class_row(k: int, i: int) -> bytes:
     return classes[ranks].tobytes()
 
 
-def gram_matrix(k: int, D: int) -> list[list[int]]:
-    """Q[a, b] = D^(#cycles(a^-1 b)), exact integers."""
-    if k < 1 or D < 1:
-        raise ValueError("k and D must be positive")
-    powers = [D ** len(t) for t in _cycle_types(k)]
-    return [[powers[c] for c in _class_row(k, i)] for i in range(math.factorial(k))]
-
-
 class WeingartenTable:
     """Exact Gram matrix and its inverse for fixed (k, D)."""
 
@@ -95,22 +87,12 @@ class WeingartenTable:
         self._values = tuple(self._by_class[t] for t in self._types)
         self._verify_class_algebra()
 
-    def wg(self, alpha: Permutation, beta: Permutation) -> Fraction:
-        """Weingarten entry; depends only on the class of alpha^-1 beta."""
-        return self._by_class[compose(inverse(alpha), beta).cycle_type()]
-
     def wg_of_class(self, cycle_type: tuple[int, ...]) -> Fraction:
         return self._by_class[cycle_type]
-
-    def gram(self) -> list[list[int]]:
-        return gram_matrix(self.k, self.D)
 
     def row(self, i: int) -> list[Fraction]:
         """Wg(perms[i], beta) for every beta, in `perms` order."""
         return [self._values[c] for c in _class_row(self.k, i)]
-
-    def matrix(self) -> list[list[Fraction]]:
-        return [self.row(i) for i in range(len(self.perms))]
 
     def rows(self, show_gram=int, show_wg=Fraction) -> Iterator[tuple[list, list]]:
         """(Gram row, Weingarten row) of each perms[i], both from one class row,

@@ -10,15 +10,19 @@ older or slower routes:
   geodesic from the identity to alpha;
 - `channel_exact_rows` sums every Weingarten row, with no sharing;
 - `label_pattern_sorted_rotations` is the former label-pattern rule, each
-  cycle word at its least rotation in tuple order.
+  cycle word at its least rotation in tuple order;
+- `reconstruct_dense` sums c_alpha W_{alpha^-1} into the dense D^k x D^k
+  channel output (validation sizes).
 """
 
 from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
-from kfree.channel import ChannelCoefficients, permuted_trace, positional_labels
+import numpy as np
+
+from kfree.channel import ChannelCoefficients, permutation_operator, permuted_trace, positional_labels
 from kfree.moments import Value, Word, cumulants, parts_product, sub_words
-from kfree.permutations import Permutation, geodesic_set, permutation_to_nc
+from kfree.permutations import Permutation, geodesic_set, inverse, permutation_to_nc
 from kfree.weingarten import weingarten_table
 
 from nc_oracles import canonicalize_by_conjugation, moebius_between_permutations
@@ -65,7 +69,7 @@ def channel_exact_rows(
     table = weingarten_table(k, D)
     traces = [permuted_trace(beta, phi, labels, D) for beta in table.perms]
     coeffs = {}
-    for alpha, wg_row in zip(table.perms, table.matrix()):
+    for alpha, (_, wg_row) in zip(table.perms, table.rows()):
         acc: Value = 0
         for wg, tr in zip(wg_row, traces):
             acc += wg * tr if isinstance(tr, (int, Fraction)) else complex(wg) * tr
@@ -76,3 +80,10 @@ def channel_exact_rows(
 def label_pattern_sorted_rotations(alpha: Permutation, ids: Sequence[int]) -> tuple[Word, ...]:
     """alpha's cycle words, each at its least rotation in tuple order, sorted."""
     return tuple(sorted(min(w[i:] + w[:i] for i in range(len(w))) for w in sub_words(ids, alpha.cycles())))
+
+
+def reconstruct_dense(channel: ChannelCoefficients) -> np.ndarray:
+    out = np.zeros((channel.D**channel.k, channel.D**channel.k), dtype=complex)
+    for alpha, c in channel.coeffs.items():
+        out += complex(c) * permutation_operator(inverse(alpha), channel.D)
+    return out

@@ -164,7 +164,7 @@ def merged_chain_sum_loops(chains: SlotChains, merge: Partition, D: int) -> comp
     plain loop over every assignment of an index to each block."""
     block = merge.block_index()
     total = 0.0 + 0.0j
-    for values in itertools.product(range(D), repeat=merge.num_blocks()):
+    for values in itertools.product(range(D), repeat=len(merge.blocks)):
         x = [values[block[s]] for s in range(1, chains.n_slots + 1)]
         term = 1.0 + 0.0j
         start = 0
@@ -249,7 +249,7 @@ def partition_lattice_moebius(sigma: Partition, pi: Partition) -> int:
     if not leq(sigma, pi):
         raise ValueError(f"{sigma} is not below {pi}")
     idx = pi.block_index()
-    counts = [0] * pi.num_blocks()
+    counts = [0] * len(pi.blocks)
     for b in sigma.blocks:
         counts[idx[b[0]]] += 1
     out = 1
@@ -323,7 +323,7 @@ def classical_cumulant(phi: Callable[[Word], Value], word: Sequence[Hashable]) -
     word = tuple(word)
     total: Value = 0
     for sigma in iter_set_partitions(len(word)):
-        r = sigma.num_blocks()
+        r = len(sigma.blocks)
         total += parts_product(phi, word, sigma.blocks) * ((-1) ** (r - 1) * factorial(r - 1))
     return total
 

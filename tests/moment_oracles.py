@@ -6,13 +6,17 @@ Moebius table.  The oracles here take the definitions directly:
 - `free_cumulant_recursive` subtracts every proper non-crossing product of
   lower cumulants from the moment;
 - `alternating_centered_moment` expands the centred alternating moment of
-  the freeness definition term by term.
+  the freeness definition term by term;
+- `moments_from_cumulants` sums the blockwise cumulant products over NC(n),
+  the inverse of `free_cumulant`;
+- `free_mixed_word` is the moment of a word in free families, from
+  cumulants that vanish on every block mixing families.
 """
 
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
-from kfree.moments import Value, Word, free_mixed_word
-from kfree.partitions import Partition, enumerate_nc
+from kfree.moments import Value, Word, cumulants, parts_product
+from kfree.partitions import Partition, enumerate_nc, nc_moebius_table
 
 
 def free_cumulant_recursive(phi: Callable[[Word], Value], word: Sequence[Hashable]) -> Value:
@@ -75,3 +79,31 @@ def alternating_centered_moment(
                 sign_part *= -factors[i][2]
         total += sign_part * evaluate(kept)
     return total
+
+
+def moments_from_cumulants(word: Sequence[Hashable], kappa: Callable[[Word], Value]) -> Value:
+    """<word> = sum over NC(n) of the blockwise cumulant products."""
+    total: Value = 0
+    for pi, _ in nc_moebius_table(len(word)):
+        total += parts_product(kappa, word, pi.blocks)
+    return total
+
+
+def free_mixed_word(
+    word: Sequence[tuple[Hashable, Hashable]],
+    phis: Mapping[Hashable, Callable[[Word], Value]],
+) -> Value:
+    """Moment of an arbitrary word of elements from free families.
+
+    `word` is a sequence of (family, label) pairs.  Families are free when
+    their mixed free cumulants vanish, so the moment is `moments_from_cumulants`
+    of a cumulant that is 0 on any block mixing families.
+    """
+    kappas = {fam: cumulants(phi) for fam, phi in phis.items()}
+
+    def kappa(block: Word) -> Value:
+        if len({fam for fam, _ in block}) > 1:
+            return 0
+        return kappas[block[0][0]](tuple(label for _, label in block))
+
+    return moments_from_cumulants(word, kappa)

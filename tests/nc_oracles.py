@@ -9,7 +9,8 @@ older, independent routes:
 - `moebius_by_relabelling` factorizes [sigma, pi] over the blocks of pi,
   relabels each restriction to 1..|W| and reads mu(., 1_|W|) off the chord
   complement;
-- `inverse_kreweras` is the chord-free inverse through a cyclic shift;
+- `inverse_kreweras` is the chord-free inverse through a cyclic shift
+  (`shift`);
 - `moebius_table_pairwise` lists `kfree nc --moebius`'s intervals one pair at
   a time, each sigma built as a `Partition` and mu(sigma, pi) read off the
   relative orbits;
@@ -101,6 +102,14 @@ def moebius_table_pairwise(n: int) -> dict[str, int]:
     return table
 
 
+def shift(p: Partition, delta: int) -> Partition:
+    """Relabel every element i -> i + delta cyclically on {1..n}."""
+    n = p.n
+    return Partition.from_blocks(
+        n, [[(x - 1 + delta) % n + 1 for x in b] for b in p.blocks]
+    )
+
+
 def inverse_kreweras(pi: Partition) -> Partition:
     """Inverse of the Kreweras complement.
 
@@ -109,7 +118,7 @@ def inverse_kreweras(pi: Partition) -> Partition:
     """
     if not is_noncrossing(pi):
         raise ValueError(f"inverse Kreweras requires a non-crossing partition: {pi}")
-    return kreweras_by_chords(pi.shift(+1))
+    return kreweras_by_chords(shift(pi, +1))
 
 
 def is_nc_canonical(alpha: Permutation) -> bool:

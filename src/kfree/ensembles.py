@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import permutation_operator
 from .errors import RegimeError
-from .eth import SpectralModel, _one_blas_thread, window_kernel
+from .eth import SpectralModel, _one_blas_thread, _real_if_zero_imag, window_kernel
 from .moments import Expectation, _cyclic_key, _word_trace, cumulant_words, free_cumulant
 from .permutations import all_permutations
 
@@ -232,14 +232,16 @@ class Estimate:
 def _eigenframe(letters: dict[Hashable, np.ndarray]) -> tuple[np.ndarray | None, dict[Hashable, np.ndarray]]:
     """(V, letters in V): V the eigenbasis of the first exactly Hermitian
     letter, from a real `eigh` where its imaginary part is all zero; that
-    letter becomes its eigenvalues (1-D), every other X becomes V^dagger X V.
-    With no exactly Hermitian letter, V is None (the identity frame) and the
-    letters stay as they are."""
+    letter becomes its eigenvalues (1-D), every other X becomes V^dagger X V,
+    complex.  With no exactly Hermitian letter, V is None (the identity
+    frame) and the letters stay as they are, made complex."""
     for label, m in letters.items():
         if np.array_equal(m, m.conj().T):
-            energies, v = np.linalg.eigh(m if m.imag.any() else m.real)
-            return v, {k: energies if k == label else v.conj().T @ x @ v for k, x in letters.items()}
-    return None, dict(letters)
+            energies, v = np.linalg.eigh(_real_if_zero_imag(m))
+            return v, {
+                k: energies if k == label else v.conj().T @ x.astype(complex, copy=False) @ v for k, x in letters.items()
+            }
+    return None, {k: x.astype(complex, copy=False) for k, x in letters.items()}
 
 
 def _in_frame(w: np.ndarray | None, u: np.ndarray, v: np.ndarray | None) -> np.ndarray:
@@ -293,7 +295,7 @@ class EnsembleExpectation:
     ):
         if isinstance(spec, HamiltonianEnsemble):
             raise ValueError("a time window has no sampled members: eth.averaged_free_cumulant averages its words exactly")
-        self.operators = {k: np.asarray(v, dtype=complex) for k, v in operators.items()}
+        self.operators = {k: np.asarray(v) for k, v in operators.items()}  # a real one is not copied complex
         self.rotated = set(rotated)
         self.exact = isinstance(spec, DiscreteEnsemble)
         self._members = functools.partial(_members, spec, n_samples, seed)  # drawn afresh for each pass

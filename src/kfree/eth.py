@@ -21,9 +21,10 @@ axis numbers, axis n being the n-th block of the merge pattern Q.
 average keeps every slot axis open (the singleton pattern) and builds the
 amplitude tensor by broadcast multiplies into one reused buffer
 (`_slot_amplitudes`).  Amplitudes far from resonance, divided by their
-phase d, are contracted slot by slot against per-slot phase vectors
-e^{iT c_s E}, with the window kernel's e^{iTd} - 1 telescoped over the
-slots; the few near resonance take `window_kernel`.
+phase d, are contracted against per-slot phase vectors e^{iT c_s E}, with
+the window kernel's e^{iTd} - 1 telescoped over the slots into a first-slot
+term and a weight over the later slots formed once; the few near resonance
+take `window_kernel`.
 `_chain_time_average` is the one place that chooses between the infinite
 window and a finite one.
 
@@ -45,12 +46,14 @@ Reference sums that the tests compare against live in the tests, not here.
 
 Dtype rule: a matrix stays real unless it is complex-valued.  `build_model`
 diagonalises a Hamiltonian whose imaginary parts are all exactly 0 (a real
-array, or a complex-typed one such as an operator file) with the real
-`eigh`, and `to_eigenbasis` drops such an observable's zero imaginary part
-before rotating it, so a real model's basis, observables, merged sums and
-strict averages are float64.  Only a time phase (`heisenberg` at t != 0, the
-finite window's phase vectors) or an input with a non-zero imaginary part
-makes them complex.
+array, or a complex-typed one) with the real `eigh`, and `to_eigenbasis`
+drops such an observable's zero imaginary part before rotating it, so a real
+model's basis, observables, merged sums and strict averages are float64.
+Only a time phase (`heisenberg` at t != 0, the finite window's phase
+vectors) or an input with a non-zero imaginary part makes them complex.  The
+file boundary follows the same rule: `matio.load_operator` loads a file
+whose imaginary parts are all 0 as float64, so no complex copy of a real
+operator file is ever staged.
 
 Thread rule: below ONE_THREAD_DIM levels every public entry point that
 does BLAS work runs on one OpenBLAS thread (`_one_blas_thread`, entered by
@@ -77,7 +80,7 @@ DEFAULT_DIM_CAP = 4096
 RESONANCE_EPS_FACTOR = 1e-10
 RESONANCE_SAMPLES = 20_000  # index quadruples resonance_report draws
 WINDOW_BYTES_CAP = 2**31  # bytes a windowed average may hold, as `window_bytes` counts them
-_WINDOW_CHUNK_ELEMS = 2_000_000  # amplitude-tensor entries per chunk of a windowed average
+_WINDOW_CHUNK_ELEMS = 2**18  # amplitude-tensor entries per chunk of a windowed average
 _SCAN_CHUNK_ELEMS = 4096  # (time, eigenstate) entries per chunk of `thermal_cumulant_scan`
 GOE_OBSERVABLES = ("A", "B")  # the observables goe_model draws
 ISING_OBSERVABLES = ("sz_mid", "sx_mid")  # the observables of ising_model
@@ -545,10 +548,11 @@ def _balanced_weight(p: int) -> int:
 
 def window_bytes(D: int, m: int) -> int:
     """Bytes `_windowed_chain_sum` allocates for m slots over D levels, at
-    most: for each entry of h (the D^(m-1) amplitudes summed over the first
-    slot) h itself and one product of h's size, both complex; for each entry
-    of one amplitude chunk the amplitude (complex at most), its phase d (a
-    float) and two masks (bools)."""
+    most.  Over the n = D^(m-1) later-slot entries it holds, for the whole
+    sum, V and the product of the operands off the first slot, both complex
+    at most.  Over a chunk of the amplitude tensor it holds, per entry, the
+    amplitude (complex at most), its phase d (a float) and two masks
+    (bools)."""
     n = D ** (m - 1)
     c16, f8, b1 = (np.dtype(t).itemsize for t in (complex, float, bool))
     return 2 * c16 * n + (c16 + f8 + 2 * b1) * min(D, max(1, _WINDOW_CHUNK_ELEMS // n)) * n
@@ -562,9 +566,10 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
     Far from resonance, |d| >= 1e-3 M with M = sum_s |c_s| max|E - mean E|
     the bound on |d|, the amplitudes give (-i/T) sum g (prod_s u_s - 1) with
     g = amp/d and u_s = e^{iT c_s E} one D-vector per slot.  Telescoping
-    prod_s u_s - 1 = sum_s (u_s - 1) prod_{r<s} u_r makes that one sweep over
-    the slot axes: at slot s, add (u_s - 1) contracted with h summed over the
-    later axes, then contract u_s into h (h starts as g).
+    prod_s u_s - 1 = (u_0 - 1) + u_0 V, V = sum_{s>=1} (u_s - 1) prod_{1<=r<s} u_r,
+    splits off the first slot: V, over the later slot axes, is built once
+    from the last slot inwards, V <- (u_s - 1) + u_s V, and a first-slot
+    index i adds (u_0i - 1) sum g_i + u_0i sum g_i V.
     u_s - 1 = 2i sin(theta/2) e^{i theta/2} stays accurate at small T, and no
     D^m-sized array meets a transcendental.  The coefficients of a chain sum
     to 0, so E is centred first: d is unchanged and the phases are smaller.
@@ -576,10 +581,14 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
     levels) take `window_kernel` itself.
 
     Amplitudes are materialized chunked over the first slot, each chunk in
-    one reused buffer (`_slot_amplitudes`).  A chunk adds its first-slot
-    term, (u_0 - 1) against the chunk summed over its later axes, and is
-    folded into h with u_0 in place (a real chunk by two real products);
-    later slots are contracted once, after every chunk is in h.
+    one reused buffer (`_slot_amplitudes`).  What no chunk changes is formed
+    once: V and the product of the operands off the first slot
+    (`_fold_later_slots`), so a chunk multiplies its first-slot operands
+    into that product in one pass and makes two passes over its amplitudes
+    (a real chunk against V by real products).  A chunk's phases are summed
+    from the first slot outwards; only the last sum is of the chunk's size,
+    so forming the later slots' sum once would save little and hold 8 bytes
+    more per later-slot entry.
     """
     m, D = chains.n_slots, len(energies)
     if window_bytes(D, m) > WINDOW_BYTES_CAP:
@@ -587,7 +596,7 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
             f"a finite window over {m} slots at D = {D} holds about {window_bytes(D, m) / 2**30:.1f} GiB,"
             f" past the {WINDOW_BYTES_CAP / 2**30:g} GiB budget"
         )
-    operands = _chain_einsum(chains, Partition.singletons(m))
+    operands = _fold_later_slots(_chain_einsum(chains, Partition.singletons(m)))
 
     coeffs = chains.slot_coeffs
     e = energies - np.mean(energies)
@@ -603,10 +612,15 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
     if all(np.isfinite(theta).all() for theta in thetas):
         rows = [np.stack([2j * np.sin(theta / 2) * np.exp(0.5j * theta), np.exp(1j * theta)]) for theta in thetas]
 
+    v = np.zeros((), dtype=complex)  # V over the later slot axes (docstring)
+    for row in reversed(rows[1:] if rows is not None else []):
+        v = np.multiply.outer(row[1], v)
+        v += row[0].reshape((D,) + (1,) * (v.ndim - 1))
+    v = v.reshape(-1)
+    pairs = v.view(float).reshape(-1, 2)  # [Re V, Im V] columns, for a real chunk
     chunk = min(D, max(1, _WINDOW_CHUNK_ELEMS // D ** (m - 1)))
     amplitudes = np.empty((chunk,) + (D,) * (m - 1), dtype=np.result_type(*operands[::2]))
     direct = telescoped = 0.0 + 0.0j
-    h = np.zeros(D ** (m - 1), dtype=complex)
     for lo in range(0, D, chunk):
         sel = slice(lo, lo + chunk)
         g = amplitudes[: min(chunk, D - lo)]
@@ -621,22 +635,30 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
             continue
         delta[close] = np.inf
         g /= delta
-        del delta, close  # freed before the product of h's size
+        del delta, close  # freed before the next chunk's
         g = g.reshape(len(g), -1)
-        telescoped += rows[0][0, sel] @ g.sum(axis=1)
-        u = rows[0][1, sel]
         if np.iscomplexobj(g):
-            h += u @ g
+            gv = g @ v
         else:
-            h.real += u.real @ g
-            h.imag += u.imag @ g
+            gv = g @ pairs
+            gv = gv[:, 0] + 1j * gv[:, 1]
+        telescoped += rows[0][0, sel] @ g.sum(axis=1) + rows[0][1, sel] @ gv
     if rows is None:
         return direct
-    for s in range(1, m):
-        r = rows[s] @ h.reshape(D, -1)
-        telescoped += r[0].sum()
-        h = r[1]
     return complex(direct - 1j * telescoped / t_max)
+
+
+def _fold_later_slots(operands: list) -> list:
+    """Interleaved einsum `operands` with those off axis 0 replaced by their
+    product, one operand on the axes they name: what no first-slot chunk of
+    a window changes, formed once."""
+    first, later = [], []
+    for op, axes in zip(operands[::2], operands[1::2]):
+        (first if 0 in axes else later).extend([op, axes])
+    if not later:
+        return first
+    axes = sorted(set().union(*later[1::2]))
+    return first + [np.einsum(*later, axes), axes]
 
 
 def _slot_amplitudes(out: np.ndarray, operands: list, sel: slice) -> None:

@@ -6,7 +6,19 @@ Two interchangeable formats, selected by file suffix:
   list of [re, im] pairs.
 * ``.bin``  -- magic ``KFOP``, two little-endian uint32 (rows, cols), then
   row-major little-endian complex128 entries, i.e. float64 (re, im) pairs.
-  The payload is read in one pass into the returned array.
+
+Dtype rule, as in `eth`: a file loads as float64 when every imaginary part
+is exactly 0 (-0.0 included), and as complex128 otherwise.  A real operator
+then takes real arithmetic downstream and holds half the memory.
+
+A ``.bin`` header, shape and payload size are checked before any array is
+allocated.  The payload is then read in row panels of about PANEL_ENTRIES
+entries into one reused buffer, and each panel's real parts are copied into
+the float64 result, so a real file never stages a complex copy.  The first
+panel with a non-zero imaginary part makes the result complex: the payload
+is read again from its start, whole, into a complex128 array, so every
+entry, signed zeros included, is the file's.  A ``.json`` file is parsed
+whole and made real at the end when every imaginary part is 0.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ import numpy as np
 MAGIC = b"KFOP"
 HEADER_BYTES = 12  # magic plus two uint32
 ENTRY = np.dtype("<c16")  # one payload entry: little-endian float64 (re, im)
+PANEL_ENTRIES = 2**14  # payload entries per row panel of a .bin read (256 KiB)
 
 
 def save_operator(path: str | Path, matrix: np.ndarray) -> None:
@@ -67,7 +80,9 @@ def load_operator(path: str | Path) -> np.ndarray:
                 raise TypeError("booleans are not numbers")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: data entries must be [re, im] number pairs") from exc
-        return np.array(entries, dtype=complex).reshape(rows, cols)
+        m = np.array(entries, dtype=complex).reshape(rows, cols)
+        del doc, data, entries  # the parsed text, freed before a real copy is made
+        return m if m.imag.any() else m.real.copy()
     if path.suffix == ".bin":
         with open(path, "rb") as fh:
             head = fh.read(HEADER_BYTES)
@@ -83,6 +98,33 @@ def load_operator(path: str | Path) -> np.ndarray:
                 raise ValueError(f"{path}: truncated payload ({got} of {want} bytes)")
             if got > want:
                 raise ValueError(f"{path}: payload of {got} bytes, want {want} for shape ({rows}, {cols})")
-            flat = np.fromfile(fh, dtype=ENTRY, count=rows * cols)
-        return flat.astype(complex, copy=False).reshape(rows, cols)
+            return _read_payload(fh, path, rows, cols)
     raise ValueError(f"unknown operator format {path.suffix!r} (want .json or .bin)")
+
+
+def _read_payload(fh, path: Path, rows: int, cols: int) -> np.ndarray:
+    """The checked payload after the header: float64 row panel by row panel,
+    or, from the first panel with a non-zero imaginary part on, complex128
+    read again whole (module docstring)."""
+    step = max(1, PANEL_ENTRIES // cols)
+    panel = np.empty((min(step, rows), cols), dtype=ENTRY)
+    out = np.empty((rows, cols))
+    for lo in range(0, rows, step):
+        part = panel[: min(step, rows - lo)]
+        _read_into(fh, path, part)
+        if part.imag.any():
+            del out, panel, part
+            whole = np.empty((rows, cols), dtype=ENTRY)
+            fh.seek(HEADER_BYTES)
+            _read_into(fh, path, whole)
+            return whole.astype(complex, copy=False)
+        out[lo : lo + len(part)] = part.real
+    return out
+
+
+def _read_into(fh, path: Path, buf: np.ndarray) -> None:
+    """Fill `buf` from the file's next bytes; a short read (a file cut while
+    it was read) is an error."""
+    got = fh.readinto(buf.view(np.uint8))
+    if got != buf.nbytes:
+        raise ValueError(f"{path}: payload ended after {got} of {buf.nbytes} bytes of a read")

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import kfree
+from kfree import matio
 from kfree.cli import dispatch
 from kfree.matio import load_operator, save_operator
 from nc_oracles import moebius_table_pairwise
@@ -240,6 +241,103 @@ def test_binary_operator_loads_in_one_payload_sized_array(tmp_path):
         tracemalloc.stop()
     assert m.shape == (D, D)
     assert peak <= 1.25 * payload, (peak, payload)
+
+
+def _payload(path) -> np.ndarray:
+    """A .bin file's entries as complex128, read whole: the loader before real files loaded real."""
+    return np.fromfile(path, dtype="<c16", offset=12).astype(complex)
+
+
+def test_real_operator_file_loads_as_float64_in_both_formats(tmp_path):
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((7, 7))
+    m[0, :3] = [-0.0, 0.0, 1e-300]
+    z = m.astype(complex)
+    z.imag = -0.0  # every imaginary part -0.0: still exactly 0
+    for name in ("op.bin", "op.json"):
+        save_operator(tmp_path / name, z)
+        back = load_operator(tmp_path / name)
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+        assert back.tobytes() == m.tobytes()
+    assert load_operator(tmp_path / "op.bin").tobytes() == _payload(tmp_path / "op.bin").real.tobytes()
+
+
+def test_bin_with_one_imaginary_entry_in_its_last_panel_loads_complex(tmp_path):
+    D = 200  # panels of 81, 81 and 38 rows
+    assert -(-D // (matio.PANEL_ENTRIES // D)) == 3
+    m = np.random.default_rng(5).standard_normal((D, D)) + 0j
+    m[0, 0] = complex(1.0, -0.0)  # a signed zero in the first panel survives the promotion
+    m[-1, -1] += 1e-3j
+    path = tmp_path / "op.bin"
+    save_operator(path, m)
+    back = load_operator(path)
+    assert back.dtype == np.complex128
+    assert back.tobytes() == _payload(path).tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, raw, message",
+    [
+        ("magic.bin", b"KFOQ" + struct.pack("<II", 4096, 4096), "bad magic"),
+        ("header.bin", b"KFOP" + struct.pack("<I", 4096), "truncated header"),
+        ("short.bin", b"KFOP" + struct.pack("<II", 4096, 4096) + bytes(64), "truncated payload"),
+        ("long.bin", b"KFOP" + struct.pack("<II", 2, 2) + bytes(65), "payload of 65 bytes"),
+    ],
+)
+def test_bad_bin_file_is_refused_before_any_allocation(tmp_path, name, raw, message):
+    path = tmp_path / name
+    path.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            load_operator(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak  # a 4096 x 4096 payload would be 256 MiB
+
+
+def test_real_binary_operator_loads_without_a_complex_copy(tmp_path):
+    D = 512
+    path = tmp_path / "big.bin"
+    save_operator(path, np.random.default_rng(2).standard_normal((D, D)))
+    tracemalloc.start()
+    try:
+        m = load_operator(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.dtype == np.float64 and m.shape == (D, D)
+    assert peak < 1.25 * D * D * 8, peak
+
+
+def test_real_operator_file_cumulants_and_otoc_match_complex_arithmetic(tmp_path, capsys):
+    """A real-valued file now loads float64, so `cumulants --operator` and
+    `otoc --a-ops/--b-ops` take real GEMMs; their values stay those of the
+    complex-typed trace to rounding."""
+    from kfree.channel import otoc_haar
+    from kfree.moments import Expectation, cumulants
+
+    rng = np.random.default_rng(6)
+    a, b = (x + x.T for x in rng.standard_normal((2, 24, 24)))
+    for name, m in (("a.bin", a), ("b.json", b)):
+        save_operator(tmp_path / name, m)
+        assert load_operator(tmp_path / name).dtype == np.float64
+    code, out, _ = run(capsys, "cumulants", "--operator", str(tmp_path / "a.bin"), "--max-order", "6")
+    assert code == 0
+    kappa = cumulants(Expectation.normalized_trace({"A": a.astype(complex)}))
+    for n, (re, im) in json.loads(out)["result"]["kappa"].items():
+        want = complex(kappa(("A",) * int(n)))
+        assert abs(complex(re, im) - want) <= 1e-12 * abs(want), (n, re, im, want)
+    code, out, _ = run(capsys, "otoc", "--k", "2", "--dim", "24", "--a-ops", str(tmp_path / "a.bin"),
+                       "--b-ops", str(tmp_path / "b.json"))
+    assert code == 0
+    want = otoc_haar(Expectation.normalized_trace({1: a.astype(complex)}), Expectation.normalized_trace({1: b.astype(complex)}),
+                     2, D=24, a_labels=(1, 1), b_labels=(1, 1))
+    result = json.loads(out)["result"]
+    for key in ("formula", "channel"):
+        got, expected = complex(*result[key]), complex(getattr(want, key))
+        assert abs(got - expected) <= 1e-12 * abs(expected), (key, got, expected)
 
 
 def test_design_check_cli(capsys):

@@ -735,13 +735,49 @@ def test_window_bytes_bound_what_a_window_holds(monkeypatch, name, chunk_elems):
 
 @pytest.mark.parametrize("name, bytes_per_entry", [("real", 48), ("complex", 64)])
 def test_window_holds_h_once(monkeypatch, name, bytes_per_entry):
-    """One first-slot index per chunk, a window holds h (16 bytes per entry)
-    and a few arrays of h's size beside it: at most 48 bytes per entry of h
-    for a real model and 64 for a complex one.  A window that copied h into
-    complex row products per chunk held 130 and 105."""
+    """One first-slot index per chunk, a window holds its later-slot weight V
+    (16 bytes per later-slot entry) and a few arrays of V's size beside it:
+    at most 48 bytes per entry for a real model and 64 for a complex one.  A
+    window that copied its partial sums into complex row products per chunk
+    held 130 and 105."""
     monkeypatch.setattr(eth, "_WINDOW_CHUNK_ELEMS", 1)
     D = 60
     assert _window_peak(name, D) <= bytes_per_entry * D**3
+
+
+@pytest.mark.parametrize("D, k, ref_chunks", [(32, 2, 1), (64, 2, 4), (16, 3, 4)])
+@pytest.mark.parametrize("beta_width", [0.0, 0.3])
+def test_chunked_window_equals_the_sum_in_fewer_chunks(monkeypatch, D, k, ref_chunks, beta_width):
+    """The default chunks (4 at D = 32, one first-slot index each at D = 64
+    and at k = 3) sum a window to the value of one chunk at D = 32, and of 4
+    chunks where one would hold about 0.45 GB."""
+    model = goe_model(D, seed=11)
+    state = thermal_state(model, beta_width / model.spectral_width())
+    chains = chains_from_word(model, state, (("A", True), ("B", False)) * k)
+    t_values = (1e-9, 40.0, 1e6)
+    m = 2 * k
+    assert eth._WINDOW_CHUNK_ELEMS // D ** (m - 1) < D // ref_chunks
+    got = [eth._windowed_chain_sum(chains, model.energies, t) for t in t_values]
+    monkeypatch.setattr(eth, "_WINDOW_CHUNK_ELEMS", D**m // ref_chunks)
+    for t_max, value in zip(t_values, got):
+        want = eth._windowed_chain_sum(chains, model.energies, t_max)
+        assert abs(value - want) <= 1e-12 * abs(want), (t_max, value, want)
+
+
+def test_four_slot_window_at_d32_holds_at_most_8_mib():
+    model = goe_model(32, seed=11)
+    state = thermal_state(model, 0.3 / model.spectral_width())
+    word = (("A", True), ("B", False)) * 2
+    window = TimeWindow("finite", 40.0)
+    averaged_free_cumulant(model, state, word, window)  # warm-up: lazily built tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        averaged_free_cumulant(model, state, word, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= eth.window_bytes(32, 4) <= 8 * 2**20, (peak, eth.window_bytes(32, 4))
 
 
 AMPLITUDE_WORDS = (

@@ -28,7 +28,6 @@ import numpy as np
 
 import benchlib
 from kfree.eth import (
-    DeutschSpec,
     deutsch_ensemble,
     distinct_index_cumulant,
     free_k_time,
@@ -48,8 +47,8 @@ def library_cases(model, state):
 
     def deutsch():
         rng = np.random.default_rng(7)
-        spec = DeutschSpec(perturbation=goe_matrix(model.dim, rng), strength=0.25, lambdas=(1.0, 2.0), beta=state.beta)
-        return list(deutsch_ensemble(model, spec).mixed_kappa4.values())
+        report = deutsch_ensemble(model, goe_matrix(model.dim, rng), 0.25, (1.0, 2.0), beta=state.beta)
+        return list(report.mixed_kappa4.values())
 
     return {
         "distinct-k3": lambda: [distinct_index_cumulant(model, state, "A", "B", k=3)],

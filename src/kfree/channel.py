@@ -23,7 +23,7 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from .errors import RegimeError
-from .moments import Expectation, Value, Word, _cyclic_key, cumulants, mixed_moment_free, parts_product, sub_words
+from .moments import Expectation, Value, Word, _cyclic_key, cumulants, parts_product, sub_words
 from .permutations import Permutation, all_permutations, compose, full_cycle, inverse
 from .weingarten import weingarten_table
 
@@ -58,7 +58,6 @@ class ChannelCoefficients:
 
     k: int
     D: int
-    mode: str  # "exact" | "asymptotic"
     coeffs: dict[Permutation, Value] = field(default_factory=dict)
 
 
@@ -102,7 +101,7 @@ def channel_exact(
         if pattern not in by_pattern:
             by_pattern[pattern] = _row_sum(table.row(i), traces)
         coeffs[alpha] = by_pattern[pattern]
-    return ChannelCoefficients(k=k, D=D, mode="exact", coeffs=coeffs)
+    return ChannelCoefficients(k=k, D=D, coeffs=coeffs)
 
 
 def channel_asymptotic(
@@ -123,20 +122,7 @@ def channel_asymptotic(
         kap = parts_product(kappa, labels, cycles)
         denom = D ** (k - len(cycles))
         coeffs[alpha] = Fraction(kap, denom) if isinstance(kap, int) else kap / denom
-    return ChannelCoefficients(k=k, D=D, mode="asymptotic", coeffs=coeffs)
-
-
-def otoc_haar_formula(
-    phi_a: Callable[[Word], Value],
-    phi_b: Callable[[Word], Value],
-    k: int,
-    a_labels: Sequence[Hashable] | None = None,
-    b_labels: Sequence[Hashable] | None = None,
-) -> Value:
-    """Leading-order 2k-OTOC: sum over NC(k) of kappa_pi(A) <B>_{pi*}."""
-    a_labels = tuple(a_labels) if a_labels is not None else positional_labels(k)
-    b_labels = tuple(b_labels) if b_labels is not None else positional_labels(k)
-    return mixed_moment_free(phi_a, phi_b, a_labels, b_labels)
+    return ChannelCoefficients(k=k, D=D, coeffs=coeffs)
 
 
 def otoc_haar_channel(
@@ -148,7 +134,7 @@ def otoc_haar_channel(
 
     With exact coefficients this is the exact finite-D Haar average of the
     2k-OTOC; with asymptotic coefficients it reproduces the cumulant
-    formula up to the dropped orders.
+    formula (`moments.mixed_moment_free`) up to the dropped orders.
     """
     k, D = coeffs.k, coeffs.D
     b_labels = tuple(b_labels) if b_labels is not None else positional_labels(k)
@@ -202,33 +188,6 @@ def haar_word_average_exact(
 
     coeffs = channel_exact(m, D, phi_a, ("A",) * m)
     return otoc_haar_channel(coeffs, phi_composite, b_labels)
-
-
-@dataclass
-class OtocResult:
-    formula: Value
-    channel: Value | None = None
-
-
-def otoc_haar(
-    phi_a: Callable[[Word], Value],
-    phi_b: Callable[[Word], Value],
-    k: int,
-    D: int | None = None,
-    a_labels: Sequence[Hashable] | None = None,
-    b_labels: Sequence[Hashable] | None = None,
-) -> OtocResult:
-    """Both evaluation paths of the Haar-averaged 2k-OTOC.
-
-    The channel-contraction value requires a dimension and is exact at that
-    D; the formula value is the leading large-D factorization.
-    """
-    formula = otoc_haar_formula(phi_a, phi_b, k, a_labels, b_labels)
-    chan = None
-    if D is not None:
-        coeffs = channel_exact(k, D, phi_a, a_labels)
-        chan = otoc_haar_channel(coeffs, phi_b, b_labels)
-    return OtocResult(formula=formula, channel=chan)
 
 
 def word_functional_from_matrices(mats: Sequence[np.ndarray]) -> Expectation:

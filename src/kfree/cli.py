@@ -329,11 +329,12 @@ def _cmd_channel(args) -> None:
     out = {}
     for alpha, c in coeffs.coeffs.items():
         out[str(alpha)] = f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else complex(c)
-    _emit(args, "channel", {"k": args.k, "dim": args.dim, "mode": coeffs.mode, "coefficients": out})
+    _emit(args, "channel", {"k": args.k, "dim": args.dim, "mode": args.mode, "coefficients": out})
 
 
 def _cmd_otoc(args) -> None:
-    from .channel import otoc_haar
+    from .channel import channel_exact, otoc_haar_channel
+    from .moments import mixed_moment_free
 
     if args.dim is None:
         _check_nc_size(f"--k {args.k}", args.k)
@@ -344,12 +345,14 @@ def _cmd_otoc(args) -> None:
     sources = "/".join(f"--{p}-ops" if getattr(args, f"{p}_ops") else f"--{p}-moments" for p in "ab")
     out_of_range = ValueError(f"{sources}: the {2 * args.k}-OTOC leaves the float range")
     with np.errstate(over="ignore", invalid="ignore"):  # an operator's powers may overflow: refused below
-        res = otoc_haar(phi_a, phi_b, args.k, D=args.dim, a_labels=a_labels, b_labels=b_labels)
+        formula = mixed_moment_free(phi_a, phi_b, a_labels, b_labels)
+        if args.dim is not None:  # the exact finite-D average, by the channel contraction
+            channel = otoc_haar_channel(channel_exact(args.k, args.dim, phi_a, a_labels), phi_b, b_labels)
         try:
-            result = {"k": args.k, "formula": complex(res.formula)}
-            if res.channel is not None:
+            result = {"k": args.k, "formula": complex(formula)}
+            if args.dim is not None:
                 result["dim"] = args.dim
-                result["channel"] = complex(res.channel)
+                result["channel"] = complex(channel)
         except OverflowError:  # an exact (Fraction) value past the float range
             raise out_of_range from None
     if not np.all(np.isfinite([result["formula"], result.get("channel", 0)])):
@@ -397,9 +400,6 @@ def _build_ensemble(args):
         raise ValueError("--unitaries required for --ensemble files")
     paths = args.unitaries.split(",")
     mats = [_load_matrix(p) for p in paths]
-    for path, m in zip(paths, mats):
-        if m.shape != mats[0].shape:
-            raise ValueError(f"--unitaries: {path} has shape {m.shape}, {paths[0]} has {mats[0].shape}")
     probs = _parse_finite_floats("--probs", args.probs) if args.probs else None
     try:
         return DiscreteEnsemble(mats, np.array(probs) if probs else None)
@@ -423,7 +423,7 @@ def _cmd_design_check(args) -> None:
 
     spec = _build_ensemble(args)
     report = design_check(spec, args.k, tolerance=args.tolerance)
-    fields = {"passed": report.passed, "max_deviation": report.max_deviation, "tolerance": report.tolerance}
+    fields = {"passed": report.passed, "max_deviation": report.max_deviation, "tolerance": args.tolerance}
     _emit(args, "design-check", {**_ensemble_fields(args, spec), **fields})
 
 
@@ -528,7 +528,6 @@ def _eth_obs_pair(args, model):
 def _cmd_eth(args) -> None:
     from .eth import (
         WINDOW_BYTES_CAP,
-        DeutschSpec,
         TimeWindow,
         deutsch_ensemble,
         factorization_gap,
@@ -581,9 +580,10 @@ def _cmd_eth(args) -> None:
         t_max = args.t_max if args.t_max is not None else (40.0 / width if width else math.inf)
         if not math.isfinite(t_max):  # the default grid of a zero or subnormal width
             raise ValueError(f"the spectral width {width:g} sets no default grid (up to 40/width); pass --t-max")
-        res = free_k_time(model, state, a, b, args.k, np.linspace(0.0, t_max, args.n_points), threshold=args.threshold)
-        scan = [[float(t), float(m), 0.0, 0.0] for t, m in zip(res.times, res.magnitudes)]
-        result = {"k": args.k, "reached": res.reached, "free_time": res.time, "threshold": res.threshold, "scan": scan}
+        times = np.linspace(0.0, t_max, args.n_points)
+        res = free_k_time(model, state, a, b, args.k, times, threshold=args.threshold)
+        scan = [[float(t), float(m), 0.0, 0.0] for t, m in zip(times, res.magnitudes)]
+        result = {"k": args.k, "reached": res.reached, "free_time": res.time, "threshold": args.threshold, "scan": scan}
     elif action == "appendixb":
         held = window_bytes(model.dim, 4)  # the joint average has 4 slots
         if window.mode == "finite" and held > WINDOW_BYTES_CAP:
@@ -598,16 +598,15 @@ def _cmd_eth(args) -> None:
         pert = goe_matrix(model.dim, rng)
         lambdas = _parse_finite_floats("--lambdas", args.lambdas or "1,2")
         strength = args.strength if args.strength is not None else model.dim**-0.5
-        # Gershgorin: the perturbed levels, their gaps to the base ones and the band
-        # profile's bins stay below 4 (max|E| + |c lambda| D max|H'|)
+        # Gershgorin: the perturbed levels stay below max|E| + |c lambda| D max|H'|,
+        # refused unless 4 times that bound is finite
         lam = max(map(abs, lambdas))
         shift = abs(strength) * lam * model.dim * float(np.max(np.abs(pert)))
         if not math.isfinite(4 * (float(np.max(np.abs(model.energies))) + shift)):
             raise ValueError(f"--strength {strength} times --lambdas entry {lam} puts H + c lambda H' out of float range")
-        spec = DeutschSpec(perturbation=pert, strength=strength, lambdas=lambdas, beta=args.beta)
-        report = deutsch_ensemble(model, spec, observable=a)
+        report = deutsch_ensemble(model, pert, strength, lambdas, beta=args.beta, observable=a)
         result = {
-            "lambdas": list(report.lambdas),
+            "lambdas": list(lambdas),
             "mixed_kappa4": {f"{l1},{l2}": complex(v) for (l1, l2), v in report.mixed_kappa4.items()},
             "row_sum_max_error": max(float(np.max(np.abs(o.sum(axis=1) - 1.0))) for o in report.overlaps.values()),
         }

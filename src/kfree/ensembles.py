@@ -226,7 +226,6 @@ class Estimate:
     value: complex
     std_error: float | None  # None with one sample: there is no spread
     n_samples: int
-    seed: int | None = None
 
 
 def _eigenframe(letters: dict[Hashable, np.ndarray]) -> tuple[np.ndarray | None, dict[Hashable, np.ndarray]]:
@@ -402,7 +401,7 @@ def k_freeness_test(
         batch_vals = np.array([complex(free_cumulant(expectation.functional(batch=b), word)) for b in range(batches)])
         spread = np.std(batch_vals.real, ddof=1) + 1j * np.std(batch_vals.imag, ddof=1)
         std_error = abs(spread) / math.sqrt(batches)
-    return Estimate(value=value, std_error=std_error, n_samples=expectation.n_samples, seed=seed)
+    return Estimate(value=value, std_error=std_error, n_samples=expectation.n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +468,6 @@ def _superoperator_slabs(spec: EnsembleSpec, k: int) -> Iterator[np.ndarray]:
 class DesignReport:
     passed: bool
     max_deviation: float
-    k: int
-    tolerance: float
 
 
 def design_check(spec: EnsembleSpec, k: int, tolerance: float = 1e-10) -> DesignReport:
@@ -478,10 +475,10 @@ def design_check(spec: EnsembleSpec, k: int, tolerance: float = 1e-10) -> Design
     set of inputs; reports the max entry deviation, taken over paired row
     slabs (`_superoperator_slabs`), so neither full superoperator exists."""
     if isinstance(spec, HaarEnsemble):
-        return DesignReport(True, 0.0, k, tolerance)
+        return DesignReport(True, 0.0)
     pairs = zip(_superoperator_slabs(spec, k), _superoperator_slabs(HaarEnsemble(spec.dim), k))
     dev = float(np.max([np.max(np.abs(e - h)) for e, h in pairs]))
-    return DesignReport(dev <= tolerance, dev, k, tolerance)
+    return DesignReport(dev <= tolerance, dev)
 
 
 def _pair_moment(spec: DiscreteEnsemble, k: int) -> float:

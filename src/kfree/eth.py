@@ -10,9 +10,9 @@ vector per cycle and an energy-phase coefficient per slot.
 every spectral sum needs; `hamiltonian_energies` runs the same checks and
 returns only the `eigvalsh` energies, which is all the spectral statistics
 (`spectral_width`, `level_spacing_ratio`, `resonance_report`, functions of
-the sorted energies) read.  Both test Hermiticity one row panel at a time,
-on the real part when every imaginary part is exactly 0, so the check adds
-no full-size copy of H.
+the sorted energies) read.  Both test finiteness and Hermiticity one row
+panel at a time, on the real part when every imaginary part is exactly 0, so
+the checks add no full-size array beside H.
 
 One builder, `_chain_einsum`, lays out every chain sum as numpy's
 interleaved einsum operands: each matrix or weight vector followed by its
@@ -270,8 +270,6 @@ def _checked_hamiltonian(hamiltonian) -> np.ndarray:
     h = np.asarray(hamiltonian)
     if h.shape[0] > DEFAULT_DIM_CAP:
         raise ValueError(f"dimension {h.shape[0]} exceeds cap {DEFAULT_DIM_CAP}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("hamiltonian has non-finite entries")
     h = _real_if_zero_imag(h)
     if _hermitian_deviation(h) > 1e-10:
         raise ValueError("hamiltonian must be Hermitian")
@@ -280,10 +278,13 @@ def _checked_hamiltonian(hamiltonian) -> np.ndarray:
 
 def _hermitian_deviation(h: np.ndarray) -> float:
     """max |H - H^dagger|, one row panel at a time, so no temporary is
-    larger than a panel."""
+    larger than a panel; a non-finite entry of H is an error, raised before
+    the maximum could hide a NaN."""
     rows = max(1, _PANEL_ELEMS // max(1, h.shape[1]))
     dev = 0.0
     for lo in range(0, h.shape[0], rows):
+        if not np.isfinite(h[lo : lo + rows]).all():
+            raise ValueError("hamiltonian has non-finite entries")
         panel = h[lo : lo + rows] - h[:, lo : lo + rows].conj().T
         dev = max(dev, float(np.max(np.abs(panel))))
     return dev
@@ -356,7 +357,6 @@ def _ising_provenance(L: int) -> str:
 class ThermalState:
     beta: float
     weights: np.ndarray
-    Z: float
 
     def effective_dim(self) -> float:
         return float(1.0 / np.sum(self.weights**2))
@@ -372,7 +372,7 @@ def thermal_state(model: SpectralModel, beta: float) -> ThermalState:
         if np.isinf(Z):  # beta < 0 past the range: shifted by the top level instead
             w = np.exp(-beta * (model.energies - model.energies[-1]))
             Z = float(np.sum(w))
-    return ThermalState(beta=beta, weights=w / Z, Z=Z)
+    return ThermalState(beta=beta, weights=w / Z)
 
 
 def heisenberg(model: SpectralModel, obs, t: float) -> np.ndarray:
@@ -596,13 +596,13 @@ def _windowed_chain_sum(chains: SlotChains, energies: np.ndarray, t_max: float) 
             f"a finite window over {m} slots at D = {D} holds about {window_bytes(D, m) / 2**30:.1f} GiB,"
             f" past the {WINDOW_BYTES_CAP / 2**30:g} GiB budget"
         )
-    operands = _fold_later_slots(_chain_einsum(chains, Partition.singletons(m)))
-
     coeffs = chains.slot_coeffs
     e = energies - np.mean(energies)
     weight, spread = sum(abs(c) for c in coeffs), float(np.max(np.abs(e)))
-    if 0 < weight * spread and t_max * weight * spread < np.finfo(float).tiny:
-        return merged_chain_sum(chains, Partition.singletons(m))  # every T d underflows: weight 1, the t = 0 sum
+    if t_max * weight * spread < np.finfo(float).tiny:
+        # every T d underflows or is 0 (an untimed chain, a zero-width spectrum): weight 1, the t = 0 sum
+        return merged_chain_sum(chains, Partition.singletons(m))
+    operands = _fold_later_slots(_chain_einsum(chains, Partition.singletons(m)))
     near = max(1e-14, 1e-3 * weight * spread)
     with np.errstate(over="ignore", invalid="ignore"):
         thetas = [t_max * c * e for c in coeffs]
@@ -803,8 +803,6 @@ def _distinct_patterns(m: int) -> tuple[tuple[Partition, int], ...]:
 class FreeTimeResult:
     reached: bool
     time: float | None
-    threshold: float
-    times: np.ndarray
     magnitudes: np.ndarray
 
 
@@ -825,7 +823,7 @@ def free_k_time(
     above = np.flatnonzero(~(mags <= threshold * mags[0]))
     i = above[-1] + 1 if len(above) else 0  # every magnitude from times[i] on is below
     reached = bool(i < len(times))
-    return FreeTimeResult(reached, float(times[i]) if reached else None, threshold, times, mags)
+    return FreeTimeResult(reached, float(times[i]) if reached else None, mags)
 
 
 @_one_thread_below
@@ -850,67 +848,40 @@ def factorization_gap(model: SpectralModel, state: ThermalState, A, B, window: T
 
 
 @dataclass
-class DeutschSpec:
-    """Family of weak perturbations H + c*lambda*H' of a base Hamiltonian.
-
-    `perturbation` is given in the eigenbasis of the base model; `strength`
-    is the constant c."""
-
-    perturbation: np.ndarray
-    strength: float
-    lambdas: tuple[float, ...]
-    beta: float = 0.0
-
-
-@dataclass
 class DeutschReport:
-    lambdas: tuple[float, ...]
     overlaps: dict[float, np.ndarray]
     rotated: dict[float, np.ndarray]
-    band_profile: dict[float, tuple[np.ndarray, np.ndarray]]
     mixed_kappa4: dict[tuple[float, float], complex]
-    beta: float
 
 
 @_one_thread_below
-def deutsch_ensemble(model: SpectralModel, spec: DeutschSpec, observable="A") -> DeutschReport:
-    """Diagonalize each perturbed Hamiltonian, rotate the observable into
-    each perturbed eigenbasis, and probe mutual freeness with the base
-    thermal weight."""
-    D = model.dim
+def deutsch_ensemble(
+    model: SpectralModel,
+    perturbation: np.ndarray,
+    strength: float,
+    lambdas: Sequence[float],
+    beta: float = 0.0,
+    observable="A",
+) -> DeutschReport:
+    """Diagonalize each weak perturbation H + strength*lambda*H' of the base
+    Hamiltonian (`perturbation` H' given in the base eigenbasis), rotate the
+    observable into each perturbed eigenbasis, and probe mutual freeness
+    with the base thermal weight at `beta`."""
     h0 = np.diag(model.energies)
     a = model.observable(observable)
-    state = thermal_state(model, spec.beta)
+    state = thermal_state(model, beta)
     overlaps: dict[float, np.ndarray] = {}
     rotated: dict[float, np.ndarray] = {}
-    band: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    for lam in spec.lambdas:
-        h = h0 + spec.strength * lam * spec.perturbation
-        evals, vecs = np.linalg.eigh(h)
-        overlap = np.abs(vecs) ** 2
-        overlaps[lam] = overlap
+    for lam in lambdas:
+        vecs = np.linalg.eigh(h0 + strength * lam * perturbation)[1]
+        overlaps[lam] = np.abs(vecs) ** 2
         rotated[lam] = vecs.conj().T @ a @ vecs
-        omega = np.abs(model.energies[:, None] - evals[None, :])
-        bins = np.linspace(0.0, float(np.max(omega)) + 1e-12, 25)
-        which = np.digitize(omega.reshape(-1), bins) - 1
-        mass = np.zeros(len(bins) - 1)
-        counts = np.zeros(len(bins) - 1)
-        np.add.at(mass, which.clip(0, len(bins) - 2), overlap.reshape(-1))
-        np.add.at(counts, which.clip(0, len(bins) - 2), 1.0)
-        band[lam] = (0.5 * (bins[1:] + bins[:-1]), mass / np.maximum(counts, 1.0))
 
     mixed: dict[tuple[float, float], complex] = {}
-    for l1 in spec.lambdas:
-        for l2 in spec.lambdas:
+    for l1 in lambdas:
+        for l2 in lambdas:
             if l2 < l1:
                 continue
             word = ((rotated[l1], 0.0), (rotated[l2], 0.0), (rotated[l1], 0.0), (rotated[l2], 0.0))
             mixed[(l1, l2)] = thermal_free_cumulant(model, state, word)
-    return DeutschReport(
-        lambdas=tuple(spec.lambdas),
-        overlaps=overlaps,
-        rotated=rotated,
-        band_profile=band,
-        mixed_kappa4=mixed,
-        beta=spec.beta,
-    )
+    return DeutschReport(overlaps=overlaps, rotated=rotated, mixed_kappa4=mixed)

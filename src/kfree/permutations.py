@@ -117,7 +117,6 @@ class NCEmbeddingError(ValueError):
     """
 
     def __init__(self, alpha: Permutation, failed_condition: str):
-        self.alpha = alpha
         self.failed_condition = failed_condition
         super().__init__(f"{alpha} rejected: condition {failed_condition!r} failed")
 

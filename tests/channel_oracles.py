@@ -74,7 +74,7 @@ def channel_exact_rows(
         for wg, tr in zip(wg_row, traces):
             acc += wg * tr if isinstance(tr, (int, Fraction)) else complex(wg) * tr
         coeffs[alpha] = acc
-    return ChannelCoefficients(k=k, D=D, mode="exact", coeffs=coeffs)
+    return ChannelCoefficients(k=k, D=D, coeffs=coeffs)
 
 
 def label_pattern_sorted_rotations(alpha: Permutation, ids: Sequence[int]) -> tuple[Word, ...]:

@@ -19,7 +19,6 @@ import pytest
 from kfree.channel import (
     channel_asymptotic,
     channel_exact,
-    otoc_haar_formula,
     word_functional_from_matrices,
 )
 from kfree.ensembles import (
@@ -46,7 +45,7 @@ from kfree.eth import (
     thermal_free_cumulant,
     thermal_state,
 )
-from kfree.moments import Expectation, free_cumulant
+from kfree.moments import Expectation, free_cumulant, mixed_moment_free
 from kfree.partitions import (
     catalan,
     enumerate_nc,
@@ -178,9 +177,7 @@ def test_criterion_4_otoc_factorization_haar():
         B = normalize_observable(goe_matrix(D, rng)) + 0.7 * np.eye(D)
         pa = Expectation.normalized_trace({"A": A})
         pb = Expectation.normalized_trace({"B": B})
-        formula = complex(
-            otoc_haar_formula(pa, pb, 2, a_labels=("A", "A"), b_labels=("B", "B"))
-        )
+        formula = complex(mixed_moment_free(pa, pb, ("A", "A"), ("B", "B")))
         word = ("A", "B", "A", "B")
         mc = EnsembleExpectation(HaarEnsemble(D), {"A": A, "B": B}, {"A"}, n_samples=n, seed=2718, n_batches=batches)
         mc.evaluate_words([word])

@@ -19,14 +19,14 @@ from kfree.channel import (
     channel_asymptotic,
     channel_exact,
     haar_word_average_exact,
-    otoc_haar,
+    otoc_haar_channel,
     permutation_operator,
     permuted_trace,
     positional_labels,
     word_functional_from_matrices,
 )
 from kfree.errors import RegimeError
-from kfree.moments import Expectation, cumulants, free_cumulant, parts_product
+from kfree.moments import Expectation, cumulants, free_cumulant, mixed_moment_free, parts_product
 from kfree.partitions import kreweras_complement
 from kfree.permutations import (
     Permutation,
@@ -344,25 +344,25 @@ def test_channel_exact_one_label_sums_one_row_per_cycle_type(monkeypatch):
 def test_otoc_k2_matches_mixed_moment_formula():
     pa = Expectation.from_moment_sequence([0.3, 1.1], label="A")
     pb = Expectation.from_moment_sequence([0.7, 1.4], label="B")
-    res = otoc_haar(pa, pb, 2, a_labels=("A", "A"), b_labels=("B", "B"))
+    formula = mixed_moment_free(pa, pb, ("A", "A"), ("B", "B"))
     a1, a2, b1, b2 = 0.3, 1.1, 0.7, 1.4
-    assert abs(res.formula - (a2 * b1**2 + b2 * a1**2 - b1**2 * a1**2)) < 1e-12
+    assert abs(formula - (a2 * b1**2 + b2 * a1**2 - b1**2 * a1**2)) < 1e-12
 
 
 def test_otoc_traceless_specialization():
     pa = Expectation.from_moment_sequence([0.0, 1.0], label="A")
     pb = Expectation.from_moment_sequence([0.7, 1.4], label="B")
-    res = otoc_haar(pa, pb, 2, a_labels=("A", "A"), b_labels=("B", "B"))
-    assert abs(res.formula - 1.0 * 0.49) < 1e-12
+    assert abs(mixed_moment_free(pa, pb, ("A", "A"), ("B", "B")) - 1.0 * 0.49) < 1e-12
 
 
 def test_otoc_channel_path_approaches_formula():
     pa = Expectation.from_moment_sequence([0.3, 1.1, 0.6, 1.9], label="A")
     pb = Expectation.from_moment_sequence([0.7, 1.4, 0.2, 2.2], label="B")
+    formula = complex(mixed_moment_free(pa, pb, ("A", "A"), ("B", "B")))
     gaps = []
     for D in (16, 64, 256):
-        res = otoc_haar(pa, pb, 2, D=D, a_labels=("A", "A"), b_labels=("B", "B"))
-        gaps.append(abs(complex(res.channel) - complex(res.formula)))
+        channel = otoc_haar_channel(channel_exact(2, D, pa, ("A", "A")), pb, ("B", "B"))
+        gaps.append(abs(complex(channel) - formula))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-3
 

@@ -130,7 +130,8 @@ def _positional(moments):
 
 
 def test_channel_and_otoc_moment_documents_equal_positional_library(capsys):
-    from kfree.channel import channel_asymptotic, channel_exact, otoc_haar
+    from kfree.channel import channel_asymptotic, channel_exact, otoc_haar_channel, positional_labels
+    from kfree.moments import mixed_moment_free
 
     phi = _positional(A_MOMENTS)
     for mode, k, D, channel in (("exact", 4, 5, channel_exact), ("asymptotic", 5, 64, channel_asymptotic)):
@@ -139,10 +140,10 @@ def test_channel_and_otoc_moment_documents_equal_positional_library(capsys):
         assert json.loads(out)["result"]["coefficients"] == _cli_coefficients(channel(k, D, phi))
     code, out, _ = run(capsys, "otoc", "--k", "4", "--dim", "16", "--a-moments=" + A_MOMENTS, "--b-moments=" + B_MOMENTS)
     assert code == 0
-    res = otoc_haar(phi, _positional(B_MOMENTS), 4, D=16)
+    phi_b, labels = _positional(B_MOMENTS), positional_labels(4)
     doc = json.loads(out)["result"]
-    assert complex(*doc["formula"]) == complex(res.formula)
-    assert complex(*doc["channel"]) == complex(res.channel)
+    assert complex(*doc["formula"]) == complex(mixed_moment_free(phi, phi_b, labels, labels))
+    assert complex(*doc["channel"]) == complex(otoc_haar_channel(channel_exact(4, 16, phi), phi_b))
 
 
 def test_channel_cli_moments_take_k_cumulants(monkeypatch, capsys):
@@ -157,7 +158,14 @@ def test_channel_cli_moments_take_k_cumulants(monkeypatch, capsys):
 
 
 def test_channel_ops_labels_follow_the_file_paths(tmp_path, capsys):
-    from kfree.channel import channel_asymptotic, channel_exact, otoc_haar, word_functional_from_matrices
+    from kfree.channel import (
+        channel_asymptotic,
+        channel_exact,
+        otoc_haar_channel,
+        positional_labels,
+        word_functional_from_matrices,
+    )
+    from kfree.moments import mixed_moment_free
 
     rng = np.random.default_rng(9)
     mats = [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) for _ in range(3)]
@@ -183,9 +191,12 @@ def test_channel_ops_labels_follow_the_file_paths(tmp_path, capsys):
     code, out, _ = run(capsys, "otoc", "--k", "3", "--dim", "5", "--a-ops", ",".join([x, y, x]), "--b-ops", z)
     assert code == 0
     doc = json.loads(out)["result"]
-    res = otoc_haar(word_functional_from_matrices([mats[0], mats[1], mats[0]]), word_functional_from_matrices([mats[2]] * 3), 3, D=5)
+    phi_a = word_functional_from_matrices([mats[0], mats[1], mats[0]])
+    phi_b = word_functional_from_matrices([mats[2]] * 3)
+    formula = mixed_moment_free(phi_a, phi_b, positional_labels(3), positional_labels(3))
+    channel = otoc_haar_channel(channel_exact(3, 5, phi_a), phi_b)
     close({"formula": doc["formula"], "channel": doc["channel"]},
-          {"formula": [res.formula.real, res.formula.imag], "channel": [res.channel.real, res.channel.imag]})
+          {"formula": [formula.real, formula.imag], "channel": [channel.real, channel.imag]})
 
 
 def test_cumulants_from_moments(capsys):
@@ -315,8 +326,8 @@ def test_real_operator_file_cumulants_and_otoc_match_complex_arithmetic(tmp_path
     """A real-valued file now loads float64, so `cumulants --operator` and
     `otoc --a-ops/--b-ops` take real GEMMs; their values stay those of the
     complex-typed trace to rounding."""
-    from kfree.channel import otoc_haar
-    from kfree.moments import Expectation, cumulants
+    from kfree.channel import channel_exact, otoc_haar_channel
+    from kfree.moments import Expectation, cumulants, mixed_moment_free
 
     rng = np.random.default_rng(6)
     a, b = (x + x.T for x in rng.standard_normal((2, 24, 24)))
@@ -332,11 +343,14 @@ def test_real_operator_file_cumulants_and_otoc_match_complex_arithmetic(tmp_path
     code, out, _ = run(capsys, "otoc", "--k", "2", "--dim", "24", "--a-ops", str(tmp_path / "a.bin"),
                        "--b-ops", str(tmp_path / "b.json"))
     assert code == 0
-    want = otoc_haar(Expectation.normalized_trace({1: a.astype(complex)}), Expectation.normalized_trace({1: b.astype(complex)}),
-                     2, D=24, a_labels=(1, 1), b_labels=(1, 1))
+    phi_a, phi_b = (Expectation.normalized_trace({1: m.astype(complex)}) for m in (a, b))
+    want = {
+        "formula": mixed_moment_free(phi_a, phi_b, (1, 1), (1, 1)),
+        "channel": otoc_haar_channel(channel_exact(2, 24, phi_a, (1, 1)), phi_b, (1, 1)),
+    }
     result = json.loads(out)["result"]
     for key in ("formula", "channel"):
-        got, expected = complex(*result[key]), complex(getattr(want, key))
+        got, expected = complex(*result[key]), complex(want[key])
         assert abs(got - expected) <= 1e-12 * abs(expected), (key, got, expected)
 
 
@@ -623,7 +637,8 @@ def test_invalid_operator_contents_exit_1(tmp_path):
     cases = [
         (files + [str(tmp_path / "double.json")], "not unitary"),
         (files + [f"{tmp_path / 'u2.json'},{tmp_path / 'nan.bin'}"], "non-finite"),
-        (files + [f"{tmp_path / 'u2.json'},{tmp_path / 'u3.bin'}"], "shape"),
+        (files + [f"{tmp_path / 'u2.json'},{tmp_path / 'u3.bin'}"],
+         f"--unitaries: {tmp_path / 'u3.bin'}: unitary 1 has shape"),
         (["eth", "build", "--model", str(tmp_path / "nan.bin")], "non-finite"),
         (["eth", "build", "--model", str(tmp_path / "skew.bin")], "Hermitian"),
     ]

@@ -566,7 +566,7 @@ def test_eth_entry_points_pin_one_blas_thread_below_the_crossover(monkeypatch, c
         lambda: eth.distinct_index_cumulant(model, state, "A", "B", k=2),
         lambda: eth.free_k_time(model, state, "A", "B", 2, [0.0, 0.5]),
         lambda: eth.factorization_gap(model, state, "A", "B", window),
-        lambda: eth.deutsch_ensemble(model, eth.DeutschSpec(h, 0.25, (1.0,))),
+        lambda: eth.deutsch_ensemble(model, h, 0.25, (1.0,)),
     ]
     entered = []
     pin = eth._one_blas_thread
@@ -851,5 +851,5 @@ def test_clifford_group_has_24_elements():
 
 
 def test_estimate_fields():
-    est = Estimate(value=1.0 + 0j, std_error=0.1, n_samples=10, seed=3)
+    est = Estimate(value=1.0 + 0j, std_error=0.1, n_samples=10)
     assert est.n_samples == 10

@@ -1,8 +1,8 @@
 """Source hygiene: no module imports a name it never uses or defines a
 top-level name twice, every top-level definition in `src/`, and every public
-method of a public `src/` class, has a reader there unless it is listed
-library API, and the benchmark's child process imports only modules that
-exist."""
+method and field of a public `src/` class, has a reader there unless it is
+listed library API, and the benchmark's child process imports only modules
+that exist."""
 
 import ast
 import importlib.util
@@ -18,6 +18,7 @@ SRC_MODULES = sorted((ROOT / "src" / "kfree").glob("*.py"))
 LIBRARY_API = {
     "channel.haar_word_average_exact": "exact finite-D Haar word average, the reference for Monte Carlo probes",
     "channel.word_functional_from_matrices": "builds the positional functional the channel functions take",
+    "eth.SpectralModel.provenance": "names the model's source; the benchmark's child passes it to build_model",
     "eth.ThermalState.effective_dim": "1 / sum of squared Boltzmann weights; the benchmark's checks bound cumulants by it",
     "eth.averaged_free_cumulant": "time-averaged free cumulant; the benchmark's library steps call it",
     "eth.distinct_index_cumulant": "kappa_2k as a restricted spectral sum; the benchmark's library steps call it",
@@ -148,7 +149,7 @@ def test_every_src_definition_has_a_src_caller():
 def test_library_api_entries_exist_and_lack_a_src_caller():
     # an entry that gained a caller, or lost its definition, leaves the list
     sources = {path.stem: path.read_text() for path in SRC_MODULES}
-    unreferenced = unreferenced_definitions(sources) + unreferenced_methods(sources)
+    unreferenced = unreferenced_definitions(sources) + unreferenced_methods(sources) + unreferenced_fields(sources)
     assert sorted(set(LIBRARY_API) - set(unreferenced)) == []
     assert all(reason.strip() for reason in LIBRARY_API.values())
 
@@ -226,6 +227,64 @@ def test_unreferenced_method_detector():
     assert unreferenced_methods(sources) == ["a.Box.dead"]
     sources["b"] = "from .a import Box\nused = Box().dead\n"
     assert unreferenced_methods(sources) == ["a.Box.used"]
+
+
+def unreferenced_fields(sources: dict[str, str]) -> list[str]:
+    """`module.Class.name` for each public field of a public top-level class
+    that nothing reads.  A field is a name annotated in the class body or an
+    attribute assigned to `self` in one of its methods; a read is the
+    attribute of a loading `Attribute` node anywhere in `sources`, so
+    assigning a field does not read it, and neither does a bare name."""
+    trees = [ast.parse(source) for source in sources.values()]
+    reads = {
+        node.attr for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    out = []
+    for module, tree in zip(sources, trees):
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            fields = {
+                node.target.id for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            }
+            fields |= {
+                node.attr for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+            }
+            out += [f"{module}.{cls.name}.{name}" for name in fields if not name.startswith("_") and name not in reads]
+    return sorted(out)
+
+
+def test_every_public_src_field_has_a_src_reader():
+    unread = unreferenced_fields({path.stem: path.read_text() for path in SRC_MODULES})
+    assert [name for name in unread if name not in LIBRARY_API] == []
+
+
+def test_unreferenced_field_detector():
+    sources = {
+        "a": (
+            "class Report:\n"
+            "    value: float\n"
+            "    echo: int\n"
+            "    _cache: dict\n"
+            "class Box:\n"
+            "    def __init__(self, n):\n"
+            "        self.size = n\n"
+            "        self.spare = n\n"
+            "        self._hidden = n\n"
+            "    def grow(self):\n"
+            "        self.size += 1\n"
+            "class _Private:\n"
+            "    dead: int\n"
+        ),
+        "b": "from .a import Box, Report\nprint(Report().value)\nbox = Box(2)\nbox.spare = 3\necho = 1\n",
+    }
+    assert unreferenced_fields(sources) == ["a.Box.size", "a.Box.spare", "a.Report.echo"]
+    sources["b"] += "print(box.size, box.spare)\n"
+    assert unreferenced_fields(sources) == ["a.Report.echo"]
 
 
 def test_benchmark_child_imports_resolve():
